@@ -7,7 +7,8 @@ Subcommands:
   verify-invariants run the built-in invariant suites
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
-input error (e.g. graph not strongly connected where required).
+input error (e.g. graph not strongly connected where required, or a run the
+exact engine's budget cannot hold).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, dynamics, graphs
+from . import __version__, beliefs, dynamics, graphs
 from .config import load_config
 from .invariants import SCOPES, run_scope
 
@@ -82,6 +83,10 @@ def cmd_simulate(args) -> int:
     overrides = {"sim": {"seed": args.seed}}
     try:
         rc = load_config(args.config, overrides)
+        keep = bool(args.trace_csv or rc.trace_csv)
+        if args.workers > 1 and keep:
+            raise ValueError("a trace CSV needs --workers 1: worker "
+                             "processes return tallies, not traces")
         g = rc.build_graph()
         m = rc.build_signal_model()
         prof = rc.build_profile(g, m)
@@ -89,20 +94,24 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    keep = bool(args.trace_csv or rc.trace_csv)
-    if args.workers > 1 and not keep:
-        chunks = np.array_split(np.arange(rc.sim.replicates), args.workers)
-        payloads = [(args.config, overrides, [int(i) for i in c])
-                    for c in chunks if len(c)]
-        tally = dynamics.EnsembleTally(g.n)
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            for part in ex.map(_chunk_tally, payloads):
-                tally.merge(part)
-        report = dynamics.report_from_tally(tally, rc.sim, g.family_tag)
-        traces = None
-    else:
-        report, traces = dynamics.run_ensemble(g, m, prof, rc.sim,
-                                               keep_traces=keep)
+    try:
+        if args.workers > 1:
+            chunks = np.array_split(np.arange(rc.sim.replicates),
+                                    args.workers)
+            payloads = [(args.config, overrides, [int(i) for i in c])
+                        for c in chunks if len(c)]
+            tally = dynamics.EnsembleTally(g.n)
+            with ProcessPoolExecutor(max_workers=args.workers) as ex:
+                for part in ex.map(_chunk_tally, payloads):
+                    tally.merge(part)
+            report = dynamics.report_from_tally(tally, rc.sim, g.family_tag)
+            traces = None
+        else:
+            report, traces = dynamics.run_ensemble(g, m, prof, rc.sim,
+                                                   keep_traces=keep)
+    except beliefs.BudgetExceededError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
     payload = report.to_dict()
     payload["version"] = __version__

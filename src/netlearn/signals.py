@@ -117,13 +117,6 @@ class SignalModel:
         u = rng.random(size)
         return np.searchsorted(np.cumsum(p), u).clip(0, self.k - 1)
 
-    def to_triples(self):
-        return [(a.z, a.p0, a.p1) for a in self.atoms]
-
-    def describe(self):
-        rows = [f"({a.z:.12g}, {a.p0:.12g}, {a.p1:.12g})" for a in self.atoms]
-        return "; ".join(rows)
-
 
 def total_variation(m: SignalModel) -> float:
     return 0.5 * sum(abs(a.p1 - a.p0) for a in m.atoms)

@@ -35,7 +35,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials
                                    + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    # the exact endpoints at 0 and N successes are 0 and 1; computed, they
+    # can round to just inside and exclude the observed frequency
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)

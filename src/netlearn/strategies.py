@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import beliefs
-from .beliefs import TieBreaker, TieLog, best_response
+from .beliefs import TieBreaker
 
 __all__ = [
     "Profile",
@@ -37,10 +37,6 @@ class Profile:
     def action(self, agent: int, atom: int, history, tie_log=None) -> int:
         raise NotImplementedError
 
-    def bind(self, g, m):
-        """Hook for profiles that need the graph/signal model up front."""
-        return self
-
     def trace_actions(self, g, m, atoms, jitters, horizon: int,
                       tie_log=None) -> np.ndarray:
         """(n, horizon) uint8 action matrix for one joint atom draw."""
@@ -56,46 +52,136 @@ class Profile:
 
 class MyopicExactProfile(Profile):
     """Every agent best-responds to its exact posterior each round, assuming
-    all agents do the same.  Responses are memoized on (agent, atom,
-    history), so the enumeration cost is paid once per distinct view.
+    all agents do the same.
 
-    Only deterministic tie modes are supported: a memoized response cannot
-    depend on a per-replicate jitter draw.
+    Play is solved for every possible world at once.  The k^n joint atom
+    assignments ("worlds") are enumerated once, in mixed radix (agent i's
+    atom is digit i, base k).  Each (world, agent) pair carries an
+    information class: the worlds the agent cannot tell apart given its own
+    atom and the closed-neighbourhood actions seen so far, i.e. the atom of
+    the sigma-algebra F_i(t) holding that world.  A class's posterior is the
+    ratio of its summed world masses under the two states; after each round
+    every class splits by the action row the agent observed.  Rounds are
+    solved lazily, up to the largest horizon asked for.
+
+    The budget bounds the world-agent cells k^n * n; it is checked before
+    any world array is allocated.  Only deterministic tie modes are
+    supported: one world's response cannot depend on a jitter draw.
     """
 
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero"),
                  budget: int = beliefs.DEFAULT_BUDGET):
         if tie_breaker.mode == "jitter":
             raise ValueError(
-                "jitter tie-breaking is not supported by the memoized exact "
+                "jitter tie-breaking is not supported by the exact myopic "
                 "profile; use mode 'zero' or 'one'")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
         self.budget = budget
-        self._cache: Dict[tuple, Tuple[int, bool]] = {}
+        self._cls = None     # (n, worlds) class ids at the newest round
+        self._acts = []      # per round: (n, worlds) uint8 actions
+        self._ties = []      # per round: (worlds,) tied agents per world
+        self._play = []      # per round, per agent: (action, tied) by class
+        self._split = []     # per round, per agent: sorted (class, row) keys
+
+    def _start(self):
+        n, k = self.g.n, self.m.k
+        cells = k ** n * n
+        if cells > self.budget:
+            raise beliefs.BudgetExceededError(
+                f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
+                f"exceed the exact myopic budget of {self.budget}")
+        self._radix = k ** np.arange(n, dtype=np.int64)
+        # a world's initial class for agent i is agent i's own atom
+        self._cls = np.arange(k ** n)[None, :] // self._radix[:, None] % k
+        self._w0 = self.m.probs(0)[self._cls].prod(axis=0)
+        self._w1 = self.m.probs(1)[self._cls].prod(axis=0)
+        self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
+
+    def _refine(self):
+        """Split every class by the closed-neighbourhood row of the newest
+        round."""
+        acts = self._acts[-1]
+        keys = []
+        for i, nbrs in enumerate(self._nbrs):
+            code = np.zeros(acts.shape[1], dtype=np.int64)
+            for j, v in enumerate(nbrs):
+                code |= acts[v].astype(np.int64) << j
+            uniq, self._cls[i] = np.unique(
+                (self._cls[i] << len(nbrs)) | code, return_inverse=True)
+            keys.append(uniq)
+        self._split.append(keys)
+
+    def _extend(self, rounds: int):
+        if self._cls is None:
+            self._start()
+        while len(self._acts) < rounds:
+            if self._acts:
+                self._refine()
+            acts = np.empty_like(self._cls, dtype=np.uint8)
+            ties = np.zeros(acts.shape[1], dtype=np.int32)
+            play = []
+            for i, cls in enumerate(self._cls):
+                s0 = np.bincount(cls, weights=self._w0)
+                s1 = np.bincount(cls, weights=self._w1)
+                post = s1 / (s0 + s1)
+                act = (post > 0.5 + beliefs.TIE_TOL).astype(np.uint8)
+                tied = (act == 0) & (post >= 0.5 - beliefs.TIE_TOL)
+                act[tied] = self.tie_breaker.resolve()
+                acts[i] = act[cls]
+                ties += tied[cls]
+                play.append((act, tied))
+            self._acts.append(acts)
+            self._ties.append(ties)
+            self._play.append(play)
 
     def action(self, agent, atom, history, tie_log=None):
-        key = (agent, atom, history)
-        hit = self._cache.get(key)
-        if hit is None:
-            view = beliefs.HistoryView(agent, len(history), atom, history)
-            try:
-                post = beliefs.exact_posterior(self.g, self.m, self, view,
-                                               self.budget)
-                tied = abs(post.posterior - 0.5) <= beliefs.TIE_TOL
-                act = best_response(post, self.tie_breaker)
-            except beliefs.InconsistentHistoryError:
+        t = len(history)
+        self._extend(t + 1)
+        width = len(self._nbrs[agent])
+        cls = int(atom)
+        for tau, row in enumerate(history):
+            key = cls << width
+            for j, a in enumerate(row):
+                if a == 1:
+                    key |= 1 << j
+                elif a != 0:
+                    return 0  # not an action: off-path, as below
+            keys = self._split[tau][agent]
+            cls = int(keys.searchsorted(key))
+            if len(row) != width or cls == len(keys) or keys[cls] != key:
                 # zero-probability (off-path) history: the posterior is
                 # undefined, so complete the profile with a fixed default;
                 # such branches are filtered out by any outer consistency
                 # check against realizable observations
-                act, tied = 0, False
-            hit = (act, tied)
-            self._cache[key] = hit
-        if hit[1] and tie_log is not None:
+                return 0
+        act, tied = self._play[t][agent]
+        if tied[cls] and tie_log is not None:
             tie_log.add()
-        return hit[0]
+        return int(act[cls])
+
+    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+        self._extend(horizon)
+        w = int(np.asarray(atoms, dtype=np.int64) @ self._radix)
+        if tie_log is not None:
+            tie_log.add(sum(int(t[w]) for t in self._ties[:horizon]))
+        return np.stack([a[:, w] for a in self._acts[:horizon]], axis=1)
+
+
+def _decide_signs(vals, tie_acts, tie_log=None):
+    """Sign of each value, with |value| <= TIE_TOL a tie: a tie takes its
+    entry of ``tie_acts`` (a scalar or an array shaped like ``vals``) and is
+    counted in ``tie_log``."""
+    acts = (vals > beliefs.TIE_TOL).astype(np.uint8)
+    tie = np.abs(vals) <= beliefs.TIE_TOL
+    n_tie = int(np.count_nonzero(tie))
+    if n_tie:
+        acts[tie] = tie_acts[tie] if isinstance(tie_acts, np.ndarray) \
+            else tie_acts
+        if tie_log is not None:
+            tie_log.add(n_tie)
+    return acts
 
 
 class GossipProfile(Profile):
@@ -139,22 +225,14 @@ class GossipProfile(Profile):
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         z = np.asarray(m.z_values)[np.asarray(atoms)]
         masks = self._reach_masks(g, horizon)
-        out = np.zeros((g.n, horizon), dtype=np.uint8)
+        if self.tie_breaker.mode == "jitter":
+            jw = self.jitter_width
+            tie_acts = (jw > 0) & (np.asarray(jitters) < jw / 2.0)
+        else:
+            tie_acts = self.tie_breaker.resolve()
+        out = np.empty((g.n, horizon), dtype=np.uint8)
         for t in range(horizon):
-            tot = masks[t] @ z
-            pos = tot > beliefs.TIE_TOL
-            tie = np.abs(tot) <= beliefs.TIE_TOL
-            acts = pos.astype(np.uint8)
-            if tie.any():
-                if tie_log is not None:
-                    tie_log.add(int(tie.sum()))
-                if self.tie_breaker.mode == "one":
-                    acts[tie] = 1
-                elif self.tie_breaker.mode == "jitter":
-                    jw = self.jitter_width
-                    acts[tie] = (np.asarray(jitters)[tie] < jw / 2.0) \
-                        .astype(np.uint8) if jw > 0 else 0
-            out[:, t] = acts
+            out[:, t] = _decide_signs(masks[t] @ z, tie_acts, tie_log)
         return out
 
 
@@ -207,21 +285,6 @@ class ForcedOverlayProfile(Profile):
         return self.base.action(agent, atom, history, tie_log)
 
 
-def _require_sign_model(m):
-    neg, pos = m.sign_atoms()
-    return neg, pos
-
-
-def _decoded_z(m, atom_self, round0_row, nbrs, z):
-    """Round-0 actions of a two-atom sign model reveal each neighbor's atom;
-    return the summed log-likelihood ratio over the closed neighborhood."""
-    neg, pos = m.sign_atoms()
-    tot = 0.0
-    for j, a in zip(nbrs, round0_row):
-        tot += z[pos] if a == 1 else z[neg]
-    return tot
-
-
 class RoyalFamilyProfile(Profile):
     """Equilibrium-style play on the royal-family graphs: myopic at rounds 0
     and 1 (round 1 sums the decoded neighborhood log-likelihood ratios), then
@@ -234,11 +297,11 @@ class RoyalFamilyProfile(Profile):
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
         if g.family_tag != "royal_family":
             raise ValueError("RoyalFamilyProfile requires a royal_family graph")
-        _require_sign_model(m)
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
         self._z = np.asarray(m.z_values)
+        self._sign_z = self._z[list(m.sign_atoms())]  # (negative, positive)
 
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
@@ -246,7 +309,9 @@ class RoyalFamilyProfile(Profile):
         if t == 0:
             val = self._z[atom]
         elif t == 1:
-            val = _decoded_z(self.m, atom, history[0], nbrs, self._z)
+            # round-0 actions of a two-atom sign model reveal each
+            # neighbor's atom: sum the decoded log-likelihood ratios
+            val = sum(self._sign_z[int(a == 1)] for a in history[0])
         else:
             self_pos = nbrs.index(agent)
             return history[-1][self_pos]
@@ -257,15 +322,14 @@ class RoyalFamilyProfile(Profile):
         return 1 if val > 0 else 0
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
-        z = self._z[np.asarray(atoms)]
-        nbr = self._nbr_matrix(g)
-        out = np.zeros((g.n, horizon), dtype=np.uint8)
-        if horizon >= 1:
-            out[:, 0] = (z > 0).astype(np.uint8)
+        tie_act = self.tie_breaker.resolve()
+        out = np.empty((g.n, horizon), dtype=np.uint8)
+        out[:, 0] = _decide_signs(self._z[np.asarray(atoms)], tie_act,
+                                  tie_log)
         if horizon >= 2:
-            out[:, 1] = ((nbr @ z) > 0).astype(np.uint8)
-        for t in range(2, horizon):
-            out[:, t] = out[:, 1]
+            decoded = self._sign_z[out[:, 0]]
+            out[:, 1:] = _decide_signs(self._nbr_matrix(g) @ decoded,
+                                       tie_act, tie_log)[:, None]
         return out
 
     _nbr_cache = {}
@@ -327,7 +391,7 @@ class MadKingProfile(Profile):
                  tie_breaker: TieBreaker = TieBreaker("zero")):
         if g.family_tag != "mad_king":
             raise ValueError("MadKingProfile requires a mad_king graph")
-        _require_sign_model(m)
+        m.sign_atoms()  # raises unless m is a two-atom sign model
         if not (0.0 < lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
         self.g = g

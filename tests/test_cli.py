@@ -112,6 +112,38 @@ def test_simulate_trace_csv(tmp_path):
     assert len(lines) == 1 + 3 * 8 * 12
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_over_budget_exits_2(tmp_path, capsys, workers):
+    """Exact myopic play on cycle(30) needs 2^30 * 30 world-agent cells,
+    over the default budget: a one-line error and exit 2, no report."""
+    p = tmp_path / "big.cfg"
+    p.write_text("[graph]\nfamily = cycle(30)\n\n[profile]\nname = myopic\n"
+                 "\n[sim]\nhorizon = 3\nreplicates = 2\ntail_window = 2\n")
+    code, out = run_cli(["simulate", "--config", str(p),
+                         "--workers", workers])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
+
+
+def test_simulate_workers_with_trace_csv_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "trace.csv"
+    cfg = write_cfg(tmp_path)
+    code, out = run_cli(["simulate", "--config", str(cfg), "--workers", "2",
+                         "--trace-csv", str(csv_path)])
+    assert code == 2 and out == ""
+    with_key = tmp_path / "keyed.cfg"
+    with_key.write_text(cfg.read_text()
+                        + f"\n[output]\ntrace_csv = {csv_path}\n")
+    code, out = run_cli(["simulate", "--config", str(with_key),
+                         "--workers", "2"])
+    assert code == 2 and out == ""
+    assert not csv_path.exists()
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
 def test_simulate_workers_match_serial(tmp_path):
     cfg = write_cfg(tmp_path, replicates=24)
     code1, out1 = run_cli(["simulate", "--config", str(cfg)])

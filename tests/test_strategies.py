@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netlearn import beliefs, dynamics, graphs, signals, strategies
 from netlearn.beliefs import TieBreaker
@@ -38,6 +39,82 @@ def test_gossip_equals_myopic_through_round_one(seed):
     slow = np.array(beliefs.simulate_actions(g, myo, atoms, 2),
                     dtype=np.uint8).T
     assert np.array_equal(fast, slow)
+
+
+ENGINE_GRAPHS = ("dicycle(3)", "dicycle(4)", "dicycle(5)", "dicycle(6)",
+                 "dicycle(7)", "cycle(4)", "cycle(5)", "cycle(6)", "chain(4)",
+                 "grid(2,3)")
+THREE_ATOMS = signals.model_from_triples(
+    [(math.log(0.5 / 0.2), 0.2, 0.5), (0.0, 0.3, 0.3),
+     (math.log(0.2 / 0.5), 0.5, 0.2)])
+ENGINE_MODELS = st.one_of(
+    st.sampled_from((0.6, 0.7, 0.75, 0.9)).map(signals.symmetric_binary),
+    st.just(signals.royal_bounded()),
+    st.just(THREE_ATOMS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ENGINE_GRAPHS), ENGINE_MODELS,
+       st.sampled_from(("zero", "one")), st.integers(1, 4),
+       st.integers(0, 10 ** 6))
+def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
+    """In every world: the world-row trace equals the per-agent action loop
+    (actions and tie counts), and every action is the best response to
+    exact_posterior on its view.  The second check is inductive over rounds:
+    exact_posterior replays the profile's earlier rounds, which are checked
+    in every world too."""
+    g = graphs.generate(graphs.parse_family_string(spec))
+    assume(m.k ** g.n <= 729)
+    tb = TieBreaker(mode)
+    prof = strategies.MyopicExactProfile(g, m, tb)
+    posts = {}
+    worlds = list(itertools.product(range(m.k), repeat=g.n))
+    for atoms in worlds:
+        fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+        fast = prof.trace_actions(g, m, np.array(atoms), np.zeros(g.n),
+                                  horizon, fast_log)
+        slow = strategies.Profile.trace_actions(
+            prof, g, m, atoms, np.zeros(g.n), horizon, slow_log)
+        assert np.array_equal(fast, slow)
+        assert fast_log.count == slow_log.count
+        rounds = [tuple(int(a) for a in fast[:, t]) for t in range(horizon)]
+        oracle_log = beliefs.TieLog()
+        for t in range(horizon):
+            for i in range(g.n):
+                view = beliefs.view_from_actions(g, rounds, atoms, i, t)
+                if view not in posts:
+                    posts[view] = beliefs.exact_posterior(g, m, prof, view)
+                assert fast[i, t] == beliefs.best_response(posts[view], tb,
+                                                           oracle_log)
+        assert fast_log.count == oracle_log.count
+
+    # flipping an agent's own action in the last observed round gives a
+    # history no world produces: it plays 0 and logs no tie
+    atoms = worlds[pick % len(worlds)]
+    agent = pick % g.n
+    acts = beliefs.simulate_actions(g, prof, atoms, horizon)
+    hist = beliefs.history_of(g, acts, agent, horizon)
+    own = g.closed_nbrs(agent).index(agent)
+    last = list(hist[-1])
+    last[own] = 1 - last[own]
+    off = hist[:-1] + (tuple(last),)
+    log = beliefs.TieLog()
+    assert prof.action(agent, atoms[agent], off, log) == 0
+    assert log.count == 0
+    with pytest.raises(beliefs.InconsistentHistoryError):
+        beliefs.exact_posterior(
+            g, m, prof, beliefs.HistoryView(agent, horizon, atoms[agent], off))
+
+
+def test_exact_myopic_budget_counts_world_agent_cells():
+    g = graphs.dicycle(5)
+    m = signals.symmetric_binary(0.7)
+    ok = strategies.MyopicExactProfile(g, m, budget=2 ** 5 * 5)
+    neg, pos = m.sign_atoms()
+    assert ok.action(0, pos, ()) == 1
+    tight = strategies.MyopicExactProfile(g, m, budget=2 ** 5 * 5 - 1)
+    with pytest.raises(beliefs.BudgetExceededError):
+        tight.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
 
 
 def test_gossip_action_is_trace_level_only():
@@ -119,6 +196,31 @@ def test_royal_family_trace_matches_action_loop():
         slow = np.array(beliefs.simulate_actions(g, prof, atoms, 6),
                         dtype=np.uint8).T
         assert np.array_equal(fast, slow)
+
+
+ROYAL_MODELS = st.one_of(
+    st.sampled_from((0.6, 0.7, 0.9)).map(signals.symmetric_binary),
+    st.just(signals.royal_bounded()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), ROYAL_MODELS,
+       st.sampled_from(("zero", "one", "jitter")), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_royal_family_trace_matches_action_loop_in_every_tie_mode(
+        R, n, m, mode, horizon, seed):
+    """The fast path equals the per-agent action loop in actions and in
+    tie counts."""
+    g = graphs.royal_family(R, n)
+    prof = strategies.RoyalFamilyProfile(g, m, TieBreaker(mode))
+    rng = np.random.default_rng(seed)
+    atoms = m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
+    fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+    fast = prof.trace_actions(g, m, atoms, np.zeros(g.n), horizon, fast_log)
+    slow = strategies.Profile.trace_actions(prof, g, m, atoms, np.zeros(g.n),
+                                            horizon, slow_log)
+    assert np.array_equal(fast, slow)
+    assert fast_log.count == slow_log.count
 
 
 def test_royal_family_unanimous_royals_herd_everyone():
