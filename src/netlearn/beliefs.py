@@ -1,16 +1,19 @@
 """Posterior computation for repeated-action games under a known pure
 strategy profile.
 
-The exact engine enumerates every joint atom assignment, replays the profile
-forward, and sums the probability mass of assignments consistent with the
-observed neighbor history.  The Monte Carlo engine replaces the enumeration
-with likelihood weighting.
+Every exact computation runs on one enumeration of the possible worlds: all
+k^n joint atom assignments, with their masses under each state (``worlds``;
+the budget bounds the world-agent cells k^n * n, 10^7 by default, which
+admits n <= 19 at k = 2).  A belief function replays the profile in each
+world where the viewing agent holds its atom, through the profile's
+``trace_actions``, keeps the worlds whose replay shows the agent its
+observed neighbour rows, and sums their masses.  The Monte Carlo engine
+replays sampled worlds through the same filter instead.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "DegenerateEstimateError",
     "HistoryView",
     "BeliefState",
+    "Profile",
     "YDecomposition",
     "TieBreaker",
     "TieLog",
@@ -38,6 +42,7 @@ __all__ = [
     "simulate_actions",
     "history_of",
     "view_from_actions",
+    "worlds",
 ]
 
 
@@ -131,7 +136,33 @@ def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
 
 
 # ---------------------------------------------------------------------------
-# forward simulation helpers
+# the generic per-agent loop
+
+class Profile:
+    """Base class of the pure strategy profiles.  Subclasses implement
+    ``action``; ``trace_actions`` is the generic per-agent loop, which fast
+    profiles override."""
+
+    def action(self, agent: int, atom: int, history, tie_log=None) -> int:
+        raise NotImplementedError
+
+    def trace_actions(self, g, m, atoms, jitters, horizon: int,
+                      tie_log=None) -> np.ndarray:
+        """(n, horizon) uint8 action matrix for one joint atom draw.  Each
+        agent's history grows by its newest closed-neighbourhood row once
+        per round."""
+        nbrs = [g.closed_nbrs(i) for i in range(g.n)]
+        atoms = [int(a) for a in atoms]
+        hists = [()] * g.n
+        out = np.empty((g.n, horizon), dtype=np.uint8)
+        for t in range(horizon):
+            row = [self.action(i, atoms[i], hists[i], tie_log)
+                   for i in range(g.n)]
+            out[:, t] = row
+            hists = [h + (tuple([row[j] for j in nb]),)
+                     for h, nb in zip(hists, nbrs)]
+        return out
+
 
 def history_of(g, actions, i: int, t: int):
     """Round-major history tuple of agent i's closed neighborhood over
@@ -142,14 +173,11 @@ def history_of(g, actions, i: int, t: int):
 
 def simulate_actions(g, profile, atoms, horizon: int, tie_log=None):
     """Replay ``profile`` for ``horizon`` rounds given a full atom
-    assignment.  Returns the round-major action list."""
-    actions = []
-    for t in range(horizon):
-        row = tuple(
-            profile.action(i, atoms[i], history_of(g, actions, i, t), tie_log)
-            for i in range(g.n))
-        actions.append(row)
-    return actions
+    assignment, through the generic per-agent loop.  Returns the round-major
+    action list."""
+    acts = Profile.trace_actions(profile, g, None, atoms, None, horizon,
+                                 tie_log)
+    return [tuple(row) for row in acts.T.tolist()]
 
 
 def view_from_actions(g, actions, atoms, agent: int, t: int) -> HistoryView:
@@ -157,61 +185,57 @@ def view_from_actions(g, actions, atoms, agent: int, t: int) -> HistoryView:
                        history_of(g, actions, agent, t))
 
 
-def _check_budget(n_free: int, k: int, budget: int):
-    if k ** n_free > budget:
+# ---------------------------------------------------------------------------
+# possible worlds
+
+def worlds(m, n: int, budget: int = DEFAULT_BUDGET):
+    """Every joint atom assignment ("world") of n agents, in mixed radix:
+    column w of the (n, k^n) atom array holds agent i's atom as digit i of
+    w, base k.  Returns (atoms, w0, w1), w_s being each world's mass under
+    S = s.  The budget bounds the world-agent cells k^n * n and is checked
+    before anything is allocated."""
+    k = m.k
+    cells = k ** n * n
+    if cells > budget:
         raise BudgetExceededError(
-            f"{k}^{n_free} joint assignments exceed the budget of {budget}; "
-            "use mc_posterior instead")
+            f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
+            f"exceed the exact budget of {budget}; use mc_posterior instead")
+    radix = k ** np.arange(n, dtype=np.int64)
+    atoms = np.arange(k ** n)[None, :] // radix[:, None] % k
+    return atoms, m.probs(0)[atoms].prod(axis=0), \
+        m.probs(1)[atoms].prod(axis=0)
 
 
-def _consistent_masses(g, m, profile, view: HistoryView, budget: int):
-    """Yield (atoms, w0, w1) over assignments consistent with the view.
-
-    The viewing agent's atom is clamped to the observed one; weights are the
-    joint signal masses under each state (the agent's own atom mass
-    included)."""
-    n, k = g.n, m.k
-    others = [j for j in range(n) if j != view.agent]
-    _check_budget(len(others), k, budget)
-    p0 = m.probs(0)
-    p1 = m.probs(1)
-    own0 = m.atom_prob(view.atom, 0)
-    own1 = m.atom_prob(view.atom, 1)
-    nbrs = g.closed_nbrs(view.agent)
-    for combo in product(range(k), repeat=len(others)):
-        atoms = [0] * n
-        atoms[view.agent] = view.atom
-        for j, a in zip(others, combo):
-            atoms[j] = a
-        actions = simulate_actions(g, profile, atoms, view.t)
-        ok = all(
-            tuple(actions[tau][j] for j in nbrs) == view.observed[tau]
-            for tau in range(view.t))
-        if not ok:
-            continue
-        w0 = own0
-        w1 = own1
-        for a in combo:
-            w0 *= p0[a]
-            w1 *= p1[a]
-        yield atoms, w0, w1
+def _seen(g, m, profile, view: HistoryView, atoms, horizon: int):
+    """Replay ``profile`` for ``horizon`` >= view.t rounds through its
+    ``trace_actions`` in the worlds (columns of ``atoms``) where the viewing
+    agent holds the view's atom, and keep those that show it the observed
+    closed-neighbourhood rows.  Returns (kept columns, the (worlds,
+    neighbours, horizon) rows the agent sees in them)."""
+    own = np.flatnonzero(atoms[view.agent] == view.atom)
+    jitters = np.zeros(g.n)
+    acts = np.array([profile.trace_actions(g, m, a, jitters, horizon)
+                     for a in atoms[:, own].T], dtype=np.uint8)
+    nbrs = list(g.closed_nbrs(view.agent))
+    seen = acts.reshape(len(own), g.n, horizon)[:, nbrs]
+    obs = np.array(view.observed, dtype=np.int64).reshape(view.t, len(nbrs))
+    ok = (seen[:, :, :view.t] == obs.T).all(axis=(1, 2))
+    return own[ok], seen[ok]
 
 
 def exact_posterior(g, m, profile, view: HistoryView,
                     budget: int = DEFAULT_BUDGET) -> BeliefState:
-    """P(S=1 | own signal, observed neighbor actions) by full enumeration.
+    """P(S=1 | own signal, observed neighbor actions) over every world.
 
     Requires a pure (deterministic) profile.  The uniform prior on the state
     cancels in the ratio."""
-    w0 = w1 = 0.0
-    for _, a0, a1 in _consistent_masses(g, m, profile, view, budget):
-        w0 += a0
-        w1 += a1
-    total = w0 + w1
-    if total <= 0.0:
+    atoms, w0, w1 = worlds(m, g.n, budget)
+    keep, _ = _seen(g, m, profile, view, atoms, view.t)
+    s0, s1 = w0[keep].sum(), w1[keep].sum()
+    if s0 + s1 <= 0.0:
         raise InconsistentHistoryError(
             "observed history has zero probability under this profile")
-    return BeliefState(w1 / total, view.t)
+    return BeliefState(float(s1 / (s0 + s1)), view.t)
 
 
 def mc_posterior(g, m, profile, view: HistoryView, particles: int,
@@ -224,23 +248,15 @@ def mc_posterior(g, m, profile, view: HistoryView, particles: int,
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
-    n = g.n
-    others = [j for j in range(n) if j != view.agent]
-    nbrs = g.closed_nbrs(view.agent)
+    others = [j for j in range(g.n) if j != view.agent]
     own = (m.atom_prob(view.atom, 0), m.atom_prob(view.atom, 1))
-    hits = [0, 0]
+    hits = []
     for s in (0, 1):
-        draw = m.sample_atoms(rng, particles * len(others), s) if others else None
-        for p_i in range(particles):
-            atoms = [0] * n
-            atoms[view.agent] = view.atom
-            for idx, j in enumerate(others):
-                atoms[j] = int(draw[p_i * len(others) + idx])
-            actions = simulate_actions(g, profile, atoms, view.t)
-            ok = all(
-                tuple(actions[tau][j] for j in nbrs) == view.observed[tau]
-                for tau in range(view.t))
-            hits[s] += ok
+        atoms = np.full((g.n, particles), view.atom)
+        if others:
+            atoms[others] = m.sample_atoms(
+                rng, particles * len(others), s).reshape(particles, -1).T
+        hits.append(len(_seen(g, m, profile, view, atoms, view.t)[0]))
     if hits[0] == 0 and hits[1] == 0:
         raise DegenerateEstimateError(
             "all particles inconsistent with the observed history")
@@ -261,7 +277,7 @@ def mc_posterior(g, m, profile, view: HistoryView, particles: int,
     return BeliefState(post, view.t, stderr=se)
 
 
-class _ClampedProfile:
+class _ClampedProfile(Profile):
     """Wrapper forcing one agent to replay a fixed action sequence; all other
     agents follow the base profile."""
 
@@ -282,7 +298,11 @@ class _ClampedProfile:
 def y_decomposition(g, m, profile, view: HistoryView,
                     budget: int = DEFAULT_BUDGET) -> YDecomposition:
     """Split the posterior log-odds into the history term Y and the private
-    term Z_0; the identity Z = Y + Z_0 holds to 1e-9 on the exact engine."""
+    term Z_0; the identity Z = Y + Z_0 holds to 1e-9 on the exact engine.
+
+    Y comes from its own replay, in which the viewing agent replays its
+    observed actions whatever its atom: the log ratio of the two states'
+    masses of the matching worlds, the agent's own atom mass divided out."""
     z = exact_posterior(g, m, profile, view, budget).log_odds
     z0 = m.atoms[view.atom].z
     if view.t == 0:
@@ -291,56 +311,37 @@ def y_decomposition(g, m, profile, view: HistoryView,
     self_pos = nbrs.index(view.agent)
     own_seq = tuple(view.observed[tau][self_pos] for tau in range(view.t))
     clamped = _ClampedProfile(profile, view.agent, own_seq)
-    others = [j for j in range(g.n) if j != view.agent]
-    _check_budget(len(others), m.k, budget)
-    p0 = m.probs(0)
-    p1 = m.probs(1)
-    w0 = w1 = 0.0
-    for combo in product(range(m.k), repeat=len(others)):
-        atoms = [0] * g.n
-        for j, a in zip(others, combo):
-            atoms[j] = a
-        actions = simulate_actions(g, clamped, atoms, view.t)
-        ok = all(
-            tuple(actions[tau][j] for j in nbrs) == view.observed[tau]
-            for tau in range(view.t))
-        if not ok:
-            continue
-        a0 = a1 = 1.0
-        for a in combo:
-            a0 *= p0[a]
-            a1 *= p1[a]
-        w0 += a0
-        w1 += a1
-    if w0 <= 0.0 or w1 <= 0.0:
+    atoms, w0, w1 = worlds(m, g.n, budget)
+    keep, _ = _seen(g, m, clamped, view, atoms, view.t)
+    s0 = w0[keep].sum() / m.atom_prob(view.atom, 0)
+    s1 = w1[keep].sum() / m.atom_prob(view.atom, 1)
+    if s0 <= 0.0 or s1 <= 0.0:
         raise InconsistentHistoryError(
             "history carries zero mass under one of the states")
-    return YDecomposition(math.log(w1 / w0), z0, z)
+    return YDecomposition(math.log(s1 / s0), z0, z)
 
 
 def outcome_distribution(g, m, profile, view: HistoryView,
                          budget: int = DEFAULT_BUDGET):
     """Distribution of the next observable neighbor-action row given the
     view.  Returns a list of (row, probability, extended_view)."""
-    nbrs = g.closed_nbrs(view.agent)
-    masses = {}
-    total = 0.0
-    for atoms, w0, w1 in _consistent_masses(g, m, profile, view, budget):
-        actions = simulate_actions(g, profile, atoms, view.t + 1)
-        row = tuple(actions[view.t][j] for j in nbrs)
-        masses[row] = masses.get(row, 0.0) + w0 + w1
-        total += w0 + w1
+    atoms, w0, w1 = worlds(m, g.n, budget)
+    keep, seen = _seen(g, m, profile, view, atoms, view.t + 1)
+    rows, which = np.unique(seen[:, :, view.t], axis=0, return_inverse=True)
+    masses = np.bincount(which, weights=w0[keep] + w1[keep],
+                         minlength=len(rows))
+    total = masses.sum()
     if total <= 0.0:
         raise InconsistentHistoryError("view has zero mass")
     out = []
-    for row, w in sorted(masses.items()):
+    for row, w in zip(map(tuple, rows.tolist()), masses):
         ext = HistoryView(view.agent, view.t + 1, view.atom,
                           view.observed + (row,))
-        out.append((row, w / total, ext))
+        out.append((row, float(w / total), ext))
     return out
 
 
-class _MyopicDeviation:
+class _MyopicDeviation(Profile):
     """Profile equal to ``base`` except that one agent plays the exact
     myopic best response from time ``start_t`` onward."""
 
@@ -377,28 +378,22 @@ def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3,
     """Expected posterior certainty (|P(S=1|F) - 1/2|) ell rounds ahead,
     under the deviation where the viewing agent plays myopically from the
     view's time onward.  Returns a tuple of length ell_max + 1; the sequence
-    is nondecreasing (submartingale property, checked in tests)."""
+    is nondecreasing (submartingale property, checked in tests).
+
+    The worlds consistent with the view are grouped by the rows the agent
+    sees through round t + ell; a group with masses (s0, s1) contributes
+    (s0 + s1) * |s1 / (s0 + s1) - 1/2| = |s1 - s0| / 2."""
     dev = _MyopicDeviation(g, m, profile, view.agent, view.t, budget=budget)
-    nbrs = g.closed_nbrs(view.agent)
-    horizon = view.t + ell_max
-    totals = [0.0] * (ell_max + 1)
-    norm = 0.0
-    post_cache = {}
-    for atoms, w0, w1 in _consistent_masses(g, m, dev, view, budget):
-        actions = simulate_actions(g, dev, atoms, horizon)
-        for s, w in ((0, w0), (1, w1)):
-            if w <= 0.0:
-                continue
-            norm += w
-            for ell in range(ell_max + 1):
-                tt = view.t + ell
-                hist = tuple(
-                    tuple(actions[tau][j] for j in nbrs) for tau in range(tt))
-                key = (view.atom, hist)
-                if key not in post_cache:
-                    v = HistoryView(view.agent, tt, view.atom, hist)
-                    post_cache[key] = exact_posterior(g, m, dev, v, budget)
-                totals[ell] += w * abs(post_cache[key].posterior - 0.5)
+    atoms, w0, w1 = worlds(m, g.n, budget)
+    keep, seen = _seen(g, m, dev, view, atoms, view.t + ell_max)
+    w0, w1 = w0[keep], w1[keep]
+    norm = (w0 + w1).sum()
     if norm <= 0.0:
         raise InconsistentHistoryError("view has zero mass")
-    return tuple(v / norm for v in totals)
+    out = []
+    for ell in range(ell_max + 1):
+        hist = seen[:, :, :view.t + ell].reshape(len(seen), -1)
+        group = np.unique(hist, axis=0, return_inverse=True)[1]
+        gap = np.bincount(group, weights=w1) - np.bincount(group, weights=w0)
+        out.append(float(np.abs(gap).sum() / (2.0 * norm)))
+    return tuple(out)

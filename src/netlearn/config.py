@@ -9,7 +9,7 @@ Sections/keys:
             tie = zero | one | jitter
             delta = 1.0           (mad_king)
             lam = 0.99            (mad_king)
-  [sim]     horizon, replicates, discount, tail_window, seed, engine
+  [sim]     horizon, replicates, discount, tail_window, seed
   [output]  trace_csv = path, report_json = path
 
 Environment variables NETLEARN_<SECTION>_<KEY> override file values, e.g.
@@ -34,7 +34,7 @@ _DEFAULTS = {
     "profile": {"name": "myopic", "tie": "zero", "delta": "1.0",
                 "lam": "0.99"},
     "sim": {"horizon": "30", "replicates": "100", "discount": "0.9",
-            "tail_window": "5", "seed": "0", "engine": "exact"},
+            "tail_window": "5", "seed": "0"},
     "output": {"trace_csv": "", "report_json": ""},
 }
 
@@ -136,7 +136,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
         discount=float(data["sim"]["discount"]),
         tail_window=int(data["sim"]["tail_window"]),
         master_seed=int(data["sim"]["seed"]),
-        engine=data["sim"]["engine"],
     )
     return RunConfig(
         graph_family=data["graph"]["family"],

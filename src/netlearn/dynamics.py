@@ -46,7 +46,6 @@ class SimConfig:
     discount: float = 0.9
     tail_window: int = 5
     master_seed: int = 0
-    engine: str = "exact"  # exact | sufficient-statistic | monte-carlo
 
     def __post_init__(self):
         if self.horizon < 1 or self.replicates < 1:
@@ -55,8 +54,6 @@ class SimConfig:
             raise ValueError("discount must lie in (0, 1)")
         if not (1 <= self.tail_window <= self.horizon):
             raise ValueError("tail_window must lie in [1, horizon]")
-        if self.engine not in ("exact", "sufficient-statistic", "monte-carlo"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,7 @@ def check_dynamics(seed: int = 0):
     res = []
     g = graphs.cycle(10)
     m = signals.symmetric_binary(0.7)
-    cfg = dynamics.SimConfig(horizon=12, replicates=20, master_seed=seed,
-                             engine="sufficient-statistic")
+    cfg = dynamics.SimConfig(horizon=12, replicates=20, master_seed=seed)
     prof = strategies.GossipProfile()
     rep1, _ = dynamics.run_ensemble(g, m, prof, cfg)
     rep2, _ = dynamics.run_ensemble(g, m, prof, cfg)

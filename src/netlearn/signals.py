@@ -12,17 +12,14 @@ ATOL = 1e-12
 
 __all__ = [
     "Atom",
-    "Signal",
     "SignalModel",
     "symmetric_binary",
     "two_atom_from_logits",
     "royal_bounded",
     "mad_king_asym",
     "builtin_family",
-    "sample_signal",
     "total_variation",
     "p_star",
-    "private_belief",
     "logistic",
 ]
 
@@ -39,12 +36,6 @@ class Atom:
     z: float    # log-likelihood ratio ln(p1/p0)
     p0: float
     p1: float
-
-
-@dataclass(frozen=True)
-class Signal:
-    atom: int
-    jitter: float
 
 
 @dataclass(frozen=True)
@@ -125,21 +116,6 @@ def total_variation(m: SignalModel) -> float:
 def p_star(m: SignalModel) -> float:
     """Single-signal MAP accuracy: 1/2 + d_TV/2."""
     return 0.5 + 0.5 * total_variation(m)
-
-
-def private_belief(sig, m: SignalModel) -> float:
-    """P(S=1 | signal); the jitter never contributes."""
-    idx = sig.atom if isinstance(sig, Signal) else int(sig)
-    return logistic(m.atoms[idx].z)
-
-
-def sample_signal(m: SignalModel, s: int, rng) -> Signal:
-    if s not in (0, 1):
-        raise ValueError("state must be 0 or 1")
-    p = m.probs(s)
-    idx = int(np.searchsorted(np.cumsum(p), rng.random()).clip(0, m.k - 1))
-    jit = float(rng.random() * m.jitter_width)
-    return Signal(idx, jit)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import beliefs
-from .beliefs import TieBreaker
+from .beliefs import Profile, TieBreaker
 
 __all__ = [
     "Profile",
@@ -28,26 +28,6 @@ __all__ = [
     "make_profile",
     "mad_king_roles_of",
 ]
-
-
-class Profile:
-    """Base class.  Subclasses implement ``action``; ``trace_actions`` has a
-    generic loop implementation that fast profiles override."""
-
-    def action(self, agent: int, atom: int, history, tie_log=None) -> int:
-        raise NotImplementedError
-
-    def trace_actions(self, g, m, atoms, jitters, horizon: int,
-                      tie_log=None) -> np.ndarray:
-        """(n, horizon) uint8 action matrix for one joint atom draw."""
-        actions = []
-        for t in range(horizon):
-            row = tuple(
-                self.action(i, int(atoms[i]),
-                            beliefs.history_of(g, actions, i, t), tie_log)
-                for i in range(g.n))
-            actions.append(row)
-        return np.array(actions, dtype=np.uint8).T
 
 
 class MyopicExactProfile(Profile):
@@ -86,17 +66,10 @@ class MyopicExactProfile(Profile):
         self._split = []     # per round, per agent: sorted (class, row) keys
 
     def _start(self):
-        n, k = self.g.n, self.m.k
-        cells = k ** n * n
-        if cells > self.budget:
-            raise beliefs.BudgetExceededError(
-                f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
-                f"exceed the exact myopic budget of {self.budget}")
-        self._radix = k ** np.arange(n, dtype=np.int64)
+        n = self.g.n
         # a world's initial class for agent i is agent i's own atom
-        self._cls = np.arange(k ** n)[None, :] // self._radix[:, None] % k
-        self._w0 = self.m.probs(0)[self._cls].prod(axis=0)
-        self._w1 = self.m.probs(1)[self._cls].prod(axis=0)
+        self._cls, self._w0, self._w1 = beliefs.worlds(self.m, n, self.budget)
+        self._radix = self.m.k ** np.arange(n, dtype=np.int64)
         self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
 
     def _refine(self):
@@ -166,7 +139,10 @@ class MyopicExactProfile(Profile):
         w = int(np.asarray(atoms, dtype=np.int64) @ self._radix)
         if tie_log is not None:
             tie_log.add(sum(int(t[w]) for t in self._ties[:horizon]))
-        return np.stack([a[:, w] for a in self._acts[:horizon]], axis=1)
+        out = np.empty((g.n, horizon), dtype=np.uint8)
+        for t in range(horizon):
+            out[:, t] = self._acts[t][:, w]
+        return out
 
 
 def _decide_signs(vals, tie_acts, tie_log=None):
@@ -182,6 +158,16 @@ def _decide_signs(vals, tie_acts, tie_log=None):
         if tie_log is not None:
             tie_log.add(n_tie)
     return acts
+
+
+def _decide_sign(val, tie_breaker, tie_log=None):
+    """Scalar ``_decide_signs``: the sign of one value, |value| <= TIE_TOL a
+    tie resolved by the breaker and counted in ``tie_log``."""
+    if abs(val) <= beliefs.TIE_TOL:
+        if tie_log is not None:
+            tie_log.add()
+        return tie_breaker.resolve()
+    return 1 if val > 0 else 0
 
 
 class GossipProfile(Profile):
@@ -315,11 +301,7 @@ class RoyalFamilyProfile(Profile):
         else:
             self_pos = nbrs.index(agent)
             return history[-1][self_pos]
-        if abs(val) <= beliefs.TIE_TOL:
-            if tie_log is not None:
-                tie_log.add()
-            return self.tie_breaker.resolve()
-        return 1 if val > 0 else 0
+        return _decide_sign(val, self.tie_breaker, tie_log)
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         tie_act = self.tie_breaker.resolve()
@@ -391,7 +373,6 @@ class MadKingProfile(Profile):
                  tie_breaker: TieBreaker = TieBreaker("zero")):
         if g.family_tag != "mad_king":
             raise ValueError("MadKingProfile requires a mad_king graph")
-        m.sign_atoms()  # raises unless m is a two-atom sign model
         if not (0.0 < lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
         self.g = g
@@ -401,6 +382,9 @@ class MadKingProfile(Profile):
         self.lam = lam
         self.tie_breaker = tie_breaker
         self._z = np.asarray(m.z_values)
+        # (negative, positive) ratios; raises unless m is a two-atom sign
+        # model
+        self._sign_z = tuple(float(self._z[a]) for a in m.sign_atoms())
         eps = math.exp(-delta * len(roles.bureaucracy))
         self.lock_threshold = math.log((1.0 - eps) / eps)
         self._role_of = {}
@@ -420,20 +404,12 @@ class MadKingProfile(Profile):
         }
 
     # -- helpers ----------------------------------------------------------
-    def _sign(self, val, tie_log):
-        if abs(val) <= beliefs.TIE_TOL:
-            if tie_log is not None:
-                tie_log.add()
-            return self.tie_breaker.resolve()
-        return 1 if val > 0 else 0
-
     def _decode(self, agent, row_actions, verts):
-        neg, pos = self.m.sign_atoms()
+        neg, pos = self._sign_z
         at = self._pos[agent]
         tot = 0.0
         for v in verts:
-            a = row_actions[at[v]]
-            tot += self._z[pos] if a == 1 else self._z[neg]
+            tot += pos if row_actions[at[v]] == 1 else neg
         return tot
 
     def _counting_z(self, agent, atom, history, include):
@@ -449,7 +425,7 @@ class MadKingProfile(Profile):
         p = self._pos[agent][leader]
         seq = [history[tau][p] for tau in range(1, t)]
         if any(a != seq[0] for a in seq):
-            return self._sign(static_val, tie_log)
+            return _decide_sign(static_val, self.tie_breaker, tie_log)
         return seq[-1]
 
     # -- main rule --------------------------------------------------------
@@ -468,34 +444,34 @@ class MadKingProfile(Profile):
 
         if role == "court":
             if t == 0:
-                return self._sign(self._z[atom], tie_log)
+                return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
             if t == 1:
                 static = self._counting_z(agent, atom, history, [r.king])
-                return self._sign(static, tie_log)
+                return _decide_sign(static, self.tie_breaker, tie_log)
             return history[-1][self._pos[agent][r.king]]
 
         if role == "bureau":
             if t == 0:
-                return self._sign(self._z[atom], tie_log)
+                return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
             static = self._counting_z(agent, atom, history, [r.regent])
             if t == 1:
-                return self._sign(static, tie_log)
+                return _decide_sign(static, self.tie_breaker, tie_log)
             return self._imitate_or_revert(agent, history, r.regent, static,
                                            tie_log)
 
         if role == "regent":
             if t == 0:
-                return self._sign(self._z[atom], tie_log)
+                return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
             z1 = self._counting_z(agent, atom, history,
                                   [r.king] + list(r.bureaucracy))
             # locked or not, the continuation is sign(Z_1): nothing the
             # regent observes later is informative under this profile; the
             # lock threshold is exposed for analysis via is_locked
-            return self._sign(z1, tie_log)
+            return _decide_sign(z1, self.tie_breaker, tie_log)
 
         # king
         if t == 0:
-            return self._sign(self._z[atom], tie_log)
+            return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
         at = self._pos[agent]
         people_pos = [at[v] for v in r.people]
         if any(history[tau][p] == 1
@@ -504,7 +480,7 @@ class MadKingProfile(Profile):
         static = self._counting_z(agent, atom, history,
                                   [r.regent] + list(r.court))
         if t == 1:
-            return self._sign(static, tie_log)
+            return _decide_sign(static, self.tie_breaker, tie_log)
         return self._imitate_or_revert(agent, history, r.regent, static,
                                        tie_log)
 

@@ -36,7 +36,7 @@ def test_criterion_01_single_agent_baseline():
     for m, seed in ((signals.symmetric_binary(0.6), 101),
                     (signals.royal_bounded(), 102)):
         cfg = SimConfig(horizon=5, replicates=N, tail_window=5,
-                        master_seed=seed, engine="sufficient-statistic")
+                        master_seed=seed)
         rep, _ = dynamics.run_ensemble(g, m, strategies.GossipProfile(), cfg)
         p = signals.p_star(m)
         se = math.sqrt(p * (1 - p) / N)
@@ -122,7 +122,7 @@ def test_criterion_05_agreement_surrogate():
     ok_all, details = True, []
     for n in (10, 20):
         cfg = SimConfig(horizon=30, replicates=5000, tail_window=5,
-                        master_seed=50 + n, engine="sufficient-statistic")
+                        master_seed=50 + n)
         rep, _ = dynamics.run_ensemble(graphs.cycle(n), m,
                                        strategies.GossipProfile(), cfg)
         ok_all &= rep.agreement_freq >= 0.99
@@ -138,7 +138,7 @@ def test_criterion_06_egalitarian_trend():
     reports = []
     for n in (5, 10, 20, 40):
         cfg = SimConfig(horizon=30, replicates=5000, tail_window=5,
-                        master_seed=60, engine="sufficient-statistic")
+                        master_seed=60)
         rep, _ = dynamics.run_ensemble(graphs.cycle(n), m,
                                        strategies.GossipProfile(), cfg)
         reports.append(rep)
@@ -161,8 +161,7 @@ def test_criterion_07_royal_family_non_learning():
     g = graphs.royal_family(R, n)
     m = signals.symmetric_binary(q)
     prof = strategies.RoyalFamilyProfile(g, m)
-    cfg = SimConfig(horizon=20, replicates=N, tail_window=5, master_seed=70,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=20, replicates=N, tail_window=5, master_seed=70)
     rep, _ = dynamics.run_ensemble(g, m, prof, cfg)
     non_learn = 1.0 - rep.learning_freq
     floor = 0.5 * (1 - q) ** R
@@ -177,7 +176,7 @@ def test_criterion_07_royal_family_non_learning():
         return 0, atoms
 
     cfg_j = SimConfig(horizon=20, replicates=100, tail_window=5,
-                      master_seed=71, engine="sufficient-statistic")
+                      master_seed=71)
     herded = 0
     for rix in range(100):
         tr = dynamics.run_trace(g, m, prof, cfg_j, rix,
@@ -197,8 +196,7 @@ def test_criterion_08_mad_king_forced_dynamics():
     m = signals.mad_king_asym()
     roles = strategies.mad_king_roles_of(g)
     prof = strategies.MadKingProfile(g, m, roles, delta, lam)
-    cfg = SimConfig(horizon=12, replicates=50, tail_window=4, master_seed=80,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=12, replicates=50, tail_window=4, master_seed=80)
     people = list(roles.people)
     silent = True
     for rix in range(cfg.replicates):

@@ -70,7 +70,7 @@ def test_verify_invariants_scope():
 
 def write_cfg(tmp_path, **sim_over):
     sim = {"horizon": 12, "replicates": 20, "discount": 0.9,
-           "tail_window": 4, "seed": 5, "engine": "sufficient-statistic"}
+           "tail_window": 4, "seed": 5}
     sim.update(sim_over)
     text = "[graph]\nfamily = cycle(8)\n\n[signal]\nkind = symmetric_binary\nq = 0.7\n\n"
     text += "[profile]\nname = gossip\n\n[sim]\n"
@@ -126,6 +126,16 @@ def test_simulate_over_budget_exits_2(tmp_path, capsys, workers):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget" in err
+
+
+def test_simulate_rejects_engine_key(tmp_path, capsys):
+    """The [sim] engine key is gone: the loader rejects it as unknown."""
+    cfg = write_cfg(tmp_path, engine="exact")
+    code, out = run_cli(["simulate", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "engine" in err
 
 
 def test_simulate_workers_with_trace_csv_exits_2(tmp_path, capsys):

@@ -18,14 +18,11 @@ def test_simconfig_validation():
         SimConfig(discount=1.0)
     with pytest.raises(ValueError):
         SimConfig(tail_window=40, horizon=30)
-    with pytest.raises(ValueError):
-        SimConfig(engine="magic")
 
 
 def test_run_trace_shapes_and_determinism():
     g, m, prof = small_setup()
-    cfg = SimConfig(horizon=10, replicates=4, master_seed=42,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=10, replicates=4, master_seed=42)
     t1 = dynamics.run_trace(g, m, prof, cfg, 2)
     t2 = dynamics.run_trace(g, m, prof, cfg, 2)
     assert t1.actions.shape == (8, 10)
@@ -48,8 +45,7 @@ def test_replicate_rng_is_batch_independent():
 
 def test_tail_action_set():
     g, m, prof = small_setup()
-    cfg = SimConfig(horizon=12, replicates=1, master_seed=0,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=12, replicates=1, master_seed=0)
     tr = dynamics.run_trace(g, m, prof, cfg, 0)
     tail = dynamics.tail_action_set(tr, 0, 5)
     assert tail <= {0, 1} and len(tail) >= 1
@@ -58,8 +54,7 @@ def test_tail_action_set():
 
 def test_discounted_utility_bounds():
     g, m, prof = small_setup()
-    cfg = SimConfig(horizon=20, replicates=1, master_seed=1,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=20, replicates=1, master_seed=1)
     tr = dynamics.run_trace(g, m, prof, cfg, 0)
     u, rem = dynamics.discounted_utility(tr, 0, 0.9)
     assert 0.0 <= u <= 1.0 - 0.9 ** 20 + 1e-12
@@ -75,8 +70,7 @@ def test_injection_overrides_draw():
     g = graphs.royal_family(3, 5)
     m = signals.royal_bounded()
     prof = strategies.RoyalFamilyProfile(g, m)
-    cfg = SimConfig(horizon=6, replicates=1, master_seed=0,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=6, replicates=1, master_seed=0)
     neg, pos = m.sign_atoms()
 
     def all_royals_plus(rng, state, atoms):
@@ -92,8 +86,7 @@ def test_injection_overrides_draw():
 
 def test_ensemble_report_fields_and_merge():
     g, m, prof = small_setup()
-    cfg = SimConfig(horizon=12, replicates=30, master_seed=9,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=12, replicates=30, master_seed=9)
     report, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
     assert len(traces) == 30
     assert report.replicates == 30
@@ -113,8 +106,7 @@ def test_ensemble_report_fields_and_merge():
 
 def test_report_json_roundtrip():
     g, m, prof = small_setup()
-    cfg = SimConfig(horizon=10, replicates=5, master_seed=0,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=10, replicates=5, master_seed=0)
     report, _ = dynamics.run_ensemble(g, m, prof, cfg)
     d = report.to_dict()
     assert d["config"]["master_seed"] == 0
@@ -143,8 +135,7 @@ def test_trace_csv(tmp_path):
     g = graphs.royal_family(2, 3)
     m = signals.royal_bounded()
     prof = strategies.RoyalFamilyProfile(g, m)
-    cfg = SimConfig(horizon=4, replicates=2, master_seed=0, tail_window=2,
-                    engine="sufficient-statistic")
+    cfg = SimConfig(horizon=4, replicates=2, master_seed=0, tail_window=2)
     _, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
     path = tmp_path / "trace.csv"
     roles = {0: "royal", 1: "royal", 2: "public", 3: "public", 4: "public"}

@@ -95,14 +95,6 @@ def test_sign_atoms():
         three.sign_atoms()
 
 
-def test_private_belief_matches_logistic():
-    m = signals.symmetric_binary(0.8)
-    for idx in range(m.k):
-        want = 1.0 / (1.0 + math.exp(-m.atoms[idx].z))
-        assert signals.private_belief(signals.Signal(idx, 0.0), m) \
-            == pytest.approx(want, abs=1e-12)
-
-
 def test_sampler_distribution():
     m = signals.mad_king_asym()
     rng = np.random.default_rng(0)
@@ -110,13 +102,3 @@ def test_sampler_distribution():
         draws = m.sample_atoms(rng, 50000, s)
         emp = np.bincount(draws, minlength=2) / 50000
         assert np.abs(emp - m.probs(s)).max() < 0.01
-
-
-def test_signal_jitter_carries_no_information():
-    m = signals.symmetric_binary(0.7, jitter_width=0.5)
-    rng = np.random.default_rng(1)
-    sig = signals.sample_signal(m, 1, rng)
-    assert 0.0 <= sig.jitter < 0.5
-    # belief depends on the atom only
-    other = signals.Signal(sig.atom, 0.123)
-    assert signals.private_belief(sig, m) == signals.private_belief(other, m)

@@ -115,6 +115,12 @@ def test_exact_myopic_budget_counts_world_agent_cells():
     tight = strategies.MyopicExactProfile(g, m, budget=2 ** 5 * 5 - 1)
     with pytest.raises(beliefs.BudgetExceededError):
         tight.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
+    # the belief functions count the same cells
+    view = beliefs.HistoryView(0, 0, pos, ())
+    assert beliefs.exact_posterior(g, m, ok, view,
+                                   budget=2 ** 5 * 5).posterior > 0.5
+    with pytest.raises(beliefs.BudgetExceededError):
+        beliefs.exact_posterior(g, m, ok, view, budget=2 ** 5 * 5 - 1)
 
 
 def test_gossip_action_is_trace_level_only():
