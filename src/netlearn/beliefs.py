@@ -30,6 +30,8 @@ __all__ = [
     "HistoryView",
     "BeliefState",
     "Profile",
+    "ForcedResponse",
+    "ForcedOverlayProfile",
     "YDecomposition",
     "TieBreaker",
     "TieLog",
@@ -164,6 +166,55 @@ class Profile:
         return out
 
 
+@dataclass(frozen=True)
+class ForcedResponse:
+    """A table of forced moves.
+
+    ``moves`` maps (agent, time) -> action and applies to every history at
+    that time.  For the table to describe a well-defined pure profile
+    restriction, forcing an agent at time t > 0 requires its moves at all
+    earlier times to be forced too (history-closure); the constructor
+    enforces this.
+    """
+
+    moves: Tuple[Tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        seen = {}
+        for agent, t, act in self.moves:
+            if act not in (0, 1):
+                raise ValueError("forced actions must be 0 or 1")
+            key = (agent, t)
+            if key in seen and seen[key] != act:
+                raise ValueError(f"conflicting forced moves for {key}")
+            seen[key] = act
+        for agent, t, _ in self.moves:
+            for tau in range(t):
+                if (agent, tau) not in seen:
+                    raise ValueError(
+                        f"forcing agent {agent} at time {t} requires a "
+                        f"forced move at time {tau} as well")
+        object.__setattr__(self, "_table", seen)
+
+    def lookup(self, agent: int, t: int) -> Optional[int]:
+        return self._table.get((agent, t))
+
+
+class ForcedOverlayProfile(Profile):
+    """Play the forced move where one is defined, else defer to a base
+    profile."""
+
+    def __init__(self, forced: ForcedResponse, base: Profile):
+        self.forced = forced
+        self.base = base
+
+    def action(self, agent, atom, history, tie_log=None):
+        f = self.forced.lookup(agent, len(history))
+        if f is not None:
+            return f
+        return self.base.action(agent, atom, history, tie_log)
+
+
 def history_of(g, actions, i: int, t: int):
     """Round-major history tuple of agent i's closed neighborhood over
     [0, t); ``actions`` is round-major (list of per-agent tuples)."""
@@ -277,24 +328,6 @@ def mc_posterior(g, m, profile, view: HistoryView, particles: int,
     return BeliefState(post, view.t, stderr=se)
 
 
-class _ClampedProfile(Profile):
-    """Wrapper forcing one agent to replay a fixed action sequence; all other
-    agents follow the base profile."""
-
-    def __init__(self, base, agent, action_seq):
-        self.base = base
-        self.agent = agent
-        self.seq = tuple(action_seq)
-
-    def action(self, i, atom, hist, tie_log=None):
-        t = len(hist)
-        if i == self.agent:
-            if t >= len(self.seq):
-                raise IndexError("clamped sequence too short")
-            return self.seq[t]
-        return self.base.action(i, atom, hist, tie_log)
-
-
 def y_decomposition(g, m, profile, view: HistoryView,
                     budget: int = DEFAULT_BUDGET) -> YDecomposition:
     """Split the posterior log-odds into the history term Y and the private
@@ -307,10 +340,10 @@ def y_decomposition(g, m, profile, view: HistoryView,
     z0 = m.atoms[view.atom].z
     if view.t == 0:
         return YDecomposition(0.0, z0, z)
-    nbrs = g.closed_nbrs(view.agent)
-    self_pos = nbrs.index(view.agent)
-    own_seq = tuple(view.observed[tau][self_pos] for tau in range(view.t))
-    clamped = _ClampedProfile(profile, view.agent, own_seq)
+    self_pos = g.closed_nbrs(view.agent).index(view.agent)
+    clamped = ForcedOverlayProfile(ForcedResponse(tuple(
+        (view.agent, tau, row[self_pos])
+        for tau, row in enumerate(view.observed))), profile)
     atoms, w0, w1 = worlds(m, g.n, budget)
     keep, _ = _seen(g, m, clamped, view, atoms, view.t)
     s0 = w0[keep].sum() / m.atom_prob(view.atom, 0)

@@ -6,18 +6,18 @@ Subcommands:
   simulate          run an ensemble from a config file
   verify-invariants run the built-in invariant suites
 
+``simulate`` runs every ensemble through ``dynamics.run_ensemble``, with
+``--workers`` processes; the report and the trace CSV do not depend on it.
+
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
-input error (e.g. graph not strongly connected where required, or a run the
-exact engine's budget cannot hold).
+input error (e.g. graph not strongly connected where required, ``--workers``
+below 1, or a run the exact engine's budget cannot hold).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import __version__, beliefs, dynamics, graphs
 from .config import load_config
@@ -69,24 +69,11 @@ def cmd_graph_distance(args) -> int:
     return EXIT_OK
 
 
-def _chunk_tally(payload):
-    """Worker: run a batch of replicates.  Top-level so it pickles."""
-    cfg_path, overrides, indices = payload
-    rc = load_config(cfg_path, overrides)
-    g = rc.build_graph()
-    m = rc.build_signal_model()
-    prof = rc.build_profile(g, m)
-    return dynamics.run_tally(g, m, prof, rc.sim, indices)
-
-
 def cmd_simulate(args) -> int:
-    overrides = {"sim": {"seed": args.seed}}
     try:
-        rc = load_config(args.config, overrides)
-        keep = bool(args.trace_csv or rc.trace_csv)
-        if args.workers > 1 and keep:
-            raise ValueError("a trace CSV needs --workers 1: worker "
-                             "processes return tallies, not traces")
+        if args.workers < 1:
+            raise ValueError("--workers must be >= 1")
+        rc = load_config(args.config, {"sim": {"seed": args.seed}})
         g = rc.build_graph()
         m = rc.build_signal_model()
         prof = rc.build_profile(g, m)
@@ -94,21 +81,11 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
+    csv_path = args.trace_csv or rc.trace_csv
     try:
-        if args.workers > 1:
-            chunks = np.array_split(np.arange(rc.sim.replicates),
-                                    args.workers)
-            payloads = [(args.config, overrides, [int(i) for i in c])
-                        for c in chunks if len(c)]
-            tally = dynamics.EnsembleTally(g.n)
-            with ProcessPoolExecutor(max_workers=args.workers) as ex:
-                for part in ex.map(_chunk_tally, payloads):
-                    tally.merge(part)
-            report = dynamics.report_from_tally(tally, rc.sim, g.family_tag)
-            traces = None
-        else:
-            report, traces = dynamics.run_ensemble(g, m, prof, rc.sim,
-                                                   keep_traces=keep)
+        report, traces = dynamics.run_ensemble(
+            g, m, prof, rc.sim, keep_traces=bool(csv_path),
+            workers=args.workers)
     except beliefs.BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -126,10 +103,8 @@ def cmd_simulate(args) -> int:
         print(f"learning_freq={report.learning_freq:.4f} "
               f"agreement_freq={report.agreement_freq:.4f} "
               f"replicates={report.replicates}")
-    csv_path = args.trace_csv or rc.trace_csv
-    if csv_path and traces is not None:
-        roles = _role_map(g)
-        dynamics.write_trace_csv(csv_path, traces, roles)
+    if csv_path:
+        dynamics.write_trace_csv(csv_path, traces, _role_map(g))
     return EXIT_OK
 
 
@@ -193,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--seed", type=int, default=None,
                    help="override the config's master seed")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="worker processes; the result does not depend on it")
     s.add_argument("--out", default=None, help="report JSON path")
     s.add_argument("--trace-csv", default=None,
                    help="also write per-round actions to CSV")

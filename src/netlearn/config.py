@@ -78,8 +78,6 @@ class RunConfig:
         from . import strategies
         from .beliefs import TieBreaker
         kwargs = {"tie_breaker": TieBreaker(self.tie_mode)}
-        if self.profile_name == "gossip" and self.jitter_width > 0:
-            kwargs["jitter_width"] = self.jitter_width
         if self.profile_name == "mad_king":
             kwargs.update(delta=self.delta, lam=self.lam)
         return strategies.make_profile(self.profile_name, g, m, **kwargs)

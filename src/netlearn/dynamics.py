@@ -8,13 +8,16 @@ horizon.
 
 Determinism: replicate r of an ensemble with master seed s always uses
 ``np.random.default_rng([s, r])``, so results are independent of worker
-count and replicate batching.
+count and replicate batching, and ``run_ensemble`` merges its chunks in
+replicate order.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Tuple
 
@@ -30,7 +33,6 @@ __all__ = [
     "EnsembleReport",
     "run_trace",
     "run_ensemble",
-    "run_tally",
     "tail_action_set",
     "discounted_utility",
     "locality_coupling_test",
@@ -193,27 +195,47 @@ def report_from_tally(tally: EnsembleTally, config: SimConfig,
     )
 
 
-def run_tally(g, m, profile, config: SimConfig, replicate_indices,
-              inject=None) -> EnsembleTally:
-    """Tally a batch of replicates; used directly and by worker processes."""
-    tally = EnsembleTally(g.n)
-    for r in replicate_indices:
-        trace = run_trace(g, m, profile, config, r, inject)
-        tally.add_trace(trace, config.tail_window)
-    return tally
-
-
-def run_ensemble(g, m, profile, config: SimConfig, inject=None,
-                 keep_traces: bool = False):
-    """Run all replicates and summarize.  Returns (report, traces) where
-    traces is None unless keep_traces is set."""
+def _run_chunk(g, m, profile, config: SimConfig, indices, keep_traces):
+    """Tally one chunk of replicates in this process.  Top-level so it
+    pickles."""
     tally = EnsembleTally(g.n)
     traces = [] if keep_traces else None
-    for r in range(config.replicates):
-        trace = run_trace(g, m, profile, config, r, inject)
+    for r in indices:
+        trace = run_trace(g, m, profile, config, r)
         tally.add_trace(trace, config.tail_window)
         if keep_traces:
             traces.append(trace)
+    return tally, traces
+
+
+def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
+                 workers: int = 1):
+    """Run all replicates and summarize.  Returns (report, traces) where
+    traces is None unless keep_traces is set.
+
+    The replicates are split into at most ``workers`` contiguous chunks; a
+    single chunk runs in this process, several run in a pool of one spawned
+    process per chunk.  The chunks' tallies and traces are merged in chunk
+    order, so the result does not depend on ``workers``."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    R = config.replicates
+    k = min(workers, R)
+    chunks = [range(i * R // k, (i + 1) * R // k) for i in range(k)]
+    run = functools.partial(_run_chunk, g, m, profile, config,
+                            keep_traces=keep_traces)
+    if k == 1:
+        parts = [run(chunks[0])]
+    else:
+        # spawned, not forked: a forked child may inherit a lock held by
+        # one of numpy's threads
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=k, mp_context=spawn) as ex:
+            parts = list(ex.map(run, chunks))
+    tally = EnsembleTally(g.n)
+    for part, _ in parts:
+        tally.merge(part)
+    traces = [t for _, ts in parts for t in ts] if keep_traces else None
     report = report_from_tally(tally, config, g.family_tag)
     return report, traces
 

@@ -121,17 +121,15 @@ def p_star(m: SignalModel) -> float:
 # ---------------------------------------------------------------------------
 # built-in families
 
-def symmetric_binary(q: float, jitter_width: float = 0.0) -> SignalModel:
+def symmetric_binary(q: float) -> SignalModel:
     """Two atoms at z = +-ln(q/(1-q)) with symmetric masses (1-q, q)."""
     if not 0.5 < q < 1.0:
         raise ValueError("q must lie in (1/2, 1)")
     z = math.log(q / (1.0 - q))
-    return SignalModel(
-        (Atom(z, 1.0 - q, q), Atom(-z, q, 1.0 - q)), jitter_width)
+    return SignalModel((Atom(z, 1.0 - q, q), Atom(-z, q, 1.0 - q)))
 
 
-def two_atom_from_logits(z_plus: float, z_minus: float,
-                         jitter_width: float = 0.0) -> SignalModel:
+def two_atom_from_logits(z_plus: float, z_minus: float) -> SignalModel:
     """Solve for the unique two-atom model with the given log-likelihood
     ratios: p0 solves p0+ + p0- = 1 and e^{z+} p0+ + e^{z-} p0- = 1."""
     if z_plus <= 0 or z_minus >= 0:
@@ -139,21 +137,17 @@ def two_atom_from_logits(z_plus: float, z_minus: float,
     ep, em = math.exp(z_plus), math.exp(z_minus)
     p0_plus = (1.0 - em) / (ep - em)
     p0_minus = 1.0 - p0_plus
-    return SignalModel(
-        (Atom(z_plus, p0_plus, p0_plus * ep),
-         Atom(z_minus, p0_minus, p0_minus * em)),
-        jitter_width)
+    return SignalModel((Atom(z_plus, p0_plus, p0_plus * ep),
+                        Atom(z_minus, p0_minus, p0_minus * em)))
 
 
-def royal_bounded(z_plus: float = 1.5, z_minus: float = -1.5,
-                  jitter_width: float = 0.0) -> SignalModel:
-    return two_atom_from_logits(z_plus, z_minus, jitter_width)
+def royal_bounded(z_plus: float = 1.5, z_minus: float = -1.5) -> SignalModel:
+    return two_atom_from_logits(z_plus, z_minus)
 
 
-def mad_king_asym(jitter_width: float = 0.0) -> SignalModel:
-    """Atoms exactly at z = 1 and z = -sqrt(7); the jitter supplies the
-    tie-breaking slack."""
-    return two_atom_from_logits(1.0, -math.sqrt(7.0), jitter_width)
+def mad_king_asym() -> SignalModel:
+    """Atoms exactly at z = 1 and z = -sqrt(7)."""
+    return two_atom_from_logits(1.0, -math.sqrt(7.0))
 
 
 def builtin_family(name: str, **params) -> SignalModel:
@@ -168,6 +162,5 @@ def builtin_family(name: str, **params) -> SignalModel:
     return builders[name](**params)
 
 
-def model_from_triples(triples, jitter_width: float = 0.0) -> SignalModel:
-    return SignalModel(tuple(Atom(z, p0, p1) for (z, p0, p1) in triples),
-                       jitter_width)
+def model_from_triples(triples) -> SignalModel:
+    return SignalModel(tuple(Atom(z, p0, p1) for (z, p0, p1) in triples))

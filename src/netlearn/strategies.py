@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import beliefs
-from .beliefs import Profile, TieBreaker
+from .beliefs import (  # noqa: F401  (re-exported)
+    ForcedOverlayProfile, ForcedResponse, Profile, TieBreaker,
+)
 
 __all__ = [
     "Profile",
@@ -182,10 +184,8 @@ class GossipProfile(Profile):
     history in general, so only ``trace_actions`` is provided.
     """
 
-    def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero"),
-                 jitter_width: float = 0.0):
+    def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
-        self.jitter_width = jitter_width
         self._reach_cache = {}
 
     def action(self, agent, atom, history, tie_log=None):
@@ -212,7 +212,7 @@ class GossipProfile(Profile):
         z = np.asarray(m.z_values)[np.asarray(atoms)]
         masks = self._reach_masks(g, horizon)
         if self.tie_breaker.mode == "jitter":
-            jw = self.jitter_width
+            jw = m.jitter_width
             tie_acts = (jw > 0) & (np.asarray(jitters) < jw / 2.0)
         else:
             tie_acts = self.tie_breaker.resolve()
@@ -220,55 +220,6 @@ class GossipProfile(Profile):
         for t in range(horizon):
             out[:, t] = _decide_signs(masks[t] @ z, tie_acts, tie_log)
         return out
-
-
-@dataclass(frozen=True)
-class ForcedResponse:
-    """A table of forced moves.
-
-    ``moves`` maps (agent, time) -> action and applies to every history at
-    that time.  For the table to describe a well-defined pure profile
-    restriction, forcing an agent at time t > 0 requires its moves at all
-    earlier times to be forced too (history-closure); the constructor
-    enforces this.
-    """
-
-    moves: Tuple[Tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = {}
-        for agent, t, act in self.moves:
-            if act not in (0, 1):
-                raise ValueError("forced actions must be 0 or 1")
-            key = (agent, t)
-            if key in seen and seen[key] != act:
-                raise ValueError(f"conflicting forced moves for {key}")
-            seen[key] = act
-        for agent, t, _ in self.moves:
-            for tau in range(t):
-                if (agent, tau) not in seen:
-                    raise ValueError(
-                        f"forcing agent {agent} at time {t} requires a "
-                        f"forced move at time {tau} as well")
-        object.__setattr__(self, "_table", seen)
-
-    def lookup(self, agent: int, t: int) -> Optional[int]:
-        return self._table.get((agent, t))
-
-
-class ForcedOverlayProfile(Profile):
-    """Play the forced move where one is defined, else defer to a base
-    profile."""
-
-    def __init__(self, forced: ForcedResponse, base: Profile):
-        self.forced = forced
-        self.base = base
-
-    def action(self, agent, atom, history, tie_log=None):
-        f = self.forced.lookup(agent, len(history))
-        if f is not None:
-            return f
-        return self.base.action(agent, atom, history, tie_log)
 
 
 class RoyalFamilyProfile(Profile):
@@ -288,6 +239,10 @@ class RoyalFamilyProfile(Profile):
         self.tie_breaker = tie_breaker
         self._z = np.asarray(m.z_values)
         self._sign_z = self._z[list(m.sign_atoms())]  # (negative, positive)
+        # row i marks the closed neighbourhood that agent i observes
+        self._nbr = np.zeros((g.n, g.n))
+        for i in range(g.n):
+            self._nbr[i, list(g.closed_nbrs(i))] = 1.0
 
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
@@ -310,22 +265,9 @@ class RoyalFamilyProfile(Profile):
                                   tie_log)
         if horizon >= 2:
             decoded = self._sign_z[out[:, 0]]
-            out[:, 1:] = _decide_signs(self._nbr_matrix(g) @ decoded,
+            out[:, 1:] = _decide_signs(self._nbr @ decoded,
                                        tie_act, tie_log)[:, None]
         return out
-
-    _nbr_cache = {}
-
-    @classmethod
-    def _nbr_matrix(cls, g):
-        key = (g.n, g.edges)
-        mat = cls._nbr_cache.get(key)
-        if mat is None:
-            mat = np.zeros((g.n, g.n))
-            for i in range(g.n):
-                mat[i, list(g.closed_nbrs(i))] = 1.0
-            cls._nbr_cache[key] = mat
-        return mat
 
 
 @dataclass(frozen=True)

@@ -138,20 +138,47 @@ def test_simulate_rejects_engine_key(tmp_path, capsys):
     assert "engine" in err
 
 
-def test_simulate_workers_with_trace_csv_exits_2(tmp_path, capsys):
-    csv_path = tmp_path / "trace.csv"
+def test_simulate_workers_write_identical_report_and_csv(tmp_path):
+    """--workers 2 writes the serial run's report JSON and trace CSV byte
+    for byte."""
+    cfg = write_cfg(tmp_path, replicates=5)
+    files = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"report{workers}.json"
+        csv_path = tmp_path / f"trace{workers}.csv"
+        code, _ = run_cli(["simulate", "--config", str(cfg), "--workers",
+                           workers, "--out", str(out), "--trace-csv",
+                           str(csv_path), "--format", "summary"])
+        assert code == 0
+        files.append((out.read_bytes(), csv_path.read_bytes()))
+    assert files[0] == files[1]
+    assert files[0][1].count(b"\n") == 1 + 5 * 8 * 12
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_workers_below_one_exits_2(tmp_path, capsys, monkeypatch,
+                                            workers):
+    """A worker count below 1 is a usage error, raised before the graph is
+    built."""
+    def no_graph(*a, **kw):
+        raise AssertionError("graph built")
+    monkeypatch.setattr(config.RunConfig, "build_graph", no_graph)
     cfg = write_cfg(tmp_path)
-    code, out = run_cli(["simulate", "--config", str(cfg), "--workers", "2",
-                         "--trace-csv", str(csv_path)])
+    code, out = run_cli(["simulate", "--config", str(cfg),
+                         "--workers", workers])
+    err = capsys.readouterr().err
     assert code == 2 and out == ""
-    with_key = tmp_path / "keyed.cfg"
-    with_key.write_text(cfg.read_text()
-                        + f"\n[output]\ntrace_csv = {csv_path}\n")
-    code, out = run_cli(["simulate", "--config", str(with_key),
-                         "--workers", "2"])
-    assert code == 2 and out == ""
-    assert not csv_path.exists()
-    assert capsys.readouterr().err.count("error: ") == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--workers" in err
+
+
+def test_simulate_pool_is_capped_at_replicates(tmp_path, fake_pool):
+    """--workers 500 on 2 replicates asks for a pool of 2 processes."""
+    cfg = write_cfg(tmp_path, replicates=2)
+    code, out = run_cli(["simulate", "--config", str(cfg),
+                         "--workers", "500"])
+    assert code == 0 and fake_pool == [2]
+    assert json.loads(out)["replicates"] == 2
 
 
 def test_simulate_workers_match_serial(tmp_path):
@@ -202,7 +229,7 @@ def test_console_entry_point():
 
 
 def test_bundled_recipes_parse():
-    for name in ("cycle20_myopic.cfg", "royal_family.cfg", "mad_king.cfg"):
+    for name in ("cycle20_gossip.cfg", "royal_family.cfg", "mad_king.cfg"):
         rc = config.load_config(os.path.join(PKG_ROOT, "scripts", name))
         g = rc.build_graph()
         m = rc.build_signal_model()

@@ -95,13 +95,53 @@ def test_ensemble_report_fields_and_merge():
         <= report.learning_ci[1]
     assert len(report.agent_learning) == g.n
     # split the same replicates over two tallies and merge
-    t1 = dynamics.run_tally(g, m, prof, cfg, range(0, 13))
-    t2 = dynamics.run_tally(g, m, prof, cfg, range(13, 30))
+    t1, t2 = dynamics.EnsembleTally(g.n), dynamics.EnsembleTally(g.n)
+    for tr in traces:
+        (t1 if tr.replicate_index < 13 else t2).add_trace(tr, cfg.tail_window)
     merged = t1.merge(t2)
     again = dynamics.report_from_tally(merged, cfg, g.family_tag)
     assert again.learning_freq == report.learning_freq
     assert again.agreement_freq == report.agreement_freq
     assert again.agent_learning == report.agent_learning
+
+
+def test_ensemble_workers_match_serial():
+    """Two worker processes give the serial report and the serial traces,
+    in replicate order."""
+    g, m, prof = small_setup()
+    cfg = SimConfig(horizon=12, replicates=9, master_seed=4)
+    rep1, tr1 = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
+    rep2, tr2 = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True,
+                                      workers=2)
+    assert rep1 == rep2
+    assert [t.replicate_index for t in tr2] == list(range(9))
+    for a, b in zip(tr1, tr2):
+        assert a.state == b.state and a.tie_count == b.tie_count
+        assert np.array_equal(a.atoms, b.atoms)
+        assert np.array_equal(a.jitters, b.jitters)
+        assert np.array_equal(a.actions, b.actions)
+
+
+@pytest.mark.parametrize("workers, replicates, pool", [
+    (1, 5, []), (500, 2, [2]), (3, 7, [3]), (4, 1, [])])
+def test_ensemble_pool_is_capped_at_chunks(fake_pool, workers, replicates,
+                                           pool):
+    g, m, prof = small_setup()
+    cfg = SimConfig(horizon=6, replicates=replicates, tail_window=2,
+                    master_seed=3)
+    rep, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True,
+                                        workers=workers)
+    assert fake_pool == pool
+    assert [t.replicate_index for t in traces] == list(range(replicates))
+    assert rep == dynamics.run_ensemble(g, m, prof, cfg)[0]
+
+
+def test_ensemble_rejects_fewer_than_one_worker():
+    g, m, prof = small_setup()
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            dynamics.run_ensemble(g, m, prof, SimConfig(replicates=2),
+                                  workers=workers)
 
 
 def test_report_json_roundtrip():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from netlearn import beliefs, dynamics, graphs, signals, strategies
+from netlearn import beliefs, config, dynamics, graphs, signals, strategies
 from netlearn.beliefs import TieBreaker
 
 
@@ -387,3 +387,35 @@ def test_make_profile_factory():
                       strategies.MadKingProfile)
     with pytest.raises(ValueError):
         strategies.make_profile("nope", g, m)
+
+
+def test_gossip_jitter_breaks_ties_by_the_signal_models_width(tmp_path):
+    """Built from a config, the gossip profile resolves a tie with the
+    jitter rule at the signal model's width: on dicycle(4) with alternating
+    atoms every agent's round-1 sum (its own atom and the one it observes) is
+    exactly 0, and each tied agent plays 1 iff its jitter < width / 2."""
+    p = tmp_path / "jitter.cfg"
+    p.write_text("[graph]\nfamily = dicycle(4)\n\n"
+                 "[signal]\nkind = symmetric_binary\nq = 0.7\n"
+                 "jitter_width = 0.5\n\n"
+                 "[profile]\nname = gossip\ntie = jitter\n\n"
+                 "[sim]\nhorizon = 4\ntail_window = 2\n")
+    rc = config.load_config(str(p))
+    g = rc.build_graph()
+    m = rc.build_signal_model()
+    prof = rc.build_profile(g, m)
+    neg, pos = m.sign_atoms()
+
+    def alternate(rng, state, atoms):
+        return state, np.array([pos, neg, pos, neg])
+
+    played = set()
+    for r in range(12):
+        tr = dynamics.run_trace(g, m, prof, rc.sim, r, inject=alternate)
+        tied = tr.jitters < 0.25
+        # rounds 1 and 3 sum an even number of alternating atoms: all tie
+        assert tr.tie_count == 2 * g.n
+        for t in (1, 3):
+            assert np.array_equal(tr.actions[:, t], tied.astype(np.uint8))
+        played.update(tr.actions[:, 1].tolist())
+    assert played == {0, 1}
