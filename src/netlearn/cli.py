@@ -48,7 +48,7 @@ def cmd_check_topology(args) -> int:
     out = {"n": g.n, "edges": len(g.edges), "strongly_connected": sc}
     if sc:
         dist = graphs.all_pairs_distances(g)
-        out["l_connectivity"] = graphs.min_l_connectivity(g)
+        out["l_connectivity"] = graphs.min_l_connectivity(g, dist)
         out["diameter"] = max(max(row) for row in dist)
         out["max_out_degree"] = graphs.out_degree_bound(g)
     print(json.dumps(out, indent=2))

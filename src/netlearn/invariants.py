@@ -28,8 +28,8 @@ def check_graph(seed: int = 0):
         g = graphs.generate(graphs.parse_family_string(spec))
         _check(res, f"strongly_connected[{spec}]",
                graphs.is_strongly_connected(g))
-        L = graphs.min_l_connectivity(g)
         dist = graphs.all_pairs_distances(g)
+        L = graphs.min_l_connectivity(g, dist)
         ok = all(dist[j][i] <= L for (i, j) in g.edges)
         _check(res, f"l_connectivity_bound[{spec}]", ok, f"L={L}")
     g = graphs.cycle(8)

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import beliefs
+from . import beliefs, graphs
 from .beliefs import (  # noqa: F401  (re-exported)
     ForcedOverlayProfile, ForcedResponse, Profile, TieBreaker,
 )
@@ -182,44 +182,53 @@ class GossipProfile(Profile):
     idealization in which log-likelihood ratios propagate along edges one hop
     per round.  It is *not* measurable with respect to the observed action
     history in general, so only ``trace_actions`` is provided.
+
+    The balls are held as rings: for every agent i and every j at distance
+    d <= T-1 from i (T the horizon), one entry pairs the cell i*T + d with
+    the member j.  A trace sums each ring's ratios with one ``bincount`` and
+    accumulates the rings over d.  The rings are built by a BFS truncated at
+    radius T-1 on the first trace for a (graph, horizon) and take
+    16 B * sum_i |ball_{T-1}(i)|: 0.94 MB on cycle(1000) at T=30, and n^2
+    entries in the worst case, on dense graphs.
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
-        self._reach_cache = {}
+        self._ring_cache = {}
 
     def action(self, agent, atom, history, tie_log=None):
         raise NotImplementedError(
             "the gossip profile is defined at the trace level only; "
             "use trace_actions")
 
-    def _reach_masks(self, g, horizon):
+    def _rings(self, g, horizon):
         key = (g.n, g.edges, horizon)
-        masks = self._reach_cache.get(key)
-        if masks is None:
-            from .graphs import all_pairs_distances
-            dist = np.array(all_pairs_distances(g))
-            # row i of mask t marks the agents within observation distance t
-            # of i (dist[i][j] = length of the shortest path i -> j)
-            masks = [
-                ((dist >= 0) & (dist <= t)).astype(np.float64)
-                for t in range(horizon)
-            ]
-            self._reach_cache[key] = masks
-        return masks
+        rings = self._ring_cache.get(key)
+        if rings is None:
+            cell, member = [], []
+            for i in range(g.n):
+                ball = graphs.ball_distances(g, i, horizon - 1)
+                member.extend(ball)
+                cell.extend([i * horizon + d for d in ball.values()])
+            rings = (np.array(cell, dtype=np.intp),
+                     np.array(member, dtype=np.intp))
+            self._ring_cache[key] = rings
+        return rings
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+        cell, member = self._rings(g, horizon)
         z = np.asarray(m.z_values)[np.asarray(atoms)]
-        masks = self._reach_masks(g, horizon)
+        # column t sums the ratios within distance t of each agent
+        sums = np.bincount(cell, weights=z[member],
+                           minlength=g.n * horizon).reshape(g.n, horizon)
+        sums = sums.cumsum(axis=1)
         if self.tie_breaker.mode == "jitter":
             jw = m.jitter_width
             tie_acts = (jw > 0) & (np.asarray(jitters) < jw / 2.0)
+            tie_acts = np.broadcast_to(tie_acts[:, None], sums.shape)
         else:
             tie_acts = self.tie_breaker.resolve()
-        out = np.empty((g.n, horizon), dtype=np.uint8)
-        for t in range(horizon):
-            out[:, t] = _decide_signs(masks[t] @ z, tie_acts, tie_log)
-        return out
+        return _decide_signs(sums, tie_acts, tie_log)
 
 
 class RoyalFamilyProfile(Profile):

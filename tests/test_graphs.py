@@ -36,6 +36,15 @@ def test_l_connectivity_requires_strong_connectivity():
         graphs.min_l_connectivity(g)
 
 
+def test_l_connectivity_reads_given_distances():
+    g = graphs.royal_family(2, 4)
+    dist = graphs.all_pairs_distances(g)
+    assert graphs.min_l_connectivity(g, dist) == graphs.min_l_connectivity(g)
+    sink = graphs.DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
+    with pytest.raises(ValueError):
+        graphs.min_l_connectivity(sink, graphs.all_pairs_distances(sink))
+
+
 def test_out_degree_bound():
     assert graphs.out_degree_bound(graphs.dicycle(4)) == 2
     assert graphs.out_degree_bound(graphs.cycle(5)) == 3
@@ -92,6 +101,20 @@ def test_ball_vertices_match_bfs():
         dist = graphs.all_pairs_distances(g)[0]
         assert b.vertices == frozenset(
             v for v in range(g.n) if 0 <= dist[v] <= r)
+
+
+@pytest.mark.parametrize("g", [
+    graphs.grid(3, 4), graphs.dicycle(7), graphs.royal_family(2, 5),
+    graphs.DirectedGraph(5, frozenset({(0, 1), (1, 2), (3, 4)}))])
+def test_ball_distances_truncate_the_full_bfs(g):
+    """The truncated BFS keeps exactly the vertices within the radius, at
+    their graph distance; unreachable vertices never enter."""
+    dist = graphs.all_pairs_distances(g)
+    for source in range(g.n):
+        assert graphs.ball_distances(g, source, -1) == {}
+        for r in range(g.n + 1):
+            assert graphs.ball_distances(g, source, r) == {
+                v: d for v, d in enumerate(dist[source]) if 0 <= d <= r}
 
 
 @settings(max_examples=30, deadline=None)

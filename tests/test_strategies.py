@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,84 @@ def test_exact_myopic_budget_counts_world_agent_cells():
 def test_gossip_action_is_trace_level_only():
     with pytest.raises(NotImplementedError):
         strategies.GossipProfile().action(0, 0, ())
+
+
+GOSSIP_GRAPHS = [graphs.generate(graphs.parse_family_string(spec))
+                 for spec in ("dicycle(3)", "dicycle(8)", "cycle(5)",
+                              "cycle(10)", "chain(1)", "chain(6)",
+                              "grid(3,3)", "royal_family(2,3)",
+                              "mad_king(1,2,2)")]
+# {0, 1, 2} and {3, 4} cannot reach each other, and 5 reaches no one
+GOSSIP_GRAPHS.append(graphs.DirectedGraph(
+    6, frozenset({(0, 1), (1, 2), (2, 0), (2, 5), (3, 4), (4, 3)})))
+GOSSIP_MODELS = (signals.symmetric_binary(0.7), signals.royal_bounded(),
+                 signals.mad_king_asym(),
+                 signals.SignalModel(signals.symmetric_binary(0.6).atoms,
+                                     jitter_width=0.5))
+# one profile per tie mode for the whole test, so that its ring cache
+# serves several graphs and horizons
+GOSSIP_PROFILES = {mode: strategies.GossipProfile(TieBreaker(mode))
+                   for mode in ("zero", "one", "jitter")}
+
+
+def _dense_gossip(g, m, atoms, jitters, horizon, mode):
+    """Reference: one dense n x n reach mask per round and one mat-vec
+    each; returns the actions and the number of ties."""
+    dist = np.array(graphs.all_pairs_distances(g))
+    z = np.asarray(m.z_values)[np.asarray(atoms)]
+    if mode == "jitter":
+        tie_act = (m.jitter_width > 0) & (jitters < m.jitter_width / 2.0)
+    else:
+        tie_act = np.full(g.n, mode == "one")
+    out = np.empty((g.n, horizon), dtype=np.uint8)
+    ties = 0
+    for t in range(horizon):
+        vals = ((dist >= 0) & (dist <= t)).astype(np.float64) @ z
+        tied = np.abs(vals) <= beliefs.TIE_TOL
+        out[:, t] = np.where(tied, tie_act, vals > beliefs.TIE_TOL)
+        ties += int(np.count_nonzero(tied))
+    return out, ties
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(GOSSIP_GRAPHS))),
+       st.sampled_from(GOSSIP_MODELS), st.sampled_from(("zero", "one",
+                                                        "jitter")),
+       st.data(), st.integers(0, 2 ** 32 - 1))
+def test_gossip_rings_match_dense_reach_masks(gi, m, mode, data, seed):
+    """The ring kernel equals the dense reach-mask path in actions, dtype,
+    shape and tie count, for every horizon up to the diameter plus two.
+    The two sum in different orders; with these models every nonzero sum
+    of at most ten ratios lies far above TIE_TOL, so equality is exact."""
+    g = GOSSIP_GRAPHS[gi]
+    diameter = max(map(max, graphs.all_pairs_distances(g)))
+    horizon = data.draw(st.integers(1, diameter + 2), label="horizon")
+    rng = np.random.default_rng(seed)
+    atoms = m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
+    jitters = rng.uniform(0.0, m.jitter_width, g.n)
+    log = beliefs.TieLog()
+    fast = GOSSIP_PROFILES[mode].trace_actions(g, m, atoms, jitters, horizon,
+                                               log)
+    want, ties = _dense_gossip(g, m, atoms, jitters, horizon, mode)
+    assert fast.dtype == np.uint8 and fast.shape == (g.n, horizon)
+    assert np.array_equal(fast, want)
+    assert log.count == ties
+
+
+def test_gossip_trace_holds_no_dense_structure():
+    """One trace on cycle(1000) at T=30 touches 59,000 (agent, member)
+    pairs; the dense masks it replaced took 240 MB."""
+    g = graphs.cycle(1000)
+    m = signals.symmetric_binary(0.7)
+    atoms = m.sample_atoms(np.random.default_rng(0), g.n, 1)
+    prof = strategies.GossipProfile()
+    tracemalloc.start()
+    try:
+        prof.trace_actions(g, m, atoms, np.zeros(g.n), 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_gossip_consensus_on_cycle():
