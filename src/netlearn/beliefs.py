@@ -4,11 +4,11 @@ strategy profile.
 Every exact computation runs on one enumeration of the possible worlds: all
 k^n joint atom assignments, with their masses under each state (``worlds``;
 the budget bounds the world-agent cells k^n * n, 10^7 by default, which
-admits n <= 19 at k = 2).  A belief function replays the profile in each
-world where the viewing agent holds its atom, through the profile's
-``trace_actions``, keeps the worlds whose replay shows the agent its
-observed neighbour rows, and sums their masses.  The Monte Carlo engine
-replays sampled worlds through the same filter instead.
+admits n <= 19 at k = 2).  A belief function replays the profile in every
+world where the viewing agent holds its atom, with one call of the profile's
+``trace_batch``, keeps the worlds whose replay shows the agent its observed
+neighbour rows, and sums their masses.  The Monte Carlo engine replays
+sampled worlds through the same filter instead.
 """
 from __future__ import annotations
 
@@ -143,10 +143,20 @@ def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
 class Profile:
     """Base class of the pure strategy profiles.  Subclasses implement
     ``action``; ``trace_actions`` is the generic per-agent loop, which fast
-    profiles override."""
+    profiles override.  ``trace_batch`` replays R draws at once by stacking
+    ``trace_actions`` calls; ``MyopicExactProfile`` overrides it."""
 
     def action(self, agent: int, atom: int, history, tie_log=None) -> int:
         raise NotImplementedError
+
+    def trace_batch(self, g, m, atoms, jitters, horizon: int,
+                    tie_log=None) -> np.ndarray:
+        """(R, n, horizon) uint8 actions for the rows of ``atoms`` (R, n) and
+        ``jitters`` (R, n); ties are counted over the whole batch."""
+        out = np.empty((len(atoms), g.n, horizon), dtype=np.uint8)
+        for r, (a, j) in enumerate(zip(atoms, jitters)):
+            out[r] = self.trace_actions(g, m, a, j, horizon, tie_log)
+        return out
 
     def trace_actions(self, g, m, atoms, jitters, horizon: int,
                       tie_log=None) -> np.ndarray:
@@ -258,17 +268,15 @@ def worlds(m, n: int, budget: int = DEFAULT_BUDGET):
 
 
 def _seen(g, m, profile, view: HistoryView, atoms, horizon: int):
-    """Replay ``profile`` for ``horizon`` >= view.t rounds through its
-    ``trace_actions`` in the worlds (columns of ``atoms``) where the viewing
-    agent holds the view's atom, and keep those that show it the observed
-    closed-neighbourhood rows.  Returns (kept columns, the (worlds,
+    """Replay ``profile`` for ``horizon`` >= view.t rounds, with one
+    ``trace_batch`` call, in the worlds (columns of ``atoms``) where the
+    viewing agent holds the view's atom, and keep those that show it the
+    observed closed-neighbourhood rows.  Returns (kept columns, the (worlds,
     neighbours, horizon) rows the agent sees in them)."""
     own = np.flatnonzero(atoms[view.agent] == view.atom)
-    jitters = np.zeros(g.n)
-    acts = np.array([profile.trace_actions(g, m, a, jitters, horizon)
-                     for a in atoms[:, own].T], dtype=np.uint8)
     nbrs = list(g.closed_nbrs(view.agent))
-    seen = acts.reshape(len(own), g.n, horizon)[:, nbrs]
+    seen = profile.trace_batch(g, m, atoms[:, own].T,
+                               np.zeros((len(own), g.n)), horizon)[:, nbrs]
     obs = np.array(view.observed, dtype=np.int64).reshape(view.t, len(nbrs))
     ok = (seen[:, :, :view.t] == obs.T).all(axis=(1, 2))
     return own[ok], seen[ok]
@@ -374,51 +382,25 @@ def outcome_distribution(g, m, profile, view: HistoryView,
     return out
 
 
-class _MyopicDeviation(Profile):
-    """Profile equal to ``base`` except that one agent plays the exact
-    myopic best response from time ``start_t`` onward."""
-
-    def __init__(self, g, m, base, agent, start_t,
-                 tie_breaker=TieBreaker("zero"), budget=DEFAULT_BUDGET):
-        self.g = g
-        self.m = m
-        self.base = base
-        self.agent = agent
-        self.start_t = start_t
-        self.tie_breaker = tie_breaker
-        self.budget = budget
-        self._cache = {}
-
-    def action(self, i, atom, hist, tie_log=None):
-        t = len(hist)
-        if i != self.agent or t < self.start_t:
-            return self.base.action(i, atom, hist, tie_log)
-        key = (atom, hist)
-        if key not in self._cache:
-            view = HistoryView(i, t, atom, hist)
-            try:
-                post = exact_posterior(self.g, self.m, self, view,
-                                       self.budget)
-                act = best_response(post, self.tie_breaker)
-            except InconsistentHistoryError:
-                act = 0  # off-path completion; see MyopicExactProfile
-            self._cache[key] = act
-        return self._cache[key]
-
-
 def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3,
                         budget: int = DEFAULT_BUDGET):
     """Expected posterior certainty (|P(S=1|F) - 1/2|) ell rounds ahead,
-    under the deviation where the viewing agent plays myopically from the
-    view's time onward.  Returns a tuple of length ell_max + 1; the sequence
-    is nondecreasing (submartingale property, checked in tests).
+    when the viewing agent plays myopically from the view's time onward.
+    Returns a tuple of length ell_max + 1; the sequence is nondecreasing
+    (submartingale property, checked in tests).
+
+    ``profile`` must be a ``MyopicExactProfile`` (any other raises
+    ValueError before a world is enumerated): a one-agent myopic deviation
+    from myopic play is that play, with the profile's own tie breaker.
 
     The worlds consistent with the view are grouped by the rows the agent
     sees through round t + ell; a group with masses (s0, s1) contributes
     (s0 + s1) * |s1 / (s0 + s1) - 1/2| = |s1 - s0| / 2."""
-    dev = _MyopicDeviation(g, m, profile, view.agent, view.t, budget=budget)
+    from .strategies import MyopicExactProfile
+    if not isinstance(profile, MyopicExactProfile):
+        raise ValueError("lookahead_certainty needs a MyopicExactProfile")
     atoms, w0, w1 = worlds(m, g.n, budget)
-    keep, seen = _seen(g, m, dev, view, atoms, view.t + ell_max)
+    keep, seen = _seen(g, m, profile, view, atoms, view.t + ell_max)
     w0, w1 = w0[keep], w1[keep]
     norm = (w0 + w1).sum()
     if norm <= 0.0:

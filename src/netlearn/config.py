@@ -84,6 +84,9 @@ class RunConfig:
 
 
 def _merged(sections: dict) -> dict:
+    if not (isinstance(sections, dict)
+            and all(isinstance(kv, dict) for kv in sections.values())):
+        raise ValueError("a config must map each section to a table of keys")
     data = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     for s, kv in sections.items():
         if s not in data:
@@ -119,9 +122,12 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
                 sections = json.load(f)
         else:
             cp = configparser.ConfigParser()
-            if not cp.read(path):
-                raise FileNotFoundError(path)
-            sections = {s: dict(cp.items(s)) for s in cp.sections()}
+            try:
+                if not cp.read(path):
+                    raise FileNotFoundError(path)
+                sections = {s: dict(cp.items(s)) for s in cp.sections()}
+            except configparser.Error as e:  # no header, a duplicate key
+                raise ValueError(" ".join(str(e).split())) from None
     data = _apply_env(_merged(sections), environ)
     if overrides:
         for s, kv in overrides.items():

@@ -293,6 +293,8 @@ def rooted_distance(g1: DirectedGraph, i1: int, g2: DirectedGraph, i2: int,
     ``(value, truncated)``; value 0.0 means the balls agree at every radius
     up to r_max and exhaust both graphs identically.
     """
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
     for g, i in ((g1, i1), (g2, i2)):
         if not (0 <= i < g.n):
             raise ValueError(f"invalid root {i}")

@@ -44,7 +44,8 @@ class MyopicExactProfile(Profile):
     the sigma-algebra F_i(t) holding that world.  A class's posterior is the
     ratio of its summed world masses under the two states; after each round
     every class splits by the action row the agent observed.  Rounds are
-    solved lazily, up to the largest horizon asked for.
+    solved lazily, up to the largest horizon asked for, into one table of
+    every world's actions, which ``trace_batch`` reads.
 
     The budget bounds the world-agent cells k^n * n; it is checked before
     any world array is allocated.  Only deterministic tie modes are
@@ -62,8 +63,8 @@ class MyopicExactProfile(Profile):
         self.tie_breaker = tie_breaker
         self.budget = budget
         self._cls = None     # (n, worlds) class ids at the newest round
-        self._acts = []      # per round: (n, worlds) uint8 actions
-        self._ties = []      # per round: (worlds,) tied agents per world
+        self._acts = None    # the world table: (rounds, n, worlds) uint8
+        self._ties = None    # (rounds, worlds) tied agents per world
         self._play = []      # per round, per agent: (action, tied) by class
         self._split = []     # per round, per agent: sorted (class, row) keys
 
@@ -73,11 +74,12 @@ class MyopicExactProfile(Profile):
         self._cls, self._w0, self._w1 = beliefs.worlds(self.m, n, self.budget)
         self._radix = self.m.k ** np.arange(n, dtype=np.int64)
         self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
+        self._acts = np.empty((0,) + self._cls.shape, dtype=np.uint8)
+        self._ties = np.empty((0, self._cls.shape[1]), dtype=np.int32)
 
-    def _refine(self):
+    def _refine(self, acts):
         """Split every class by the closed-neighbourhood row of the newest
-        round."""
-        acts = self._acts[-1]
+        round, whose (n, worlds) actions are ``acts``."""
         keys = []
         for i, nbrs in enumerate(self._nbrs):
             code = np.zeros(acts.shape[1], dtype=np.int64)
@@ -89,13 +91,19 @@ class MyopicExactProfile(Profile):
         self._split.append(keys)
 
     def _extend(self, rounds: int):
+        """Solve rounds up to ``rounds``, growing the world table once."""
         if self._cls is None:
             self._start()
-        while len(self._acts) < rounds:
-            if self._acts:
-                self._refine()
-            acts = np.empty_like(self._cls, dtype=np.uint8)
-            ties = np.zeros(acts.shape[1], dtype=np.int32)
+        done = len(self._play)
+        if rounds <= done:
+            return
+        acts = np.empty((rounds,) + self._cls.shape, dtype=np.uint8)
+        ties = np.zeros((rounds, self._cls.shape[1]), dtype=np.int32)
+        acts[:done], ties[:done] = self._acts[:done], self._ties[:done]
+        self._acts, self._ties = acts, ties
+        for t in range(done, rounds):
+            if t:
+                self._refine(acts[t - 1])
             play = []
             for i, cls in enumerate(self._cls):
                 s0 = np.bincount(cls, weights=self._w0)
@@ -104,11 +112,9 @@ class MyopicExactProfile(Profile):
                 act = (post > 0.5 + beliefs.TIE_TOL).astype(np.uint8)
                 tied = (act == 0) & (post >= 0.5 - beliefs.TIE_TOL)
                 act[tied] = self.tie_breaker.resolve()
-                acts[i] = act[cls]
-                ties += tied[cls]
+                acts[t, i] = act[cls]
+                ties[t] += tied[cls]
                 play.append((act, tied))
-            self._acts.append(acts)
-            self._ties.append(ties)
             self._play.append(play)
 
     def action(self, agent, atom, history, tie_log=None):
@@ -136,15 +142,17 @@ class MyopicExactProfile(Profile):
             tie_log.add()
         return int(act[cls])
 
-    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+    def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
+        """One read of the world table: the columns of the worlds
+        w = atoms @ radix, gathered at once, ties summed over the batch."""
         self._extend(horizon)
-        w = int(np.asarray(atoms, dtype=np.int64) @ self._radix)
+        w = np.asarray(atoms, dtype=np.int64).reshape(-1, g.n) @ self._radix
         if tie_log is not None:
-            tie_log.add(sum(int(t[w]) for t in self._ties[:horizon]))
-        out = np.empty((g.n, horizon), dtype=np.uint8)
-        for t in range(horizon):
-            out[:, t] = self._acts[t][:, w]
-        return out
+            tie_log.add(int(self._ties[:horizon, w].sum()))
+        return np.ascontiguousarray(self._acts[:horizon, :, w].T)
+
+    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+        return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
 
 
 def _decide_signs(vals, tie_acts, tie_log=None):

@@ -152,6 +152,16 @@ def test_lookahead_certainty_nondecreasing():
     assert all(0.0 <= y <= 0.5 + 1e-12 for y in ys)
 
 
+def test_lookahead_certainty_rejects_other_profiles():
+    """Only myopic play is a base: any other raises ValueError before a
+    world is enumerated, so an over-budget graph is no BudgetExceededError."""
+    g = graphs.dicycle(30)
+    m = signals.symmetric_binary(0.7)
+    with pytest.raises(ValueError, match="MyopicExactProfile"):
+        beliefs.lookahead_certainty(g, m, strategies.GossipProfile(),
+                                    HistoryView(0, 0, 0, ()))
+
+
 def test_history_view_validation():
     with pytest.raises(ValueError):
         HistoryView(0, 2, 0, ((1, 1),))

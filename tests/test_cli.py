@@ -61,6 +61,14 @@ def test_graph_distance():
     assert data["truncated"] is False
 
 
+def test_graph_distance_negative_radius_exits_2(capsys):
+    code, out = run_cli(["graph-distance", "dicycle(5)", "0", "dicycle(8)",
+                         "0", "--r-max", "-2"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_invariants_scope():
     code, out = run_cli(["verify-invariants", "--scope", "graph"])
     assert code == 0
@@ -197,6 +205,23 @@ def test_simulate_bad_config_exits_2(tmp_path):
     p.write_text("[graph]\nfamily = nonsense(3)\n")
     code, _ = run_cli(["simulate", "--config", str(p)])
     assert code == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("noheader.cfg", "horizon = 3\n"),
+    ("duplicate.cfg", "[sim]\nhorizon = 3\nhorizon = 4\n"),
+    ("scalar.json", '{"sim": 5}'),
+    ("list.json", "[1, 2]"),
+])
+def test_simulate_malformed_config_exits_2(tmp_path, capsys, name, text):
+    """A config that does not parse to sections of keys is a usage error:
+    one error line and exit 2, no traceback."""
+    p = tmp_path / name
+    p.write_text(text)
+    code, out = run_cli(["simulate", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_env_override(tmp_path, monkeypatch):

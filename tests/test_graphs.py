@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netlearn import graphs
+from netlearn import graphs, invariants
 
 
 def test_rejects_self_loops():
@@ -147,6 +147,24 @@ def test_rooted_distance_values():
     d, truncated = graphs.rooted_distance(graphs.dicycle(8), 0,
                                           graphs.dicycle(12), 0, 3)
     assert d == 2.0 ** -3 and truncated
+
+
+def test_rooted_distance_rejects_negative_radius():
+    with pytest.raises(ValueError, match="r_max"):
+        graphs.rooted_distance(graphs.dicycle(5), 0, graphs.dicycle(8), 0, -2)
+
+
+def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
+    """The invariant compares L with networkx shortest paths, so distances
+    that are all off by one fail it."""
+    assert all(ok for name, ok, _ in invariants.check_graph()
+               if name.startswith("l_connectivity_bound"))
+    real = graphs.all_pairs_distances
+    monkeypatch.setattr(graphs, "all_pairs_distances",
+                        lambda g: [[d + 1 for d in row] for row in real(g)])
+    bounds = [ok for name, ok, _ in invariants.check_graph()
+              if name.startswith("l_connectivity_bound")]
+    assert len(bounds) == 5 and not any(bounds)
 
 
 def test_rooted_distance_identity_and_symmetry():

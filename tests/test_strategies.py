@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from netlearn import beliefs, config, dynamics, graphs, signals, strategies
 from netlearn.beliefs import TieBreaker
@@ -63,13 +63,15 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
     (actions and tie counts), and every action is the best response to
     exact_posterior on its view.  The second check is inductive over rounds:
     exact_posterior replays the profile's earlier rounds, which are checked
-    in every world too."""
+    in every world too.  One trace_batch over all worlds equals the
+    per-world traces."""
     g = graphs.generate(graphs.parse_family_string(spec))
     assume(m.k ** g.n <= 729)
     tb = TieBreaker(mode)
     prof = strategies.MyopicExactProfile(g, m, tb)
     posts = {}
     worlds = list(itertools.product(range(m.k), repeat=g.n))
+    traces, ties = [], 0
     for atoms in worlds:
         fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
         fast = prof.trace_actions(g, m, np.array(atoms), np.zeros(g.n),
@@ -78,6 +80,8 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
             prof, g, m, atoms, np.zeros(g.n), horizon, slow_log)
         assert np.array_equal(fast, slow)
         assert fast_log.count == slow_log.count
+        traces.append(fast)
+        ties += fast_log.count
         rounds = [tuple(int(a) for a in fast[:, t]) for t in range(horizon)]
         oracle_log = beliefs.TieLog()
         for t in range(horizon):
@@ -88,6 +92,12 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
                 assert fast[i, t] == beliefs.best_response(posts[view], tb,
                                                            oracle_log)
         assert fast_log.count == oracle_log.count
+    batch_log = beliefs.TieLog()
+    batch = prof.trace_batch(g, m, np.array(worlds),
+                             np.zeros((len(worlds), g.n)), horizon, batch_log)
+    assert batch.dtype == np.uint8
+    assert np.array_equal(batch, np.array(traces))
+    assert batch_log.count == ties
 
     # flipping an agent's own action in the last observed round gives a
     # history no world produces: it plays 0 and logs no tie
@@ -105,6 +115,78 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
     with pytest.raises(beliefs.InconsistentHistoryError):
         beliefs.exact_posterior(
             g, m, prof, beliefs.HistoryView(agent, horizon, atoms[agent], off))
+
+
+LOOKAHEAD_GRAPHS = ("dicycle(3)", "dicycle(4)", "cycle(4)", "cycle(5)",
+                    "chain(3)", "chain(4)", "grid(2,2)", "grid(2,3)")
+
+
+def lookahead_oracle(g, m, prof, view, ell_max):
+    """lookahead_certainty by brute force: every world through the generic
+    per-agent loop, grouped in dicts by the rows the agent sees."""
+    nbrs = g.closed_nbrs(view.agent)
+    horizon = view.t + ell_max
+    groups = [{} for _ in range(ell_max + 1)]
+    norm = 0.0
+    for atoms in itertools.product(range(m.k), repeat=g.n):
+        if atoms[view.agent] != view.atom:
+            continue
+        acts = strategies.Profile.trace_actions(prof, g, m, atoms,
+                                                np.zeros(g.n), horizon)
+        rows = tuple(tuple(int(acts[j, t]) for j in nbrs)
+                     for t in range(horizon))
+        if rows[:view.t] != view.observed:
+            continue
+        w = [float(m.probs(s)[list(atoms)].prod()) for s in (0, 1)]
+        norm += w[0] + w[1]
+        for ell, group in enumerate(groups):
+            mass = group.setdefault(rows[:view.t + ell], [0.0, 0.0])
+            mass[0] += w[0]
+            mass[1] += w[1]
+    return [sum(abs(s1 - s0) for s0, s1 in group.values()) / (2.0 * norm)
+            for group in groups]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(LOOKAHEAD_GRAPHS), ENGINE_MODELS,
+       st.sampled_from(("zero", "one")), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 10 ** 6))
+@example("cycle(4)", THREE_ATOMS, "one", 0, 2, 120)
+def test_lookahead_certainty_matches_bruteforce(spec, m, mode, t, ell_max,
+                                                pick):
+    """The lookahead read from the myopic engine's replay equals a
+    brute-force grouping under the profile's own tie breaker.  The pinned
+    example has a tie that mode 'one' breaks to 1 for the viewing agent."""
+    g = graphs.generate(graphs.parse_family_string(spec))
+    assume(m.k ** g.n <= 729)
+    prof = strategies.MyopicExactProfile(g, m, TieBreaker(mode))
+    atoms = list(itertools.product(range(m.k), repeat=g.n))[
+        pick % m.k ** g.n]
+    acts = beliefs.simulate_actions(g, prof, atoms, t)
+    view = beliefs.view_from_actions(g, acts, atoms, pick % g.n, t)
+    got = beliefs.lookahead_certainty(g, m, prof, view, ell_max)
+    assert len(got) == ell_max + 1
+    assert got == pytest.approx(lookahead_oracle(g, m, prof, view, ell_max),
+                                abs=1e-12)
+
+
+def test_trace_batch_empty_batch_and_zero_horizon():
+    """An empty batch and a zero horizon give empty arrays and no ties, on
+    the engine's override and on the stacked base loop."""
+    g = graphs.dicycle(4)
+    m = signals.symmetric_binary(0.7)
+    myo = strategies.MyopicExactProfile(g, m, TieBreaker("one"))
+    overlay = strategies.ForcedOverlayProfile(
+        strategies.ForcedResponse(((0, 0, 1),)), myo)
+    atoms = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
+    for prof in (myo, overlay):
+        log = beliefs.TieLog()
+        empty = prof.trace_batch(g, m, np.zeros((0, g.n), dtype=int),
+                                 np.zeros((0, g.n)), 3, log)
+        assert empty.shape == (0, g.n, 3) and empty.dtype == np.uint8
+        flat = prof.trace_batch(g, m, atoms, np.zeros(atoms.shape), 0, log)
+        assert flat.shape == (2, g.n, 0) and flat.dtype == np.uint8
+        assert log.count == 0
 
 
 def test_exact_myopic_budget_counts_world_agent_cells():
