@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +37,6 @@ __all__ = [
     "tail_action_set",
     "discounted_utility",
     "locality_coupling_test",
-    "trace_rows",
     "write_trace_csv",
 ]
 
@@ -240,22 +240,39 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
     return report, traces
 
 
-def trace_rows(trace: Trace, roles=None):
-    """Flat (replicate, agent, role, t, action) rows for CSV export."""
-    n, T = trace.actions.shape
+def _csv_cells(n: int, horizon: int, roles):
+    """(2, n * horizon) object array: the text after ``replicate,`` of the
+    row of (agent, t), agent-major, when the agent plays 0 and when it plays
+    1.  Each agent's ``agent,role`` is rendered by ``csv.writer``, so the
+    role is quoted exactly as in a row written by it."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    heads = []
     for i in range(n):
-        role = roles.get(i, "") if roles else ""
-        for t in range(T):
-            yield (trace.replicate_index, i, role, t,
-                   int(trace.actions[i, t]))
+        buf.seek(0)
+        buf.truncate()
+        w.writerow([i, roles.get(i, "") if roles else ""])
+        heads.append(buf.getvalue()[:-2])  # drop the "\r\n" terminator
+    return np.array([[f"{h},{t},{a}" for h in heads for t in range(horizon)]
+                     for a in (0, 1)], dtype=object)
 
 
 def write_trace_csv(path, traces, roles=None):
+    """Write (replicate, agent, role, t, action) rows, agent-major within a
+    replicate, as ``csv.writer`` would: CRLF line ends, roles quoted where
+    needed.  Each replicate is one ``join`` over its flattened actions."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["replicate", "agent", "role", "t", "action"])
+        csv.writer(f).writerow(["replicate", "agent", "role", "t", "action"])
+        shape = cells = None
         for tr in traces:
-            w.writerows(trace_rows(tr, roles))
+            if tr.actions.shape != shape:
+                shape = tr.actions.shape
+                cells = _csv_cells(*shape, roles)
+                cols = np.arange(cells.shape[1])
+            head = f"{tr.replicate_index},"
+            text = f"\r\n{head}".join(
+                cells[tr.actions.ravel(), cols].tolist())
+            f.write(f"{head}{text}\r\n")
 
 
 def locality_coupling_test(g1, i1, g2, i2, r: int, profile1, profile2, m,

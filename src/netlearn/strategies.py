@@ -54,10 +54,7 @@ class MyopicExactProfile(Profile):
 
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero"),
                  budget: int = beliefs.DEFAULT_BUDGET):
-        if tie_breaker.mode == "jitter":
-            raise ValueError(
-                "jitter tie-breaking is not supported by the exact myopic "
-                "profile; use mode 'zero' or 'one'")
+        _reject_jitter(tie_breaker, "exact myopic")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
@@ -170,6 +167,15 @@ def _decide_signs(vals, tie_acts, tie_log=None):
     return acts
 
 
+def _reject_jitter(tie_breaker, name):
+    """Refuse the jitter tie rule for a profile whose ``action`` never sees
+    a jitter draw and so cannot honour it."""
+    if tie_breaker.mode == "jitter":
+        raise ValueError(
+            f"jitter tie-breaking is not supported by the {name} profile; "
+            "use mode 'zero' or 'one'")
+
+
 def _decide_sign(val, tie_breaker, tie_log=None):
     """Scalar ``_decide_signs``: the sign of one value, |value| <= TIE_TOL a
     tie resolved by the breaker and counted in ``tie_log``."""
@@ -251,6 +257,7 @@ class RoyalFamilyProfile(Profile):
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
         if g.family_tag != "royal_family":
             raise ValueError("RoyalFamilyProfile requires a royal_family graph")
+        _reject_jitter(tie_breaker, "royal-family")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
@@ -326,6 +333,18 @@ class MadKingProfile(Profile):
 
     Round-0 actions of any counting player reveal its atom exactly, which is
     what makes the decoded ratios exact posteriors rather than heuristics.
+
+    ``trace_batch`` plays the rules by role, with array operations over a
+    batch of draws, from the decoded round-0 ratios: the court's own + king
+    sum, the bureaucracy's own + regent sum, the king's own + regent + court
+    sum and the regent's Z_1.  It relies on two facts of play as this
+    profile generates it: the people play 0 in rounds 0 and 1, so the rage
+    rule never fires, and the regent repeats sign(Z_1) from round 1, so its
+    run never breaks.  From round 2 the bureaucrats and the king therefore
+    copy the regent's previous action, and the court and the people the
+    king's.  ``action`` and the generic per-agent loop stay as the oracle
+    and serve overlays such as a forced rebellion.  Only deterministic tie
+    modes are supported: ``action`` never sees a jitter draw.
     """
 
     def __init__(self, g, m, roles: MadKingRoles, delta: float, lam: float,
@@ -334,6 +353,7 @@ class MadKingProfile(Profile):
             raise ValueError("MadKingProfile requires a mad_king graph")
         if not (0.0 < lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
+        _reject_jitter(tie_breaker, "mad-king")
         self.g = g
         self.m = m
         self.roles = roles
@@ -343,7 +363,7 @@ class MadKingProfile(Profile):
         self._z = np.asarray(m.z_values)
         # (negative, positive) ratios; raises unless m is a two-atom sign
         # model
-        self._sign_z = tuple(float(self._z[a]) for a in m.sign_atoms())
+        self._sign_z = self._z[list(m.sign_atoms())]
         eps = math.exp(-delta * len(roles.bureaucracy))
         self.lock_threshold = math.log((1.0 - eps) / eps)
         self._role_of = {}
@@ -361,6 +381,18 @@ class MadKingProfile(Profile):
             i: {v: p for p, v in enumerate(g.closed_nbrs(i))}
             for i in range(g.n)
         }
+        # vertex groups of trace_batch, in the order action() reads them
+        def ix(*vs):
+            return np.array(vs, dtype=np.intp)
+        r = roles
+        self._counting = ix(r.king, r.regent, *r.court, *r.bureaucracy)
+        self._subjects = ix(*r.court, *r.bureaucracy)
+        self._lords = ix(*[r.king] * len(r.court),
+                         *[r.regent] * len(r.bureaucracy))
+        self._king_sees = ix(r.regent, *r.court)
+        self._regent_sees = ix(r.king, *r.bureaucracy)
+        self._watchers = ix(*r.bureaucracy, r.king)
+        self._followers = ix(*r.court, *r.people)
 
     # -- helpers ----------------------------------------------------------
     def _decode(self, agent, row_actions, verts):
@@ -442,6 +474,44 @@ class MadKingProfile(Profile):
             return _decide_sign(static, self.tie_breaker, tie_log)
         return self._imitate_or_revert(agent, history, r.regent, static,
                                        tie_log)
+
+    def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
+        """Every role's rows at once for the draws ``atoms`` (R, n), with
+        ties logged where ``action`` logs them: round 0 for the counting
+        players, round 1 for the court, the bureaucracy and the king, and
+        every round from 1 for the regent."""
+        r = self.roles
+        atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
+        out = np.zeros((len(atoms), g.n, horizon), dtype=np.uint8)
+        if horizon == 0:
+            return out
+        tie_act = self.tie_breaker.resolve()
+        z = self._z[atoms]
+        # round 0: the people stay silent, everyone else plays its own sign
+        out[:, self._counting, 0] = _decide_signs(
+            z[:, self._counting], tie_act, tie_log)
+        if horizon == 1:
+            return out
+        # round 1: own ratio plus the round-0 actions decoded, summed in
+        # the order _decode sums them so that ties fall as in action().  The
+        # people's zeros in rounds 0-1 mean the rage rule never fires here.
+        dec = self._sign_z[out[:, :, 0]]
+        out[:, self._subjects, 1] = _decide_signs(
+            z[:, self._subjects] + dec[:, self._lords], tie_act, tie_log)
+        king = z[:, r.king] + dec[:, self._king_sees].cumsum(axis=1)[:, -1]
+        out[:, r.king, 1] = _decide_signs(king, tie_act, tie_log)
+        # the regent decides sign(Z_1) afresh every round from 1, so its run
+        # never breaks and no regent-watcher falls back to counting play
+        z1 = z[:, r.regent] + dec[:, self._regent_sees].cumsum(axis=1)[:, -1]
+        out[:, r.regent, 1:] = _decide_signs(
+            np.repeat(z1[:, None], horizon - 1, axis=1), tie_act, tie_log)
+        # from round 2: copy the leader's previous action
+        out[:, self._watchers, 2:] = out[:, [r.regent], 1:-1]
+        out[:, self._followers, 2:] = out[:, [r.king], 1:-1]
+        return out
+
+    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+        return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
 
     def regent_z1(self, atoms) -> float:
         r = self.roles

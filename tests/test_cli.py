@@ -224,6 +224,22 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys, name, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family, profile", [
+    ("royal_family(2,3)", "royal_family"), ("mad_king(1,1,1)", "mad_king")])
+def test_simulate_scripted_profile_with_jitter_ties_exits_2(
+        tmp_path, capsys, family, profile):
+    """The royal and mad-king profiles have no jitter tie rule: asking for
+    one is a usage error, not a silent run under mode zero."""
+    p = tmp_path / "jitter.cfg"
+    p.write_text(f"[graph]\nfamily = {family}\n\n[signal]\n"
+                 "kind = royal_bounded\njitter_width = 0.5\n\n"
+                 f"[profile]\nname = {profile}\ntie = jitter\n")
+    code, out = run_cli(["simulate", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "jitter" in err
+
+
 def test_env_override(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     monkeypatch.setenv("NETLEARN_SIM_SEED", "77")
@@ -259,3 +275,23 @@ def test_bundled_recipes_parse():
         g = rc.build_graph()
         m = rc.build_signal_model()
         rc.build_profile(g, m)
+
+
+@pytest.mark.parametrize("name", ["cycle20_gossip.cfg", "royal_family.cfg",
+                                  "mad_king.cfg"])
+def test_bundled_recipes_run(tmp_path, name):
+    """Each recipe runs end to end through simulate, report and trace CSV;
+    the mad-king CSV holds one row per (replicate, agent, round)."""
+    out, csv_path = tmp_path / "report.json", tmp_path / "trace.csv"
+    code, _ = run_cli(["simulate", "--config",
+                       os.path.join(PKG_ROOT, "scripts", name),
+                       "--out", str(out), "--trace-csv", str(csv_path),
+                       "--format", "summary"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    with open(csv_path, "rb") as f:
+        rows = sum(1 for _ in f) - 1
+    assert rows == report["replicates"] * report["n_agents"] \
+        * report["config"]["horizon"]
+    if name == "mad_king.cfg":
+        assert rows == 100 * 504 * 12

@@ -183,3 +183,45 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "replicate,agent,role,t,action"
     assert len(lines) == 1 + 2 * g.n * 4
+
+
+def _reference_trace_csv(path, traces, roles=None):
+    """The row-by-row writer: one csv.writer row per (replicate, agent, t)."""
+    import csv
+
+    def rows(tr):
+        n, T = tr.actions.shape
+        for i in range(n):
+            role = roles.get(i, "") if roles else ""
+            for t in range(T):
+                yield (tr.replicate_index, i, role, t, int(tr.actions[i, t]))
+
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["replicate", "agent", "role", "t", "action"])
+        for tr in traces:
+            w.writerows(rows(tr))
+
+
+@pytest.mark.parametrize("roles", [None, {}, "mad_king", {0: 'a,"b"'},
+                                   {1: "line\nbreak", 2: "court"}])
+@pytest.mark.parametrize("horizon,replicates", [(1, 3), (5, 4), (5, 0)])
+def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
+                                          replicates):
+    """The column-wise writer produces the row writer's bytes: CRLF line
+    ends, roles quoted as csv.writer quotes them, no rows for no traces."""
+    from netlearn import cli
+    g = graphs.mad_king(2, 3, 2)
+    m = signals.mad_king_asym()
+    if roles == "mad_king":
+        roles = cli._role_map(g)
+    prof = strategies.make_profile("mad_king", g, m)
+    cfg = SimConfig(horizon=horizon, replicates=max(replicates, 1),
+                    master_seed=2, tail_window=1)
+    _, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
+    traces = traces[:replicates]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _reference_trace_csv(want, traces, roles)
+    dynamics.write_trace_csv(got, traces, roles)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == 1 + replicates * g.n * horizon

@@ -172,14 +172,18 @@ def test_lookahead_certainty_matches_bruteforce(spec, m, mode, t, ell_max,
 
 def test_trace_batch_empty_batch_and_zero_horizon():
     """An empty batch and a zero horizon give empty arrays and no ties, on
-    the engine's override and on the stacked base loop."""
+    the engine's and the mad king's overrides and on the stacked base
+    loop."""
     g = graphs.dicycle(4)
     m = signals.symmetric_binary(0.7)
     myo = strategies.MyopicExactProfile(g, m, TieBreaker("one"))
     overlay = strategies.ForcedOverlayProfile(
         strategies.ForcedResponse(((0, 0, 1),)), myo)
-    atoms = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
-    for prof in (myo, overlay):
+    gk = graphs.mad_king(1, 1, 2)
+    king = strategies.MadKingProfile(gk, m, strategies.mad_king_roles_of(gk),
+                                     0.5, 0.9, TieBreaker("one"))
+    for g, prof in ((g, myo), (g, overlay), (gk, king)):
+        atoms = np.zeros((2, g.n), dtype=int)
         log = beliefs.TieLog()
         empty = prof.trace_batch(g, m, np.zeros((0, g.n), dtype=int),
                                  np.zeros((0, g.n)), 3, log)
@@ -372,7 +376,7 @@ ROYAL_MODELS = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 8), ROYAL_MODELS,
-       st.sampled_from(("zero", "one", "jitter")), st.integers(1, 6),
+       st.sampled_from(("zero", "one")), st.integers(1, 6),
        st.integers(0, 2 ** 32 - 1))
 def test_royal_family_trace_matches_action_loop_in_every_tie_mode(
         R, n, m, mode, horizon, seed):
@@ -388,6 +392,20 @@ def test_royal_family_trace_matches_action_loop_in_every_tie_mode(
                                             horizon, slow_log)
     assert np.array_equal(fast, slow)
     assert fast_log.count == slow_log.count
+
+
+def test_scripted_profiles_reject_jitter_tiebreak():
+    """The royal and mad-king rules decide from the atoms alone, so a
+    jitter tie rule would silently run as mode zero; both refuse it."""
+    jitter = TieBreaker("jitter")
+    with pytest.raises(ValueError, match="jitter"):
+        strategies.RoyalFamilyProfile(graphs.royal_family(2, 3),
+                                      signals.royal_bounded(), jitter)
+    g = graphs.mad_king(1, 1, 1)
+    with pytest.raises(ValueError, match="jitter"):
+        strategies.MadKingProfile(g, signals.mad_king_asym(),
+                                  strategies.mad_king_roles_of(g), 0.5, 0.9,
+                                  jitter)
 
 
 def test_royal_family_unanimous_royals_herd_everyone():
@@ -491,6 +509,51 @@ def test_mad_king_rage_rule():
     calm = np.array(beliefs.simulate_actions(g, prof, atoms, 5),
                     dtype=np.uint8).T
     assert (calm[roles.king] == 0).all()
+
+
+MAD_KING_MODELS = (signals.symmetric_binary(0.6),
+                   signals.symmetric_binary(0.7), signals.royal_bounded(),
+                   signals.mad_king_asym())
+
+
+@example(sizes=(1, 1, 1), m=MAD_KING_MODELS[0], mode="zero", horizon=3,
+         rows=3, seed=0)
+@settings(max_examples=120, deadline=None)
+@given(sizes=st.tuples(*[st.integers(1, 4)] * 3),
+       m=st.sampled_from(MAD_KING_MODELS), mode=st.sampled_from(("zero",
+                                                                "one")),
+       horizon=st.integers(1, 6), rows=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def _check_mad_king_trace_batch(ties, sizes, m, mode, horizon, rows, seed):
+    g = graphs.mad_king(*sizes)
+    prof = strategies.MadKingProfile(g, m, strategies.mad_king_roles_of(g),
+                                     0.5, 0.9, TieBreaker(mode))
+    rng = np.random.default_rng(seed)
+    atoms = np.array([m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
+                      for _ in range(rows)])
+    batch_log, one_log, slow_log = (beliefs.TieLog() for _ in range(3))
+    batch = prof.trace_batch(g, m, atoms, np.zeros(atoms.shape), horizon,
+                             batch_log)
+    ones = np.stack([prof.trace_actions(g, m, a, np.zeros(g.n), horizon,
+                                        one_log) for a in atoms])
+    slow = np.stack([strategies.Profile.trace_actions(
+        prof, g, m, a, np.zeros(g.n), horizon, slow_log) for a in atoms])
+    assert batch.dtype == ones.dtype == slow.dtype == np.uint8
+    assert batch.shape == ones.shape == slow.shape == (rows, g.n, horizon)
+    assert np.array_equal(batch, slow) and np.array_equal(ones, slow)
+    assert batch_log.count == one_log.count == slow_log.count
+    ties.append(slow_log.count)
+
+
+def test_mad_king_trace_batch_matches_action_loop():
+    """The role-vectorized kernel equals the generic per-agent loop over
+    action() in actions, dtype, shape and tie count, on mad_king graphs
+    with every class size in 1..4, four sign models, tie modes zero and
+    one and horizons 1..6; R rows at once equal R one-row calls.  The
+    drawn cases must tie somewhere, or the tie path went unexercised."""
+    ties = []
+    _check_mad_king_trace_batch(ties)
+    assert sum(ties) > 0
 
 
 def test_mad_king_regime_inequality():
