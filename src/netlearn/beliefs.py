@@ -106,7 +106,11 @@ class TieLog:
 
 @dataclass(frozen=True)
 class TieBreaker:
-    """Resolution rule for posteriors at exactly 1/2."""
+    """The decision rule every profile plays by.  A margin -- a
+    log-likelihood ratio, or a posterior minus 1/2 -- above TIE_TOL plays 1,
+    below -TIE_TOL plays 0, and within TIE_TOL of 0 is a tie, counted and
+    broken by the mode: 0, 1, or under ``jitter`` 1 exactly when the
+    agent's jitter draw lies below half a positive jitter width."""
 
     mode: str = "zero"
 
@@ -114,27 +118,44 @@ class TieBreaker:
         if self.mode not in ("zero", "one", "jitter"):
             raise ValueError(f"unknown tie-breaker mode {self.mode!r}")
 
-    def resolve(self, jitter: float = 0.0, width: float = 0.0) -> int:
-        if self.mode == "zero":
-            return 0
-        if self.mode == "one":
-            return 1
-        return 1 if (width > 0 and jitter < width / 2.0) else 0
+    def reject_jitter(self, name: str):
+        """Refuse mode ``jitter`` for a profile whose decisions never see a
+        jitter draw and so cannot honour it."""
+        if self.mode == "jitter":
+            raise ValueError(
+                f"jitter tie-breaking is not supported by the {name} "
+                "profile; use mode 'zero' or 'one'")
+
+    def decide(self, margin, tie_log: Optional[TieLog] = None,
+               jitters=0.0, width: float = 0.0):
+        """(uint8 actions, tie mask), both shaped like ``margin``, a float
+        or an array; ``jitters`` broadcasts against it.  Ties are counted in
+        ``tie_log``."""
+        margin = np.asarray(margin)
+        acts = np.array(margin > TIE_TOL, dtype=np.uint8)
+        tied = np.abs(margin) <= TIE_TOL
+        n_tied = int(np.count_nonzero(tied))
+        if n_tied:
+            if self.mode == "jitter":
+                acts[tied] = np.broadcast_to(
+                    (width > 0) & (np.asarray(jitters) < width / 2.0),
+                    margin.shape)[tied]
+            else:
+                acts[tied] = self.mode == "one"
+            if tie_log is not None:
+                tie_log.add(n_tied)
+        return acts, tied
 
 
 def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
                   tie_log: Optional[TieLog] = None,
                   jitter: float = 0.0, width: float = 0.0) -> int:
-    """MAP action for a posterior; ties are resolved by the breaker and
-    counted when a log is supplied."""
+    """MAP action for a posterior, by the breaker's rule on the margin
+    p - 1/2.  That difference is exact for every double p in [1/4, 1]
+    (Sterbenz), so the rule thresholds p itself at 1/2 +- TIE_TOL; below
+    1/4 it plays 0 with no tie either way."""
     p = belief.posterior if isinstance(belief, BeliefState) else float(belief)
-    if p > 0.5 + TIE_TOL:
-        return 1
-    if p < 0.5 - TIE_TOL:
-        return 0
-    if tie_log is not None:
-        tie_log.add()
-    return tie_breaker.resolve(jitter, width)
+    return int(tie_breaker.decide(p - 0.5, tie_log, jitter, width)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,11 @@ EXIT_USAGE = 2
 def _load_graph(arg: str):
     """A family spec like ``dicycle(6)`` or a path to an edge-list file."""
     try:
-        return graphs.generate(graphs.parse_family_string(arg))
+        spec = graphs.parse_family_string(arg)
     except ValueError:
-        pass
-    with open(arg) as f:
-        return graphs.from_edge_list_text(f.read())
+        with open(arg) as f:
+            return graphs.from_edge_list_text(f.read())
+    return graphs.generate(spec)
 
 
 def cmd_check_topology(args) -> int:

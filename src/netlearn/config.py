@@ -68,8 +68,12 @@ class RunConfig:
     def build_signal_model(self):
         if self.signal_kind == "symmetric_binary":
             m = signals.symmetric_binary(self.signal_q)
-        else:
+        elif self.signal_kind in ("royal_bounded", "mad_king_asym"):
             m = signals.builtin_family(self.signal_kind)
+        else:
+            raise ValueError(f"unknown signal kind {self.signal_kind!r}; "
+                             "use symmetric_binary, royal_bounded or "
+                             "mad_king_asym")
         if self.jitter_width > 0:
             m = signals.SignalModel(m.atoms, jitter_width=self.jitter_width)
         return m
@@ -77,6 +81,10 @@ class RunConfig:
     def build_profile(self, g, m):
         from . import strategies
         from .beliefs import TieBreaker
+        if self.tie_mode == "jitter" and self.jitter_width <= 0:
+            raise ValueError("tie = jitter needs a positive [signal] "
+                             "jitter_width; without one every tie breaks "
+                             "to 0")
         kwargs = {"tie_breaker": TieBreaker(self.tie_mode)}
         if self.profile_name == "mad_king":
             kwargs.update(delta=self.delta, lam=self.lam)

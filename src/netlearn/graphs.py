@@ -370,16 +370,21 @@ def grid(a: int, b: int) -> DirectedGraph:
 
 
 def random_regular(n: int, d: int, seed: int) -> DirectedGraph:
-    """Random d-regular undirected graph, retried until connected."""
+    """Random d-regular undirected graph, drawn with seeds seed, seed + 1,
+    ... until one is connected (at most 100 draws)."""
     import networkx as nx
 
+    if not 0 <= d < n or n * d % 2:
+        raise ValueError(f"no {d}-regular graph on {n} vertices: "
+                         "0 <= d < n and an even n * d are required")
     for attempt in range(100):
         h = nx.random_regular_graph(d, n, seed=seed + attempt)
         if nx.is_connected(h):
             e = frozenset(_undirected(h.edges()))
             return DirectedGraph(
                 n, e, ("random_regular", (("n", n), ("d", d), ("seed", seed))))
-    raise RuntimeError("could not generate a connected regular graph")
+    raise ValueError(f"no connected {d}-regular graph on {n} vertices "
+                     "in 100 draws")
 
 
 def royal_family(R: int, n: int) -> DirectedGraph:

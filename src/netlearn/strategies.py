@@ -54,7 +54,7 @@ class MyopicExactProfile(Profile):
 
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero"),
                  budget: int = beliefs.DEFAULT_BUDGET):
-        _reject_jitter(tie_breaker, "exact myopic")
+        tie_breaker.reject_jitter("exact myopic")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
@@ -105,10 +105,7 @@ class MyopicExactProfile(Profile):
             for i, cls in enumerate(self._cls):
                 s0 = np.bincount(cls, weights=self._w0)
                 s1 = np.bincount(cls, weights=self._w1)
-                post = s1 / (s0 + s1)
-                act = (post > 0.5 + beliefs.TIE_TOL).astype(np.uint8)
-                tied = (act == 0) & (post >= 0.5 - beliefs.TIE_TOL)
-                act[tied] = self.tie_breaker.resolve()
+                act, tied = self.tie_breaker.decide(s1 / (s0 + s1) - 0.5)
                 acts[t, i] = act[cls]
                 ties[t] += tied[cls]
                 play.append((act, tied))
@@ -150,40 +147,6 @@ class MyopicExactProfile(Profile):
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
-
-
-def _decide_signs(vals, tie_acts, tie_log=None):
-    """Sign of each value, with |value| <= TIE_TOL a tie: a tie takes its
-    entry of ``tie_acts`` (a scalar or an array shaped like ``vals``) and is
-    counted in ``tie_log``."""
-    acts = (vals > beliefs.TIE_TOL).astype(np.uint8)
-    tie = np.abs(vals) <= beliefs.TIE_TOL
-    n_tie = int(np.count_nonzero(tie))
-    if n_tie:
-        acts[tie] = tie_acts[tie] if isinstance(tie_acts, np.ndarray) \
-            else tie_acts
-        if tie_log is not None:
-            tie_log.add(n_tie)
-    return acts
-
-
-def _reject_jitter(tie_breaker, name):
-    """Refuse the jitter tie rule for a profile whose ``action`` never sees
-    a jitter draw and so cannot honour it."""
-    if tie_breaker.mode == "jitter":
-        raise ValueError(
-            f"jitter tie-breaking is not supported by the {name} profile; "
-            "use mode 'zero' or 'one'")
-
-
-def _decide_sign(val, tie_breaker, tie_log=None):
-    """Scalar ``_decide_signs``: the sign of one value, |value| <= TIE_TOL a
-    tie resolved by the breaker and counted in ``tie_log``."""
-    if abs(val) <= beliefs.TIE_TOL:
-        if tie_log is not None:
-            tie_log.add()
-        return tie_breaker.resolve()
-    return 1 if val > 0 else 0
 
 
 class GossipProfile(Profile):
@@ -235,14 +198,9 @@ class GossipProfile(Profile):
         # column t sums the ratios within distance t of each agent
         sums = np.bincount(cell, weights=z[member],
                            minlength=g.n * horizon).reshape(g.n, horizon)
-        sums = sums.cumsum(axis=1)
-        if self.tie_breaker.mode == "jitter":
-            jw = m.jitter_width
-            tie_acts = (jw > 0) & (np.asarray(jitters) < jw / 2.0)
-            tie_acts = np.broadcast_to(tie_acts[:, None], sums.shape)
-        else:
-            tie_acts = self.tie_breaker.resolve()
-        return _decide_signs(sums, tie_acts, tie_log)
+        return self.tie_breaker.decide(sums.cumsum(axis=1), tie_log,
+                                       np.asarray(jitters)[:, None],
+                                       m.jitter_width)[0]
 
 
 class RoyalFamilyProfile(Profile):
@@ -257,7 +215,7 @@ class RoyalFamilyProfile(Profile):
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
         if g.family_tag != "royal_family":
             raise ValueError("RoyalFamilyProfile requires a royal_family graph")
-        _reject_jitter(tie_breaker, "royal-family")
+        tie_breaker.reject_jitter("royal-family")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
@@ -280,17 +238,15 @@ class RoyalFamilyProfile(Profile):
         else:
             self_pos = nbrs.index(agent)
             return history[-1][self_pos]
-        return _decide_sign(val, self.tie_breaker, tie_log)
+        return int(self.tie_breaker.decide(val, tie_log)[0])
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
-        tie_act = self.tie_breaker.resolve()
+        decide = self.tie_breaker.decide
         out = np.empty((g.n, horizon), dtype=np.uint8)
-        out[:, 0] = _decide_signs(self._z[np.asarray(atoms)], tie_act,
-                                  tie_log)
+        out[:, 0] = decide(self._z[np.asarray(atoms)], tie_log)[0]
         if horizon >= 2:
             decoded = self._sign_z[out[:, 0]]
-            out[:, 1:] = _decide_signs(self._nbr @ decoded,
-                                       tie_act, tie_log)[:, None]
+            out[:, 1:] = decide(self._nbr @ decoded, tie_log)[0][:, None]
         return out
 
 
@@ -353,7 +309,7 @@ class MadKingProfile(Profile):
             raise ValueError("MadKingProfile requires a mad_king graph")
         if not (0.0 < lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
-        _reject_jitter(tie_breaker, "mad-king")
+        tie_breaker.reject_jitter("mad-king")
         self.g = g
         self.m = m
         self.roles = roles
@@ -408,72 +364,44 @@ class MadKingProfile(Profile):
         (read from their round-0 actions)."""
         return self._z[atom] + self._decode(agent, history[0], include)
 
-    def _imitate_or_revert(self, agent, history, leader, static_val, tie_log):
-        """Copy the leader's previous action while its run from round 1 is
-        unbroken; after an observed deviation fall back to the static
-        counting response."""
-        t = len(history)
-        p = self._pos[agent][leader]
-        seq = [history[tau][p] for tau in range(1, t)]
-        if any(a != seq[0] for a in seq):
-            return _decide_sign(static_val, self.tie_breaker, tie_log)
-        return seq[-1]
-
     # -- main rule --------------------------------------------------------
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
         role = self._role_of[agent]
-        nbrs = self.g.closed_nbrs(agent)
+        at = self._pos[agent]
         r = self.roles
 
         if role == "person":
-            if t <= 1:
-                return 0
             # the king's t=1 -> t=2 transition is on-path behavior, so the
             # people imitate unconditionally rather than deviation-watching
-            return history[-1][self._pos[agent][r.king]]
+            return 0 if t <= 1 else history[-1][at[r.king]]
+        if role == "court" and t >= 2:
+            return history[-1][at[r.king]]
 
-        if role == "court":
-            if t == 0:
-                return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
-            if t == 1:
-                static = self._counting_z(agent, atom, history, [r.king])
-                return _decide_sign(static, self.tie_breaker, tie_log)
-            return history[-1][self._pos[agent][r.king]]
-
-        if role == "bureau":
-            if t == 0:
-                return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
-            static = self._counting_z(agent, atom, history, [r.regent])
-            if t == 1:
-                return _decide_sign(static, self.tie_breaker, tie_log)
-            return self._imitate_or_revert(agent, history, r.regent, static,
-                                           tie_log)
-
-        if role == "regent":
-            if t == 0:
-                return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
-            z1 = self._counting_z(agent, atom, history,
-                                  [r.king] + list(r.bureaucracy))
+        if t == 0:
+            val = self._z[atom]
+        elif role == "court":
+            val = self._counting_z(agent, atom, history, [r.king])
+        elif role == "regent":
             # locked or not, the continuation is sign(Z_1): nothing the
             # regent observes later is informative under this profile; the
             # lock threshold is exposed for analysis via is_locked
-            return _decide_sign(z1, self.tie_breaker, tie_log)
-
-        # king
-        if t == 0:
-            return _decide_sign(self._z[atom], self.tie_breaker, tie_log)
-        at = self._pos[agent]
-        people_pos = [at[v] for v in r.people]
-        if any(history[tau][p] == 1
-               for tau in range(min(t, 2)) for p in people_pos):
-            return 1  # the rage rule
-        static = self._counting_z(agent, atom, history,
-                                  [r.regent] + list(r.court))
-        if t == 1:
-            return _decide_sign(static, self.tie_breaker, tie_log)
-        return self._imitate_or_revert(agent, history, r.regent, static,
-                                       tie_log)
+            val = self._counting_z(agent, atom, history,
+                                   [r.king] + list(r.bureaucracy))
+        else:  # the king and the bureaucracy
+            if role == "king" and any(history[tau][at[v]] == 1
+                                      for tau in range(min(t, 2))
+                                      for v in r.people):
+                return 1  # the rage rule
+            include = [r.regent] + (list(r.court) if role == "king" else [])
+            val = self._counting_z(agent, atom, history, include)
+            # from round 2, copy the regent's previous action while its run
+            # from round 1 is unbroken; after an observed deviation fall
+            # back to the static counting response
+            seq = [history[tau][at[r.regent]] for tau in range(1, t)]
+            if seq and all(a == seq[0] for a in seq):
+                return seq[-1]
+        return int(self.tie_breaker.decide(val, tie_log)[0])
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """Every role's rows at once for the draws ``atoms`` (R, n), with
@@ -485,26 +413,25 @@ class MadKingProfile(Profile):
         out = np.zeros((len(atoms), g.n, horizon), dtype=np.uint8)
         if horizon == 0:
             return out
-        tie_act = self.tie_breaker.resolve()
+        decide = self.tie_breaker.decide
         z = self._z[atoms]
         # round 0: the people stay silent, everyone else plays its own sign
-        out[:, self._counting, 0] = _decide_signs(
-            z[:, self._counting], tie_act, tie_log)
+        out[:, self._counting, 0] = decide(z[:, self._counting], tie_log)[0]
         if horizon == 1:
             return out
         # round 1: own ratio plus the round-0 actions decoded, summed in
         # the order _decode sums them so that ties fall as in action().  The
         # people's zeros in rounds 0-1 mean the rage rule never fires here.
         dec = self._sign_z[out[:, :, 0]]
-        out[:, self._subjects, 1] = _decide_signs(
-            z[:, self._subjects] + dec[:, self._lords], tie_act, tie_log)
+        out[:, self._subjects, 1] = decide(
+            z[:, self._subjects] + dec[:, self._lords], tie_log)[0]
         king = z[:, r.king] + dec[:, self._king_sees].cumsum(axis=1)[:, -1]
-        out[:, r.king, 1] = _decide_signs(king, tie_act, tie_log)
+        out[:, r.king, 1] = decide(king, tie_log)[0]
         # the regent decides sign(Z_1) afresh every round from 1, so its run
         # never breaks and no regent-watcher falls back to counting play
         z1 = z[:, r.regent] + dec[:, self._regent_sees].cumsum(axis=1)[:, -1]
-        out[:, r.regent, 1:] = _decide_signs(
-            np.repeat(z1[:, None], horizon - 1, axis=1), tie_act, tie_log)
+        out[:, r.regent, 1:] = decide(
+            np.repeat(z1[:, None], horizon - 1, axis=1), tie_log)[0]
         # from round 2: copy the leader's previous action
         out[:, self._watchers, 2:] = out[:, [r.regent], 1:-1]
         out[:, self._followers, 2:] = out[:, [r.king], 1:-1]

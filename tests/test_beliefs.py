@@ -137,6 +137,113 @@ def test_best_response_and_ties():
         TieBreaker("coin")
 
 
+# The decision rules that TieBreaker.decide replaced, kept as references.
+
+def _old_resolve(mode, jitter=0.0, width=0.0):
+    if mode == "zero":
+        return 0
+    if mode == "one":
+        return 1
+    return 1 if (width > 0 and jitter < width / 2.0) else 0
+
+
+def _old_best_response(p, mode, tie_log, jitter=0.0, width=0.0):
+    if p > 0.5 + beliefs.TIE_TOL:
+        return 1
+    if p < 0.5 - beliefs.TIE_TOL:
+        return 0
+    tie_log.add()
+    return _old_resolve(mode, jitter, width)
+
+
+def _old_engine_thresholds(post, tie_acts):
+    """The myopic engine's posterior thresholds -> (actions, tie mask)."""
+    act = (post > 0.5 + beliefs.TIE_TOL).astype(np.uint8)
+    tied = (act == 0) & (post >= 0.5 - beliefs.TIE_TOL)
+    act[tied] = tie_acts[tied]
+    return act, tied
+
+
+def _old_decide_signs(vals, tie_acts, tie_log=None):
+    acts = (vals > beliefs.TIE_TOL).astype(np.uint8)
+    tie = np.abs(vals) <= beliefs.TIE_TOL
+    n_tie = int(np.count_nonzero(tie))
+    if n_tie:
+        acts[tie] = tie_acts[tie] if isinstance(tie_acts, np.ndarray) \
+            else tie_acts
+        if tie_log is not None:
+            tie_log.add(n_tie)
+    return acts
+
+
+def _old_decide_sign(val, mode, tie_log=None):
+    if abs(val) <= beliefs.TIE_TOL:
+        if tie_log is not None:
+            tie_log.add()
+        return _old_resolve(mode)
+    return 1 if val > 0 else 0
+
+
+def _ulps_around(x, k):
+    """Every double within k ulps of the positive double x."""
+    bits = np.array(x, dtype=np.float64).view(np.int64)
+    return np.arange(bits - k, bits + k + 1).view(np.float64)
+
+
+@pytest.mark.parametrize("mode", ["zero", "one", "jitter"])
+@pytest.mark.parametrize("width", [0.0, 0.5])
+def test_decide_matches_the_rules_it_replaced(mode, width):
+    """decide on p - 1/2 equals the posterior thresholds at 1/2 +- TIE_TOL,
+    and decide on a log-ratio equals the old sign rules, in actions, tie
+    masks and tie counts: on every double within 40 000 ulps of 1/2 and of
+    +-TIE_TOL, the posteriors 0, 1/4 and 1 and random draws, with jitters
+    on both sides of width / 2."""
+    rng = np.random.default_rng(8)
+    tol = _ulps_around(beliefs.TIE_TOL, 40_000)
+    posts = np.concatenate([_ulps_around(0.5, 40_000), [0.0, 0.25, 1.0],
+                            rng.uniform(0.0, 1.0, 50_000),
+                            0.5 + rng.uniform(-3e-12, 3e-12, 50_000)])
+    ratios = np.concatenate([tol, -tol, [0.0, -0.0],
+                             rng.normal(0.0, 2.0, 50_000),
+                             rng.uniform(-3e-12, 3e-12, 50_000)])
+    half = np.concatenate([_ulps_around(0.25, 50), [0.0, 0.5]])
+    tb = TieBreaker(mode)
+    for margins, grid in ((posts - 0.5, posts), (ratios, ratios)):
+        jit = np.resize(np.concatenate([half, rng.uniform(0.0, 0.5, 97)]),
+                        grid.shape)
+        tie_acts = (width > 0) & (jit < width / 2.0) if mode == "jitter" \
+            else np.full(grid.shape, mode == "one")
+        log, ref_log = beliefs.TieLog(), beliefs.TieLog()
+        acts, tied = tb.decide(margins, log, jit, width)
+        assert acts.dtype == np.uint8 and acts.shape == tied.shape == \
+            grid.shape
+        if grid is posts:
+            want, want_tied = _old_engine_thresholds(posts, tie_acts)
+            ref_log.add(int(want_tied.sum()))
+        else:
+            want = _old_decide_signs(ratios, tie_acts, ref_log)
+            want_tied = np.abs(ratios) <= beliefs.TIE_TOL
+        assert np.array_equal(acts, want)
+        assert np.array_equal(tied, want_tied)
+        assert log.count == ref_log.count > 1000
+        if mode == "jitter" and width:
+            assert 0 < acts[tied].sum() < tied.sum()
+
+        # the scalar rules, on every 50th value and the specials
+        pick = np.concatenate([np.arange(0, len(grid), 50), [-1, -2, -3]])
+        log, ref_log = beliefs.TieLog(), beliefs.TieLog()
+        for k in pick:
+            if grid is posts:
+                got = beliefs.best_response(posts[k], tb, log, jit[k], width)
+                ref = _old_best_response(posts[k], mode, ref_log, jit[k],
+                                         width)
+            else:
+                got = int(tb.decide(ratios[k], log)[0])
+                ref = _old_decide_sign(ratios[k], mode, ref_log)
+            assert type(got) is int and got == ref, grid[k]
+        assert log.count == ref_log.count > 0
+
+
 def test_lookahead_certainty_nondecreasing():
     g = graphs.dicycle(3)
     m = signals.symmetric_binary(0.7)

@@ -47,9 +47,18 @@ def test_check_topology_disconnected_exits_2(tmp_path, capsys):
     assert json.loads(out)["strongly_connected"] is False
 
 
-def test_check_topology_bad_input_exits_2(tmp_path):
-    code, _ = run_cli(["check-topology", str(tmp_path / "missing.txt")])
-    assert code == 2
+INFEASIBLE_GRAPHS = ("random_regular(5,3)", "random_regular(3,5)",
+                     "random_regular(4,1)")
+
+
+def test_check_topology_bad_input_exits_2(tmp_path, capsys):
+    """A missing file, or a family with no (connected) graph, is a usage
+    error: one error line and exit 2, no traceback."""
+    for arg in (str(tmp_path / "missing.txt"),) + INFEASIBLE_GRAPHS:
+        code, out = run_cli(["check-topology", arg])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "", arg
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_graph_distance():
@@ -67,6 +76,14 @@ def test_graph_distance_negative_radius_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_graph_distance_infeasible_graph_exits_2(capsys):
+    for arg in INFEASIBLE_GRAPHS:
+        code, out = run_cli(["graph-distance", arg, "0", "dicycle(3)", "0"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "", arg
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_invariants_scope():
@@ -202,9 +219,10 @@ def test_simulate_workers_match_serial(tmp_path):
 
 def test_simulate_bad_config_exits_2(tmp_path):
     p = tmp_path / "bad.cfg"
-    p.write_text("[graph]\nfamily = nonsense(3)\n")
-    code, _ = run_cli(["simulate", "--config", str(p)])
-    assert code == 2
+    for family in ("nonsense(3)",) + INFEASIBLE_GRAPHS:
+        p.write_text(f"[graph]\nfamily = {family}\n")
+        code, _ = run_cli(["simulate", "--config", str(p)])
+        assert code == 2, family
 
 
 @pytest.mark.parametrize("name, text", [
@@ -212,10 +230,15 @@ def test_simulate_bad_config_exits_2(tmp_path):
     ("duplicate.cfg", "[sim]\nhorizon = 3\nhorizon = 4\n"),
     ("scalar.json", '{"sim": 5}'),
     ("list.json", "[1, 2]"),
+    ("two_atom.cfg", "[graph]\nfamily = dicycle(4)\n\n[signal]\n"
+                     "kind = two_atom\n"),
+    ("jitter_no_width.cfg", "[graph]\nfamily = dicycle(4)\n\n[profile]\n"
+                            "name = gossip\ntie = jitter\n"),
 ])
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, name, text):
-    """A config that does not parse to sections of keys is a usage error:
-    one error line and exit 2, no traceback."""
+    """A config that does not parse to sections of keys, names a signal
+    kind the config cannot build, or asks for jitter ties without a jitter
+    width is a usage error: one error line and exit 2, no traceback."""
     p = tmp_path / name
     p.write_text(text)
     code, out = run_cli(["simulate", "--config", str(p)])
