@@ -9,7 +9,7 @@ from .graphs import (  # noqa: F401
     out_degree_bound, parse_family_string, rooted_distance,
 )
 from .signals import (  # noqa: F401
-    Atom, SignalModel, builtin_family, mad_king_asym, p_star, royal_bounded,
+    Atom, SignalModel, mad_king_asym, p_star, royal_bounded,
     symmetric_binary, total_variation, two_atom_from_logits,
 )
 from .beliefs import (  # noqa: F401
@@ -19,7 +19,7 @@ from .beliefs import (  # noqa: F401
 from .strategies import (  # noqa: F401
     ForcedOverlayProfile, ForcedResponse, GossipProfile, MadKingProfile,
     MadKingRoles, MyopicExactProfile, Profile, RoyalFamilyProfile,
-    make_profile, myopic_condition_check,
+    myopic_condition_check,
 )
 from .dynamics import (  # noqa: F401
     EnsembleReport, SimConfig, Trace, discounted_utility,

@@ -110,7 +110,9 @@ class TieBreaker:
     log-likelihood ratio, or a posterior minus 1/2 -- above TIE_TOL plays 1,
     below -TIE_TOL plays 0, and within TIE_TOL of 0 is a tie, counted and
     broken by the mode: 0, 1, or under ``jitter`` 1 exactly when the
-    agent's jitter draw lies below half a positive jitter width."""
+    agent's jitter, a U[0, 1) draw that carries no information, lies below
+    1/2.  The breaker is the only code that knows what a jitter is, how it
+    is drawn (``draw_jitters``) and how it breaks a tie."""
 
     mode: str = "zero"
 
@@ -126,8 +128,12 @@ class TieBreaker:
                 f"jitter tie-breaking is not supported by the {name} "
                 "profile; use mode 'zero' or 'one'")
 
-    def decide(self, margin, tie_log: Optional[TieLog] = None,
-               jitters=0.0, width: float = 0.0):
+    def draw_jitters(self, rng, n: int):
+        """One jitter per agent: n U[0, 1) draws from ``rng`` under mode
+        ``jitter``; otherwise zeros, and ``rng`` is not touched."""
+        return rng.random(n) if self.mode == "jitter" else np.zeros(n)
+
+    def decide(self, margin, tie_log: Optional[TieLog] = None, jitters=0.0):
         """(uint8 actions, tie mask), both shaped like ``margin``, a float
         or an array; ``jitters`` broadcasts against it.  Ties are counted in
         ``tie_log``."""
@@ -137,9 +143,8 @@ class TieBreaker:
         n_tied = int(np.count_nonzero(tied))
         if n_tied:
             if self.mode == "jitter":
-                acts[tied] = np.broadcast_to(
-                    (width > 0) & (np.asarray(jitters) < width / 2.0),
-                    margin.shape)[tied]
+                acts[tied] = np.broadcast_to(np.asarray(jitters) < 0.5,
+                                             margin.shape)[tied]
             else:
                 acts[tied] = self.mode == "one"
             if tie_log is not None:
@@ -149,13 +154,13 @@ class TieBreaker:
 
 def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
                   tie_log: Optional[TieLog] = None,
-                  jitter: float = 0.0, width: float = 0.0) -> int:
+                  jitter: float = 0.0) -> int:
     """MAP action for a posterior, by the breaker's rule on the margin
     p - 1/2.  That difference is exact for every double p in [1/4, 1]
     (Sterbenz), so the rule thresholds p itself at 1/2 +- TIE_TOL; below
     1/4 it plays 0 with no tie either way."""
     p = belief.posterior if isinstance(belief, BeliefState) else float(belief)
-    return int(tie_breaker.decide(p - 0.5, tie_log, jitter, width)[0])
+    return int(tie_breaker.decide(p - 0.5, tie_log, jitter)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,11 @@ class Profile:
     """Base class of the pure strategy profiles.  Subclasses implement
     ``action``; ``trace_actions`` is the generic per-agent loop, which fast
     profiles override.  ``trace_batch`` replays R draws at once by stacking
-    ``trace_actions`` calls; ``MyopicExactProfile`` overrides it."""
+    ``trace_actions`` calls; ``MyopicExactProfile`` overrides it.
+    ``tie_breaker`` is the rule a profile decides by; a trace draws its
+    jitters from it."""
+
+    tie_breaker = TieBreaker("zero")
 
     def action(self, agent: int, atom: int, history, tie_log=None) -> int:
         raise NotImplementedError

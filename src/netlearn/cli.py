@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, beliefs, dynamics, graphs
@@ -29,13 +30,13 @@ EXIT_USAGE = 2
 
 
 def _load_graph(arg: str):
-    """A family spec like ``dicycle(6)`` or a path to an edge-list file."""
-    try:
-        spec = graphs.parse_family_string(arg)
-    except ValueError:
-        with open(arg) as f:
-            return graphs.from_edge_list_text(f.read())
-    return graphs.generate(spec)
+    """A family spec like ``dicycle(6)`` or a path to an edge-list file.  An
+    argument that ends in ``)`` and names no file is a spec, so a bad one
+    fails with what is wrong with it rather than as a missing file."""
+    if arg.endswith(")") and not os.path.exists(arg):
+        return graphs.generate(graphs.parse_family_string(arg))
+    with open(arg) as f:
+        return graphs.from_edge_list_text(f.read())
 
 
 def cmd_check_topology(args) -> int:

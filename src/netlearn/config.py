@@ -4,9 +4,10 @@ Sections/keys:
   [graph]   family = dicycle(20) | edge list file via ``file = path``
   [signal]  kind = symmetric_binary | royal_bounded | mad_king_asym
             q = 0.7               (symmetric_binary only)
-            jitter_width = 0.0
   [profile] name = myopic | gossip | royal_family | mad_king
             tie = zero | one | jitter
+                                  (jitter, gossip only: a tie plays 1 when
+                                   the agent's U[0, 1) jitter is below 1/2)
             delta = 1.0           (mad_king)
             lam = 0.99            (mad_king)
   [sim]     horizon, replicates, discount, tail_window, seed
@@ -30,7 +31,7 @@ ENV_PREFIX = "NETLEARN"
 
 _DEFAULTS = {
     "graph": {"family": "", "file": ""},
-    "signal": {"kind": "symmetric_binary", "q": "0.7", "jitter_width": "0.0"},
+    "signal": {"kind": "symmetric_binary", "q": "0.7"},
     "profile": {"name": "myopic", "tie": "zero", "delta": "1.0",
                 "lam": "0.99"},
     "sim": {"horizon": "30", "replicates": "100", "discount": "0.9",
@@ -47,7 +48,6 @@ class RunConfig:
     graph_file: str
     signal_kind: str
     signal_q: float
-    jitter_width: float
     profile_name: str
     tie_mode: str
     delta: float
@@ -67,28 +67,29 @@ class RunConfig:
 
     def build_signal_model(self):
         if self.signal_kind == "symmetric_binary":
-            m = signals.symmetric_binary(self.signal_q)
-        elif self.signal_kind in ("royal_bounded", "mad_king_asym"):
-            m = signals.builtin_family(self.signal_kind)
-        else:
-            raise ValueError(f"unknown signal kind {self.signal_kind!r}; "
-                             "use symmetric_binary, royal_bounded or "
-                             "mad_king_asym")
-        if self.jitter_width > 0:
-            m = signals.SignalModel(m.atoms, jitter_width=self.jitter_width)
-        return m
+            return signals.symmetric_binary(self.signal_q)
+        if self.signal_kind == "royal_bounded":
+            return signals.royal_bounded()
+        if self.signal_kind == "mad_king_asym":
+            return signals.mad_king_asym()
+        raise ValueError(f"unknown signal kind {self.signal_kind!r}; use "
+                         "symmetric_binary, royal_bounded or mad_king_asym")
 
     def build_profile(self, g, m):
         from . import strategies
-        from .beliefs import TieBreaker
-        if self.tie_mode == "jitter" and self.jitter_width <= 0:
-            raise ValueError("tie = jitter needs a positive [signal] "
-                             "jitter_width; without one every tie breaks "
-                             "to 0")
-        kwargs = {"tie_breaker": TieBreaker(self.tie_mode)}
+        tb = strategies.TieBreaker(self.tie_mode)
+        if self.profile_name == "myopic":
+            return strategies.MyopicExactProfile(g, m, tb)
+        if self.profile_name == "gossip":
+            return strategies.GossipProfile(tb)
+        if self.profile_name == "royal_family":
+            return strategies.RoyalFamilyProfile(g, m, tb)
         if self.profile_name == "mad_king":
-            kwargs.update(delta=self.delta, lam=self.lam)
-        return strategies.make_profile(self.profile_name, g, m, **kwargs)
+            return strategies.MadKingProfile(
+                g, m, strategies.mad_king_roles_of(g), self.delta, self.lam,
+                tb)
+        raise ValueError(f"unknown profile {self.profile_name!r}; use "
+                         "myopic, gossip, royal_family or mad_king")
 
 
 def _merged(sections: dict) -> dict:
@@ -154,7 +155,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
         graph_file=data["graph"]["file"],
         signal_kind=data["signal"]["kind"],
         signal_q=float(data["signal"]["q"]),
-        jitter_width=float(data["signal"]["jitter_width"]),
         profile_name=data["profile"]["name"],
         tie_mode=data["profile"]["tie"],
         delta=float(data["profile"]["delta"]),

@@ -83,8 +83,7 @@ def run_trace(g, m, profile, config: SimConfig, replicate_index: int,
     rng = replicate_rng(config.master_seed, replicate_index)
     state = int(rng.integers(0, 2))
     atoms = m.sample_atoms(rng, g.n, state)
-    jitters = rng.uniform(0.0, m.jitter_width, size=g.n) \
-        if m.jitter_width > 0 else np.zeros(g.n)
+    jitters = profile.tie_breaker.draw_jitters(rng, g.n)
     if inject is not None:
         state, atoms = inject(rng, state, atoms)
         atoms = np.asarray(atoms)
@@ -216,9 +215,15 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
     The replicates are split into at most ``workers`` contiguous chunks; a
     single chunk runs in this process, several run in a pool of one spawned
     process per chunk.  The chunks' tallies and traces are merged in chunk
-    order, so the result does not depend on ``workers``."""
+    order, so the result does not depend on ``workers``.
+
+    A zero-row ``trace_batch`` solves the profile to the horizon here first:
+    pool workers get the solved profile (the myopic world table) instead of
+    each rebuilding it, and an over-budget run fails before any pool starts."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    profile.trace_batch(g, m, np.zeros((0, g.n), dtype=np.intp),
+                        np.zeros((0, g.n)), config.horizon)
     R = config.replicates
     k = min(workers, R)
     chunks = [range(i * R // k, (i + 1) * R // k) for i in range(k)]

@@ -487,8 +487,16 @@ def parse_family_string(text: str) -> GraphFamilySpec:
     args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
     names = _FAMILIES[tag][1]
     if len(args) > len(names):
-        raise ValueError(f"too many parameters for {tag}")
-    return GraphFamilySpec.make(tag, **{n: int(a) for n, a in zip(names, args)})
+        raise ValueError(f"too many parameters for {tag}"
+                         f"({', '.join(names)}): got {len(args)}")
+    params = {}
+    for name, a in zip(names, args):
+        try:
+            params[name] = int(a)
+        except ValueError:
+            raise ValueError(f"{tag} parameter {name} must be an integer, "
+                             f"got {a!r}") from None
+    return GraphFamilySpec.make(tag, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Private-signal models: finite log-likelihood-ratio atoms with an
-information-free jitter used only to break exact posterior ties."""
+"""Private-signal models: finite log-likelihood-ratio atoms.  A model
+carries only its atoms; the information-free jitter that may break exact
+ties belongs to ``beliefs.TieBreaker``."""
 from __future__ import annotations
 
 import math
@@ -17,7 +18,6 @@ __all__ = [
     "two_atom_from_logits",
     "royal_bounded",
     "mad_king_asym",
-    "builtin_family",
     "total_variation",
     "p_star",
     "logistic",
@@ -49,13 +49,10 @@ class SignalModel:
     """
 
     atoms: Tuple[Atom, ...]
-    jitter_width: float = 0.0
 
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("need at least one atom")
-        if self.jitter_width < 0:
-            raise ValueError("jitter width must be nonnegative")
         s0 = sum(a.p0 for a in self.atoms)
         s1 = sum(a.p1 for a in self.atoms)
         if abs(s0 - 1.0) > ATOL or abs(s1 - 1.0) > ATOL:
@@ -148,18 +145,6 @@ def royal_bounded(z_plus: float = 1.5, z_minus: float = -1.5) -> SignalModel:
 def mad_king_asym() -> SignalModel:
     """Atoms exactly at z = 1 and z = -sqrt(7)."""
     return two_atom_from_logits(1.0, -math.sqrt(7.0))
-
-
-def builtin_family(name: str, **params) -> SignalModel:
-    builders = {
-        "symmetric_binary": symmetric_binary,
-        "royal_bounded": royal_bounded,
-        "mad_king_asym": mad_king_asym,
-        "two_atom": two_atom_from_logits,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown signal family {name!r}")
-    return builders[name](**params)
 
 
 def model_from_triples(triples) -> SignalModel:

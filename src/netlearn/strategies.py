@@ -27,7 +27,6 @@ __all__ = [
     "MadKingRoles",
     "MadKingProfile",
     "myopic_condition_check",
-    "make_profile",
     "mad_king_roles_of",
 ]
 
@@ -65,6 +64,11 @@ class MyopicExactProfile(Profile):
         self._play = []      # per round, per agent: (action, tied) by class
         self._split = []     # per round, per agent: sorted (class, row) keys
 
+    def __getstate__(self):
+        """A copy (a pool worker's) keeps the solved rounds, not the class
+        ids and world masses: asked for more rounds, it re-solves."""
+        return {**self.__dict__, "_cls": None, "_w0": None, "_w1": None}
+
     def _start(self):
         n = self.g.n
         # a world's initial class for agent i is agent i's own atom
@@ -73,6 +77,7 @@ class MyopicExactProfile(Profile):
         self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
         self._acts = np.empty((0,) + self._cls.shape, dtype=np.uint8)
         self._ties = np.empty((0, self._cls.shape[1]), dtype=np.int32)
+        self._play, self._split = [], []
 
     def _refine(self, acts):
         """Split every class by the closed-neighbourhood row of the newest
@@ -88,8 +93,10 @@ class MyopicExactProfile(Profile):
         self._split.append(keys)
 
     def _extend(self, rounds: int):
-        """Solve rounds up to ``rounds``, growing the world table once."""
-        if self._cls is None:
+        """Solve rounds up to ``rounds``, growing the world table once; a
+        copy asked for more rounds than it holds starts from round 0."""
+        if self._cls is None and (self._acts is None
+                                  or rounds > len(self._play)):
             self._start()
         done = len(self._play)
         if rounds <= done:
@@ -199,8 +206,7 @@ class GossipProfile(Profile):
         sums = np.bincount(cell, weights=z[member],
                            minlength=g.n * horizon).reshape(g.n, horizon)
         return self.tie_breaker.decide(sums.cumsum(axis=1), tie_log,
-                                       np.asarray(jitters)[:, None],
-                                       m.jitter_width)[0]
+                                       np.asarray(jitters)[:, None])[0]
 
 
 class RoyalFamilyProfile(Profile):
@@ -221,10 +227,11 @@ class RoyalFamilyProfile(Profile):
         self.tie_breaker = tie_breaker
         self._z = np.asarray(m.z_values)
         self._sign_z = self._z[list(m.sign_atoms())]  # (negative, positive)
-        # row i marks the closed neighbourhood that agent i observes
-        self._nbr = np.zeros((g.n, g.n))
-        for i in range(g.n):
-            self._nbr[i, list(g.closed_nbrs(i))] = 1.0
+        # the closed neighbourhoods as (owner, member) pairs: agent i
+        # observes each member paired with it
+        nbrs = [g.closed_nbrs(i) for i in range(g.n)]
+        self._owner = np.repeat(np.arange(g.n), [len(nb) for nb in nbrs])
+        self._member = np.concatenate(nbrs)
 
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
@@ -245,8 +252,9 @@ class RoyalFamilyProfile(Profile):
         out = np.empty((g.n, horizon), dtype=np.uint8)
         out[:, 0] = decide(self._z[np.asarray(atoms)], tie_log)[0]
         if horizon >= 2:
-            decoded = self._sign_z[out[:, 0]]
-            out[:, 1:] = decide(self._nbr @ decoded, tie_log)[0][:, None]
+            decoded = self._sign_z[out[self._member, 0]]
+            sums = np.bincount(self._owner, weights=decoded, minlength=g.n)
+            out[:, 1:] = decide(sums, tie_log)[0][:, None]
         return out
 
 
@@ -477,23 +485,6 @@ def myopic_condition_check(y_values, lam: float):
         assert (not out["B1"] or out["B2"]) and (not out["B2"] or out["B3"]) \
             and (not out["B3"] or out["B4"])
     return out
-
-
-def make_profile(name: str, g, m, **kwargs) -> Profile:
-    """Factory used by the CLI.  Known names: myopic, gossip, royal_family,
-    mad_king."""
-    if name == "myopic":
-        return MyopicExactProfile(g, m, **kwargs)
-    if name == "gossip":
-        return GossipProfile(**kwargs)
-    if name == "royal_family":
-        return RoyalFamilyProfile(g, m, **kwargs)
-    if name == "mad_king":
-        roles = mad_king_roles_of(g)
-        delta = kwargs.pop("delta", 1.0)
-        lam = kwargs.pop("lam", 0.99)
-        return MadKingProfile(g, m, roles, delta, lam, **kwargs)
-    raise ValueError(f"unknown profile {name!r}")
 
 
 def mad_king_roles_of(g) -> MadKingRoles:

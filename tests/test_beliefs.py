@@ -131,13 +131,15 @@ def test_best_response_and_ties():
     assert beliefs.best_response(0.5, TieBreaker("one"), log) == 1
     assert log.count == 2
     jit = TieBreaker("jitter")
-    assert beliefs.best_response(0.5, jit, jitter=0.1, width=0.5) == 1
-    assert beliefs.best_response(0.5, jit, jitter=0.4, width=0.5) == 0
+    assert beliefs.best_response(0.5, jit, jitter=0.3) == 1
+    assert beliefs.best_response(0.5, jit, jitter=0.5) == 0
+    assert beliefs.best_response(0.7, jit, jitter=0.9) == 1
     with pytest.raises(ValueError):
         TieBreaker("coin")
 
 
 # The decision rules that TieBreaker.decide replaced, kept as references.
+# They drew a jitter uniformly on [0, width) and compared it with width / 2.
 
 def _old_resolve(mode, jitter=0.0, width=0.0):
     if mode == "zero":
@@ -176,11 +178,11 @@ def _old_decide_signs(vals, tie_acts, tie_log=None):
     return acts
 
 
-def _old_decide_sign(val, mode, tie_log=None):
+def _old_decide_sign(val, mode, tie_log=None, jitter=0.0, width=0.0):
     if abs(val) <= beliefs.TIE_TOL:
         if tie_log is not None:
             tie_log.add()
-        return _old_resolve(mode)
+        return _old_resolve(mode, jitter, width)
     return 1 if val > 0 else 0
 
 
@@ -190,14 +192,18 @@ def _ulps_around(x, k):
     return np.arange(bits - k, bits + k + 1).view(np.float64)
 
 
-@pytest.mark.parametrize("mode", ["zero", "one", "jitter"])
-@pytest.mark.parametrize("width", [0.0, 0.5])
+# width 0.0, the old default, matters only to the deterministic modes; the
+# old jitter rule needed a positive width
+@pytest.mark.parametrize("width, mode", [
+    (0.0, "zero"), (0.0, "one"), (0.5, "zero"), (0.5, "one"),
+    (0.5, "jitter"), (7.77, "jitter")])
 def test_decide_matches_the_rules_it_replaced(mode, width):
     """decide on p - 1/2 equals the posterior thresholds at 1/2 +- TIE_TOL,
     and decide on a log-ratio equals the old sign rules, in actions, tie
     masks and tie counts: on every double within 40 000 ulps of 1/2 and of
-    +-TIE_TOL, the posteriors 0, 1/4 and 1 and random draws, with jitters
-    on both sides of width / 2."""
+    +-TIE_TOL, the posteriors 0, 1/4 and 1 and random draws.  The jitters U
+    lie on both sides of 1/2, and the old rules see them scaled by the
+    width, as their draw made them: width * U."""
     rng = np.random.default_rng(8)
     tol = _ulps_around(beliefs.TIE_TOL, 40_000)
     posts = np.concatenate([_ulps_around(0.5, 40_000), [0.0, 0.25, 1.0],
@@ -206,15 +212,15 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
     ratios = np.concatenate([tol, -tol, [0.0, -0.0],
                              rng.normal(0.0, 2.0, 50_000),
                              rng.uniform(-3e-12, 3e-12, 50_000)])
-    half = np.concatenate([_ulps_around(0.25, 50), [0.0, 0.5]])
+    half = np.concatenate([_ulps_around(0.5, 50), [0.0, 1.0 - 2.0 ** -53]])
     tb = TieBreaker(mode)
     for margins, grid in ((posts - 0.5, posts), (ratios, ratios)):
-        jit = np.resize(np.concatenate([half, rng.uniform(0.0, 0.5, 97)]),
-                        grid.shape)
-        tie_acts = (width > 0) & (jit < width / 2.0) if mode == "jitter" \
+        jit = np.resize(np.concatenate([half, rng.random(97)]), grid.shape)
+        old_jit = width * jit
+        tie_acts = (width > 0) & (old_jit < width / 2.0) if mode == "jitter" \
             else np.full(grid.shape, mode == "one")
         log, ref_log = beliefs.TieLog(), beliefs.TieLog()
-        acts, tied = tb.decide(margins, log, jit, width)
+        acts, tied = tb.decide(margins, log, jit)
         assert acts.dtype == np.uint8 and acts.shape == tied.shape == \
             grid.shape
         if grid is posts:
@@ -226,7 +232,7 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
         assert np.array_equal(acts, want)
         assert np.array_equal(tied, want_tied)
         assert log.count == ref_log.count > 1000
-        if mode == "jitter" and width:
+        if mode == "jitter":
             assert 0 < acts[tied].sum() < tied.sum()
 
         # the scalar rules, on every 50th value and the specials
@@ -234,12 +240,13 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
         log, ref_log = beliefs.TieLog(), beliefs.TieLog()
         for k in pick:
             if grid is posts:
-                got = beliefs.best_response(posts[k], tb, log, jit[k], width)
-                ref = _old_best_response(posts[k], mode, ref_log, jit[k],
+                got = beliefs.best_response(posts[k], tb, log, jit[k])
+                ref = _old_best_response(posts[k], mode, ref_log, old_jit[k],
                                          width)
             else:
-                got = int(tb.decide(ratios[k], log)[0])
-                ref = _old_decide_sign(ratios[k], mode, ref_log)
+                got = int(tb.decide(ratios[k], log, jit[k])[0])
+                ref = _old_decide_sign(ratios[k], mode, ref_log, old_jit[k],
+                                       width)
             assert type(got) is int and got == ref, grid[k]
         assert log.count == ref_log.count > 0
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from netlearn import cli, config
+from netlearn import cli, config, strategies
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,13 +52,20 @@ INFEASIBLE_GRAPHS = ("random_regular(5,3)", "random_regular(3,5)",
 
 
 def test_check_topology_bad_input_exits_2(tmp_path, capsys):
-    """A missing file, or a family with no (connected) graph, is a usage
-    error: one error line and exit 2, no traceback."""
-    for arg in (str(tmp_path / "missing.txt"),) + INFEASIBLE_GRAPHS:
+    """A missing file, an unknown family, a bad family parameter, or a
+    family with no (connected) graph is a usage error: one error line that
+    names what is wrong, exit 2, no traceback."""
+    missing = str(tmp_path / "missing.txt")
+    cases = [(missing, missing), ("nonsense(3)", "nonsense"),
+             ("dicycle(x)", "parameter n"), ("dicycle(3,4)", "dicycle(n)")]
+    cases += [(arg, "") for arg in INFEASIBLE_GRAPHS]
+    for arg, named in cases:
         code, out = run_cli(["check-topology", arg])
         err = capsys.readouterr().err
         assert code == 2 and out == "", arg
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, err
+        assert ("No such file" in err) == (arg == missing), err
 
 
 def test_graph_distance():
@@ -138,9 +145,11 @@ def test_simulate_trace_csv(tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_simulate_over_budget_exits_2(tmp_path, capsys, workers):
+def test_simulate_over_budget_exits_2(tmp_path, capsys, fake_pool,
+                                     workers):
     """Exact myopic play on cycle(30) needs 2^30 * 30 world-agent cells,
-    over the default budget: a one-line error and exit 2, no report."""
+    over the default budget: a one-line error and exit 2, no report, and no
+    pool asked for."""
     p = tmp_path / "big.cfg"
     p.write_text("[graph]\nfamily = cycle(30)\n\n[profile]\nname = myopic\n"
                  "\n[sim]\nhorizon = 3\nreplicates = 2\ntail_window = 2\n")
@@ -151,6 +160,7 @@ def test_simulate_over_budget_exits_2(tmp_path, capsys, workers):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget" in err
+    assert fake_pool == []
 
 
 def test_simulate_rejects_engine_key(tmp_path, capsys):
@@ -161,6 +171,57 @@ def test_simulate_rejects_engine_key(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "engine" in err
+
+
+def test_simulate_rejects_jitter_width_key(tmp_path, capsys):
+    """The [signal] jitter_width key is gone, since a jitter is a U[0, 1)
+    draw owned by the tie breaker: the loader rejects it as unknown."""
+    p = tmp_path / "width.cfg"
+    p.write_text("[graph]\nfamily = dicycle(4)\n\n[signal]\n"
+                 "jitter_width = 0.5\n\n[profile]\nname = gossip\n"
+                 "tie = jitter\n")
+    code, out = run_cli(["simulate", "--config", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "jitter_width" in err
+
+
+def test_simulate_gossip_jitter_ties_need_no_width(tmp_path):
+    """tie = jitter runs with no further key, and its ties break both
+    ways."""
+    p = tmp_path / "jitter.cfg"
+    p.write_text("[graph]\nfamily = dicycle(4)\n\n[profile]\n"
+                 "name = gossip\ntie = jitter\n\n[sim]\nhorizon = 4\n"
+                 "replicates = 40\ntail_window = 2\n")
+    code, out = run_cli(["simulate", "--config", str(p)])
+    report = json.loads(out)
+    assert code == 0 and report["replicates"] == 40
+    assert report["tie_rate"] > 0
+
+
+@pytest.mark.parametrize("family, profile, kind", [
+    ("dicycle(4)", "myopic", "symmetric_binary"),
+    ("dicycle(4)", "gossip", "symmetric_binary"),
+    ("royal_family(2,3)", "royal_family", "royal_bounded"),
+    ("mad_king(1,2,2)", "mad_king", "mad_king_asym")])
+def test_config_builds_every_profile(tmp_path, family, profile, kind):
+    """Each profile name builds its profile, with the config's tie breaker
+    and, for the mad king, its delta and lam."""
+    p = tmp_path / "p.cfg"
+    p.write_text(f"[graph]\nfamily = {family}\n\n[signal]\nkind = {kind}"
+                 f"\n\n[profile]\nname = {profile}\ntie = one\n"
+                 "delta = 0.5\nlam = 0.9\n")
+    rc = config.load_config(str(p))
+    g = rc.build_graph()
+    prof = rc.build_profile(g, rc.build_signal_model())
+    want = {"myopic": strategies.MyopicExactProfile,
+            "gossip": strategies.GossipProfile,
+            "royal_family": strategies.RoyalFamilyProfile,
+            "mad_king": strategies.MadKingProfile}[profile]
+    assert type(prof) is want and prof.tie_breaker.mode == "one"
+    if profile == "mad_king":
+        assert (prof.delta, prof.lam) == (0.5, 0.9)
 
 
 def test_simulate_workers_write_identical_report_and_csv(tmp_path):
@@ -232,13 +293,13 @@ def test_simulate_bad_config_exits_2(tmp_path):
     ("list.json", "[1, 2]"),
     ("two_atom.cfg", "[graph]\nfamily = dicycle(4)\n\n[signal]\n"
                      "kind = two_atom\n"),
-    ("jitter_no_width.cfg", "[graph]\nfamily = dicycle(4)\n\n[profile]\n"
-                            "name = gossip\ntie = jitter\n"),
+    ("unknown_profile.cfg", "[graph]\nfamily = dicycle(4)\n\n[profile]\n"
+                            "name = bayes\n"),
 ])
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, name, text):
-    """A config that does not parse to sections of keys, names a signal
-    kind the config cannot build, or asks for jitter ties without a jitter
-    width is a usage error: one error line and exit 2, no traceback."""
+    """A config that does not parse to sections of keys, or names a signal
+    kind or a profile the config cannot build, is a usage error: one error
+    line and exit 2, no traceback."""
     p = tmp_path / name
     p.write_text(text)
     code, out = run_cli(["simulate", "--config", str(p)])
@@ -255,7 +316,7 @@ def test_simulate_scripted_profile_with_jitter_ties_exits_2(
     one is a usage error, not a silent run under mode zero."""
     p = tmp_path / "jitter.cfg"
     p.write_text(f"[graph]\nfamily = {family}\n\n[signal]\n"
-                 "kind = royal_bounded\njitter_width = 0.5\n\n"
+                 "kind = royal_bounded\n\n"
                  f"[profile]\nname = {profile}\ntie = jitter\n")
     code, out = run_cli(["simulate", "--config", str(p)])
     err = capsys.readouterr().err

@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from netlearn import dynamics, graphs, signals, strategies
+from netlearn.beliefs import TieBreaker
 from netlearn.dynamics import SimConfig
 
 
@@ -31,6 +34,47 @@ def test_run_trace_shapes_and_determinism():
     assert np.array_equal(t1.actions, t2.actions)
     t3 = dynamics.run_trace(g, m, prof, cfg, 3)
     assert t3.replicate_index == 3
+
+
+def test_run_trace_draws_jitters_only_for_jitter_ties():
+    """A trace draws one U[0, 1) jitter per agent, after the state and the
+    atoms, exactly when its profile breaks ties by jitter; under the other
+    modes the jitters are zeros and the stream is not touched."""
+    g, m, _ = small_setup()
+    cfg = SimConfig(horizon=6, replicates=1, master_seed=9)
+    tr = {mode: dynamics.run_trace(g, m, strategies.GossipProfile(
+        TieBreaker(mode)), cfg, 4) for mode in ("zero", "one", "jitter")}
+    rng = dynamics.replicate_rng(9, 4)
+    state = int(rng.integers(0, 2))
+    atoms = m.sample_atoms(rng, g.n, state)
+    want = rng.random(g.n)
+    for t in tr.values():
+        assert t.state == state and np.array_equal(t.atoms, atoms)
+    assert np.array_equal(tr["jitter"].jitters, want)
+    assert not tr["zero"].jitters.any() and not tr["one"].jitters.any()
+    rng = dynamics.replicate_rng(9, 4)
+    TieBreaker("one").draw_jitters(rng, g.n)
+    assert rng.random() == dynamics.replicate_rng(9, 4).random()
+
+
+def test_run_ensemble_solves_the_profile_before_the_pool(fake_pool,
+                                                         monkeypatch):
+    """Each worker receives the myopic profile solved to the horizon, so
+    none rebuilds the world table."""
+    g = graphs.dicycle(5)
+    m = signals.symmetric_binary(0.7)
+    solved = []
+    run_chunk = dynamics._run_chunk
+
+    def chunk(g, m, profile, *args, **kw):
+        solved.append(len(pickle.loads(pickle.dumps(profile))._play))
+        return run_chunk(g, m, profile, *args, **kw)
+
+    monkeypatch.setattr(dynamics, "_run_chunk", chunk)
+    cfg = SimConfig(horizon=4, replicates=4, tail_window=2)
+    dynamics.run_ensemble(g, m, strategies.MyopicExactProfile(g, m), cfg,
+                          workers=2)
+    assert fake_pool == [2] and solved == [4, 4]
 
 
 def test_replicate_rng_is_batch_independent():
@@ -215,7 +259,8 @@ def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
     m = signals.mad_king_asym()
     if roles == "mad_king":
         roles = cli._role_map(g)
-    prof = strategies.make_profile("mad_king", g, m)
+    prof = strategies.MadKingProfile(g, m, strategies.mad_king_roles_of(g),
+                                     1.0, 0.99)
     cfg = SimConfig(horizon=horizon, replicates=max(replicates, 1),
                     master_seed=2, tail_window=1)
     _, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,27 @@ def test_trace_batch_empty_batch_and_zero_horizon():
         assert log.count == 0
 
 
+def test_myopic_copy_plays_the_solved_rounds_and_re_solves_more():
+    """A pickled engine (what a pool worker receives) carries the world
+    table but not the class state, and plays as the original: from the
+    table up to the rounds solved, re-solving from round 0 beyond them."""
+    g = graphs.dicycle(5)
+    m = signals.symmetric_binary(0.6)
+    atoms, _, _ = beliefs.worlds(m, g.n)
+    atoms, jit = atoms.T, np.zeros(atoms.T.shape)
+    want = strategies.MyopicExactProfile(g, m).trace_batch(g, m, atoms, jit, 6)
+    prof = strategies.MyopicExactProfile(g, m)
+    prof.trace_batch(g, m, atoms[:0], jit[:0], 3)
+    copy = pickle.loads(pickle.dumps(prof))
+    assert copy._cls is None and len(copy._play) == 3
+    assert np.array_equal(copy.trace_batch(g, m, atoms, jit, 2),
+                          want[:, :, :2])
+    assert np.array_equal(copy.trace_batch(g, m, atoms, jit, 6), want)
+    view = beliefs.view_from_actions(
+        g, [tuple(r) for r in want[7].T.tolist()], atoms[7], 2, 4)
+    assert copy.action(2, view.atom, view.observed) == want[7, 2, 4]
+
+
 def test_exact_myopic_budget_counts_world_agent_cells():
     g = graphs.dicycle(5)
     m = signals.symmetric_binary(0.7)
@@ -224,9 +246,7 @@ GOSSIP_GRAPHS = [graphs.generate(graphs.parse_family_string(spec))
 GOSSIP_GRAPHS.append(graphs.DirectedGraph(
     6, frozenset({(0, 1), (1, 2), (2, 0), (2, 5), (3, 4), (4, 3)})))
 GOSSIP_MODELS = (signals.symmetric_binary(0.7), signals.royal_bounded(),
-                 signals.mad_king_asym(),
-                 signals.SignalModel(signals.symmetric_binary(0.6).atoms,
-                                     jitter_width=0.5))
+                 signals.mad_king_asym(), signals.symmetric_binary(0.6))
 # one profile per tie mode for the whole test, so that its ring cache
 # serves several graphs and horizons
 GOSSIP_PROFILES = {mode: strategies.GossipProfile(TieBreaker(mode))
@@ -239,7 +259,7 @@ def _dense_gossip(g, m, atoms, jitters, horizon, mode):
     dist = np.array(graphs.all_pairs_distances(g))
     z = np.asarray(m.z_values)[np.asarray(atoms)]
     if mode == "jitter":
-        tie_act = (m.jitter_width > 0) & (jitters < m.jitter_width / 2.0)
+        tie_act = jitters < 0.5
     else:
         tie_act = np.full(g.n, mode == "one")
     out = np.empty((g.n, horizon), dtype=np.uint8)
@@ -267,7 +287,7 @@ def test_gossip_rings_match_dense_reach_masks(gi, m, mode, data, seed):
     horizon = data.draw(st.integers(1, diameter + 2), label="horizon")
     rng = np.random.default_rng(seed)
     atoms = m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
-    jitters = rng.uniform(0.0, m.jitter_width, g.n)
+    jitters = rng.random(g.n)
     log = beliefs.TieLog()
     fast = GOSSIP_PROFILES[mode].trace_actions(g, m, atoms, jitters, horizon,
                                                log)
@@ -367,6 +387,23 @@ def test_royal_family_trace_matches_action_loop():
         slow = np.array(beliefs.simulate_actions(g, prof, atoms, 6),
                         dtype=np.uint8).T
         assert np.array_equal(fast, slow)
+
+
+def test_royal_family_profile_holds_no_dense_matrix():
+    """The closed neighbourhoods are (owner, member) index pairs, about five
+    per agent on royal_family(3,3000); the dense n x n matrix they replaced
+    took 72 MB."""
+    g = graphs.royal_family(3, 3000)
+    m = signals.royal_bounded()
+    tracemalloc.start()
+    try:
+        prof = strategies.RoyalFamilyProfile(g, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert prof.trace_actions(g, m, np.zeros(g.n, dtype=int), np.zeros(g.n),
+                              3).shape == (g.n, 3)
 
 
 ROYAL_MODELS = st.one_of(
@@ -599,29 +636,14 @@ def test_myopic_condition_validation():
         strategies.myopic_condition_check((0.1, 0.2), 0.5)
 
 
-def test_make_profile_factory():
-    g = graphs.royal_family(2, 3)
-    m = signals.royal_bounded()
-    assert isinstance(strategies.make_profile("royal_family", g, m),
-                      strategies.RoyalFamilyProfile)
-    gm = graphs.mad_king(2, 3, 2)
-    mk = signals.mad_king_asym()
-    assert isinstance(strategies.make_profile("mad_king", gm, mk,
-                                              delta=0.5, lam=0.9),
-                      strategies.MadKingProfile)
-    with pytest.raises(ValueError):
-        strategies.make_profile("nope", g, m)
-
-
-def test_gossip_jitter_breaks_ties_by_the_signal_models_width(tmp_path):
+def test_gossip_jitter_breaks_ties_below_one_half(tmp_path):
     """Built from a config, the gossip profile resolves a tie with the
-    jitter rule at the signal model's width: on dicycle(4) with alternating
-    atoms every agent's round-1 sum (its own atom and the one it observes) is
-    exactly 0, and each tied agent plays 1 iff its jitter < width / 2."""
+    jitter rule: on dicycle(4) with alternating atoms every agent's round-1
+    sum (its own atom and the one it observes) is exactly 0, and each tied
+    agent plays 1 iff its U[0, 1) jitter < 1/2."""
     p = tmp_path / "jitter.cfg"
     p.write_text("[graph]\nfamily = dicycle(4)\n\n"
-                 "[signal]\nkind = symmetric_binary\nq = 0.7\n"
-                 "jitter_width = 0.5\n\n"
+                 "[signal]\nkind = symmetric_binary\nq = 0.7\n\n"
                  "[profile]\nname = gossip\ntie = jitter\n\n"
                  "[sim]\nhorizon = 4\ntail_window = 2\n")
     rc = config.load_config(str(p))
@@ -636,7 +658,7 @@ def test_gossip_jitter_breaks_ties_by_the_signal_models_width(tmp_path):
     played = set()
     for r in range(12):
         tr = dynamics.run_trace(g, m, prof, rc.sim, r, inject=alternate)
-        tied = tr.jitters < 0.25
+        tied = tr.jitters < 0.5
         # rounds 1 and 3 sum an even number of alternating atoms: all tie
         assert tr.tie_count == 2 * g.n
         for t in (1, 3):
