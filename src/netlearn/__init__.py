@@ -4,9 +4,9 @@ directed social networks."""
 __version__ = "0.1.0"
 
 from .graphs import (  # noqa: F401
-    DirectedGraph, GraphFamilySpec, RootedBall, balls_isomorphic,
-    extract_ball, generate, is_strongly_connected, min_l_connectivity,
-    out_degree_bound, parse_family_string, rooted_distance,
+    DirectedGraph, RootedBall, balls_isomorphic, extract_ball, generate,
+    is_strongly_connected, min_l_connectivity, out_degree_bound,
+    role_names, rooted_distance,
 )
 from .signals import (  # noqa: F401
     Atom, SignalModel, mad_king_asym, p_star, royal_bounded,

@@ -18,8 +18,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .signals import logistic
-
 DEFAULT_BUDGET = 10_000_000
 TIE_TOL = 1e-12
 

@@ -6,12 +6,16 @@ Subcommands:
   simulate          run an ensemble from a config file
   verify-invariants run the built-in invariant suites
 
-``simulate`` runs every ensemble through ``dynamics.run_ensemble``, with
-``--workers`` processes; the report and the trace CSV do not depend on it.
+A graph argument is a ``graphs.generate`` spec such as ``dicycle(6)`` or an
+edge-list file.  ``simulate`` runs every ensemble through
+``dynamics.run_ensemble`` with at most ``--workers`` processes (and no more
+than the replicates or the usable CPUs); the report and the trace CSV, whose
+roles come from ``graphs.role_names``, do not depend on it.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, or a run the exact engine's budget cannot hold).
+below 1, a negative seed, an output path in a missing directory, or a run
+the exact engine's budget cannot hold), found before any replicate runs.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ def _load_graph(arg: str):
     argument that ends in ``)`` and names no file is a spec, so a bad one
     fails with what is wrong with it rather than as a missing file."""
     if arg.endswith(")") and not os.path.exists(arg):
-        return graphs.generate(graphs.parse_family_string(arg))
+        return graphs.generate(arg)
     with open(arg) as f:
         return graphs.from_edge_list_text(f.read())
 
@@ -75,6 +79,11 @@ def cmd_simulate(args) -> int:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
         rc = load_config(args.config, {"sim": {"seed": args.seed}})
+        out_json = args.out or rc.report_json
+        csv_path = args.trace_csv or rc.trace_csv
+        for path in (out_json, csv_path):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"no directory for output file {path!r}")
         g = rc.build_graph()
         m = rc.build_signal_model()
         prof = rc.build_profile(g, m)
@@ -82,7 +91,6 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    csv_path = args.trace_csv or rc.trace_csv
     try:
         report, traces = dynamics.run_ensemble(
             g, m, prof, rc.sim, keep_traces=bool(csv_path),
@@ -94,7 +102,6 @@ def cmd_simulate(args) -> int:
     payload = report.to_dict()
     payload["version"] = __version__
     text = json.dumps(payload, indent=2)
-    out_json = args.out or rc.report_json
     if out_json:
         with open(out_json, "w") as f:
             f.write(text + "\n")
@@ -105,24 +112,8 @@ def cmd_simulate(args) -> int:
               f"agreement_freq={report.agreement_freq:.4f} "
               f"replicates={report.replicates}")
     if csv_path:
-        dynamics.write_trace_csv(csv_path, traces, _role_map(g))
+        dynamics.write_trace_csv(csv_path, traces, graphs.role_names(g))
     return EXIT_OK
-
-
-def _role_map(g):
-    if g.family_tag == "royal_family":
-        royals, public = graphs.royal_family_roles(g)
-        return {**{v: "royal" for v in royals},
-                **{v: "public" for v in public}}
-    if g.family_tag == "mad_king":
-        from .strategies import mad_king_roles_of
-        r = mad_king_roles_of(g)
-        roles = {r.king: "king", r.regent: "regent"}
-        roles.update({v: "court" for v in r.court})
-        roles.update({v: "bureaucracy" for v in r.bureaucracy})
-        roles.update({v: "person" for v in r.people})
-        return roles
-    return None
 
 
 def cmd_verify_invariants(args) -> int:

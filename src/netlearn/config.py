@@ -1,16 +1,17 @@
 """Run configuration loading: INI or JSON files, environment overrides.
 
 Sections/keys:
-  [graph]   family = dicycle(20) | edge list file via ``file = path``
+  [graph]   family = dicycle(20)  (a ``graphs.generate`` spec)
+            file = path           (an edge list; set family or file, not both)
   [signal]  kind = symmetric_binary | royal_bounded | mad_king_asym
             q = 0.7               (symmetric_binary only)
   [profile] name = myopic | gossip | royal_family | mad_king
             tie = zero | one | jitter
                                   (jitter, gossip only: a tie plays 1 when
                                    the agent's U[0, 1) jitter is below 1/2)
-            delta = 1.0           (mad_king)
+            delta = 1.0           (mad_king; > 0)
             lam = 0.99            (mad_king)
-  [sim]     horizon, replicates, discount, tail_window, seed
+  [sim]     horizon, replicates, discount, tail_window, seed (>= 0)
   [output]  trace_csv = path, report_json = path
 
 Environment variables NETLEARN_<SECTION>_<KEY> override file values, e.g.
@@ -57,13 +58,15 @@ class RunConfig:
     report_json: str
 
     def build_graph(self):
+        if self.graph_file and self.graph_family:
+            raise ValueError("config sets both graph.family and graph.file; "
+                             "set one")
         if self.graph_file:
             with open(self.graph_file) as f:
                 return graphs.from_edge_list_text(f.read())
         if not self.graph_family:
             raise ValueError("config needs graph.family or graph.file")
-        return graphs.generate(graphs.parse_family_string(self.graph_family),
-                               seed=self.sim.master_seed)
+        return graphs.generate(self.graph_family, seed=self.sim.master_seed)
 
     def build_signal_model(self):
         if self.signal_kind == "symmetric_binary":
@@ -85,9 +88,7 @@ class RunConfig:
         if self.profile_name == "royal_family":
             return strategies.RoyalFamilyProfile(g, m, tb)
         if self.profile_name == "mad_king":
-            return strategies.MadKingProfile(
-                g, m, strategies.mad_king_roles_of(g), self.delta, self.lam,
-                tb)
+            return strategies.MadKingProfile(g, m, self.delta, self.lam, tb)
         raise ValueError(f"unknown profile {self.profile_name!r}; use "
                          "myopic, gossip, royal_family or mad_king")
 

@@ -18,8 +18,9 @@ import functools
 import io
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,6 +57,8 @@ class SimConfig:
             raise ValueError("discount must lie in (0, 1)")
         if not (1 <= self.tail_window <= self.horizon):
             raise ValueError("tail_window must lie in [1, horizon]")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -207,15 +210,23 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, keep_traces):
     return tally, traces
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
                  workers: int = 1):
     """Run all replicates and summarize.  Returns (report, traces) where
     traces is None unless keep_traces is set.
 
-    The replicates are split into at most ``workers`` contiguous chunks; a
-    single chunk runs in this process, several run in a pool of one spawned
-    process per chunk.  The chunks' tallies and traces are merged in chunk
-    order, so the result does not depend on ``workers``.
+    The replicates are split into at most ``workers`` contiguous chunks, and
+    no more chunks than usable CPUs; a single chunk runs in this process,
+    several run in a pool of one spawned process per chunk.  The chunks'
+    tallies and traces are merged in chunk order, so the result does not
+    depend on ``workers``.
 
     A zero-row ``trace_batch`` solves the profile to the horizon here first:
     pool workers get the solved profile (the myopic world table) instead of
@@ -225,7 +236,7 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
     profile.trace_batch(g, m, np.zeros((0, g.n), dtype=np.intp),
                         np.zeros((0, g.n)), config.horizon)
     R = config.replicates
-    k = min(workers, R)
+    k = min(workers, R, _usable_cpus())
     chunks = [range(i * R // k, (i + 1) * R // k) for i in range(k)]
     run = functools.partial(_run_chunk, g, m, profile, config,
                             keep_traces=keep_traces)
@@ -281,7 +292,7 @@ def write_trace_csv(path, traces, roles=None):
 
 
 def locality_coupling_test(g1, i1, g2, i2, r: int, profile1, profile2, m,
-                           seed: int, horizon: Optional[int] = None) -> bool:
+                           seed: int) -> bool:
     """Check the finite-speed-of-information property: when the radius-(r+1)
     balls around (g1, i1) and (g2, i2) are isomorphic, coupling the signals
     through the witness map makes the roots' actions agree for all t <= r.
@@ -295,17 +306,12 @@ def locality_coupling_test(g1, i1, g2, i2, r: int, profile1, profile2, m,
                                    extract_ball(g2, i2, r + 1))
     if not ok:
         raise ValueError("radius r+1 balls are not isomorphic")
-    T = (r + 1) if horizon is None else horizon
     rng = np.random.default_rng(seed)
     state = int(rng.integers(0, 2))
     atoms1 = m.sample_atoms(rng, g1.n, state)
-    extra = m.sample_atoms(rng, g2.n, state)
-    atoms2 = np.array(extra)
+    atoms2 = np.array(m.sample_atoms(rng, g2.n, state))
     for v1, v2 in mapping.items():
         atoms2[v2] = atoms1[v1]
-    jit1 = np.zeros(g1.n)
-    jit2 = np.zeros(g2.n)
-    a1 = profile1.trace_actions(g1, m, atoms1, jit1, T)
-    a2 = profile2.trace_actions(g2, m, atoms2, jit2, T)
-    upto = min(T, r + 1)
-    return bool(np.array_equal(a1[i1, :upto], a2[i2, :upto]))
+    a1 = profile1.trace_actions(g1, m, atoms1, np.zeros(g1.n), r + 1)
+    a2 = profile2.trace_actions(g2, m, atoms2, np.zeros(g2.n), r + 1)
+    return bool(np.array_equal(a1[i1], a2[i2]))

@@ -3,20 +3,21 @@ dyadic ball metric.
 
 All operations are pure functions over immutable graph values.  Neighborhoods
 are self-inclusive throughout: ``closed_nbrs(i)`` always contains ``i``.
+``generate`` builds a graph from a spec string such as ``royal_family(3,10)``;
+``role_names`` names the roles of royal_family and mad_king vertices.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 from typing import Optional
 
 __all__ = [
     "DirectedGraph",
     "RootedBall",
-    "GraphFamilySpec",
     "generate",
+    "role_names",
     "is_strongly_connected",
     "min_l_connectivity",
     "out_degree_bound",
@@ -27,7 +28,6 @@ __all__ = [
     "rooted_distance",
     "to_edge_list_text",
     "from_edge_list_text",
-    "parse_family_string",
 ]
 
 
@@ -152,36 +152,24 @@ def out_degree_bound(g: DirectedGraph) -> int:
 @dataclass(frozen=True)
 class RootedBall:
     """Rooted subgraph induced by the vertices at directed distance <= radius
-    from the root.  Vertex labels are those of the parent graph."""
+    from the root.  Vertex labels are those of the parent graph; ``distances``
+    are those from the root found by the search that found the ball."""
 
     root: int
     radius: int
     vertices: frozenset
     edges: frozenset
+    distances: dict = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.root not in self.vertices:
             raise ValueError("root must belong to the ball")
+        if self.distances.keys() != self.vertices:
+            raise ValueError("a ball needs the distance of every vertex")
 
     @property
     def n(self):
         return len(self.vertices)
-
-    def root_distances(self):
-        """Distance from the root within the ball (equals the distance in
-        the parent graph for every ball vertex)."""
-        out = {v: [] for v in self.vertices}
-        for (i, j) in self.edges:
-            out[i].append(j)
-        dist = {self.root: 0}
-        q = deque([self.root])
-        while q:
-            v = q.popleft()
-            for w in out[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        return dist
 
 
 def extract_ball(g: DirectedGraph, root: int, r: int) -> RootedBall:
@@ -189,19 +177,19 @@ def extract_ball(g: DirectedGraph, root: int, r: int) -> RootedBall:
         raise ValueError(f"invalid root {root}")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    verts = frozenset(ball_distances(g, root, r))
-    edges = frozenset((i, j) for (i, j) in g.edges if i in verts and j in verts)
-    return RootedBall(root, r, verts, edges)
+    dist = ball_distances(g, root, r)
+    edges = frozenset((i, j) for (i, j) in g.edges if i in dist and j in dist)
+    return RootedBall(root, r, frozenset(dist), edges, dist)
 
 
 def _iso_signature(ball: RootedBall):
-    dist = ball.root_distances()
     outdeg = {v: 0 for v in ball.vertices}
     indeg = {v: 0 for v in ball.vertices}
     for (i, j) in ball.edges:
         outdeg[i] += 1
         indeg[j] += 1
-    return {v: (dist.get(v, -1), outdeg[v], indeg[v]) for v in ball.vertices}
+    return {v: (ball.distances[v], outdeg[v], indeg[v])
+            for v in ball.vertices}
 
 
 def balls_isomorphic(a: RootedBall, b: RootedBall):
@@ -408,15 +396,6 @@ def royal_family(R: int, n: int) -> DirectedGraph:
                          ("royal_family", (("R", R), ("n", n))))
 
 
-def royal_family_roles(g: DirectedGraph):
-    """(royals, public) vertex lists for a royal_family graph."""
-    if g.family_tag != "royal_family":
-        raise ValueError("not a royal_family graph")
-    p = g.family_params()
-    R, n = p["R"], p["n"]
-    return list(range(R)), list(range(R, R + n))
-
-
 def mad_king(R_C: int, R_B: int, n: int) -> DirectedGraph:
     """Undirected star-of-stars: king u -- regent, court, people;
     regent -- bureaucracy.  Vertex order: king, regent, court, bureaucracy,
@@ -437,6 +416,20 @@ def mad_king(R_C: int, R_B: int, n: int) -> DirectedGraph:
         ("mad_king", (("R_C", R_C), ("R_B", R_B), ("n", n))))
 
 
+def role_names(g: DirectedGraph):
+    """{vertex: role} for a royal_family or a mad_king graph, in the vertex
+    order of the generators above; None for any other graph."""
+    p = g.family_params()
+    if g.family_tag == "royal_family":
+        sizes = (("royal", p["R"]), ("public", p["n"]))
+    elif g.family_tag == "mad_king":
+        sizes = (("king", 1), ("regent", 1), ("court", p["R_C"]),
+                 ("bureaucracy", p["R_B"]), ("person", p["n"]))
+    else:
+        return None
+    return dict(enumerate(role for role, k in sizes for _ in range(k)))
+
+
 _FAMILIES = {
     "chain": (chain, ("n",)),
     "dicycle": (dicycle, ("n",)),
@@ -448,44 +441,20 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class GraphFamilySpec:
-    tag: str
-    params: tuple  # sorted (name, value) pairs
-
-    @classmethod
-    def make(cls, tag, **params):
-        if tag not in _FAMILIES:
-            raise ValueError(f"unknown family {tag!r}")
-        return cls(tag, tuple(sorted(params.items())))
-
-
-def generate(spec: GraphFamilySpec, seed: int = 0) -> DirectedGraph:
-    """Instantiate a graph family spec."""
-    fn, argnames = _FAMILIES[spec.tag]
-    params = dict(spec.params)
-    if "seed" in argnames and "seed" not in params:
-        params["seed"] = seed
-    missing = [a for a in argnames if a not in params]
-    if missing:
-        raise ValueError(f"family {spec.tag} missing parameters {missing}")
-    return fn(**{a: params[a] for a in argnames})
-
-
-def parse_family_string(text: str) -> GraphFamilySpec:
-    """Parse a compact spec like ``dicycle(6)`` or ``royal_family(3,10)``.
-
-    Positional arguments follow the family's parameter order.
-    """
-    text = text.strip()
+def generate(spec: str, seed: int = 0) -> DirectedGraph:
+    """Build the graph of a compact spec like ``dicycle(6)`` or
+    ``royal_family(3,10)``.  Positional arguments follow the family's
+    parameter order; a family that takes a seed and is given none gets
+    ``seed``."""
+    text = spec.strip()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"bad family spec {text!r}")
     tag, rest = text.split("(", 1)
     tag = tag.strip()
     if tag not in _FAMILIES:
         raise ValueError(f"unknown family {tag!r}")
+    fn, names = _FAMILIES[tag]
     args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
-    names = _FAMILIES[tag][1]
     if len(args) > len(names):
         raise ValueError(f"too many parameters for {tag}"
                          f"({', '.join(names)}): got {len(args)}")
@@ -496,7 +465,12 @@ def parse_family_string(text: str) -> GraphFamilySpec:
         except ValueError:
             raise ValueError(f"{tag} parameter {name} must be an integer, "
                              f"got {a!r}") from None
-    return GraphFamilySpec.make(tag, **params)
+    if "seed" in names:
+        params.setdefault("seed", seed)
+    missing = [a for a in names if a not in params]
+    if missing:
+        raise ValueError(f"family {tag} missing parameters {missing}")
+    return fn(**params)
 
 
 # ---------------------------------------------------------------------------

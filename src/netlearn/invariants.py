@@ -25,7 +25,7 @@ def check_graph(seed: int = 0):
     res = []
     for spec in ("dicycle(7)", "cycle(8)", "grid(3,4)", "royal_family(3,6)",
                  "mad_king(2,5,4)"):
-        g = graphs.generate(graphs.parse_family_string(spec))
+        g = graphs.generate(spec)
         _check(res, f"strongly_connected[{spec}]",
                graphs.is_strongly_connected(g))
         L = graphs.min_l_connectivity(g)

@@ -2,7 +2,8 @@
 
 A profile maps (agent, own atom, observed neighbor history) to an action in
 {0, 1}.  Histories are round-major tuples over the agent's closed
-neighborhood in sorted vertex order (the agent itself included).
+neighborhood in sorted vertex order (the agent itself included).  The
+mad-king profile takes its roles from ``graphs.role_names``.
 """
 from __future__ import annotations
 
@@ -311,16 +312,18 @@ class MadKingProfile(Profile):
     modes are supported: ``action`` never sees a jitter draw.
     """
 
-    def __init__(self, g, m, roles: MadKingRoles, delta: float, lam: float,
+    def __init__(self, g, m, delta: float, lam: float,
                  tie_breaker: TieBreaker = TieBreaker("zero")):
         if g.family_tag != "mad_king":
             raise ValueError("MadKingProfile requires a mad_king graph")
+        if not delta > 0.0:
+            raise ValueError(f"delta must be > 0, got {delta}")
         if not (0.0 < lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
         tie_breaker.reject_jitter("mad-king")
         self.g = g
         self.m = m
-        self.roles = roles
+        self.roles = roles = mad_king_roles_of(g)
         self.delta = delta
         self.lam = lam
         self.tie_breaker = tie_breaker
@@ -328,17 +331,10 @@ class MadKingProfile(Profile):
         # (negative, positive) ratios; raises unless m is a two-atom sign
         # model
         self._sign_z = self._z[list(m.sign_atoms())]
-        eps = math.exp(-delta * len(roles.bureaucracy))
-        self.lock_threshold = math.log((1.0 - eps) / eps)
-        self._role_of = {}
-        self._role_of[roles.king] = "king"
-        self._role_of[roles.regent] = "regent"
-        for v in roles.court:
-            self._role_of[v] = "court"
-        for v in roles.bureaucracy:
-            self._role_of[v] = "bureau"
-        for v in roles.people:
-            self._role_of[v] = "person"
+        # ln((1 - eps) / eps), eps = exp(-x), without rounding eps to 0 or 1
+        x = delta * len(roles.bureaucracy)
+        self.lock_threshold = x + math.log(-math.expm1(-x))
+        self._role_of = graphs.role_names(g)
         # position of each observed vertex inside the agent's sorted closed
         # neighborhood, so decoding avoids repeated tuple.index scans
         self._pos = {
@@ -488,14 +484,13 @@ def myopic_condition_check(y_values, lam: float):
 
 
 def mad_king_roles_of(g) -> MadKingRoles:
-    """Derive the role partition from a mad_king graph's family parameters
-    (vertex order: king, regent, court, bureaucracy, people)."""
+    """The role partition of a mad_king graph: ``graphs.role_names`` grouped
+    by role."""
     if g.family_tag != "mad_king":
         raise ValueError("not a mad_king graph")
-    p = g.family_params()
-    rc, rb, n = p["R_C"], p["R_B"], p["n"]
-    return MadKingRoles(
-        king=0, regent=1,
-        court=tuple(range(2, 2 + rc)),
-        bureaucracy=tuple(range(2 + rc, 2 + rc + rb)),
-        people=tuple(range(2 + rc + rb, 2 + rc + rb + n)))
+    by_role = {}
+    for v, role in graphs.role_names(g).items():
+        by_role.setdefault(role, []).append(v)
+    return MadKingRoles(*by_role["king"], *by_role["regent"],
+                        *(tuple(by_role[r])
+                          for r in ("court", "bureaucracy", "person")))

@@ -194,8 +194,8 @@ def test_criterion_08_mad_king_forced_dynamics():
 
     g = graphs.mad_king(R_C, R_B, n)
     m = signals.mad_king_asym()
-    roles = strategies.mad_king_roles_of(g)
-    prof = strategies.MadKingProfile(g, m, roles, delta, lam)
+    prof = strategies.MadKingProfile(g, m, delta, lam)
+    roles = prof.roles
     cfg = SimConfig(horizon=12, replicates=50, tail_window=4, master_seed=80)
     people = list(roles.people)
     silent = True

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from netlearn import cli, config, strategies
+from netlearn import cli, config, dynamics, strategies
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -258,13 +258,27 @@ def test_simulate_workers_below_one_exits_2(tmp_path, capsys, monkeypatch,
     assert "--workers" in err
 
 
-def test_simulate_pool_is_capped_at_replicates(tmp_path, fake_pool):
+def test_simulate_pool_is_capped_at_replicates(tmp_path, fake_pool,
+                                              monkeypatch):
     """--workers 500 on 2 replicates asks for a pool of 2 processes."""
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 64)
     cfg = write_cfg(tmp_path, replicates=2)
     code, out = run_cli(["simulate", "--config", str(cfg),
                          "--workers", "500"])
     assert code == 0 and fake_pool == [2]
     assert json.loads(out)["replicates"] == 2
+
+
+def test_simulate_pool_is_capped_at_usable_cpus(tmp_path, fake_pool,
+                                               monkeypatch):
+    """--workers 5000 on 5000 replicates starts one process per usable
+    CPU, and reports what a serial run reports."""
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    cfg = write_cfg(tmp_path, replicates=5000, horizon=4, tail_window=2)
+    code, out = run_cli(["simulate", "--config", str(cfg),
+                         "--workers", "5000"])
+    assert code == 0 and fake_pool == [2]
+    assert out == run_cli(["simulate", "--config", str(cfg)])[1]
 
 
 def test_simulate_workers_match_serial(tmp_path):
@@ -322,6 +336,85 @@ def test_simulate_scripted_profile_with_jitter_ties_exits_2(
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "jitter" in err
+
+
+MAD_KING_CFG = os.path.join(PKG_ROOT, "scripts", "mad_king.cfg")
+PREFLIGHT_BASE = ("[graph]\nfamily = cycle(8)\n\n[profile]\nname = gossip\n\n"
+                  "[sim]\nhorizon = 4\nreplicates = 3\ntail_window = 2\n")
+
+
+@pytest.mark.parametrize("text, args, named", [
+    (PREFLIGHT_BASE + "seed = -5\n", [], "seed must be >= 0, got -5"),
+    (PREFLIGHT_BASE, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    (PREFLIGHT_BASE.replace("cycle(8)\n", "cycle(8)\nfile = {edges}\n"), [],
+     "graph.file"),
+    (PREFLIGHT_BASE, ["--out", "{missing}"], "{missing}"),
+    (PREFLIGHT_BASE, ["--out", "{tmp}/r.json", "--trace-csv", "{missing}"],
+     "{missing}"),
+    (PREFLIGHT_BASE + "\n[output]\nreport_json = {missing}\n", [],
+     "{missing}"),
+    (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {missing}\n", [], "{missing}"),
+    ("mad_king:0", [], "delta must be > 0, got 0.0"),
+    ("mad_king:-1", [], "delta must be > 0, got -1.0"),
+])
+def test_simulate_preflight_exits_2_before_any_replicate(
+        tmp_path, capsys, monkeypatch, text, args, named):
+    """A negative seed, a graph given both as a family and as a file, an
+    output path in a missing directory or a mad-king delta <= 0 is a usage
+    error: one line that names it, exit 2, no ensemble run and no file
+    written."""
+    calls = []
+    monkeypatch.setattr(dynamics, "run_ensemble",
+                        lambda *a, **kw: calls.append(a))
+    edges = tmp_path / "g.txt"
+    edges.write_text("n=2\n0 1\n1 0\n")
+    fill = dict(tmp=tmp_path, edges=edges,
+                missing=tmp_path / "no_such_dir" / "out")
+    if text.startswith("mad_king:"):
+        monkeypatch.setenv("NETLEARN_PROFILE_DELTA", text.split(":")[1])
+        cfg = MAD_KING_CFG
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.format(**fill))
+    code, out = run_cli(["simulate", "--config", str(cfg)]
+                        + [a.format(**fill) for a in args])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named.format(**fill) in err, err
+    assert set(os.listdir(tmp_path)) <= {"g.txt", "run.cfg"}
+
+
+def test_simulate_mad_king_runs_at_a_large_delta(tmp_path, monkeypatch):
+    """delta = 5.0 on 200 bureaucrats puts eps = exp(-1000) below the
+    smallest double; the lock threshold is still 1000 and the run goes
+    through."""
+    monkeypatch.setenv("NETLEARN_PROFILE_DELTA", "5.0")
+    monkeypatch.setenv("NETLEARN_SIM_REPLICATES", "3")
+    rc = config.load_config(MAD_KING_CFG)
+    g = rc.build_graph()
+    assert rc.build_profile(g, rc.build_signal_model()).lock_threshold \
+        == 1000.0
+    code, out = run_cli(["simulate", "--config", MAD_KING_CFG])
+    assert code == 0 and json.loads(out)["replicates"] == 3
+
+
+@pytest.mark.parametrize("name", ["cycle20_gossip.cfg", "royal_family.cfg",
+                                  "mad_king.cfg"])
+def test_simulate_does_not_import_networkx(tmp_path, name):
+    """networkx takes about as long to import as numpy; no recipe's
+    simulate needs it."""
+    script = ("import sys\nfrom netlearn import cli\n"
+              "rc = cli.main(['simulate', '--config', sys.argv[1], '--out', "
+              "sys.argv[2], '--format', 'summary'])\n"
+              "print(rc, 'networkx' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", script,
+                        os.path.join(PKG_ROOT, "scripts", name),
+                        str(tmp_path / "report.json")],
+                       capture_output=True, text=True, env=env)
+    assert r.stdout.splitlines()[-1] == "0 False", r.stdout + r.stderr
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -21,6 +21,8 @@ def test_simconfig_validation():
         SimConfig(discount=1.0)
     with pytest.raises(ValueError):
         SimConfig(tail_window=40, horizon=30)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(master_seed=-1)
 
 
 def test_run_trace_shapes_and_determinism():
@@ -71,6 +73,7 @@ def test_run_ensemble_solves_the_profile_before_the_pool(fake_pool,
         return run_chunk(g, m, profile, *args, **kw)
 
     monkeypatch.setattr(dynamics, "_run_chunk", chunk)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
     cfg = SimConfig(horizon=4, replicates=4, tail_window=2)
     dynamics.run_ensemble(g, m, strategies.MyopicExactProfile(g, m), cfg,
                           workers=2)
@@ -166,10 +169,10 @@ def test_ensemble_workers_match_serial():
         assert np.array_equal(a.actions, b.actions)
 
 
-@pytest.mark.parametrize("workers, replicates, pool", [
-    (1, 5, []), (500, 2, [2]), (3, 7, [3]), (4, 1, [])])
-def test_ensemble_pool_is_capped_at_chunks(fake_pool, workers, replicates,
-                                           pool):
+def _check_pool(fake_pool, monkeypatch, workers, replicates, cpus, pool):
+    """The pool asked for is ``pool``, and the traces and the report are
+    the serial run's."""
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
     g, m, prof = small_setup()
     cfg = SimConfig(horizon=6, replicates=replicates, tail_window=2,
                     master_seed=3)
@@ -178,6 +181,34 @@ def test_ensemble_pool_is_capped_at_chunks(fake_pool, workers, replicates,
     assert fake_pool == pool
     assert [t.replicate_index for t in traces] == list(range(replicates))
     assert rep == dynamics.run_ensemble(g, m, prof, cfg)[0]
+
+
+@pytest.mark.parametrize("workers, replicates, pool", [
+    (1, 5, []), (500, 2, [2]), (3, 7, [3]), (4, 1, [])])
+def test_ensemble_pool_is_capped_at_chunks(fake_pool, monkeypatch, workers,
+                                           replicates, pool):
+    _check_pool(fake_pool, monkeypatch, workers, replicates, 64, pool)
+
+
+@pytest.mark.parametrize("workers, replicates, cpus, pool", [
+    (5000, 5000, 2, [2]), (3, 7, 1, []), (4, 3, 3, [3])])
+def test_ensemble_pool_is_capped_at_usable_cpus(fake_pool, monkeypatch,
+                                                workers, replicates, cpus,
+                                                pool):
+    """min(workers, replicates, usable CPUs) processes; one runs in this
+    process, with no pool."""
+    _check_pool(fake_pool, monkeypatch, workers, replicates, cpus, pool)
+
+
+def test_usable_cpus_reads_the_affinity_mask_where_it_exists(monkeypatch):
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 16)
+    assert dynamics._usable_cpus() == 2
+    monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+    assert dynamics._usable_cpus() == 16
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: None)
+    assert dynamics._usable_cpus() == 1
 
 
 def test_ensemble_rejects_fewer_than_one_worker():
@@ -254,13 +285,11 @@ def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
                                           replicates):
     """The column-wise writer produces the row writer's bytes: CRLF line
     ends, roles quoted as csv.writer quotes them, no rows for no traces."""
-    from netlearn import cli
     g = graphs.mad_king(2, 3, 2)
     m = signals.mad_king_asym()
     if roles == "mad_king":
-        roles = cli._role_map(g)
-    prof = strategies.MadKingProfile(g, m, strategies.mad_king_roles_of(g),
-                                     1.0, 0.99)
+        roles = graphs.role_names(g)
+    prof = strategies.MadKingProfile(g, m, 1.0, 0.99)
     cfg = SimConfig(horizon=horizon, replicates=max(replicates, 1),
                     master_seed=2, tail_window=1)
     _, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)

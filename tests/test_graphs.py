@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,8 +54,7 @@ def test_out_degree_bound():
 
 def test_royal_family_structure():
     g = graphs.royal_family(3, 10)
-    royals, public = graphs.royal_family_roles(g)
-    assert royals == [0, 1, 2] and public == list(range(3, 13))
+    royals, public = range(3), range(3, 13)
     for i in royals:
         for j in royals:
             assert (i != j) == g.has_edge(i, j) or i == j
@@ -188,12 +189,122 @@ def test_rooted_distance_ultrametric(na, nb, nc):
 
 
 def test_family_string_roundtrip():
-    spec = graphs.parse_family_string("royal_family(3, 10)")
-    g = graphs.generate(spec)
+    g = graphs.generate("royal_family(3, 10)")
     assert g.family_tag == "royal_family"
     assert g.family_params() == {"R": 3, "n": 10}
-    with pytest.raises(ValueError):
-        graphs.parse_family_string("no_such(3)")
+    assert g == graphs.royal_family(3, 10)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("dicycle", "bad family spec 'dicycle'"),
+    ("dicycle(5", "bad family spec 'dicycle(5'"),
+    ("no_such(3)", "unknown family 'no_such'"),
+    ("dicycle(x)", "dicycle parameter n must be an integer, got 'x'"),
+    ("grid(2,y)", "grid parameter b must be an integer, got 'y'"),
+    ("dicycle(3,4)", "too many parameters for dicycle(n): got 2"),
+    ("random_regular(10,3,1,2)",
+     "too many parameters for random_regular(n, d, seed): got 4"),
+    ("dicycle()", "family dicycle missing parameters ['n']"),
+    ("mad_king(1,2)", "family mad_king missing parameters ['n']"),
+    ("random_regular(10)", "family random_regular missing parameters ['d']"),
+])
+def test_generate_names_what_is_wrong_with_a_spec(spec, message):
+    with pytest.raises(ValueError) as e:
+        graphs.generate(spec)
+    assert str(e.value) == message
+
+
+def test_generate_seeds_a_family_that_takes_one():
+    """A seed in the spec wins; otherwise the ``seed`` argument fills it."""
+    g = graphs.generate("random_regular(10,3)", seed=7)
+    assert g == graphs.random_regular(10, 3, seed=7)
+    assert g.family_params()["seed"] == 7
+    assert graphs.generate("random_regular(10,3,4)", seed=7) \
+        == graphs.random_regular(10, 3, seed=4)
+    assert graphs.generate("random_regular(10,3)") \
+        == graphs.random_regular(10, 3, seed=0)
+
+
+def _reference_role_map(g):
+    """The role rules the trace CSV used before ``role_names``: ranges
+    computed from the family parameters."""
+    p = g.family_params()
+    if g.family_tag == "royal_family":
+        R, n = p["R"], p["n"]
+        return {**{v: "royal" for v in range(R)},
+                **{v: "public" for v in range(R, R + n)}}
+    if g.family_tag == "mad_king":
+        rc, rb, n = p["R_C"], p["R_B"], p["n"]
+        roles = {0: "king", 1: "regent"}
+        roles.update({v: "court" for v in range(2, 2 + rc)})
+        roles.update({v: "bureaucracy" for v in range(2 + rc, 2 + rc + rb)})
+        roles.update({v: "person"
+                      for v in range(2 + rc + rb, 2 + rc + rb + n)})
+        return roles
+    return None
+
+
+@pytest.mark.parametrize("g", [
+    graphs.royal_family(1, 1), graphs.royal_family(3, 10),
+    graphs.royal_family(5, 2), graphs.mad_king(1, 1, 1),
+    graphs.mad_king(2, 3, 2), graphs.mad_king(4, 1, 6),
+    graphs.mad_king(2, 200, 300)])
+def test_role_names_match_the_family_ranges(g):
+    roles = graphs.role_names(g)
+    assert roles == _reference_role_map(g)
+    assert sorted(roles) == list(range(g.n))
+
+
+@pytest.mark.parametrize("g", [
+    graphs.dicycle(5), graphs.cycle(6), graphs.chain(3), graphs.grid(2, 3),
+    graphs.random_regular(8, 3, seed=1),
+    graphs.from_edge_list_text(graphs.to_edge_list_text(
+        graphs.royal_family(2, 3)))])
+def test_role_names_is_none_outside_the_role_families(g):
+    assert graphs.role_names(g) is None
+
+
+def _reference_root_distances(ball):
+    """A BFS over the ball's own edges (the search that balls ran a second
+    time before they kept the first one's distances)."""
+    out = {v: [] for v in ball.vertices}
+    for (i, j) in ball.edges:
+        out[i].append(j)
+    dist = {ball.root: 0}
+    q = deque([ball.root])
+    while q:
+        v = q.popleft()
+        for w in out[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                q.append(w)
+    return dist
+
+
+@st.composite
+def _rooted_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.frozensets(pairs, max_size=3 * n))
+    g = graphs.DirectedGraph(n, frozenset((i, j) for i, j in edges if i != j))
+    return g, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rooted_graphs(), st.integers(0, 9))
+def test_ball_keeps_the_distances_of_its_own_bfs(rooted, r):
+    """A shortest path to a ball vertex never leaves the ball, so the
+    distances the truncated search found equal a BFS over the ball."""
+    g, root = rooted
+    ball = graphs.extract_ball(g, root, r)
+    assert ball.distances == _reference_root_distances(ball)
+    assert max(ball.distances.values()) <= r
+
+
+def test_ball_needs_every_distance():
+    with pytest.raises(ValueError, match="distance"):
+        graphs.RootedBall(0, 1, frozenset({0, 1}), frozenset({(0, 1)}),
+                          {0: 0})
 
 
 def test_edge_list_roundtrip():

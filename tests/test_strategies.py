@@ -66,7 +66,7 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
     exact_posterior replays the profile's earlier rounds, which are checked
     in every world too.  One trace_batch over all worlds equals the
     per-world traces."""
-    g = graphs.generate(graphs.parse_family_string(spec))
+    g = graphs.generate(spec)
     assume(m.k ** g.n <= 729)
     tb = TieBreaker(mode)
     prof = strategies.MyopicExactProfile(g, m, tb)
@@ -158,7 +158,7 @@ def test_lookahead_certainty_matches_bruteforce(spec, m, mode, t, ell_max,
     """The lookahead read from the myopic engine's replay equals a
     brute-force grouping under the profile's own tie breaker.  The pinned
     example has a tie that mode 'one' breaks to 1 for the viewing agent."""
-    g = graphs.generate(graphs.parse_family_string(spec))
+    g = graphs.generate(spec)
     assume(m.k ** g.n <= 729)
     prof = strategies.MyopicExactProfile(g, m, TieBreaker(mode))
     atoms = list(itertools.product(range(m.k), repeat=g.n))[
@@ -181,8 +181,7 @@ def test_trace_batch_empty_batch_and_zero_horizon():
     overlay = strategies.ForcedOverlayProfile(
         strategies.ForcedResponse(((0, 0, 1),)), myo)
     gk = graphs.mad_king(1, 1, 2)
-    king = strategies.MadKingProfile(gk, m, strategies.mad_king_roles_of(gk),
-                                     0.5, 0.9, TieBreaker("one"))
+    king = strategies.MadKingProfile(gk, m, 0.5, 0.9, TieBreaker("one"))
     for g, prof in ((g, myo), (g, overlay), (gk, king)):
         atoms = np.zeros((2, g.n), dtype=int)
         log = beliefs.TieLog()
@@ -237,7 +236,7 @@ def test_gossip_action_is_trace_level_only():
         strategies.GossipProfile().action(0, 0, ())
 
 
-GOSSIP_GRAPHS = [graphs.generate(graphs.parse_family_string(spec))
+GOSSIP_GRAPHS = [graphs.generate(spec)
                  for spec in ("dicycle(3)", "dicycle(8)", "cycle(5)",
                               "cycle(10)", "chain(1)", "chain(6)",
                               "grid(3,3)", "royal_family(2,3)",
@@ -440,8 +439,7 @@ def test_scripted_profiles_reject_jitter_tiebreak():
                                       signals.royal_bounded(), jitter)
     g = graphs.mad_king(1, 1, 1)
     with pytest.raises(ValueError, match="jitter"):
-        strategies.MadKingProfile(g, signals.mad_king_asym(),
-                                  strategies.mad_king_roles_of(g), 0.5, 0.9,
+        strategies.MadKingProfile(g, signals.mad_king_asym(), 0.5, 0.9,
                                   jitter)
 
 
@@ -468,19 +466,59 @@ def test_royal_family_unanimous_royals_herd_everyone():
 def make_mk(R_C=3, R_B=8, n=5, delta=0.5, lam=0.9):
     g = graphs.mad_king(R_C, R_B, n)
     m = signals.mad_king_asym()
-    roles = strategies.mad_king_roles_of(g)
-    prof = strategies.MadKingProfile(g, m, roles, delta, lam)
-    return g, m, roles, prof
+    prof = strategies.MadKingProfile(g, m, delta, lam)
+    return g, m, prof.roles, prof
 
 
 def test_mad_king_requires_family_and_valid_lam():
     m = signals.mad_king_asym()
     g = graphs.mad_king(2, 3, 2)
-    roles = strategies.mad_king_roles_of(g)
     with pytest.raises(ValueError):
-        strategies.MadKingProfile(graphs.dicycle(4), m, roles, 0.5, 0.9)
+        strategies.MadKingProfile(graphs.dicycle(4), m, 0.5, 0.9)
     with pytest.raises(ValueError):
-        strategies.MadKingProfile(g, m, roles, 0.5, 1.0)
+        strategies.MadKingProfile(g, m, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 8, 5), (2, 200, 300)])
+def test_mad_king_roles_match_the_family_ranges(sizes):
+    """The roles grouped from graphs.role_names equal the ranges computed
+    from R_C and R_B, which is how they were derived before."""
+    rc, rb, n = sizes
+    g = graphs.mad_king(rc, rb, n)
+    assert strategies.mad_king_roles_of(g) == strategies.MadKingRoles(
+        king=0, regent=1, court=tuple(range(2, 2 + rc)),
+        bureaucracy=tuple(range(2 + rc, 2 + rc + rb)),
+        people=tuple(range(2 + rc + rb, 2 + rc + rb + n)))
+    prof = strategies.MadKingProfile(g, signals.mad_king_asym(), 0.5, 0.9)
+    assert prof.roles == strategies.mad_king_roles_of(g)
+    with pytest.raises(ValueError, match="mad_king"):
+        strategies.mad_king_roles_of(graphs.royal_family(2, 3))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_mad_king_requires_a_positive_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        strategies.MadKingProfile(graphs.mad_king(1, 2, 1),
+                                  signals.mad_king_asym(), delta, 0.9)
+
+
+@pytest.mark.parametrize("delta, r_b", [(1e-3, 1), (0.5, 8), (0.025, 200),
+                                        (3.0, 10), (5.0, 200), (1e-300, 1)])
+def test_mad_king_lock_threshold_is_the_log_odds_of_eps(delta, r_b):
+    """ln((1 - eps) / eps) with eps = exp(-delta * |bureaucracy|): equal to
+    the direct formula where that one is exact enough, and finite where eps
+    underflows to 0 (x = 1000) or 1 - eps rounds to 1 (x = 1e-300)."""
+    prof = strategies.MadKingProfile(graphs.mad_king(1, r_b, 1),
+                                     signals.mad_king_asym(), delta, 0.9)
+    x = delta * r_b
+    if 1e-3 <= x <= 700:
+        eps = math.exp(-x)
+        assert prof.lock_threshold == pytest.approx(
+            math.log((1 - eps) / eps), rel=1e-12, abs=1e-12)
+    else:
+        assert math.isfinite(prof.lock_threshold)
+        assert prof.lock_threshold == pytest.approx(
+            x if x > 1 else math.log(x), rel=1e-12)
 
 
 def test_mad_king_people_forced_silent_then_imitate():
@@ -563,8 +601,7 @@ MAD_KING_MODELS = (signals.symmetric_binary(0.6),
        seed=st.integers(0, 2 ** 32 - 1))
 def _check_mad_king_trace_batch(ties, sizes, m, mode, horizon, rows, seed):
     g = graphs.mad_king(*sizes)
-    prof = strategies.MadKingProfile(g, m, strategies.mad_king_roles_of(g),
-                                     0.5, 0.9, TieBreaker(mode))
+    prof = strategies.MadKingProfile(g, m, 0.5, 0.9, TieBreaker(mode))
     rng = np.random.default_rng(seed)
     atoms = np.array([m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
                       for _ in range(rows)])
