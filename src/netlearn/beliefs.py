@@ -20,6 +20,9 @@ import numpy as np
 
 DEFAULT_BUDGET = 10_000_000
 TIE_TOL = 1e-12
+# cells -- (row, agent, round), or (row, ring entry) -- that the temporaries
+# of one block of replicate rows may hold; a block has at least one row
+BLOCK_CELLS = 2 ** 16
 
 __all__ = [
     "BudgetExceededError",
@@ -137,7 +140,8 @@ class TieBreaker:
         ``tie_log``."""
         margin = np.asarray(margin)
         acts = np.array(margin > TIE_TOL, dtype=np.uint8)
-        tied = np.abs(margin) <= TIE_TOL
+        # |margin| <= TIE_TOL, without a float temporary the size of margin
+        tied = (margin <= TIE_TOL) & (margin >= -TIE_TOL)
         n_tied = int(np.count_nonzero(tied))
         if n_tied:
             if self.mode == "jitter":
@@ -168,7 +172,9 @@ class Profile:
     """Base class of the pure strategy profiles.  Subclasses implement
     ``action``; ``trace_actions`` is the generic per-agent loop, which fast
     profiles override.  ``trace_batch`` replays R draws at once by stacking
-    ``trace_actions`` calls; ``MyopicExactProfile`` overrides it.
+    ``trace_actions`` calls; the myopic, gossip, royal-family and mad-king
+    profiles override it with one batched kernel, and answer
+    ``trace_actions`` with a one-row batch.
     ``tie_breaker`` is the rule a profile decides by; a trace draws its
     jitters from it."""
 

@@ -14,8 +14,9 @@ roles come from ``graphs.role_names``, do not depend on it.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, a negative seed, an output path in a missing directory, or a run
-the exact engine's budget cannot hold), found before any replicate runs.
+below 1, a negative seed, an output path that is a directory or lies in a
+missing directory, or a run the exact engine's budget cannot hold), found
+before any replicate runs.
 """
 from __future__ import annotations
 
@@ -84,6 +85,8 @@ def cmd_simulate(args) -> int:
         for path in (out_json, csv_path):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"no directory for output file {path!r}")
+            if path and os.path.isdir(path):
+                raise ValueError(f"output file {path!r} is a directory")
         g = rc.build_graph()
         m = rc.build_signal_model()
         prof = rc.build_profile(g, m)

@@ -6,10 +6,17 @@ learning/agreement frequencies over replicates with Wilson confidence
 intervals.  Tail windows play the role of limiting action sets at a finite
 horizon.
 
+The ensemble loop works on blocks of replicates: each block draws its
+rows, plays them with one ``trace_batch`` call and tallies them at once.  A
+fixed cell budget, ``beliefs.BLOCK_CELLS`` cells of (replicate, agent,
+round), sizes a block, with at least one replicate; a run that keeps its
+traces plays one-replicate blocks, so every trace carries its own tie count.
+
 Determinism: replicate r of an ensemble with master seed s always uses
-``np.random.default_rng([s, r])``, so results are independent of worker
-count and replicate batching, and ``run_ensemble`` merges its chunks in
-replicate order.
+``np.random.default_rng([s, r])``, and draws from it its state, then its
+atoms, then its jitters.  Results are therefore independent of worker
+count and block size, and ``run_ensemble`` merges its chunks in replicate
+order.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .beliefs import TieLog
+from .beliefs import BLOCK_CELLS, TieLog
 from .stats import wilson_interval
 
 __all__ = [
@@ -75,20 +82,34 @@ def replicate_rng(master_seed: int, replicate_index: int):
     return np.random.default_rng([master_seed, replicate_index])
 
 
+def _draw(g, m, profile, config: SimConfig, indices):
+    """States (R,), atoms (R, n) and jitters (R, n) of the replicates
+    ``indices``.  Each row draws from its own stream, in the order state,
+    atom uniforms, jitters; one inverse-CDF call maps every row's uniforms
+    to atoms."""
+    states = np.empty(len(indices), dtype=np.int64)
+    u = np.empty((len(indices), g.n))
+    jitters = np.empty((len(indices), g.n))
+    for i, r in enumerate(indices):
+        rng = replicate_rng(config.master_seed, r)
+        states[i] = rng.integers(0, 2)
+        rng.random(out=u[i])
+        jitters[i] = profile.tie_breaker.draw_jitters(rng, g.n)
+    return states, m.atoms_of(u, states), jitters
+
+
 def run_trace(g, m, profile, config: SimConfig, replicate_index: int,
               inject=None) -> Trace:
-    """Simulate one replicate.
+    """Simulate one replicate, as the ensemble loop does.
 
     ``inject`` optionally overrides the random draw: a callable
-    (rng, state, atoms) -> (state, atoms) applied after sampling, used to
+    (state, atoms) -> (state, atoms) applied after sampling, used to
     condition on rare events.
     """
-    rng = replicate_rng(config.master_seed, replicate_index)
-    state = int(rng.integers(0, 2))
-    atoms = m.sample_atoms(rng, g.n, state)
-    jitters = profile.tie_breaker.draw_jitters(rng, g.n)
+    states, atoms, jitters = _draw(g, m, profile, config, [replicate_index])
+    state, atoms, jitters = int(states[0]), atoms[0], jitters[0]
     if inject is not None:
-        state, atoms = inject(rng, state, atoms)
+        state, atoms = inject(state, atoms)
         atoms = np.asarray(atoms)
     tie_log = TieLog()
     actions = profile.trace_actions(g, m, atoms, jitters, config.horizon,
@@ -132,18 +153,26 @@ class EnsembleTally:
         if self.agent_learn is None:
             self.agent_learn = np.zeros(self.n_agents, dtype=np.int64)
 
-    def add_trace(self, trace: Trace, window: int):
-        self.replicates += 1
-        self.tie_events += trace.tie_count
-        tail = trace.actions[:, -window:]
-        has0 = (tail == 0).any(axis=1)
-        has1 = (tail == 1).any(axis=1)
+    def add_batch(self, states, actions, ties: int, window: int):
+        """Tally a block of replicates: their states (R,), their actions
+        (R, n, T) and the block's tie events."""
+        tail = actions[:, :, -window:]
+        has0 = ~tail.all(axis=2)
+        has1 = tail.any(axis=2)
+        state = np.asarray(states, dtype=bool)[:, None]
         # learned <=> the tail set is exactly {state}
-        learned = (has1 == bool(trace.state)) & (has0 != bool(trace.state))
-        self.agent_learn += learned
-        self.all_learn += bool(learned.all())
+        learned = (has1 == state) & (has0 != state)
+        self.replicates += len(actions)
+        self.tie_events += ties
+        self.agent_learn += learned.sum(axis=0)
+        self.all_learn += int(learned.all(axis=1).sum())
         # agreement <=> every agent has the same tail action set
-        self.agree += bool((has0 == has0[0]).all() and (has1 == has1[0]).all())
+        self.agree += int(((has0 == has0[:, :1]).all(axis=1)
+                           & (has1 == has1[:, :1]).all(axis=1)).sum())
+
+    def add_trace(self, trace: Trace, window: int):
+        self.add_batch([trace.state], trace.actions[None], trace.tie_count,
+                       window)
 
     def merge(self, other: "EnsembleTally"):
         if other.n_agents != self.n_agents:
@@ -198,15 +227,21 @@ def report_from_tally(tally: EnsembleTally, config: SimConfig,
 
 
 def _run_chunk(g, m, profile, config: SimConfig, indices, keep_traces):
-    """Tally one chunk of replicates in this process.  Top-level so it
-    pickles."""
+    """Tally one chunk of replicates in this process, a block at a time.
+    Top-level so it pickles."""
     tally = EnsembleTally(g.n)
     traces = [] if keep_traces else None
-    for r in indices:
-        trace = run_trace(g, m, profile, config, r)
-        tally.add_trace(trace, config.tail_window)
+    rows = 1 if keep_traces else max(1, BLOCK_CELLS // (g.n * config.horizon))
+    for lo in range(0, len(indices), rows):
+        block = indices[lo:lo + rows]
+        states, atoms, jitters = _draw(g, m, profile, config, block)
+        tie_log = TieLog()
+        actions = profile.trace_batch(g, m, atoms, jitters, config.horizon,
+                                      tie_log)
+        tally.add_batch(states, actions, tie_log.count, config.tail_window)
         if keep_traces:
-            traces.append(trace)
+            traces.append(Trace(int(states[0]), atoms[0], jitters[0],
+                                actions[0], tie_log.count, block[0]))
     return tally, traces
 
 
@@ -229,8 +264,9 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
     depend on ``workers``.
 
     A zero-row ``trace_batch`` solves the profile to the horizon here first:
-    pool workers get the solved profile (the myopic world table) instead of
-    each rebuilding it, and an over-budget run fails before any pool starts."""
+    pool workers get the solved profile (the myopic world table, the gossip
+    rings) instead of each rebuilding it, and an over-budget run fails
+    before any pool starts."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     profile.trace_batch(g, m, np.zeros((0, g.n), dtype=np.intp),

@@ -73,6 +73,8 @@ class SignalModel:
         object.__setattr__(self, "_p0", np.array([a.p0 for a in self.atoms]))
         object.__setattr__(self, "_p1", np.array([a.p1 for a in self.atoms]))
         object.__setattr__(self, "_z", np.array([a.z for a in self.atoms]))
+        object.__setattr__(self, "_cum", np.cumsum([self._p0, self._p1],
+                                                   axis=1))
 
     @property
     def k(self):
@@ -101,9 +103,19 @@ class SignalModel:
 
     def sample_atoms(self, rng, size: int, s: int):
         """Vectorized atom-index draws conditioned on the state."""
-        p = self.probs(s)
-        u = rng.random(size)
-        return np.searchsorted(np.cumsum(p), u).clip(0, self.k - 1)
+        return self.atoms_of(rng.random(size), s)
+
+    def atoms_of(self, u, states):
+        """Atom indices of the U[0, 1) draws ``u`` by inverse CDF, under
+        ``states``: one state, or one per row of ``u``.  An index counts
+        the state's first k - 1 cumulative masses that lie below its draw,
+        which is ``searchsorted(cumsum(p), u)`` capped at k - 1."""
+        u = np.asarray(u)
+        cum = self._cum[np.asarray(states)][..., None, :]
+        out = np.zeros(u.shape, dtype=np.intp)
+        for j in range(self.k - 1):
+            out += cum[..., j] < u
+        return out
 
 
 def total_variation(m: SignalModel) -> float:

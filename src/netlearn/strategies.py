@@ -166,15 +166,18 @@ class GossipProfile(Profile):
     the atoms of the in-neighborhood exactly), and from round 2 on is an
     idealization in which log-likelihood ratios propagate along edges one hop
     per round.  It is *not* measurable with respect to the observed action
-    history in general, so only ``trace_actions`` is provided.
+    history in general, so only traces (``trace_batch``) are provided.
 
     The balls are held as rings: for every agent i and every j at distance
     d <= T-1 from i (T the horizon), one entry pairs the cell i*T + d with
-    the member j.  A trace sums each ring's ratios with one ``bincount`` and
-    accumulates the rings over d.  The rings are built by a BFS truncated at
-    radius T-1 on the first trace for a (graph, horizon) and take
-    16 B * sum_i |ball_{T-1}(i)|: 0.94 MB on cycle(1000) at T=30, and n^2
-    entries in the worst case, on dense graphs.
+    the member j.  A batch of traces sums each ring's ratios, a block of
+    rows at a time, and accumulates the rings over d.  The rings are built
+    by a BFS truncated at radius T-1 on the first batch for a (graph,
+    horizon), an empty one included, and are held for a whole block, with
+    the block's work buffers: 24 B per entry plus 8 B per (row, agent,
+    round) cell.  A one-row block has sum_i |ball_{T-1}(i)| entries (1.66 MB
+    with its buffers on cycle(1000) at T=30, and n^2 entries in the worst
+    case, on dense graphs); a larger block at most ``beliefs.BLOCK_CELLS``.
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
@@ -187,6 +190,12 @@ class GossipProfile(Profile):
             "use trace_actions")
 
     def _rings(self, g, horizon):
+        """(cell, member, rows, weights, sums): the ring entries of a block
+        of ``rows`` trace rows, row r's cells offset by r * n * horizon and
+        its members by r * n, the first row's being the rings themselves,
+        and the block's work buffers, one float per entry and one per cell.
+        A block holds at most ``beliefs.BLOCK_CELLS`` entries, and at least
+        one row."""
         key = (g.n, g.edges, horizon)
         rings = self._ring_cache.get(key)
         if rings is None:
@@ -195,19 +204,51 @@ class GossipProfile(Profile):
                 ball = graphs.ball_distances(g, i, horizon - 1)
                 member.extend(ball)
                 cell.extend([i * horizon + d for d in ball.values()])
-            rings = (np.array(cell, dtype=np.intp),
-                     np.array(member, dtype=np.intp))
+            rows = max(1, beliefs.BLOCK_CELLS // max(len(cell), 1))
+            r = np.arange(rows)[:, None]
+            cell = (np.array(cell, dtype=np.intp)
+                    + r * (g.n * horizon)).ravel()
+            rings = (cell, (np.array(member, dtype=np.intp)
+                            + r * g.n).ravel(), rows,
+                     np.empty(len(cell)), np.empty(rows * g.n * horizon))
             self._ring_cache[key] = rings
         return rings
 
+    def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
+        """(R, n, horizon) actions of the rows of ``atoms`` and ``jitters``
+        (R, n): per block of rows, one ``np.add.at`` of the entries'
+        ratios into the cells.  It adds them one at a time in entry order,
+        as ``bincount`` does, so every sum equals a one-row trace's.
+
+        The sums and the ratios live in the work buffers held with the
+        rings, and the rounds are accumulated in place: a freed per-row
+        temporary this large can make malloc trim the heap top, which the
+        next row then faults in again (on cycle(1000), T=30, about twice
+        the page faults of the whole run).  Not reentrant."""
+        cell, member, rows, weights, sums = self._rings(g, horizon)
+        atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
+        jitters = np.asarray(jitters, dtype=np.float64).reshape(atoms.shape)
+        z = np.asarray(m.z_values)[atoms]
+        out = np.empty((len(atoms), g.n, horizon), dtype=np.uint8)
+        for lo in range(0, len(atoms), rows):
+            k = min(rows, len(atoms) - lo)
+            e = k * (len(cell) // rows)
+            # members are in range by construction; under mode "raise"
+            # take would write through a temporary as large as its output
+            w = np.take(z[lo:lo + k].ravel(), member[:e], out=weights[:e],
+                        mode="wrap")
+            acc = sums[:k * g.n * horizon]
+            acc.fill(0.0)
+            np.add.at(acc, cell[:e], w)
+            # column t sums the ratios within distance t of each agent
+            acc = acc.reshape(k, g.n, horizon)
+            out[lo:lo + k] = self.tie_breaker.decide(
+                np.cumsum(acc, axis=2, out=acc), tie_log,
+                jitters[lo:lo + k, :, None])[0]
+        return out
+
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
-        cell, member = self._rings(g, horizon)
-        z = np.asarray(m.z_values)[np.asarray(atoms)]
-        # column t sums the ratios within distance t of each agent
-        sums = np.bincount(cell, weights=z[member],
-                           minlength=g.n * horizon).reshape(g.n, horizon)
-        return self.tie_breaker.decide(sums.cumsum(axis=1), tie_log,
-                                       np.asarray(jitters)[:, None])[0]
+        return self.trace_batch(g, m, [atoms], [jitters], horizon, tie_log)[0]
 
 
 class RoyalFamilyProfile(Profile):
@@ -248,15 +289,30 @@ class RoyalFamilyProfile(Profile):
             return history[-1][self_pos]
         return int(self.tie_breaker.decide(val, tie_log)[0])
 
-    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+    def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
+        """(R, n, horizon) actions of the rows of ``atoms`` (R, n): the own
+        sign at round 0, then the sign of the decoded closed-neighbourhood
+        sum, one ``bincount`` over owner + r * n for the whole batch.  It
+        adds weights in input order, so every sum, and every tie, equals a
+        one-row trace's."""
+        atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
+        R = len(atoms)
+        out = np.empty((R, g.n, horizon), dtype=np.uint8)
+        if horizon == 0:
+            return out
         decide = self.tie_breaker.decide
-        out = np.empty((g.n, horizon), dtype=np.uint8)
-        out[:, 0] = decide(self._z[np.asarray(atoms)], tie_log)[0]
+        out[:, :, 0] = decide(self._z[atoms], tie_log)[0]
         if horizon >= 2:
-            decoded = self._sign_z[out[self._member, 0]]
-            sums = np.bincount(self._owner, weights=decoded, minlength=g.n)
-            out[:, 1:] = decide(sums, tie_log)[0][:, None]
+            decoded = self._sign_z[out[:, self._member, 0]]
+            sums = np.bincount(
+                (self._owner + g.n * np.arange(R)[:, None]).ravel(),
+                weights=decoded.ravel(), minlength=R * g.n)
+            acts = decide(sums.reshape(R, g.n), tie_log)[0]
+            out[:, :, 1:] = acts[:, :, None]
         return out
+
+    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+        return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
 
 
 @dataclass(frozen=True)

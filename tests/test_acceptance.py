@@ -170,7 +170,7 @@ def test_criterion_07_royal_family_non_learning():
 
     neg, pos = m.sign_atoms()
 
-    def inject_unanimous(rng, state, atoms):
+    def inject_unanimous(state, atoms):
         atoms = np.array(atoms)
         atoms[:R] = pos
         return 0, atoms
@@ -205,7 +205,7 @@ def test_criterion_08_mad_king_forced_dynamics():
 
     neg, pos = m.sign_atoms()
 
-    def inject_plus_bureaucracy(rng, state, atoms):
+    def inject_plus_bureaucracy(state, atoms):
         atoms = np.array(atoms)
         atoms[list(roles.bureaucracy)] = pos
         return 0, atoms

@@ -356,13 +356,19 @@ PREFLIGHT_BASE = ("[graph]\nfamily = cycle(8)\n\n[profile]\nname = gossip\n\n"
     (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {missing}\n", [], "{missing}"),
     ("mad_king:0", [], "delta must be > 0, got 0.0"),
     ("mad_king:-1", [], "delta must be > 0, got -1.0"),
+    (PREFLIGHT_BASE, ["--out", "{tmp}"], "{tmp}' is a directory"),
+    ("mad_king:0.025", ["--trace-csv", "{tmp}"], "{tmp}' is a directory"),
+    (PREFLIGHT_BASE + "\n[output]\nreport_json = {tmp}\n", [],
+     "{tmp}' is a directory"),
+    (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {tmp}\n", [],
+     "{tmp}' is a directory"),
 ])
 def test_simulate_preflight_exits_2_before_any_replicate(
         tmp_path, capsys, monkeypatch, text, args, named):
     """A negative seed, a graph given both as a family and as a file, an
-    output path in a missing directory or a mad-king delta <= 0 is a usage
-    error: one line that names it, exit 2, no ensemble run and no file
-    written."""
+    output path in a missing directory or that is a directory, or a
+    mad-king delta <= 0 is a usage error: one line that names it, exit 2,
+    no ensemble run and no file written."""
     calls = []
     monkeypatch.setattr(dynamics, "run_ensemble",
                         lambda *a, **kw: calls.append(a))

@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from netlearn import dynamics, graphs, signals, strategies
 from netlearn.beliefs import TieBreaker
@@ -80,6 +82,26 @@ def test_run_ensemble_solves_the_profile_before_the_pool(fake_pool,
     assert fake_pool == [2] and solved == [4, 4]
 
 
+def test_run_ensemble_builds_the_gossip_rings_before_the_pool(fake_pool,
+                                                              monkeypatch):
+    """Each worker receives the gossip rings built, so none rebuilds
+    them."""
+    g, m, prof = small_setup()
+    cached = []
+    run_chunk = dynamics._run_chunk
+
+    def chunk(g, m, profile, *args, **kw):
+        cached.append(list(pickle.loads(pickle.dumps(profile))._ring_cache))
+        return run_chunk(g, m, profile, *args, **kw)
+
+    monkeypatch.setattr(dynamics, "_run_chunk", chunk)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
+    cfg = SimConfig(horizon=4, replicates=4, tail_window=2)
+    dynamics.run_ensemble(g, m, prof, cfg, workers=2)
+    key = (g.n, g.edges, 4)
+    assert fake_pool == [2] and cached == [[key], [key]]
+
+
 def test_replicate_rng_is_batch_independent():
     """Per-replicate streams depend only on (master seed, index), so any
     partition of replicates over workers gives identical results."""
@@ -120,7 +142,7 @@ def test_injection_overrides_draw():
     cfg = SimConfig(horizon=6, replicates=1, master_seed=0)
     neg, pos = m.sign_atoms()
 
-    def all_royals_plus(rng, state, atoms):
+    def all_royals_plus(state, atoms):
         atoms = np.array(atoms)
         atoms[:3] = pos
         return 0, atoms
@@ -167,6 +189,82 @@ def test_ensemble_workers_match_serial():
         assert np.array_equal(a.atoms, b.atoms)
         assert np.array_equal(a.jitters, b.jitters)
         assert np.array_equal(a.actions, b.actions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(0, 6), st.integers(1, 4),
+                                  st.integers(1, 5)),
+              elements=st.integers(0, 1)),
+       st.data())
+def test_add_batch_equals_a_per_row_tally(actions, data):
+    """One add_batch over R rows counts what a plain loop over the rows
+    counts, from each agent's set of tail actions."""
+    R, n, T = actions.shape
+    states = np.array(data.draw(st.lists(st.integers(0, 1), min_size=R,
+                                         max_size=R), label="states"))
+    window = data.draw(st.integers(1, T), label="window")
+    tally = dynamics.EnsembleTally(n)
+    tally.add_batch(states, actions, 7, window)
+    learn = agree = 0
+    agent = [0] * n
+    for s, a in zip(states, actions):
+        sets = [frozenset(a[i, -window:].tolist()) for i in range(n)]
+        learned = [tail == {s} for tail in sets]
+        agent = [k + x for k, x in zip(agent, learned)]
+        learn += all(learned)
+        agree += len(set(sets)) == 1
+    assert (tally.replicates, tally.all_learn, tally.agree,
+            tally.tie_events) == (R, learn, agree, 7)
+    assert tally.agent_learn.tolist() == agent
+
+
+def _ensemble_cases():
+    """One small run per profile, each with ties to count."""
+    m = signals.symmetric_binary(0.7)
+    gk, gr, gm = (graphs.mad_king(1, 3, 2), graphs.royal_family(2, 4),
+                  graphs.dicycle(4))
+    return {
+        "gossip": (graphs.dicycle(4), m,
+                   strategies.GossipProfile(TieBreaker("jitter"))),
+        "royal": (gr, signals.royal_bounded(), strategies.RoyalFamilyProfile(
+            gr, signals.royal_bounded(), TieBreaker("one"))),
+        "mad_king": (gk, m, strategies.MadKingProfile(gk, m, 0.5, 0.9)),
+        "myopic": (gm, m, strategies.MyopicExactProfile(gm, m)),
+    }
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("name", ["gossip", "royal", "mad_king", "myopic"])
+def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
+                                                     name, block, workers,
+                                                     keep):
+    """The block loop reports what one run_trace and one add_trace per
+    replicate report, ties included, for blocks of any size and any
+    worker count; kept traces are run_trace's."""
+    g, m, prof = _ensemble_cases()[name]
+    cfg = SimConfig(horizon=5, replicates=23, tail_window=2, master_seed=6)
+    if block:
+        monkeypatch.setattr(dynamics, "BLOCK_CELLS", block * g.n * 5)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
+    want = [dynamics.run_trace(g, m, prof, cfg, r) for r in range(23)]
+    tally = dynamics.EnsembleTally(g.n)
+    for tr in want:
+        tally.add_trace(tr, cfg.tail_window)
+    rep, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=keep,
+                                        workers=workers)
+    assert tally.tie_events > 0
+    assert rep == dynamics.report_from_tally(tally, cfg, g.family_tag)
+    assert fake_pool == ([2] if workers == 2 else [])
+    if keep:
+        for a, b in zip(traces, want, strict=True):
+            assert (a.state, a.tie_count, a.replicate_index) \
+                == (b.state, b.tie_count, b.replicate_index)
+            for f in ("atoms", "jitters", "actions"):
+                assert np.array_equal(getattr(a, f), getattr(b, f))
+    else:
+        assert traces is None
 
 
 def _check_pool(fake_pool, monkeypatch, workers, replicates, cpus, pool):

@@ -102,3 +102,33 @@ def test_sampler_distribution():
         draws = m.sample_atoms(rng, 50000, s)
         emp = np.bincount(draws, minlength=2) / 50000
         assert np.abs(emp - m.probs(s)).max() < 0.01
+
+
+def _model(p0, p1):
+    return signals.model_from_triples(
+        [(math.log(b / a), a, b) for a, b in zip(p0, p1)])
+
+
+ATOM_MODELS = (signals.symmetric_binary(0.7), signals.mad_king_asym(),
+               _model((0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
+               _model((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ATOM_MODELS), st.integers(0, 5), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_atoms_of_is_searchsorted_on_each_rows_cumsum(m, R, n, seed):
+    """The block mapping from uniforms to atoms equals a per-row
+    ``searchsorted`` on the cumulative masses of that row's state, capped
+    at k - 1, also for draws that land exactly on a cumulative mass."""
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, 2, R)
+    u = rng.random((R, n))
+    cuts = np.concatenate([np.cumsum(m.probs(0)), np.cumsum(m.probs(1))])
+    u.flat[::2] = rng.choice(np.minimum(cuts, 0.999), size=u.flat[::2].size)
+    got = m.atoms_of(u, states)
+    assert got.shape == (R, n)
+    for row, s, a in zip(u, states, got):
+        want = np.searchsorted(np.cumsum(m.probs(s)), row).clip(0, m.k - 1)
+        assert np.array_equal(a, want)
+        assert np.array_equal(m.atoms_of(row, s), want)

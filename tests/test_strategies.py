@@ -173,8 +173,8 @@ def test_lookahead_certainty_matches_bruteforce(spec, m, mode, t, ell_max,
 
 def test_trace_batch_empty_batch_and_zero_horizon():
     """An empty batch and a zero horizon give empty arrays and no ties, on
-    the engine's and the mad king's overrides and on the stacked base
-    loop."""
+    the engine's, the mad king's, the royal family's and the gossip
+    overrides and on the stacked base loop."""
     g = graphs.dicycle(4)
     m = signals.symmetric_binary(0.7)
     myo = strategies.MyopicExactProfile(g, m, TieBreaker("one"))
@@ -182,7 +182,11 @@ def test_trace_batch_empty_batch_and_zero_horizon():
         strategies.ForcedResponse(((0, 0, 1),)), myo)
     gk = graphs.mad_king(1, 1, 2)
     king = strategies.MadKingProfile(gk, m, 0.5, 0.9, TieBreaker("one"))
-    for g, prof in ((g, myo), (g, overlay), (gk, king)):
+    gr = graphs.royal_family(2, 2)
+    royal = strategies.RoyalFamilyProfile(gr, m, TieBreaker("one"))
+    gossip = strategies.GossipProfile(TieBreaker("one"))
+    for g, prof in ((g, myo), (g, overlay), (gk, king), (gr, royal),
+                    (g, gossip)):
         atoms = np.zeros((2, g.n), dtype=int)
         log = beliefs.TieLog()
         empty = prof.trace_batch(g, m, np.zeros((0, g.n), dtype=int),
@@ -293,6 +297,65 @@ def test_gossip_rings_match_dense_reach_masks(gi, m, mode, data, seed):
     want, ties = _dense_gossip(g, m, atoms, jitters, horizon, mode)
     assert fast.dtype == np.uint8 and fast.shape == (g.n, horizon)
     assert np.array_equal(fast, want)
+    assert log.count == ties
+
+
+def _ring_sum_gossip(g, m, atoms, jitters, horizon, mode):
+    """Reference for one row: each agent's ratios added ring by ring, in
+    BFS order, then accumulated over the rings; returns the actions and the
+    number of ties."""
+    z = np.asarray(m.z_values)[np.asarray(atoms)]
+    sums = np.zeros((g.n, horizon))
+    for i in range(g.n):
+        for j, d in graphs.ball_distances(g, i, horizon - 1).items():
+            sums[i, d] += z[j]
+    margin = sums.cumsum(axis=1)
+    tied = np.abs(margin) <= beliefs.TIE_TOL
+    if mode == "jitter":
+        tie_act = np.broadcast_to((jitters < 0.5)[:, None], margin.shape)
+    else:
+        tie_act = np.full(margin.shape, mode == "one")
+    out = np.where(tied, tie_act, margin > beliefs.TIE_TOL).astype(np.uint8)
+    return out, int(np.count_nonzero(tied))
+
+
+def _rows_with_cancelling_sums(data, m, n):
+    """1-4 atom rows drawn by hypothesis, then one row alternating the
+    positive and the negative atom, whose sums over an even number of
+    agents cancel under a symmetric model."""
+    neg, pos = m.sign_atoms()
+    rows = data.draw(st.lists(st.lists(st.integers(0, m.k - 1), min_size=n,
+                                       max_size=n), min_size=1, max_size=4),
+                     label="rows")
+    rows.append([(pos, neg)[i % 2] for i in range(n)])
+    return np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(GOSSIP_GRAPHS))),
+       st.sampled_from(GOSSIP_MODELS), st.sampled_from(("zero", "one",
+                                                        "jitter")),
+       st.sampled_from((1, 7, 40, beliefs.BLOCK_CELLS)), st.data(),
+       st.integers(0, 2 ** 32 - 1))
+def test_gossip_trace_batch_matches_per_row_ring_sums(gi, m, mode, cap, data,
+                                                      seed):
+    """R rows at once, in blocks of any size, equal the per-row ring-sum
+    reference in actions and in the batch's tie count, every tie mode."""
+    g = GOSSIP_GRAPHS[gi]
+    horizon = data.draw(st.integers(1, 6), label="horizon")
+    atoms = _rows_with_cancelling_sums(data, m, g.n)
+    jitters = np.random.default_rng(seed).random(atoms.shape)
+    log = beliefs.TieLog()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beliefs, "BLOCK_CELLS", cap)
+        fast = strategies.GossipProfile(TieBreaker(mode)).trace_batch(
+            g, m, atoms, jitters, horizon, log)
+    assert fast.dtype == np.uint8 and fast.shape == atoms.shape + (horizon,)
+    ties = 0
+    for row, a, j in zip(fast, atoms, jitters):
+        want, k = _ring_sum_gossip(g, m, a, j, horizon, mode)
+        assert np.array_equal(row, want)
+        ties += k
     assert log.count == ties
 
 
@@ -428,6 +491,27 @@ def test_royal_family_trace_matches_action_loop_in_every_tie_mode(
                                             horizon, slow_log)
     assert np.array_equal(fast, slow)
     assert fast_log.count == slow_log.count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), ROYAL_MODELS,
+       st.sampled_from(("zero", "one")), st.integers(1, 5), st.data())
+def test_royal_family_trace_batch_matches_the_generic_loop(R, n, m, mode,
+                                                          horizon, data):
+    """R rows at once equal the per-agent action loop row by row, in
+    actions and in the batch's tie count, including rows whose round-1
+    sums cancel."""
+    g = graphs.royal_family(R, n)
+    prof = strategies.RoyalFamilyProfile(g, m, TieBreaker(mode))
+    atoms = _rows_with_cancelling_sums(data, m, g.n)
+    log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+    fast = prof.trace_batch(g, m, atoms, np.zeros(atoms.shape), horizon, log)
+    assert fast.dtype == np.uint8 and fast.shape == atoms.shape + (horizon,)
+    for row, a in zip(fast, atoms):
+        slow = beliefs.Profile.trace_actions(prof, g, m, a, np.zeros(g.n),
+                                             horizon, slow_log)
+        assert np.array_equal(row, slow)
+    assert log.count == slow_log.count
 
 
 def test_scripted_profiles_reject_jitter_tiebreak():
@@ -689,7 +773,7 @@ def test_gossip_jitter_breaks_ties_below_one_half(tmp_path):
     prof = rc.build_profile(g, m)
     neg, pos = m.sign_atoms()
 
-    def alternate(rng, state, atoms):
+    def alternate(state, atoms):
         return state, np.array([pos, neg, pos, neg])
 
     played = set()
