@@ -17,9 +17,8 @@ from .beliefs import (  # noqa: F401
     exact_posterior, lookahead_certainty, mc_posterior, y_decomposition,
 )
 from .strategies import (  # noqa: F401
-    ForcedOverlayProfile, ForcedResponse, GossipProfile, MadKingProfile,
-    MadKingRoles, MyopicExactProfile, Profile, RoyalFamilyProfile,
-    myopic_condition_check,
+    GossipProfile, MadKingProfile, MadKingRoles, MyopicExactProfile, Profile,
+    RoyalFamilyProfile, myopic_condition_check,
 )
 from .dynamics import (  # noqa: F401
     EnsembleReport, SimConfig, Trace, discounted_utility,

@@ -7,8 +7,12 @@ the budget bounds the world-agent cells k^n * n, 10^7 by default, which
 admits n <= 19 at k = 2).  A belief function replays the profile in every
 world where the viewing agent holds its atom, with one call of the profile's
 ``trace_batch``, keeps the worlds whose replay shows the agent its observed
-neighbour rows, and sums their masses.  The Monte Carlo engine replays
-sampled worlds through the same filter instead.
+neighbour rows, and sums their masses; ``y_decomposition`` replays them
+through the myopic profile's ``forced_trace`` instead, with the agent's
+observed actions forced.  The Monte Carlo engine replays sampled worlds
+through the same filter.  A malformed view, or a profile other than the
+myopic one where only it will do, fails with a ValueError before any world
+is enumerated.
 """
 from __future__ import annotations
 
@@ -31,8 +35,6 @@ __all__ = [
     "HistoryView",
     "BeliefState",
     "Profile",
-    "ForcedResponse",
-    "ForcedOverlayProfile",
     "YDecomposition",
     "TieBreaker",
     "TieLog",
@@ -170,11 +172,12 @@ def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
 
 class Profile:
     """Base class of the pure strategy profiles.  Subclasses implement
-    ``action``; ``trace_actions`` is the generic per-agent loop, which fast
-    profiles override.  ``trace_batch`` replays R draws at once by stacking
-    ``trace_actions`` calls; the myopic, gossip, royal-family and mad-king
-    profiles override it with one batched kernel, and answer
-    ``trace_actions`` with a one-row batch.
+    ``action`` and ``trace_batch(g, m, atoms, jitters, horizon, tie_log)``:
+    the (R, n, horizon) uint8 actions of the rows of ``atoms`` and
+    ``jitters`` (R, n), in one batched kernel, ties counted over the whole
+    batch.  The myopic, gossip, royal-family and mad-king profiles answer
+    ``trace_actions`` with a one-row batch; the generic per-agent loop
+    below stays as the oracle they are tested against.
     ``tie_breaker`` is the rule a profile decides by; a trace draws its
     jitters from it."""
 
@@ -182,15 +185,6 @@ class Profile:
 
     def action(self, agent: int, atom: int, history, tie_log=None) -> int:
         raise NotImplementedError
-
-    def trace_batch(self, g, m, atoms, jitters, horizon: int,
-                    tie_log=None) -> np.ndarray:
-        """(R, n, horizon) uint8 actions for the rows of ``atoms`` (R, n) and
-        ``jitters`` (R, n); ties are counted over the whole batch."""
-        out = np.empty((len(atoms), g.n, horizon), dtype=np.uint8)
-        for r, (a, j) in enumerate(zip(atoms, jitters)):
-            out[r] = self.trace_actions(g, m, a, j, horizon, tie_log)
-        return out
 
     def trace_actions(self, g, m, atoms, jitters, horizon: int,
                       tie_log=None) -> np.ndarray:
@@ -208,55 +202,6 @@ class Profile:
             hists = [h + (tuple([row[j] for j in nb]),)
                      for h, nb in zip(hists, nbrs)]
         return out
-
-
-@dataclass(frozen=True)
-class ForcedResponse:
-    """A table of forced moves.
-
-    ``moves`` maps (agent, time) -> action and applies to every history at
-    that time.  For the table to describe a well-defined pure profile
-    restriction, forcing an agent at time t > 0 requires its moves at all
-    earlier times to be forced too (history-closure); the constructor
-    enforces this.
-    """
-
-    moves: Tuple[Tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = {}
-        for agent, t, act in self.moves:
-            if act not in (0, 1):
-                raise ValueError("forced actions must be 0 or 1")
-            key = (agent, t)
-            if key in seen and seen[key] != act:
-                raise ValueError(f"conflicting forced moves for {key}")
-            seen[key] = act
-        for agent, t, _ in self.moves:
-            for tau in range(t):
-                if (agent, tau) not in seen:
-                    raise ValueError(
-                        f"forcing agent {agent} at time {t} requires a "
-                        f"forced move at time {tau} as well")
-        object.__setattr__(self, "_table", seen)
-
-    def lookup(self, agent: int, t: int) -> Optional[int]:
-        return self._table.get((agent, t))
-
-
-class ForcedOverlayProfile(Profile):
-    """Play the forced move where one is defined, else defer to a base
-    profile."""
-
-    def __init__(self, forced: ForcedResponse, base: Profile):
-        self.forced = forced
-        self.base = base
-
-    def action(self, agent, atom, history, tie_log=None):
-        f = self.forced.lookup(agent, len(history))
-        if f is not None:
-            return f
-        return self.base.action(agent, atom, history, tie_log)
 
 
 def history_of(g, actions, i: int, t: int):
@@ -301,16 +246,47 @@ def worlds(m, n: int, budget: int = DEFAULT_BUDGET):
         m.probs(1)[atoms].prod(axis=0)
 
 
-def _seen(g, m, profile, view: HistoryView, atoms, horizon: int):
+def _check_view(g, m, view: HistoryView):
+    """Raise ValueError, naming the fault, unless ``view`` is a view of
+    (g, m): an agent of g, an atom of m, and rows of 0/1 actions, one per
+    member of the agent's closed neighbourhood."""
+    if not 0 <= view.agent < g.n:
+        raise ValueError(f"view agent {view.agent} is not in 0..{g.n - 1}")
+    if not 0 <= view.atom < m.k:
+        raise ValueError(f"view atom {view.atom} is not in 0..{m.k - 1}")
+    width = len(g.closed_nbrs(view.agent))
+    for tau, row in enumerate(view.observed):
+        if len(row) != width or any(a not in (0, 1) for a in row):
+            raise ValueError(
+                f"observed row {tau} {row!r} is not {width} actions of "
+                f"0 or 1, one per closed neighbour of agent {view.agent}")
+
+
+def _require_myopic(profile, name: str):
+    from .strategies import MyopicExactProfile
+    if not isinstance(profile, MyopicExactProfile):
+        raise ValueError(f"{name} needs a MyopicExactProfile")
+
+
+def _seen(g, m, profile, view: HistoryView, atoms, horizon: int,
+          forced: bool = False):
     """Replay ``profile`` for ``horizon`` >= view.t rounds, with one
     ``trace_batch`` call, in the worlds (columns of ``atoms``) where the
     viewing agent holds the view's atom, and keep those that show it the
-    observed closed-neighbourhood rows.  Returns (kept columns, the (worlds,
+    observed closed-neighbourhood rows.  With ``forced``, the replay is the
+    myopic profile's ``forced_trace``, in which the agent plays its observed
+    actions whatever its atom.  Returns (kept columns, the (worlds,
     neighbours, horizon) rows the agent sees in them)."""
     own = np.flatnonzero(atoms[view.agent] == view.atom)
     nbrs = list(g.closed_nbrs(view.agent))
-    seen = profile.trace_batch(g, m, atoms[:, own].T,
-                               np.zeros((len(own), g.n)), horizon)[:, nbrs]
+    rows = atoms[:, own].T
+    if forced:
+        me = nbrs.index(view.agent)
+        acts = profile.forced_trace(rows, horizon, view.agent,
+                                    [row[me] for row in view.observed])
+    else:
+        acts = profile.trace_batch(g, m, rows, np.zeros(rows.shape), horizon)
+    seen = acts[:, nbrs]
     obs = np.array(view.observed, dtype=np.int64).reshape(view.t, len(nbrs))
     ok = (seen[:, :, :view.t] == obs.T).all(axis=(1, 2))
     return own[ok], seen[ok]
@@ -322,6 +298,7 @@ def exact_posterior(g, m, profile, view: HistoryView,
 
     Requires a pure (deterministic) profile.  The uniform prior on the state
     cancels in the ratio."""
+    _check_view(g, m, view)
     atoms, w0, w1 = worlds(m, g.n, budget)
     keep, _ = _seen(g, m, profile, view, atoms, view.t)
     s0, s1 = w0[keep].sum(), w1[keep].sum()
@@ -341,6 +318,7 @@ def mc_posterior(g, m, profile, view: HistoryView, particles: int,
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
+    _check_view(g, m, view)
     others = [j for j in range(g.n) if j != view.agent]
     own = (m.atom_prob(view.atom, 0), m.atom_prob(view.atom, 1))
     hits = []
@@ -374,20 +352,19 @@ def y_decomposition(g, m, profile, view: HistoryView,
                     budget: int = DEFAULT_BUDGET) -> YDecomposition:
     """Split the posterior log-odds into the history term Y and the private
     term Z_0; the identity Z = Y + Z_0 holds to 1e-9 on the exact engine.
+    ``profile`` must be a ``MyopicExactProfile``.
 
-    Y comes from its own replay, in which the viewing agent replays its
-    observed actions whatever its atom: the log ratio of the two states'
-    masses of the matching worlds, the agent's own atom mass divided out."""
+    Y comes from its own replay, the profile's ``forced_trace``, in which
+    the viewing agent plays its observed actions whatever its atom: the log
+    ratio of the two states' masses of the matching worlds, the agent's own
+    atom mass divided out."""
+    _require_myopic(profile, "y_decomposition")
     z = exact_posterior(g, m, profile, view, budget).log_odds
     z0 = m.atoms[view.atom].z
     if view.t == 0:
         return YDecomposition(0.0, z0, z)
-    self_pos = g.closed_nbrs(view.agent).index(view.agent)
-    clamped = ForcedOverlayProfile(ForcedResponse(tuple(
-        (view.agent, tau, row[self_pos])
-        for tau, row in enumerate(view.observed))), profile)
     atoms, w0, w1 = worlds(m, g.n, budget)
-    keep, _ = _seen(g, m, clamped, view, atoms, view.t)
+    keep, _ = _seen(g, m, profile, view, atoms, view.t, forced=True)
     s0 = w0[keep].sum() / m.atom_prob(view.atom, 0)
     s1 = w1[keep].sum() / m.atom_prob(view.atom, 1)
     if s0 <= 0.0 or s1 <= 0.0:
@@ -400,6 +377,7 @@ def outcome_distribution(g, m, profile, view: HistoryView,
                          budget: int = DEFAULT_BUDGET):
     """Distribution of the next observable neighbor-action row given the
     view.  Returns a list of (row, probability, extended_view)."""
+    _check_view(g, m, view)
     atoms, w0, w1 = worlds(m, g.n, budget)
     keep, seen = _seen(g, m, profile, view, atoms, view.t + 1)
     rows, which = np.unique(seen[:, :, view.t], axis=0, return_inverse=True)
@@ -423,16 +401,16 @@ def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3,
     Returns a tuple of length ell_max + 1; the sequence is nondecreasing
     (submartingale property, checked in tests).
 
-    ``profile`` must be a ``MyopicExactProfile`` (any other raises
-    ValueError before a world is enumerated): a one-agent myopic deviation
+    ``profile`` must be a ``MyopicExactProfile``: a one-agent myopic deviation
     from myopic play is that play, with the profile's own tie breaker.
 
     The worlds consistent with the view are grouped by the rows the agent
     sees through round t + ell; a group with masses (s0, s1) contributes
     (s0 + s1) * |s1 / (s0 + s1) - 1/2| = |s1 - s0| / 2."""
-    from .strategies import MyopicExactProfile
-    if not isinstance(profile, MyopicExactProfile):
-        raise ValueError("lookahead_certainty needs a MyopicExactProfile")
+    _require_myopic(profile, "lookahead_certainty")
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
+    _check_view(g, m, view)
     atoms, w0, w1 = worlds(m, g.n, budget)
     keep, seen = _seen(g, m, profile, view, atoms, view.t + ell_max)
     w0, w1 = w0[keep], w1[keep]

@@ -95,8 +95,8 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     try:
-        report, traces = dynamics.run_ensemble(
-            g, m, prof, rc.sim, keep_traces=bool(csv_path),
+        report, actions = dynamics.run_ensemble(
+            g, m, prof, rc.sim, keep_actions=bool(csv_path),
             workers=args.workers)
     except beliefs.BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
               f"agreement_freq={report.agreement_freq:.4f} "
               f"replicates={report.replicates}")
     if csv_path:
-        dynamics.write_trace_csv(csv_path, traces, graphs.role_names(g))
+        dynamics.write_trace_csv(csv_path, actions, graphs.role_names(g))
     return EXIT_OK
 
 

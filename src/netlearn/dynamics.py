@@ -10,7 +10,8 @@ The ensemble loop works on blocks of replicates: each block draws its
 rows, plays them with one ``trace_batch`` call and tallies them at once.  A
 fixed cell budget, ``beliefs.BLOCK_CELLS`` cells of (replicate, agent,
 round), sizes a block, with at least one replicate; a run that keeps its
-traces plays one-replicate blocks, so every trace carries its own tie count.
+actions (for the trace CSV) keeps each block's, as one (replicates, n,
+horizon) uint8 array in replicate order.
 
 Determinism: replicate r of an ensemble with master seed s always uses
 ``np.random.default_rng([s, r])``, and draws from it its state, then its
@@ -226,12 +227,14 @@ def report_from_tally(tally: EnsembleTally, config: SimConfig,
     )
 
 
-def _run_chunk(g, m, profile, config: SimConfig, indices, keep_traces):
+def _run_chunk(g, m, profile, config: SimConfig, indices, keep_actions):
     """Tally one chunk of replicates in this process, a block at a time.
+    Returns (tally, the chunk's (R, n, horizon) actions or None).
     Top-level so it pickles."""
     tally = EnsembleTally(g.n)
-    traces = [] if keep_traces else None
-    rows = 1 if keep_traces else max(1, BLOCK_CELLS // (g.n * config.horizon))
+    kept = np.empty((len(indices), g.n, config.horizon), dtype=np.uint8) \
+        if keep_actions else None
+    rows = max(1, BLOCK_CELLS // (g.n * config.horizon))
     for lo in range(0, len(indices), rows):
         block = indices[lo:lo + rows]
         states, atoms, jitters = _draw(g, m, profile, config, block)
@@ -239,10 +242,9 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, keep_traces):
         actions = profile.trace_batch(g, m, atoms, jitters, config.horizon,
                                       tie_log)
         tally.add_batch(states, actions, tie_log.count, config.tail_window)
-        if keep_traces:
-            traces.append(Trace(int(states[0]), atoms[0], jitters[0],
-                                actions[0], tie_log.count, block[0]))
-    return tally, traces
+        if keep_actions:
+            kept[lo:lo + len(block)] = actions
+    return tally, kept
 
 
 def _usable_cpus() -> int:
@@ -252,15 +254,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
+def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
                  workers: int = 1):
-    """Run all replicates and summarize.  Returns (report, traces) where
-    traces is None unless keep_traces is set.
+    """Run all replicates and summarize.  Returns (report, actions) where
+    actions, row r being replicate r's (n, horizon) uint8 actions, is None
+    unless keep_actions is set.
 
     The replicates are split into at most ``workers`` contiguous chunks, and
     no more chunks than usable CPUs; a single chunk runs in this process,
     several run in a pool of one spawned process per chunk.  The chunks'
-    tallies and traces are merged in chunk order, so the result does not
+    tallies and actions are merged in chunk order, so the result does not
     depend on ``workers``.
 
     A zero-row ``trace_batch`` solves the profile to the horizon here first:
@@ -275,7 +278,7 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
     k = min(workers, R, _usable_cpus())
     chunks = [range(i * R // k, (i + 1) * R // k) for i in range(k)]
     run = functools.partial(_run_chunk, g, m, profile, config,
-                            keep_traces=keep_traces)
+                            keep_actions=keep_actions)
     if k == 1:
         parts = [run(chunks[0])]
     else:
@@ -287,9 +290,8 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_traces: bool = False,
     tally = EnsembleTally(g.n)
     for part, _ in parts:
         tally.merge(part)
-    traces = [t for _, ts in parts for t in ts] if keep_traces else None
-    report = report_from_tally(tally, config, g.family_tag)
-    return report, traces
+    actions = np.concatenate([a for _, a in parts]) if keep_actions else None
+    return report_from_tally(tally, config, g.family_tag), actions
 
 
 def _csv_cells(n: int, horizon: int, roles):
@@ -309,21 +311,20 @@ def _csv_cells(n: int, horizon: int, roles):
                      for a in (0, 1)], dtype=object)
 
 
-def write_trace_csv(path, traces, roles=None):
-    """Write (replicate, agent, role, t, action) rows, agent-major within a
-    replicate, as ``csv.writer`` would: CRLF line ends, roles quoted where
-    needed.  Each replicate is one ``join`` over its flattened actions."""
+def write_trace_csv(path, actions, roles=None):
+    """Write (replicate, agent, role, t, action) rows for the (R, n, horizon)
+    ``actions``, row r as replicate r, agent-major within a replicate, as
+    ``csv.writer`` would: CRLF line ends, roles quoted where needed.  The
+    cells are built once; each replicate is one ``join`` over its flattened
+    actions."""
+    R, n, horizon = np.shape(actions)
+    cells = _csv_cells(n, horizon, roles)
+    cols = np.arange(n * horizon)
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(["replicate", "agent", "role", "t", "action"])
-        shape = cells = None
-        for tr in traces:
-            if tr.actions.shape != shape:
-                shape = tr.actions.shape
-                cells = _csv_cells(*shape, roles)
-                cols = np.arange(cells.shape[1])
-            head = f"{tr.replicate_index},"
-            text = f"\r\n{head}".join(
-                cells[tr.actions.ravel(), cols].tolist())
+        for r, acts in enumerate(np.reshape(actions, (R, n * horizon))):
+            head = f"{r},"
+            text = f"\r\n{head}".join(cells[acts, cols].tolist())
             f.write(f"{head}{text}\r\n")
 
 

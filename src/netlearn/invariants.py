@@ -129,11 +129,6 @@ def check_strategy(seed: int = 0):
            (not conds["B1"] or conds["B2"])
            and (not conds["B2"] or conds["B3"])
            and (not conds["B3"] or conds["B4"]), str(conds))
-    try:
-        strategies.ForcedResponse(((0, 1, 1),))
-        _check(res, "forced_requires_history_closure", False)
-    except ValueError:
-        _check(res, "forced_requires_history_closure", True)
     return res
 
 

@@ -14,16 +14,12 @@ from typing import Tuple
 import numpy as np
 
 from . import beliefs, graphs
-from .beliefs import (  # noqa: F401  (re-exported)
-    ForcedOverlayProfile, ForcedResponse, Profile, TieBreaker,
-)
+from .beliefs import Profile, TieBreaker  # noqa: F401  (re-exported)
 
 __all__ = [
     "Profile",
     "MyopicExactProfile",
     "GossipProfile",
-    "ForcedResponse",
-    "ForcedOverlayProfile",
     "RoyalFamilyProfile",
     "MadKingRoles",
     "MadKingProfile",
@@ -45,7 +41,8 @@ class MyopicExactProfile(Profile):
     ratio of its summed world masses under the two states; after each round
     every class splits by the action row the agent observed.  Rounds are
     solved lazily, up to the largest horizon asked for, into one table of
-    every world's actions, which ``trace_batch`` reads.
+    every world's actions, which ``trace_batch`` reads.  ``forced_trace``
+    walks the class splits instead, for rows with one agent forced.
 
     The budget bounds the world-agent cells k^n * n; it is checked before
     any world array is allocated.  Only deterministic tie modes are
@@ -80,18 +77,22 @@ class MyopicExactProfile(Profile):
         self._ties = np.empty((0, self._cls.shape[1]), dtype=np.int32)
         self._play, self._split = [], []
 
+    def _keys(self, cls, acts):
+        """Per agent, the split key of each column: its class in the (n,
+        columns) ids ``cls``, then bit j set where closed neighbour j plays
+        1 in the (n, columns) actions ``acts``."""
+        return [(cls[i] << len(nbrs)) | sum(acts[v].astype(np.int64) << j
+                                            for j, v in enumerate(nbrs))
+                for i, nbrs in enumerate(self._nbrs)]
+
     def _refine(self, acts):
         """Split every class by the closed-neighbourhood row of the newest
         round, whose (n, worlds) actions are ``acts``."""
-        keys = []
-        for i, nbrs in enumerate(self._nbrs):
-            code = np.zeros(acts.shape[1], dtype=np.int64)
-            for j, v in enumerate(nbrs):
-                code |= acts[v].astype(np.int64) << j
-            uniq, self._cls[i] = np.unique(
-                (self._cls[i] << len(nbrs)) | code, return_inverse=True)
-            keys.append(uniq)
-        self._split.append(keys)
+        split = []
+        for i, key in enumerate(self._keys(self._cls, acts)):
+            uniq, self._cls[i] = np.unique(key, return_inverse=True)
+            split.append(uniq)
+        self._split.append(split)
 
     def _extend(self, rounds: int):
         """Solve rounds up to ``rounds``, growing the world table once; a
@@ -155,6 +156,30 @@ class MyopicExactProfile(Profile):
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
+
+    def forced_trace(self, atoms, horizon, agent, forced):
+        """(R, n, horizon) uint8 actions of the rows of ``atoms`` (R, n)
+        when ``agent`` plays ``forced``, its first len(forced) actions,
+        whatever its atom.  Each round every agent plays its class's action,
+        then moves its class by ``searchsorted`` in the split keys, as
+        ``action`` walks a history; a key that no world produces is
+        off-path, and plays 0 from then on.  Ties are not counted."""
+        self._extend(horizon)
+        cls = np.asarray(atoms, dtype=np.int64).reshape(-1, self.g.n).T.copy()
+        live = np.ones(cls.shape, dtype=bool)
+        out = np.empty((horizon,) + cls.shape, dtype=np.uint8)
+        for t in range(horizon):
+            if t:
+                for i, key in enumerate(self._keys(cls, out[t - 1])):
+                    split = self._split[t - 1][i]
+                    cls[i] = np.minimum(split.searchsorted(key),
+                                        len(split) - 1)
+                    live[i] &= split[cls[i]] == key
+            for i, (act, _) in enumerate(self._play[t]):
+                out[t, i] = act[cls[i]] & live[i]
+            if t < len(forced):
+                out[t, agent] = forced[t]
+        return np.ascontiguousarray(out.transpose(2, 1, 0))
 
 
 class GossipProfile(Profile):
@@ -363,9 +388,10 @@ class MadKingProfile(Profile):
     rule never fires, and the regent repeats sign(Z_1) from round 1, so its
     run never breaks.  From round 2 the bureaucrats and the king therefore
     copy the regent's previous action, and the court and the people the
-    king's.  ``action`` and the generic per-agent loop stay as the oracle
-    and serve overlays such as a forced rebellion.  Only deterministic tie
-    modes are supported: ``action`` never sees a jitter draw.
+    king's.  ``action`` and the generic per-agent loop stay as the oracle;
+    ``action`` also answers histories that play never produces, such as a
+    person's rebellion.  Only deterministic tie modes are supported:
+    ``action`` never sees a jitter draw.
     """
 
     def __init__(self, g, m, delta: float, lam: float,

@@ -266,14 +266,59 @@ def test_lookahead_certainty_nondecreasing():
     assert all(0.0 <= y <= 0.5 + 1e-12 for y in ys)
 
 
-def test_lookahead_certainty_rejects_other_profiles():
+@pytest.mark.parametrize("fn", [beliefs.lookahead_certainty,
+                                beliefs.y_decomposition])
+def test_exact_functions_reject_other_profiles(fn):
     """Only myopic play is a base: any other raises ValueError before a
     world is enumerated, so an over-budget graph is no BudgetExceededError."""
     g = graphs.dicycle(30)
     m = signals.symmetric_binary(0.7)
     with pytest.raises(ValueError, match="MyopicExactProfile"):
-        beliefs.lookahead_certainty(g, m, strategies.GossipProfile(),
-                                    HistoryView(0, 0, 0, ()))
+        fn(g, m, strategies.GossipProfile(), HistoryView(0, 0, 0, ()))
+
+
+MALFORMED = {
+    "exact_posterior, atom 5": (
+        lambda g, m, p: beliefs.exact_posterior(
+            g, m, p, HistoryView(0, 0, 5, ())), "atom 5"),
+    "mc_posterior, atom 5": (
+        lambda g, m, p: beliefs.mc_posterior(
+            g, m, p, HistoryView(0, 0, 5, ()), 10,
+            np.random.default_rng(0)), "atom 5"),
+    "outcome_distribution, atom -1": (
+        lambda g, m, p: beliefs.outcome_distribution(
+            g, m, p, HistoryView(0, 0, -1, ())), "atom -1"),
+    "one-entry row, two neighbours": (
+        lambda g, m, p: beliefs.exact_posterior(
+            g, m, p, HistoryView(0, 1, 1, ((1,),))), "row 0"),
+    "agent 3 of three": (
+        lambda g, m, p: beliefs.exact_posterior(
+            g, m, p, HistoryView(3, 0, 1, ())), "agent 3"),
+    "an entry 2": (
+        lambda g, m, p: beliefs.y_decomposition(
+            g, m, p, HistoryView(0, 1, 1, ((1, 2),))), "row 0"),
+    "lookahead_certainty, ell_max -1": (
+        lambda g, m, p: beliefs.lookahead_certainty(
+            g, m, p, HistoryView(0, 0, 1, ()), ell_max=-1), "ell_max"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_views_fail_before_any_world(monkeypatch, case):
+    """Each malformed input fails with one ValueError naming the fault,
+    before any world is enumerated."""
+    g = graphs.dicycle(3)
+    m = signals.symmetric_binary(0.7)
+    prof = strategies.MyopicExactProfile(g, m)
+
+    def no_worlds(*args, **kw):
+        raise AssertionError("a world was enumerated")
+
+    monkeypatch.setattr(beliefs, "worlds", no_worlds)
+    call, named = MALFORMED[case]
+    with pytest.raises(ValueError, match=named) as err:
+        call(g, m, prof)
+    assert type(err.value) is ValueError
 
 
 def test_history_view_validation():

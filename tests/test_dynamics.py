@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netlearn import dynamics, graphs, signals, strategies
+from netlearn import beliefs, dynamics, graphs, signals, strategies
 from netlearn.beliefs import TieBreaker
 from netlearn.dynamics import SimConfig
 
@@ -156,8 +156,11 @@ def test_injection_overrides_draw():
 def test_ensemble_report_fields_and_merge():
     g, m, prof = small_setup()
     cfg = SimConfig(horizon=12, replicates=30, master_seed=9)
-    report, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
-    assert len(traces) == 30
+    report, actions = dynamics.run_ensemble(g, m, prof, cfg,
+                                            keep_actions=True)
+    traces = [dynamics.run_trace(g, m, prof, cfg, r) for r in range(30)]
+    assert actions.shape == (30, g.n, 12) and actions.dtype == np.uint8
+    assert np.array_equal(actions, [tr.actions for tr in traces])
     assert report.replicates == 30
     assert 0.0 <= report.learning_freq <= 1.0
     assert report.learning_ci[0] <= report.learning_freq \
@@ -175,20 +178,48 @@ def test_ensemble_report_fields_and_merge():
 
 
 def test_ensemble_workers_match_serial():
-    """Two worker processes give the serial report and the serial traces,
+    """Two worker processes give the serial report and the serial actions,
     in replicate order."""
     g, m, prof = small_setup()
     cfg = SimConfig(horizon=12, replicates=9, master_seed=4)
-    rep1, tr1 = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
-    rep2, tr2 = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True,
-                                      workers=2)
+    rep1, acts1 = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
+    rep2, acts2 = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True,
+                                        workers=2)
     assert rep1 == rep2
-    assert [t.replicate_index for t in tr2] == list(range(9))
-    for a, b in zip(tr1, tr2):
-        assert a.state == b.state and a.tie_count == b.tie_count
-        assert np.array_equal(a.atoms, b.atoms)
-        assert np.array_equal(a.jitters, b.jitters)
-        assert np.array_equal(a.actions, b.actions)
+    assert acts2.shape == (9, g.n, 12)
+    assert np.array_equal(acts1, acts2)
+
+
+def test_exact_engine_through_a_spawn_pool(monkeypatch):
+    """The solved myopic engine, pickled into spawned workers, plays there
+    as here: one and two workers give equal reports and equal kept
+    actions.  A pickled copy answers y_decomposition and action() as the
+    original, on views within its solved rounds and past them."""
+    g = graphs.dicycle(5)
+    m = signals.symmetric_binary(0.7)
+    prof = strategies.MyopicExactProfile(g, m)
+    cfg = SimConfig(horizon=4, replicates=12, tail_window=2, master_seed=5)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    rep1, acts1 = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
+    rep2, acts2 = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True,
+                                        workers=2)
+    assert rep1 == rep2
+    assert np.array_equal(acts1, acts2)
+
+    copy = pickle.loads(pickle.dumps(prof))
+    assert copy._cls is None and len(copy._play) == 4
+    tr = dynamics.run_trace(g, m, strategies.MyopicExactProfile(g, m),
+                            SimConfig(horizon=6, tail_window=2), 3)
+    rounds = [tuple(col) for col in tr.actions.T.tolist()]
+    for agent, t in ((0, 1), (2, 3), (4, 5)):
+        view = beliefs.view_from_actions(g, rounds, tr.atoms.tolist(), agent,
+                                         t)
+        assert beliefs.y_decomposition(g, m, copy, view) \
+            == beliefs.y_decomposition(g, m, prof, view)
+        assert copy.action(agent, view.atom, view.observed) \
+            == prof.action(agent, view.atom, view.observed) \
+            == tr.actions[agent, t]
+    assert len(copy._play) == 6
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,7 +273,7 @@ def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
                                                      keep):
     """The block loop reports what one run_trace and one add_trace per
     replicate report, ties included, for blocks of any size and any
-    worker count; kept traces are run_trace's."""
+    worker count; kept actions are run_trace's."""
     g, m, prof = _ensemble_cases()[name]
     cfg = SimConfig(horizon=5, replicates=23, tail_window=2, master_seed=6)
     if block:
@@ -252,33 +283,31 @@ def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
     tally = dynamics.EnsembleTally(g.n)
     for tr in want:
         tally.add_trace(tr, cfg.tail_window)
-    rep, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=keep,
-                                        workers=workers)
+    rep, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=keep,
+                                         workers=workers)
     assert tally.tie_events > 0
     assert rep == dynamics.report_from_tally(tally, cfg, g.family_tag)
     assert fake_pool == ([2] if workers == 2 else [])
     if keep:
-        for a, b in zip(traces, want, strict=True):
-            assert (a.state, a.tie_count, a.replicate_index) \
-                == (b.state, b.tie_count, b.replicate_index)
-            for f in ("atoms", "jitters", "actions"):
-                assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert actions.dtype == np.uint8
+        assert np.array_equal(actions, [tr.actions for tr in want])
     else:
-        assert traces is None
+        assert actions is None
 
 
 def _check_pool(fake_pool, monkeypatch, workers, replicates, cpus, pool):
-    """The pool asked for is ``pool``, and the traces and the report are
-    the serial run's."""
+    """The pool asked for is ``pool``, and the kept actions and the report
+    are the serial run's."""
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
     g, m, prof = small_setup()
     cfg = SimConfig(horizon=6, replicates=replicates, tail_window=2,
                     master_seed=3)
-    rep, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True,
-                                        workers=workers)
+    rep, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True,
+                                         workers=workers)
     assert fake_pool == pool
-    assert [t.replicate_index for t in traces] == list(range(replicates))
-    assert rep == dynamics.run_ensemble(g, m, prof, cfg)[0]
+    serial = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
+    assert rep == serial[0]
+    assert np.array_equal(actions, serial[1])
 
 
 @pytest.mark.parametrize("workers, replicates, pool", [
@@ -349,31 +378,31 @@ def test_trace_csv(tmp_path):
     m = signals.royal_bounded()
     prof = strategies.RoyalFamilyProfile(g, m)
     cfg = SimConfig(horizon=4, replicates=2, master_seed=0, tail_window=2)
-    _, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
+    _, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
     path = tmp_path / "trace.csv"
     roles = {0: "royal", 1: "royal", 2: "public", 3: "public", 4: "public"}
-    dynamics.write_trace_csv(path, traces, roles)
+    dynamics.write_trace_csv(path, actions, roles)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "replicate,agent,role,t,action"
     assert len(lines) == 1 + 2 * g.n * 4
 
 
-def _reference_trace_csv(path, traces, roles=None):
+def _reference_trace_csv(path, actions, roles=None):
     """The row-by-row writer: one csv.writer row per (replicate, agent, t)."""
     import csv
 
-    def rows(tr):
-        n, T = tr.actions.shape
+    def rows(r, acts):
+        n, T = acts.shape
         for i in range(n):
             role = roles.get(i, "") if roles else ""
             for t in range(T):
-                yield (tr.replicate_index, i, role, t, int(tr.actions[i, t]))
+                yield (r, i, role, t, int(acts[i, t]))
 
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["replicate", "agent", "role", "t", "action"])
-        for tr in traces:
-            w.writerows(rows(tr))
+        for r, acts in enumerate(actions):
+            w.writerows(rows(r, acts))
 
 
 @pytest.mark.parametrize("roles", [None, {}, "mad_king", {0: 'a,"b"'},
@@ -382,7 +411,8 @@ def _reference_trace_csv(path, traces, roles=None):
 def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
                                           replicates):
     """The column-wise writer produces the row writer's bytes: CRLF line
-    ends, roles quoted as csv.writer quotes them, no rows for no traces."""
+    ends, roles quoted as csv.writer quotes them, no rows for no
+    replicates."""
     g = graphs.mad_king(2, 3, 2)
     m = signals.mad_king_asym()
     if roles == "mad_king":
@@ -390,10 +420,10 @@ def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
     prof = strategies.MadKingProfile(g, m, 1.0, 0.99)
     cfg = SimConfig(horizon=horizon, replicates=max(replicates, 1),
                     master_seed=2, tail_window=1)
-    _, traces = dynamics.run_ensemble(g, m, prof, cfg, keep_traces=True)
-    traces = traces[:replicates]
+    _, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
+    actions = actions[:replicates]
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    _reference_trace_csv(want, traces, roles)
-    dynamics.write_trace_csv(got, traces, roles)
+    _reference_trace_csv(want, actions, roles)
+    dynamics.write_trace_csv(got, actions, roles)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes().count(b"\r\n") == 1 + replicates * g.n * horizon

@@ -171,22 +171,104 @@ def test_lookahead_certainty_matches_bruteforce(spec, m, mode, t, ell_max,
                                 abs=1e-12)
 
 
+class _Forced(strategies.Profile):
+    """``base`` with ``agent``'s first len(forced) actions forced, whatever
+    its atom and history, through the generic per-agent loop."""
+
+    def __init__(self, base, agent, forced):
+        self.base, self.agent, self.forced = base, agent, forced
+
+    def action(self, agent, atom, history, tie_log=None):
+        if agent == self.agent and len(history) < len(self.forced):
+            return self.forced[len(history)]
+        return self.base.action(agent, atom, history, tie_log)
+
+
+def y_oracle(g, m, prof, view):
+    """(Y, replays, off) by brute force: every world where the agent holds
+    the view's atom (``replays`` stacks them, in world order) through the
+    generic loop with the agent's observed actions forced.  ``off`` tells
+    whether the forced rows showed some other agent a history that no
+    world's unforced play shows it."""
+    nbrs = g.closed_nbrs(view.agent)
+    me = nbrs.index(view.agent)
+    forced = _Forced(prof, view.agent, [row[me] for row in view.observed])
+    worlds = list(itertools.product(range(m.k), repeat=g.n))
+    on_path = set()
+    for atoms in worlds:
+        acts = beliefs.simulate_actions(g, prof, atoms, view.t)
+        on_path.update((j, atoms[j], beliefs.history_of(g, acts, j, t))
+                       for j in range(g.n) for t in range(view.t))
+    mass, replays, off = [0.0, 0.0], [], False
+    for atoms in worlds:
+        if atoms[view.agent] != view.atom:
+            continue
+        acts = beliefs.simulate_actions(g, forced, atoms, view.t)
+        replays.append(np.array(acts, dtype=np.uint8).T)
+        off |= any((j, atoms[j], beliefs.history_of(g, acts, j, t))
+                   not in on_path
+                   for j in range(g.n) if j != view.agent
+                   for t in range(view.t))
+        if beliefs.history_of(g, acts, view.agent, view.t) == view.observed:
+            for s in (0, 1):
+                mass[s] += float(m.probs(s)[list(atoms)].prod())
+    y = math.log(mass[1] / m.atom_prob(view.atom, 1)) \
+        - math.log(mass[0] / m.atom_prob(view.atom, 0))
+    return y, np.array(replays), off
+
+
+# the pinned example sends an agent off-path at one round with a key
+# whose clipped class would match a split key at the next
+@example(spec="cycle(5)", m=signals.symmetric_binary(0.6), mode="zero", t=4,
+         pick=1554)
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(ENGINE_GRAPHS), m=ENGINE_MODELS,
+       mode=st.sampled_from(("zero", "one")), t=st.integers(1, 4),
+       pick=st.integers(0, 10 ** 6))
+def _check_y_decomposition(off_path, spec, m, mode, t, pick):
+    g = graphs.generate(spec)
+    assume(m.k ** g.n <= 729)
+    prof = strategies.MyopicExactProfile(g, m, TieBreaker(mode))
+    worlds = np.array(list(itertools.product(range(m.k), repeat=g.n)))
+    atoms = worlds[pick % len(worlds)].tolist()
+    acts = beliefs.simulate_actions(g, prof, atoms, t)
+    view = beliefs.view_from_actions(g, acts, atoms, pick % g.n, t)
+    y, replays, off = y_oracle(g, m, prof, view)
+    me = g.closed_nbrs(view.agent).index(view.agent)
+    got = prof.forced_trace(worlds[worlds[:, view.agent] == view.atom], t,
+                            view.agent, [row[me] for row in view.observed])
+    assert got.dtype == np.uint8 and np.array_equal(got, replays)
+    dec = beliefs.y_decomposition(g, m, prof, view)
+    assert dec.y == pytest.approx(y, rel=1e-12, abs=1e-12)
+    assert dec.z0 == m.atoms[view.atom].z
+    assert dec.z == beliefs.exact_posterior(g, m, prof, view).log_odds
+    off_path.append(off)
+
+
+def test_y_decomposition_matches_bruteforce():
+    """The engine's forced replay, and Y read from it, equal a brute-force
+    replay of every world through the generic loop with the viewing
+    agent's observed actions forced, under tie modes zero and one.  Some
+    drawn views must put another agent off-path in the replay, and some
+    not."""
+    off_path = []
+    _check_y_decomposition(off_path)
+    assert any(off_path) and not all(off_path)
+
+
 def test_trace_batch_empty_batch_and_zero_horizon():
     """An empty batch and a zero horizon give empty arrays and no ties, on
     the engine's, the mad king's, the royal family's and the gossip
-    overrides and on the stacked base loop."""
+    kernels."""
     g = graphs.dicycle(4)
     m = signals.symmetric_binary(0.7)
     myo = strategies.MyopicExactProfile(g, m, TieBreaker("one"))
-    overlay = strategies.ForcedOverlayProfile(
-        strategies.ForcedResponse(((0, 0, 1),)), myo)
     gk = graphs.mad_king(1, 1, 2)
     king = strategies.MadKingProfile(gk, m, 0.5, 0.9, TieBreaker("one"))
     gr = graphs.royal_family(2, 2)
     royal = strategies.RoyalFamilyProfile(gr, m, TieBreaker("one"))
     gossip = strategies.GossipProfile(TieBreaker("one"))
-    for g, prof in ((g, myo), (g, overlay), (gk, king), (gr, royal),
-                    (g, gossip)):
+    for g, prof in ((g, myo), (gk, king), (gr, royal), (g, gossip)):
         atoms = np.zeros((2, g.n), dtype=int)
         log = beliefs.TieLog()
         empty = prof.trace_batch(g, m, np.zeros((0, g.n), dtype=int),
@@ -387,27 +469,6 @@ def test_gossip_consensus_on_cycle():
     z = sum(m.atoms[a].z for a in atoms)
     want = 1 if z > 0 else 0
     assert (tr[:, 5:] == want).all()
-
-
-def test_forced_response_history_closure():
-    strategies.ForcedResponse(((0, 0, 1), (0, 1, 1)))
-    with pytest.raises(ValueError):
-        strategies.ForcedResponse(((0, 1, 1),))
-    with pytest.raises(ValueError):
-        strategies.ForcedResponse(((0, 0, 1), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        strategies.ForcedResponse(((0, 0, 2),))
-
-
-def test_forced_overlay_defers_to_base():
-    g = graphs.dicycle(3)
-    m = signals.symmetric_binary(0.7)
-    base = strategies.MyopicExactProfile(g, m)
-    forced = strategies.ForcedResponse(((1, 0, 0), (1, 1, 0)))
-    prof = strategies.ForcedOverlayProfile(forced, base)
-    neg, pos = m.sign_atoms()
-    assert prof.action(1, pos, ()) == 0  # forced despite + signal
-    assert prof.action(0, pos, ()) == 1  # base myopic play
 
 
 # --- royal family ----------------------------------------------------------
@@ -653,21 +714,21 @@ def test_mad_king_regent_lock():
 
 
 def test_mad_king_rage_rule():
-    """A person defecting to 1 in the forced rounds sends the king to 1
-    forever from round 1."""
+    """A person who plays 1 at round 0 or 1, which play never produces,
+    sends the king to 1 at every later round, whatever else it sees."""
     g, m, roles, prof = make_mk(R_C=2, R_B=4, n=2)
     neg, pos = m.sign_atoms()
     atoms = [neg] * g.n
-    forced = strategies.ForcedResponse(
-        ((roles.people[0], 0, 1), (roles.people[0], 1, 1)))
-    rebel = strategies.ForcedOverlayProfile(forced, prof)
-    acts = np.array(beliefs.simulate_actions(g, rebel, atoms, 5),
-                    dtype=np.uint8).T
-    assert (acts[roles.king, 1:] == 1).all()
     # without the rebellion the all-minus king stays at 0
-    calm = np.array(beliefs.simulate_actions(g, prof, atoms, 5),
-                    dtype=np.uint8).T
+    calm = prof.trace_actions(g, m, atoms, None, 5)
     assert (calm[roles.king] == 0).all()
+    for rebel_round in (0, 1):
+        acts = calm.copy()
+        acts[roles.people[0], rebel_round] = 1
+        rounds = [tuple(col) for col in acts.T.tolist()]
+        for t in range(rebel_round + 1, 5):
+            history = beliefs.history_of(g, rounds, roles.king, t)
+            assert prof.action(roles.king, neg, history) == 1
 
 
 MAD_KING_MODELS = (signals.symmetric_binary(0.6),
