@@ -52,7 +52,8 @@ __all__ = [
 
 
 class BudgetExceededError(RuntimeError):
-    """Joint atom space too large for exact enumeration; use mc_posterior."""
+    """Over the budget: a joint atom space too large for exact enumeration
+    (use mc_posterior), or gossip rings with too many entries."""
 
 
 class InconsistentHistoryError(ValueError):
@@ -114,8 +115,9 @@ class TieBreaker:
     below -TIE_TOL plays 0, and within TIE_TOL of 0 is a tie, counted and
     broken by the mode: 0, 1, or under ``jitter`` 1 exactly when the
     agent's jitter, a U[0, 1) draw that carries no information, lies below
-    1/2.  The breaker is the only code that knows what a jitter is, how it
-    is drawn (``draw_jitters``) and how it breaks a tie."""
+    1/2.  The breaker is the only code that knows what a jitter is, how many
+    draws it takes from a replicate row (``row_width``, ``jitters_of``)
+    and how it breaks a tie."""
 
     mode: str = "zero"
 
@@ -131,10 +133,17 @@ class TieBreaker:
                 f"jitter tie-breaking is not supported by the {name} "
                 "profile; use mode 'zero' or 'one'")
 
-    def draw_jitters(self, rng, n: int):
-        """One jitter per agent: n U[0, 1) draws from ``rng`` under mode
-        ``jitter``; otherwise zeros, and ``rng`` is not touched."""
-        return rng.random(n) if self.mode == "jitter" else np.zeros(n)
+    def row_width(self, n: int) -> int:
+        """U[0, 1) draws per replicate row of n agents: n for the atoms,
+        then, under mode ``jitter`` only, one jitter per agent."""
+        return 2 * n if self.mode == "jitter" else n
+
+    def jitters_of(self, draws, n: int):
+        """The (rows, n) jitters of rows of ``row_width(n)`` draws: the
+        draws after the atoms' under mode ``jitter``; otherwise zeros."""
+        if self.mode == "jitter":
+            return draws[:, n:]
+        return np.zeros((len(draws), n))
 
     def decide(self, margin, tie_log: Optional[TieLog] = None, jitters=0.0):
         """(uint8 actions, tie mask), both shaped like ``margin``, a float

@@ -13,11 +13,16 @@ round), sizes a block, with at least one replicate; a run that keeps its
 actions (for the trace CSV) keeps each block's, as one (replicates, n,
 horizon) uint8 array in replicate order.
 
-Determinism: replicate r of an ensemble with master seed s always uses
-``np.random.default_rng([s, r])``, and draws from it its state, then its
-atoms, then its jitters.  Results are therefore independent of worker
-count and block size, and ``run_ensemble`` merges its chunks in replicate
-order.
+Determinism (seeding contract 2, ``EnsembleReport.seeding``): replicates
+come in streams of ``STREAM_ROWS``; stream b of master seed s is
+``np.random.default_rng([s, b])`` and serves replicates b * STREAM_ROWS to
+(b + 1) * STREAM_ROWS - 1.  It draws the states of all its rows with one
+``integers(0, 2, size=STREAM_ROWS)``, then, row by row, the row's n atom
+uniforms and, under tie mode ``jitter`` only, its n jitters.  A range that
+starts mid-stream skips the rows before it with ``advance``, so replicate
+r's draw depends only on (s, r): results are independent of the replicate
+count, the worker count and the block size, and ``run_ensemble`` merges
+its chunks in replicate order.
 """
 from __future__ import annotations
 
@@ -79,35 +84,60 @@ class Trace:
     replicate_index: int
 
 
-def replicate_rng(master_seed: int, replicate_index: int):
-    return np.random.default_rng([master_seed, replicate_index])
+# replicates per random stream; part of the seeding contract, not a setting
+STREAM_ROWS = 256
+# version of the contract by which a replicate's draw follows from its seed
+SEEDING = 2
 
 
-def _draw(g, m, profile, config: SimConfig, indices):
-    """States (R,), atoms (R, n) and jitters (R, n) of the replicates
-    ``indices``.  Each row draws from its own stream, in the order state,
-    atom uniforms, jitters; one inverse-CDF call maps every row's uniforms
-    to atoms."""
-    states = np.empty(len(indices), dtype=np.int64)
-    u = np.empty((len(indices), g.n))
-    jitters = np.empty((len(indices), g.n))
-    for i, r in enumerate(indices):
-        rng = replicate_rng(config.master_seed, r)
-        states[i] = rng.integers(0, 2)
-        rng.random(out=u[i])
-        jitters[i] = profile.tie_breaker.draw_jitters(rng, g.n)
-    return states, m.atoms_of(u, states), jitters
+def replicate_rng(master_seed: int, stream: int):
+    """Stream ``stream`` of master seed s, ``default_rng([s, stream])``: it
+    serves replicates stream * STREAM_ROWS to (stream + 1) * STREAM_ROWS - 1
+    (see the module docstring)."""
+    return np.random.default_rng([master_seed, stream])
+
+
+def _draws(g, m, profile, config: SimConfig, indices, rows: int):
+    """Yield the states (k,), atoms (k, n) and jitters (k, n) of the
+    consecutive replicates ``indices``, a range, ``rows`` replicates at a
+    time.  Each stream is opened once; the first one skips the rows before
+    ``indices`` with ``advance``.  One ``random`` call per stream and block
+    draws every row's uniforms, and one inverse-CDF call maps them to
+    atoms."""
+    breaker = profile.tie_breaker
+    width = breaker.row_width(g.n)
+    stream = None
+    for lo in range(indices.start, indices.stop, rows):
+        hi = min(lo + rows, indices.stop)
+        states = np.empty(hi - lo, dtype=np.int64)
+        u = np.empty((hi - lo, width))
+        r = lo
+        while r < hi:
+            b, row = divmod(r, STREAM_ROWS)
+            if b != stream:
+                stream, rng = b, replicate_rng(config.master_seed, b)
+                stream_states = rng.integers(0, 2, size=STREAM_ROWS)
+                rng.bit_generator.advance(row * width)
+            end = min(hi, (b + 1) * STREAM_ROWS)
+            states[r - lo:end - lo] = stream_states[row:row + end - r]
+            rng.random(out=u[r - lo:end - lo])
+            r = end
+        yield (states, m.atoms_of(u[:, :g.n], states),
+               breaker.jitters_of(u, g.n))
 
 
 def run_trace(g, m, profile, config: SimConfig, replicate_index: int,
               inject=None) -> Trace:
-    """Simulate one replicate, as the ensemble loop does.
+    """Simulate one replicate, as the ensemble loop does: it opens the
+    replicate's stream and skips to its row, so it costs O(n) draws.
 
     ``inject`` optionally overrides the random draw: a callable
     (state, atoms) -> (state, atoms) applied after sampling, used to
     condition on rare events.
     """
-    states, atoms, jitters = _draw(g, m, profile, config, [replicate_index])
+    states, atoms, jitters = next(_draws(
+        g, m, profile, config,
+        range(replicate_index, replicate_index + 1), 1))
     state, atoms, jitters = int(states[0]), atoms[0], jitters[0]
     if inject is not None:
         state, atoms = inject(state, atoms)
@@ -198,6 +228,7 @@ class EnsembleReport:
     agent_learning: Tuple[float, ...]
     tie_rate: float
     graph_family: Optional[str] = None
+    seeding: int = SEEDING
 
     def to_dict(self):
         d = asdict(self)
@@ -235,15 +266,15 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, keep_actions):
     kept = np.empty((len(indices), g.n, config.horizon), dtype=np.uint8) \
         if keep_actions else None
     rows = max(1, BLOCK_CELLS // (g.n * config.horizon))
-    for lo in range(0, len(indices), rows):
-        block = indices[lo:lo + rows]
-        states, atoms, jitters = _draw(g, m, profile, config, block)
+    blocks = _draws(g, m, profile, config, indices, rows)
+    for lo, (states, atoms, jitters) in zip(range(0, len(indices), rows),
+                                            blocks):
         tie_log = TieLog()
         actions = profile.trace_batch(g, m, atoms, jitters, config.horizon,
                                       tie_log)
         tally.add_batch(states, actions, tie_log.count, config.tail_window)
         if keep_actions:
-            kept[lo:lo + len(block)] = actions
+            kept[lo:lo + len(actions)] = actions
     return tally, kept
 
 

@@ -202,7 +202,9 @@ class GossipProfile(Profile):
     the block's work buffers: 24 B per entry plus 8 B per (row, agent,
     round) cell.  A one-row block has sum_i |ball_{T-1}(i)| entries (1.66 MB
     with its buffers on cycle(1000) at T=30, and n^2 entries in the worst
-    case, on dense graphs); a larger block at most ``beliefs.BLOCK_CELLS``.
+    case, on dense graphs; past ``beliefs.DEFAULT_BUDGET`` entries the build
+    stops with BudgetExceededError); a larger block at most
+    ``beliefs.BLOCK_CELLS``.
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
@@ -220,7 +222,8 @@ class GossipProfile(Profile):
         its members by r * n, the first row's being the rings themselves,
         and the block's work buffers, one float per entry and one per cell.
         A block holds at most ``beliefs.BLOCK_CELLS`` entries, and at least
-        one row."""
+        one row.  The rings are counted as they are built, and more than
+        ``beliefs.DEFAULT_BUDGET`` entries raise BudgetExceededError."""
         key = (g.n, g.edges, horizon)
         rings = self._ring_cache.get(key)
         if rings is None:
@@ -228,6 +231,12 @@ class GossipProfile(Profile):
             for i in range(g.n):
                 ball = graphs.ball_distances(g, i, horizon - 1)
                 member.extend(ball)
+                if len(member) > beliefs.DEFAULT_BUDGET:
+                    raise beliefs.BudgetExceededError(
+                        f"gossip rings over budget: more than "
+                        f"{beliefs.DEFAULT_BUDGET} entries for {g.n} agents "
+                        f"at horizon {horizon}; lower the horizon or use a "
+                        "sparser graph")
                 cell.extend([i * horizon + d for d in ball.values()])
             rows = max(1, beliefs.BLOCK_CELLS // max(len(cell), 1))
             r = np.arange(rows)[:, None]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from netlearn import cli, config, dynamics, strategies
+from netlearn import beliefs, cli, config, dynamics, strategies
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -160,6 +160,24 @@ def test_simulate_over_budget_exits_2(tmp_path, capsys, fake_pool,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget" in err
+    assert fake_pool == []
+
+
+def test_simulate_gossip_rings_over_budget_exits_2(tmp_path, capsys,
+                                                  fake_pool, monkeypatch):
+    """Gossip rings past the budget (n^2 = 400 entries on a dense graph, a
+    budget of 399) are a usage error: one line, exit 2, no report, and no
+    pool asked for."""
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 399)
+    p = tmp_path / "dense.cfg"
+    p.write_text("[graph]\nfamily = random_regular(20,6)\n\n[profile]\n"
+                 "name = gossip\n\n[sim]\nhorizon = 6\nreplicates = 2\n"
+                 "tail_window = 2\n")
+    code, out = run_cli(["simulate", "--config", str(p), "--workers", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: gossip rings over budget")
+    assert err.count("\n") == 1
     assert fake_pool == []
 
 

@@ -1,8 +1,9 @@
+import functools
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from netlearn import beliefs, dynamics, graphs, signals, strategies
@@ -41,24 +42,25 @@ def test_run_trace_shapes_and_determinism():
 
 
 def test_run_trace_draws_jitters_only_for_jitter_ties():
-    """A trace draws one U[0, 1) jitter per agent, after the state and the
-    atoms, exactly when its profile breaks ties by jitter; under the other
-    modes the jitters are zeros and the stream is not touched."""
+    """Stream b serves replicates b * STREAM_ROWS on.  It draws the states
+    of all its rows, then row by row the row's atom uniforms, followed under
+    tie mode jitter by its jitters; under the other modes the jitters are
+    zeros and take no draws, so row k's atoms follow k rows of n draws."""
     g, m, _ = small_setup()
     cfg = SimConfig(horizon=6, replicates=1, master_seed=9)
-    tr = {mode: dynamics.run_trace(g, m, strategies.GossipProfile(
-        TieBreaker(mode)), cfg, 4) for mode in ("zero", "one", "jitter")}
-    rng = dynamics.replicate_rng(9, 4)
-    state = int(rng.integers(0, 2))
-    atoms = m.sample_atoms(rng, g.n, state)
-    want = rng.random(g.n)
-    for t in tr.values():
-        assert t.state == state and np.array_equal(t.atoms, atoms)
-    assert np.array_equal(tr["jitter"].jitters, want)
-    assert not tr["zero"].jitters.any() and not tr["one"].jitters.any()
-    rng = dynamics.replicate_rng(9, 4)
-    TieBreaker("one").draw_jitters(rng, g.n)
-    assert rng.random() == dynamics.replicate_rng(9, 4).random()
+    rows = dynamics.STREAM_ROWS
+    for b, row in ((0, 0), (0, 4), (1, 3), (2, rows - 1)):
+        for mode, width in (("zero", g.n), ("one", g.n),
+                            ("jitter", 2 * g.n)):
+            tr = dynamics.run_trace(g, m, strategies.GossipProfile(
+                TieBreaker(mode)), cfg, b * rows + row)
+            rng = dynamics.replicate_rng(9, b)
+            states = rng.integers(0, 2, size=rows)
+            u = rng.random((row + 1, width))[row]
+            assert tr.state == states[row]
+            assert np.array_equal(tr.atoms, m.atoms_of(u[:g.n], tr.state))
+            want = u[g.n:] if mode == "jitter" else np.zeros(g.n)
+            assert np.array_equal(tr.jitters, want)
 
 
 def test_run_ensemble_solves_the_profile_before_the_pool(fake_pool,
@@ -103,8 +105,9 @@ def test_run_ensemble_builds_the_gossip_rings_before_the_pool(fake_pool,
 
 
 def test_replicate_rng_is_batch_independent():
-    """Per-replicate streams depend only on (master seed, index), so any
-    partition of replicates over workers gives identical results."""
+    """A stream depends only on (master seed, stream index), and a
+    replicate's row within it only on the replicate index, so any partition
+    of replicates over workers and blocks gives identical results."""
     a = dynamics.replicate_rng(7, 5).random(4)
     b = dynamics.replicate_rng(7, 5).random(4)
     c = dynamics.replicate_rng(7, 6).random(4)
@@ -267,19 +270,26 @@ def _ensemble_cases():
 @pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("block", [None, 3])
-@pytest.mark.parametrize("name", ["gossip", "royal", "mad_king", "myopic"])
+@pytest.mark.parametrize("name, replicates", [
+    pytest.param(name, 23, id=name)
+    for name in ("gossip", "royal", "mad_king", "myopic")] + [
+    pytest.param("gossip", 2 * dynamics.STREAM_ROWS + 37,
+                 id="gossip_3_streams")])
 def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
-                                                     name, block, workers,
-                                                     keep):
+                                                     name, replicates, block,
+                                                     workers, keep):
     """The block loop reports what one run_trace and one add_trace per
     replicate report, ties included, for blocks of any size and any
-    worker count; kept actions are run_trace's."""
+    worker count, within one stream and across three; kept actions are
+    run_trace's."""
     g, m, prof = _ensemble_cases()[name]
-    cfg = SimConfig(horizon=5, replicates=23, tail_window=2, master_seed=6)
+    cfg = SimConfig(horizon=5, replicates=replicates, tail_window=2,
+                    master_seed=6)
     if block:
         monkeypatch.setattr(dynamics, "BLOCK_CELLS", block * g.n * 5)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
-    want = [dynamics.run_trace(g, m, prof, cfg, r) for r in range(23)]
+    want = [dynamics.run_trace(g, m, prof, cfg, r)
+            for r in range(replicates)]
     tally = dynamics.EnsembleTally(g.n)
     for tr in want:
         tally.add_trace(tr, cfg.tail_window)
@@ -293,6 +303,69 @@ def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
         assert np.array_equal(actions, [tr.actions for tr in want])
     else:
         assert actions is None
+
+
+def _recorded_ensemble(g, m, prof, cfg, workers):
+    """run_ensemble's kept actions, with the states it tallies and, per
+    tallied block, (first replicate, end, ties)."""
+    states, blocks = [], []
+    add_batch = dynamics.EnsembleTally.add_batch
+
+    def spy(self, block_states, actions, ties, window):
+        states.extend(int(s) for s in block_states)
+        blocks.append((len(states) - len(actions), len(states), ties))
+        return add_batch(self, block_states, actions, ties, window)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics.EnsembleTally, "add_batch", spy)
+        _, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True,
+                                           workers=workers)
+    return actions, states, blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_traces(mode, seed):
+    """run_trace of replicates 0 .. 3 * STREAM_ROWS + 16, four streams."""
+    g, m = graphs.dicycle(4), signals.symmetric_binary(0.7)
+    prof = strategies.GossipProfile(TieBreaker(mode))
+    cfg = SimConfig(horizon=4, replicates=1, tail_window=2, master_seed=seed)
+    return [dynamics.run_trace(g, m, prof, cfg, r)
+            for r in range(3 * dynamics.STREAM_ROWS + 17)]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 3 * dynamics.STREAM_ROWS + 17), st.integers(1, 3),
+       st.sampled_from([1, 3, None]),
+       st.sampled_from(["zero", "one", "jitter"]), st.integers(0, 3),
+       st.data())
+def test_block_streams_give_each_replicate_its_own_draw(
+        fake_pool, replicates, workers, block, mode, seed, data):
+    """Every row of an ensemble -- kept actions, state, and the ties of
+    each block -- is run_trace's, however chunks and blocks of 1 row, 3
+    rows or the default cut the streams, and the first R' < R replicates
+    of an R'-replicate run are the R-replicate run's."""
+    g, m = graphs.dicycle(4), signals.symmetric_binary(0.7)
+    prof = strategies.GossipProfile(TieBreaker(mode))
+    want = _stream_traces(mode, seed)[:replicates]
+    fewer = data.draw(st.integers(1, max(1, replicates - 1)), label="fewer")
+    workers2 = data.draw(st.integers(1, 3), label="workers for fewer")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_usable_cpus", lambda: 8)
+        if block:
+            mp.setattr(dynamics, "BLOCK_CELLS", block * g.n * 4)
+        runs = [_recorded_ensemble(g, m, prof, SimConfig(
+            horizon=4, replicates=r, tail_window=2, master_seed=seed), w)
+            for r, w in ((replicates, workers), (fewer, workers2))]
+    actions, states, blocks = runs[0]
+    assert np.array_equal(actions, [tr.actions for tr in want])
+    assert states == [tr.state for tr in want]
+    for lo, hi, ties in blocks:
+        assert ties == sum(tr.tie_count for tr in want[lo:hi])
+    assert blocks[-1][1] == replicates
+    actions2, states2, _ = runs[1]
+    assert np.array_equal(actions2, actions[:fewer])
+    assert states2 == states[:fewer]
 
 
 def _check_pool(fake_pool, monkeypatch, workers, replicates, cpus, pool):
@@ -353,6 +426,7 @@ def test_report_json_roundtrip():
     d = report.to_dict()
     assert d["config"]["master_seed"] == 0
     assert d["graph_family"] == "cycle"
+    assert d["seeding"] == 2  # block streams of STREAM_ROWS replicates
     import json
     assert json.loads(report.to_json())["replicates"] == 5
 

@@ -457,6 +457,31 @@ def test_gossip_trace_holds_no_dense_structure():
     assert peak < 16 * 2 ** 20
 
 
+def test_gossip_rings_stop_past_the_budget(fake_pool, monkeypatch):
+    """On a dense graph whose balls cover every agent the rings hold n^2
+    entries: n^2 fits a budget of n^2, and one entry fewer raises
+    BudgetExceededError while the rings are built, so run_ensemble fails
+    before any replicate or pool."""
+    g = graphs.random_regular(20, 6, seed=1)
+    m = signals.symmetric_binary(0.7)
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", g.n ** 2)
+    strategies.GossipProfile().trace_batch(g, m, np.zeros((1, g.n), int),
+                                           np.zeros((1, g.n)), 6)
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", g.n ** 2 - 1)
+    with pytest.raises(beliefs.BudgetExceededError, match="gossip rings"):
+        strategies.GossipProfile().trace_batch(
+            g, m, np.zeros((1, g.n), int), np.zeros((1, g.n)), 6)
+    chunks = []
+    monkeypatch.setattr(dynamics, "_run_chunk",
+                        lambda *a, **kw: chunks.append(a))
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
+    cfg = dynamics.SimConfig(horizon=6, replicates=4, tail_window=2)
+    with pytest.raises(beliefs.BudgetExceededError):
+        dynamics.run_ensemble(g, m, strategies.GossipProfile(), cfg,
+                              workers=2)
+    assert chunks == [] and fake_pool == []
+
+
 def test_gossip_consensus_on_cycle():
     """On an undirected cycle every agent eventually pools all ratios, so
     all agents converge to sign(sum z) and stay there."""
