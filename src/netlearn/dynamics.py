@@ -27,7 +27,6 @@ its chunks in replicate order.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import multiprocessing
@@ -278,6 +277,21 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, keep_actions):
     return tally, kept
 
 
+# a pool worker's (g, m, profile, config, keep_actions), set once per worker
+# by the pool's initializer, so that each task carries only its indices
+_worker_args = None
+
+
+def _init_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _run_worker_chunk(indices):
+    g, m, profile, config, keep_actions = _worker_args
+    return _run_chunk(g, m, profile, config, indices, keep_actions)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -300,7 +314,9 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
     A zero-row ``trace_batch`` solves the profile to the horizon here first:
     pool workers get the solved profile (the myopic world table, the gossip
     rings) instead of each rebuilding it, and an over-budget run fails
-    before any pool starts."""
+    before any pool starts.  The pool's initializer hands each worker the
+    profile once, so this process pickles one copy at a time and each task
+    carries only its chunk's indices."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     profile.trace_batch(g, m, np.zeros((0, g.n), dtype=np.intp),
@@ -308,16 +324,16 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
     R = config.replicates
     k = min(workers, R, _usable_cpus())
     chunks = [range(i * R // k, (i + 1) * R // k) for i in range(k)]
-    run = functools.partial(_run_chunk, g, m, profile, config,
-                            keep_actions=keep_actions)
     if k == 1:
-        parts = [run(chunks[0])]
+        parts = [_run_chunk(g, m, profile, config, chunks[0], keep_actions)]
     else:
         # spawned, not forked: a forked child may inherit a lock held by
         # one of numpy's threads
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=k, mp_context=spawn) as ex:
-            parts = list(ex.map(run, chunks))
+        with ProcessPoolExecutor(
+                max_workers=k, mp_context=spawn, initializer=_init_worker,
+                initargs=(g, m, profile, config, keep_actions)) as ex:
+            parts = list(ex.map(_run_worker_chunk, chunks))
     tally = EnsembleTally(g.n)
     for part, _ in parts:
         tally.merge(part)

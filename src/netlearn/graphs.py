@@ -8,10 +8,12 @@ are self-inclusive throughout: ``closed_nbrs(i)`` always contains ``i``.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Optional
+
+import numpy as np
 
 __all__ = [
     "DirectedGraph",
@@ -22,6 +24,7 @@ __all__ = [
     "min_l_connectivity",
     "out_degree_bound",
     "ball_distances",
+    "all_balls",
     "extract_ball",
     "balls_isomorphic",
     "balls_isomorphic_bruteforce",
@@ -97,6 +100,108 @@ def ball_distances(g: DirectedGraph, source: int, radius: int) -> dict:
             break
         frontier = nxt
     return dist
+
+
+def _csr(g: DirectedGraph):
+    """(indptr, indices): the sorted out-neighbour lists as compressed
+    rows, vertex v's being indices[indptr[v]:indptr[v + 1]]."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([len(o) for o in g._out], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(g._out),
+                          dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _drop_known(keys, known):
+    """The sorted ``keys`` that are not in the sorted ``known``."""
+    if not len(known):
+        return keys
+    at = np.searchsorted(known, keys)
+    np.minimum(at, len(known) - 1, out=at)
+    return keys[known[at] != keys]
+
+
+def _merge(a, b):
+    """The sorted union of two disjoint sorted key arrays (a stable sort
+    of two runs is one merge)."""
+    if not len(a):
+        return b
+    union = np.concatenate((a, b))
+    union.sort(kind="stable")
+    return union
+
+
+def _ball_levels(g: DirectedGraph, radius: int, cap: int):
+    """The keys source * n + member of the members at distance 0, 1, ...,
+    at most ``radius``, of every source, one sorted array per distance;
+    None once there are more than ``cap``."""
+    n = g.n
+    if n > cap:
+        return None
+    indptr, indices = _csr(g)
+    level = np.arange(n, dtype=np.int64) * (n + 1)
+    levels, seen = [level], level
+    for _ in range(radius):
+        source, vertex = np.divmod(level, n)
+        first = indptr[vertex]
+        deg = indptr[vertex + 1] - first
+        ends = np.cumsum(deg)
+        found = level[:0]
+        lo = 0
+        while lo < len(level):
+            base = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + cap, "right")))
+            d = deg[lo:hi]
+            # expanded entry e of the slice (e counted from its start) is
+            # out-neighbour e - (ends[j] - d[j] - base) of frontier vertex j
+            pos = np.repeat(first[lo:hi] - (ends[lo:hi] - d - base), d)
+            pos += np.arange(len(pos))
+            keys = np.repeat(source[lo:hi] * n, d)
+            keys += indices[pos]
+            keys.sort()
+            distinct = np.empty(len(keys), dtype=bool)
+            distinct[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            found = _merge(found, _drop_known(
+                _drop_known(keys[distinct], seen), found))
+            if len(seen) + len(found) > cap:
+                return None
+            lo = hi
+        if not len(found):
+            break
+        seen = _merge(seen, found)
+        levels.append(found)
+        level = found
+    return levels
+
+
+def all_balls(g: DirectedGraph, radius: int, max_entries=None):
+    """The balls of ``radius`` around every vertex, as three int64 arrays
+    (distance, source, member) sorted by (distance, source, member): one
+    entry per member within ``radius`` of its source, as in
+    ``ball_distances(g, source, radius)``.  Returns None once the balls
+    hold more than ``max_entries`` entries (no limit when it is None).
+
+    One breadth-first search runs from all sources at once, a level at a
+    time.  A level expands its frontier through the out-neighbour arrays,
+    in slices of at most ``max_entries`` expanded entries (plus one
+    vertex's out-degree), dedupes each slice's keys source * n + member by
+    sorting them and drops the keys already reached with ``searchsorted``
+    against the sorted keys seen so far; so no temporary grows past a
+    small multiple of ``max_entries``."""
+    if radius < 0:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    levels = _ball_levels(g, radius,
+                          g.n * g.n if max_entries is None else max_entries)
+    if levels is None:
+        return None
+    counts = [len(x) for x in levels]
+    keys = np.concatenate(levels)
+    del levels
+    source, member = np.divmod(keys, g.n)
+    del keys
+    return (np.repeat(np.arange(len(counts), dtype=np.int64), counts),
+            source, member)
 
 
 def _bfs_distances(g: DirectedGraph, source: int):
@@ -264,7 +369,7 @@ def balls_isomorphic_bruteforce(a: RootedBall, b: RootedBall) -> bool:
         return False
     a_rest = sorted(a.vertices - {a.root})
     b_rest = sorted(b.vertices - {b.root})
-    for perm in permutations(b_rest):
+    for perm in itertools.permutations(b_rest):
         h = {a.root: b.root}
         h.update(zip(a_rest, perm))
         if all(((h[i], h[j]) in b.edges) for (i, j) in a.edges):

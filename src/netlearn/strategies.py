@@ -194,17 +194,21 @@ class GossipProfile(Profile):
     history in general, so only traces (``trace_batch``) are provided.
 
     The balls are held as rings: for every agent i and every j at distance
-    d <= T-1 from i (T the horizon), one entry pairs the cell i*T + d with
-    the member j.  A batch of traces sums each ring's ratios, a block of
-    rows at a time, and accumulates the rings over d.  The rings are built
-    by a BFS truncated at radius T-1 on the first batch for a (graph,
-    horizon), an empty one included, and are held for a whole block, with
-    the block's work buffers: 24 B per entry plus 8 B per (row, agent,
-    round) cell.  A one-row block has sum_i |ball_{T-1}(i)| entries (1.66 MB
-    with its buffers on cycle(1000) at T=30, and n^2 entries in the worst
-    case, on dense graphs; past ``beliefs.DEFAULT_BUDGET`` entries the build
-    stops with BudgetExceededError); a larger block at most
-    ``beliefs.BLOCK_CELLS``.
+    d <= T-1 from i (T the horizon), one entry pairs the round-major cell
+    d*n + i with the member j, the entries sorted by (d, i, j).  A batch of
+    traces sums each ring's ratios, a block of rows at a time, and
+    accumulates the rings over d.  The rings come from one array BFS over
+    all sources at once, truncated at radius T-1 (``graphs.all_balls``; no
+    per-agent search), on the first batch for a (graph, horizon), an empty
+    one included, and are held for a whole block, with the block's work
+    buffers: 24 B per entry plus 8 B per (row, agent, round) cell.  A
+    one-row block has sum_i |ball_{T-1}(i)| entries (1.66 MB with its
+    buffers on cycle(1000) at T=30, and n^2 entries in the worst case, on
+    dense graphs; past ``beliefs.DEFAULT_BUDGET`` entries the build stops
+    with BudgetExceededError); a larger block at most
+    ``beliefs.BLOCK_CELLS``.  The search's temporaries are freed before
+    the buffers are allocated (on cycle(1000) at T=30 the build peaks at
+    the 1.66 MB it keeps).
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
@@ -222,29 +226,32 @@ class GossipProfile(Profile):
         its members by r * n, the first row's being the rings themselves,
         and the block's work buffers, one float per entry and one per cell.
         A block holds at most ``beliefs.BLOCK_CELLS`` entries, and at least
-        one row.  The rings are counted as they are built, and more than
-        ``beliefs.DEFAULT_BUDGET`` entries raise BudgetExceededError."""
+        one row.  More than ``beliefs.DEFAULT_BUDGET`` ring entries raise
+        BudgetExceededError, before the search that finds them holds more
+        than a few times that many."""
         key = (g.n, g.edges, horizon)
         rings = self._ring_cache.get(key)
         if rings is None:
-            cell, member = [], []
-            for i in range(g.n):
-                ball = graphs.ball_distances(g, i, horizon - 1)
-                member.extend(ball)
-                if len(member) > beliefs.DEFAULT_BUDGET:
-                    raise beliefs.BudgetExceededError(
-                        f"gossip rings over budget: more than "
-                        f"{beliefs.DEFAULT_BUDGET} entries for {g.n} agents "
-                        f"at horizon {horizon}; lower the horizon or use a "
-                        "sparser graph")
-                cell.extend([i * horizon + d for d in ball.values()])
+            balls = graphs.all_balls(g, horizon - 1, beliefs.DEFAULT_BUDGET)
+            if balls is None:
+                raise beliefs.BudgetExceededError(
+                    f"gossip rings over budget: more than "
+                    f"{beliefs.DEFAULT_BUDGET} entries for {g.n} agents "
+                    f"at horizon {horizon}; lower the horizon or use a "
+                    "sparser graph")
+            # round-major cells d * n + i, in entry order
+            cell, source, member = balls
+            del balls
+            cell *= g.n
+            cell += source
+            del source
             rows = max(1, beliefs.BLOCK_CELLS // max(len(cell), 1))
-            r = np.arange(rows)[:, None]
-            cell = (np.array(cell, dtype=np.intp)
-                    + r * (g.n * horizon)).ravel()
-            rings = (cell, (np.array(member, dtype=np.intp)
-                            + r * g.n).ravel(), rows,
-                     np.empty(len(cell)), np.empty(rows * g.n * horizon))
+            if rows > 1:
+                r = np.arange(rows)[:, None]
+                cell = (cell + r * (g.n * horizon)).ravel()
+                member = (member + r * g.n).ravel()
+            rings = (cell, member, rows, np.empty(len(cell)),
+                     np.empty(rows * g.n * horizon))
             self._ring_cache[key] = rings
         return rings
 
@@ -252,7 +259,9 @@ class GossipProfile(Profile):
         """(R, n, horizon) actions of the rows of ``atoms`` and ``jitters``
         (R, n): per block of rows, one ``np.add.at`` of the entries'
         ratios into the cells.  It adds them one at a time in entry order,
-        as ``bincount`` does, so every sum equals a one-row trace's.
+        as ``bincount`` does, so every sum equals a one-row trace's.  The
+        cells are round-major, so the running sum over rounds is one
+        in-place ``np.add`` of each round's agent row into the next's.
 
         The sums and the ratios live in the work buffers held with the
         rings, and the rounds are accumulated in place: a freed per-row
@@ -274,11 +283,13 @@ class GossipProfile(Profile):
             acc = sums[:k * g.n * horizon]
             acc.fill(0.0)
             np.add.at(acc, cell[:e], w)
-            # column t sums the ratios within distance t of each agent
-            acc = acc.reshape(k, g.n, horizon)
-            out[lo:lo + k] = self.tie_breaker.decide(
-                np.cumsum(acc, axis=2, out=acc), tie_log,
-                jitters[lo:lo + k, :, None])[0]
+            # round t sums the ratios within distance t of each agent
+            acc = acc.reshape(k, horizon, g.n)
+            for t in range(1, horizon):
+                np.add(acc[:, t], acc[:, t - 1], out=acc[:, t])
+            acts = self.tie_breaker.decide(acc, tie_log,
+                                           jitters[lo:lo + k, None])[0]
+            out[lo:lo + k] = acts.transpose(0, 2, 1)
         return out
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):

@@ -86,14 +86,15 @@ def test_run_ensemble_solves_the_profile_before_the_pool(fake_pool,
 
 def test_run_ensemble_builds_the_gossip_rings_before_the_pool(fake_pool,
                                                               monkeypatch):
-    """Each worker receives the gossip rings built, so none rebuilds
-    them."""
+    """The pool's initializer hands the workers the profile with its gossip
+    rings built, so none rebuilds them, and each task carries only its
+    chunk's indices, not the profile."""
     g, m, prof = small_setup()
     cached = []
     run_chunk = dynamics._run_chunk
 
     def chunk(g, m, profile, *args, **kw):
-        cached.append(list(pickle.loads(pickle.dumps(profile))._ring_cache))
+        cached.append((profile is prof, list(profile._ring_cache)))
         return run_chunk(g, m, profile, *args, **kw)
 
     monkeypatch.setattr(dynamics, "_run_chunk", chunk)
@@ -101,7 +102,9 @@ def test_run_ensemble_builds_the_gossip_rings_before_the_pool(fake_pool,
     cfg = SimConfig(horizon=4, replicates=4, tail_window=2)
     dynamics.run_ensemble(g, m, prof, cfg, workers=2)
     key = (g.n, g.edges, 4)
-    assert fake_pool == [2] and cached == [[key], [key]]
+    assert fake_pool == [2] and cached == [(False, [key])] * 2
+    assert len(fake_pool.task_bytes) == 2
+    assert max(fake_pool.task_bytes) < len(pickle.dumps(prof)) / 10
 
 
 def test_replicate_rng_is_batch_independent():

@@ -482,6 +482,88 @@ def test_gossip_rings_stop_past_the_budget(fake_pool, monkeypatch):
     assert chunks == [] and fake_pool == []
 
 
+@st.composite
+def _digraphs(draw):
+    """A random directed graph on 1-12 vertices, some of them sinks, often
+    with parts that cannot reach each other."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.frozensets(pairs, max_size=3 * n))
+    sinks = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    return graphs.DirectedGraph(n, frozenset(
+        (i, j) for i, j in edges if i != j and i not in sinks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(GOSSIP_GRAPHS), _digraphs()), st.data())
+def test_all_balls_equal_per_source_ball_distances(g, data):
+    """The one-search ring build lists exactly the per-source truncated
+    BFS entries, sorted by (distance, source, member), for every radius
+    from -1 to n + 1; under a cap it returns None exactly when there are
+    more entries than the cap."""
+    radius = data.draw(st.integers(-1, g.n + 1), label="radius")
+    cap = data.draw(st.one_of(st.none(), st.integers(0, g.n * g.n + 1)),
+                    label="cap")
+    want = sorted((d, source, member) for source in range(g.n)
+                  for member, d in graphs.ball_distances(
+                      g, source, radius).items())
+    got = graphs.all_balls(g, radius, cap)
+    if cap is not None and len(want) > cap:
+        assert got is None
+        return
+    assert all(a.dtype == np.int64 for a in got)
+    assert list(zip(*(a.tolist() for a in got))) == want
+
+
+def test_gossip_ring_search_holds_at_most_a_few_budgets():
+    """On a complete graph one level's expansion holds n(n - 1) entries,
+    40 times the lowered budget; the search expands it in slices and stops
+    with BudgetExceededError before any temporary outgrows a few budgets
+    (beyond the graph's own 8 * (n + 1 + edges) bytes of out-neighbour
+    arrays)."""
+    n, budget = 400, 4000
+    g = graphs.DirectedGraph(n, frozenset(
+        (i, j) for i in range(n) for j in range(n) if i != j))
+    m = signals.symmetric_binary(0.7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beliefs, "DEFAULT_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(beliefs.BudgetExceededError):
+                strategies.GossipProfile().trace_batch(
+                    g, m, np.zeros((1, n), int), np.zeros((1, n)), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * (n + 1 + len(g.edges)) + 8 * 50 * budget
+
+
+@pytest.mark.parametrize("mode", ["zero", "one", "jitter"])
+@pytest.mark.parametrize("spec", ["cycle(200)", "grid(12,12)"])
+def test_gossip_ensemble_matches_ring_sums_past_small_diameters(spec, mode):
+    """At T=30 the balls grow for 29 levels, past the diameters of
+    GOSSIP_GRAPHS, and a ring block holds several rows: run_ensemble's
+    report and kept actions equal a tally of the per-row ring-sum
+    reference.  (On cycle(200) every ball holds an odd number of agents,
+    so no sum of a symmetric model cancels; grid(12,12) has ties.)"""
+    g = graphs.generate(spec)
+    m = signals.symmetric_binary(0.6)
+    prof = strategies.GossipProfile(TieBreaker(mode))
+    cfg = dynamics.SimConfig(horizon=30, replicates=12, tail_window=4,
+                             master_seed=5)
+    rep, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
+    assert prof._rings(g, cfg.horizon)[2] > 1
+    tally = dynamics.EnsembleTally(g.n)
+    for r in range(cfg.replicates):
+        tr = dynamics.run_trace(g, m, prof, cfg, r)
+        want, ties = _ring_sum_gossip(g, m, tr.atoms, tr.jitters,
+                                      cfg.horizon, mode)
+        assert np.array_equal(actions[r], want)
+        tally.add_batch([tr.state], want[None], ties, cfg.tail_window)
+    assert (tally.tie_events > 0) == (spec == "grid(12,12)")
+    assert rep == dynamics.report_from_tally(tally, cfg, g.family_tag)
+
+
 def test_gossip_consensus_on_cycle():
     """On an undirected cycle every agent eventually pools all ratios, so
     all agents converge to sign(sum z) and stay there."""
