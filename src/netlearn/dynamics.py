@@ -26,12 +26,8 @@ its chunks in replicate order.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Optional, Tuple
 
@@ -327,6 +323,10 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
     if k == 1:
         parts = [_run_chunk(g, m, profile, config, chunks[0], keep_actions)]
     else:
+        # imported here, so that a one-worker run never loads the pool
+        # stack (logging, socket, subprocess and more)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # spawned, not forked: a forked child may inherit a lock held by
         # one of numpy's threads
         spawn = multiprocessing.get_context("spawn")
@@ -346,6 +346,8 @@ def _csv_cells(n: int, horizon: int, roles):
     row of (agent, t), agent-major, when the agent plays 0 and when it plays
     1.  Each agent's ``agent,role`` is rendered by ``csv.writer``, so the
     role is quoted exactly as in a row written by it."""
+    import csv
+    import io
     buf = io.StringIO()
     w = csv.writer(buf)
     heads = []
@@ -364,6 +366,7 @@ def write_trace_csv(path, actions, roles=None):
     ``csv.writer`` would: CRLF line ends, roles quoted where needed.  The
     cells are built once; each replicate is one ``join`` over its flattened
     actions."""
+    import csv
     R, n, horizon = np.shape(actions)
     cells = _csv_cells(n, horizon, roles)
     cols = np.arange(n * horizon)

@@ -206,29 +206,32 @@ class GossipProfile(Profile):
     buffers on cycle(1000) at T=30, and n^2 entries in the worst case, on
     dense graphs; past ``beliefs.DEFAULT_BUDGET`` entries the build stops
     with BudgetExceededError); a larger block at most
-    ``beliefs.BLOCK_CELLS``.  The search's temporaries are freed before
-    the buffers are allocated (on cycle(1000) at T=30 the build peaks at
-    the 1.66 MB it keeps).
+    ``beliefs.BLOCK_CELLS`` entries and as many cells.  A pickled copy
+    carries the one-row rings only.  The search's temporaries are freed
+    before the buffers are allocated (on cycle(1000) at T=30 the build
+    peaks at the 1.66 MB it keeps).
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
-        self._ring_cache = {}
+        self._ring_cache = {}  # per (n, edges, horizon): one-row rings
+        self._blocks = {}  # per (n, edges, horizon): tiled rings, buffers
+
+    def __getstate__(self):
+        """A copy (a pool worker's) keeps the one-row rings, not the block:
+        it tiles them and allocates its buffers on its first batch."""
+        return {**self.__dict__, "_blocks": {}}
 
     def action(self, agent, atom, history, tie_log=None):
         raise NotImplementedError(
             "the gossip profile is defined at the trace level only; "
             "use trace_actions")
 
-    def _rings(self, g, horizon):
-        """(cell, member, rows, weights, sums): the ring entries of a block
-        of ``rows`` trace rows, row r's cells offset by r * n * horizon and
-        its members by r * n, the first row's being the rings themselves,
-        and the block's work buffers, one float per entry and one per cell.
-        A block holds at most ``beliefs.BLOCK_CELLS`` entries, and at least
-        one row.  More than ``beliefs.DEFAULT_BUDGET`` ring entries raise
-        BudgetExceededError, before the search that finds them holds more
-        than a few times that many."""
+    def _ring_entries(self, g, horizon):
+        """(cell, member): the one-row rings, found on first use.  More
+        than ``beliefs.DEFAULT_BUDGET`` entries raise BudgetExceededError,
+        before the search that finds them holds more than a few times that
+        many."""
         key = (g.n, g.edges, horizon)
         rings = self._ring_cache.get(key)
         if rings is None:
@@ -245,15 +248,31 @@ class GossipProfile(Profile):
             cell *= g.n
             cell += source
             del source
-            rows = max(1, beliefs.BLOCK_CELLS // max(len(cell), 1))
+            rings = self._ring_cache[key] = (cell, member)
+        return rings
+
+    def _rings(self, g, horizon):
+        """(cell, member, rows, weights, sums): the ring entries of a block
+        of ``rows`` trace rows, row r's cells offset by r * n * horizon and
+        its members by r * n, the first row's being the rings themselves,
+        and the block's work buffers, one float per entry and one per cell.
+        Neither the block's entries nor its cells pass
+        ``beliefs.BLOCK_CELLS``, unless one row's do; a block has at least
+        one row."""
+        key = (g.n, g.edges, horizon)
+        block = self._blocks.get(key)
+        if block is None:
+            cell, member = self._ring_entries(g, horizon)
+            rows = max(1, beliefs.BLOCK_CELLS // max(len(cell),
+                                                     g.n * horizon, 1))
             if rows > 1:
                 r = np.arange(rows)[:, None]
                 cell = (cell + r * (g.n * horizon)).ravel()
                 member = (member + r * g.n).ravel()
-            rings = (cell, member, rows, np.empty(len(cell)),
-                     np.empty(rows * g.n * horizon))
-            self._ring_cache[key] = rings
-        return rings
+            block = self._blocks[key] = (cell, member, rows,
+                                         np.empty(len(cell)),
+                                         np.empty(rows * g.n * horizon))
+        return block
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """(R, n, horizon) actions of the rows of ``atoms`` and ``jitters``

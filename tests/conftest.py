@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 
 import pytest
@@ -41,5 +42,7 @@ def fake_pool(monkeypatch):
             log.task_bytes.extend(map(len, tasks))
             return (f(item) for f, item in map(pickle.loads, tasks))
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", FakePool)
+    # run_ensemble imports the pool class when it needs one, so it reads
+    # this attribute at call time
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return log

@@ -423,22 +423,39 @@ def test_simulate_mad_king_runs_at_a_large_delta(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["replicates"] == 3
 
 
-@pytest.mark.parametrize("name", ["cycle20_gossip.cfg", "royal_family.cfg",
-                                  "mad_king.cfg"])
-def test_simulate_does_not_import_networkx(tmp_path, name):
-    """networkx takes about as long to import as numpy; no recipe's
-    simulate needs it."""
+@pytest.mark.parametrize("name,csv", [
+    pytest.param(name, csv, id=name + "-csv" * csv)
+    for name in ("cycle20_gossip.cfg", "royal_family.cfg", "mad_king.cfg")
+    for csv in (False, True)])
+def test_simulate_does_not_import_networkx(tmp_path, name, csv):
+    """A one-worker simulate loads only what it runs: networkx (about as
+    slow to import as numpy), the pool stack and the invariant suites
+    never, the CSV writer only for a trace CSV."""
+    lazy = ("multiprocessing", "concurrent.futures", "netlearn.invariants",
+            "csv", "networkx")
     script = ("import sys\nfrom netlearn import cli\n"
               "rc = cli.main(['simulate', '--config', sys.argv[1], '--out', "
-              "sys.argv[2], '--format', 'summary'])\n"
-              "print(rc, 'networkx' in sys.modules)\n")
+              "sys.argv[2], '--format', 'summary'] + sys.argv[3:])\n"
+              f"print(rc, [m for m in {lazy!r} if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    extra = ["--trace-csv", str(tmp_path / "trace.csv")] if csv else []
     r = subprocess.run([sys.executable, "-c", script,
                         os.path.join(PKG_ROOT, "scripts", name),
-                        str(tmp_path / "report.json")],
+                        str(tmp_path / "report.json")] + extra,
                        capture_output=True, text=True, env=env)
-    assert r.stdout.splitlines()[-1] == "0 False", r.stdout + r.stderr
+    want = "0 ['csv']" if csv else "0 []"
+    assert r.stdout.splitlines()[-1] == want, r.stdout + r.stderr
+
+
+def test_verify_invariants_unknown_scope_exits_2(capsys):
+    """The scope is checked by the suites' own dispatch, before any suite
+    runs: one error line that lists the scopes, exit 2."""
+    code, out = run_cli(["verify-invariants", "--scope", "nope"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'graph'" in err and "'all'" in err
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -538,6 +538,61 @@ def test_gossip_ring_search_holds_at_most_a_few_budgets():
     assert peak < 8 * (n + 1 + len(g.edges)) + 8 * 50 * budget
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_gossip_ring_block_holds_no_unplayed_rows(n):
+    """chain(n) at T=30 has fewer ring entries than (agent, round) cells,
+    so the cells size the block: the profile holds at most BLOCK_CELLS
+    entries at 24 B and as many cells at 8 B (chain(1) held 17.3 MB when
+    the entries alone sized it), and plays as one row per block does."""
+    g, m, horizon = graphs.chain(n), signals.symmetric_binary(0.6), 30
+    prof = strategies.GossipProfile(TieBreaker("jitter"))
+    tracemalloc.start()
+    try:
+        prof.trace_batch(g, m, np.zeros((0, n), int), np.zeros((0, n)),
+                         horizon)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * beliefs.BLOCK_CELLS
+    rng = np.random.default_rng(n)
+    atoms = rng.integers(0, m.k, size=(
+        2 * beliefs.BLOCK_CELLS // (n * horizon) + 3, n))
+    jitters = rng.random(atoms.shape)
+    log, one_log = beliefs.TieLog(), beliefs.TieLog()
+    got = prof.trace_batch(g, m, atoms, jitters, horizon, log)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beliefs, "BLOCK_CELLS", n * horizon)
+        want = strategies.GossipProfile(TieBreaker("jitter")).trace_batch(
+            g, m, atoms, jitters, horizon, one_log)
+    assert np.array_equal(got, want) and log.count == one_log.count
+    assert (log.count > 0) == (n == 2)
+
+
+def test_gossip_profile_pickles_its_rings_only(monkeypatch):
+    """A solved profile pickles to its one-row rings, 56 entries on
+    cycle(8) at T=4, not to its 1.87 MB block of tiles and buffers; the
+    copy tiles them on its first batch without searching the balls again,
+    and plays bit-identically."""
+    g, m, horizon = graphs.cycle(8), signals.symmetric_binary(0.7), 4
+    prof = strategies.GossipProfile(TieBreaker("jitter"))
+    rng = np.random.default_rng(3)
+    atoms = rng.integers(0, m.k, size=(3000, g.n))
+    jitters = rng.random(atoms.shape)
+    log, copy_log = beliefs.TieLog(), beliefs.TieLog()
+    want = prof.trace_batch(g, m, atoms, jitters, horizon, log)
+    data = pickle.dumps(prof)
+    assert len(data) < 4096
+
+    def no_search(*args, **kw):
+        raise AssertionError("the copy searched the balls again")
+
+    monkeypatch.setattr(graphs, "all_balls", no_search)
+    copy = pickle.loads(data)
+    got = copy.trace_batch(g, m, atoms, jitters, horizon, copy_log)
+    assert np.array_equal(got, want) and copy_log.count == log.count
+    assert copy._rings(g, horizon)[2] > 1
+
+
 @pytest.mark.parametrize("mode", ["zero", "one", "jitter"])
 @pytest.mark.parametrize("spec", ["cycle(200)", "grid(12,12)"])
 def test_gossip_ensemble_matches_ring_sums_past_small_diameters(spec, mode):
