@@ -310,29 +310,20 @@ def balls_isomorphic(a: RootedBall, b: RootedBall):
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return False, None
 
-    # order a-vertices by distance from root, then by rarity of signature
+    # order a-vertices by distance from root, then by label
     order = sorted(a.vertices, key=lambda v: (sig_a[v][0], v))
     by_sig = {}
     for v in b.vertices:
         by_sig.setdefault(sig_b[v], []).append(v)
 
-    a_out = {v: set() for v in a.vertices}
-    a_in = {v: set() for v in a.vertices}
-    for (i, j) in a.edges:
-        a_out[i].add(j)
-        a_in[j].add(i)
-    b_edges = b.edges
-
     mapping = {}
     used = set()
 
     def consistent(v, w):
-        for u in a.vertices:
-            if u not in mapping:
-                continue
-            if ((u, v) in a.edges) != ((mapping[u], w) in b_edges):
+        for u, x in mapping.items():
+            if ((u, v) in a.edges) != ((x, w) in b.edges):
                 return False
-            if ((v, u) in a.edges) != ((w, mapping[u]) in b_edges):
+            if ((v, u) in a.edges) != ((w, x) in b.edges):
                 return False
         return True
 
@@ -356,8 +347,6 @@ def balls_isomorphic(a: RootedBall, b: RootedBall):
             used.discard(w)
         return False
 
-    if sig_a[order[0]] != sig_b[b.root]:
-        return False, None
     if backtrack(0):
         return True, dict(mapping)
     return False, None

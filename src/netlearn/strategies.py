@@ -199,8 +199,12 @@ class GossipProfile(Profile):
     traces sums each ring's ratios, a block of rows at a time, and
     accumulates the rings over d.  The rings come from one array BFS over
     all sources at once, truncated at radius T-1 (``graphs.all_balls``; no
-    per-agent search), on the first batch for a (graph, horizon), an empty
-    one included, and are held for a whole block, with the block's work
+    per-agent search).
+
+    The profile holds one slot: the rings of the newest (graph, horizon),
+    found on its first batch, an empty one included, and found again only
+    when a batch comes for another; and one block of them, tiled for as
+    many rows as the largest batch since then needs, with the block's work
     buffers: 24 B per entry plus 8 B per (row, agent, round) cell.  A
     one-row block has sum_i |ball_{T-1}(i)| entries (1.66 MB with its
     buffers on cycle(1000) at T=30, and n^2 entries in the worst case, on
@@ -214,27 +218,34 @@ class GossipProfile(Profile):
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
-        self._ring_cache = {}  # per (n, edges, horizon): one-row rings
-        self._blocks = {}  # per (n, edges, horizon): tiled rings, buffers
+        # the newest (n, edges, horizon), its one-row rings (cell, member)
+        # and its block (rows, cell, member, weights, sums)
+        self._key = self._entries = self._block = None
 
     def __getstate__(self):
         """A copy (a pool worker's) keeps the one-row rings, not the block:
         it tiles them and allocates its buffers on its first batch."""
-        return {**self.__dict__, "_blocks": {}}
+        return {**self.__dict__, "_block": None}
 
     def action(self, agent, atom, history, tie_log=None):
         raise NotImplementedError(
             "the gossip profile is defined at the trace level only; "
             "use trace_actions")
 
-    def _ring_entries(self, g, horizon):
-        """(cell, member): the one-row rings, found on first use.  More
+    def _block_for(self, g, horizon, batch):
+        """(rows, cell, member, weights, sums) for a batch of ``batch``
+        rows: the ring entries of a block of ``rows`` trace rows, row r's
+        cells offset by r * n * horizon and its members by r * n, and the
+        block's work buffers, one float per entry and one per cell.
+
+        The rings are searched again only for a new (graph, horizon); more
         than ``beliefs.DEFAULT_BUDGET`` entries raise BudgetExceededError,
-        before the search that finds them holds more than a few times that
-        many."""
+        before the search holds more than a few times that many.  The block
+        is tiled again only when the batch needs more rows than it holds,
+        up to as many as keep its entries and its cells within
+        ``beliefs.BLOCK_CELLS``, unless one row's pass it."""
         key = (g.n, g.edges, horizon)
-        rings = self._ring_cache.get(key)
-        if rings is None:
+        if key != self._key:
             balls = graphs.all_balls(g, horizon - 1, beliefs.DEFAULT_BUDGET)
             if balls is None:
                 raise beliefs.BudgetExceededError(
@@ -248,31 +259,18 @@ class GossipProfile(Profile):
             cell *= g.n
             cell += source
             del source
-            rings = self._ring_cache[key] = (cell, member)
-        return rings
-
-    def _rings(self, g, horizon):
-        """(cell, member, rows, weights, sums): the ring entries of a block
-        of ``rows`` trace rows, row r's cells offset by r * n * horizon and
-        its members by r * n, the first row's being the rings themselves,
-        and the block's work buffers, one float per entry and one per cell.
-        Neither the block's entries nor its cells pass
-        ``beliefs.BLOCK_CELLS``, unless one row's do; a block has at least
-        one row."""
-        key = (g.n, g.edges, horizon)
-        block = self._blocks.get(key)
-        if block is None:
-            cell, member = self._ring_entries(g, horizon)
-            rows = max(1, beliefs.BLOCK_CELLS // max(len(cell),
-                                                     g.n * horizon, 1))
+            self._key, self._entries, self._block = key, (cell, member), None
+        cell, member = self._entries
+        rows = min(max(batch, 1), max(1, beliefs.BLOCK_CELLS // max(
+            len(cell), g.n * horizon, 1)))
+        if self._block is None or self._block[0] < rows:
             if rows > 1:
                 r = np.arange(rows)[:, None]
                 cell = (cell + r * (g.n * horizon)).ravel()
                 member = (member + r * g.n).ravel()
-            block = self._blocks[key] = (cell, member, rows,
-                                         np.empty(len(cell)),
-                                         np.empty(rows * g.n * horizon))
-        return block
+            self._block = (rows, cell, member, np.empty(len(cell)),
+                           np.empty(rows * g.n * horizon))
+        return self._block
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """(R, n, horizon) actions of the rows of ``atoms`` and ``jitters``
@@ -287,8 +285,9 @@ class GossipProfile(Profile):
         temporary this large can make malloc trim the heap top, which the
         next row then faults in again (on cycle(1000), T=30, about twice
         the page faults of the whole run).  Not reentrant."""
-        cell, member, rows, weights, sums = self._rings(g, horizon)
         atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
+        rows, cell, member, weights, sums = self._block_for(g, horizon,
+                                                            len(atoms))
         jitters = np.asarray(jitters, dtype=np.float64).reshape(atoms.shape)
         z = np.asarray(m.z_values)[atoms]
         out = np.empty((len(atoms), g.n, horizon), dtype=np.uint8)

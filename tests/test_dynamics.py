@@ -87,22 +87,27 @@ def test_run_ensemble_solves_the_profile_before_the_pool(fake_pool,
 def test_run_ensemble_builds_the_gossip_rings_before_the_pool(fake_pool,
                                                               monkeypatch):
     """The pool's initializer hands the workers the profile with its gossip
-    rings built, so none rebuilds them, and each task carries only its
-    chunk's indices, not the profile."""
+    rings built: the parent searches the balls once and no worker searches
+    them again, and each task carries only its chunk's indices, not the
+    profile."""
     g, m, prof = small_setup()
-    cached = []
-    run_chunk = dynamics._run_chunk
+    searches, copies = [], []
+    all_balls, run_chunk = graphs.all_balls, dynamics._run_chunk
+
+    def search(*args, **kw):
+        searches.append(len(copies))
+        return all_balls(*args, **kw)
 
     def chunk(g, m, profile, *args, **kw):
-        cached.append((profile is prof, list(profile._ring_cache)))
+        copies.append(profile is not prof)
         return run_chunk(g, m, profile, *args, **kw)
 
+    monkeypatch.setattr(graphs, "all_balls", search)
     monkeypatch.setattr(dynamics, "_run_chunk", chunk)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
     cfg = SimConfig(horizon=4, replicates=4, tail_window=2)
     dynamics.run_ensemble(g, m, prof, cfg, workers=2)
-    key = (g.n, g.edges, 4)
-    assert fake_pool == [2] and cached == [(False, [key])] * 2
+    assert fake_pool == [2] and copies == [True] * 2 and searches == [0]
     assert len(fake_pool.task_bytes) == 2
     assert max(fake_pool.task_bytes) < len(pickle.dumps(prof)) / 10
 

@@ -332,8 +332,8 @@ GOSSIP_GRAPHS.append(graphs.DirectedGraph(
     6, frozenset({(0, 1), (1, 2), (2, 0), (2, 5), (3, 4), (4, 3)})))
 GOSSIP_MODELS = (signals.symmetric_binary(0.7), signals.royal_bounded(),
                  signals.mad_king_asym(), signals.symmetric_binary(0.6))
-# one profile per tie mode for the whole test, so that its ring cache
-# serves several graphs and horizons
+# one profile per tie mode for the whole test, so that its ring slot
+# serves several graphs and horizons in turn
 GOSSIP_PROFILES = {mode: strategies.GossipProfile(TieBreaker(mode))
                    for mode in ("zero", "one", "jitter")}
 
@@ -568,6 +568,59 @@ def test_gossip_ring_block_holds_no_unplayed_rows(n):
     assert (log.count > 0) == (n == 2)
 
 
+def test_gossip_profile_holds_only_its_newest_rings():
+    """One profile played one row at a time on every graph of GOSSIP_GRAPHS
+    at horizons 1 to n + 2 holds only the newest (graph, horizon)'s rings
+    and one-row block afterwards (151.9 MB when every key's rings and
+    BLOCK_CELLS-sized block were kept)."""
+    m = signals.symmetric_binary(0.7)
+    rows = [(g, np.zeros((1, g.n), int), np.zeros((1, g.n)))
+            for g in GOSSIP_GRAPHS]
+    tracemalloc.start()
+    try:
+        prof = strategies.GossipProfile()
+        for g, atoms, jitters in rows:
+            for horizon in range(1, g.n + 3):
+                prof.trace_batch(g, m, atoms, jitters, horizon)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * beliefs.BLOCK_CELLS
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(range(len(GOSSIP_GRAPHS))), min_size=2,
+                max_size=2),
+       st.lists(st.integers(1, 6), min_size=2, max_size=2),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=5,
+                max_size=5),
+       st.sampled_from(("zero", "one", "jitter")),
+       st.sampled_from((1, 7, 2 ** 16)), st.integers(2, 9),
+       st.integers(0, 2 ** 32 - 1))
+def test_gossip_profile_serves_batches_like_fresh_profiles(
+        gis, horizons, keys, mode, cap, R, seed):
+    """One profile serving batches of 0, 1, R, 1 and 2R rows, each on one of
+    two graphs at one of two horizons, plays each batch as a fresh profile
+    does, in actions and tie count, whether it searches the rings again,
+    tiles a larger block or reuses its block."""
+    m = signals.symmetric_binary(0.6)
+    rng = np.random.default_rng(seed)
+    prof = strategies.GossipProfile(TieBreaker(mode))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beliefs, "BLOCK_CELLS", cap)
+        for rows, (gk, hk) in zip((0, 1, R, 1, 2 * R), keys):
+            g, horizon = GOSSIP_GRAPHS[gis[gk]], horizons[hk]
+            atoms = rng.integers(0, m.k, size=(rows, g.n))
+            jitters = rng.random(atoms.shape)
+            log, fresh_log = beliefs.TieLog(), beliefs.TieLog()
+            got = prof.trace_batch(g, m, atoms, jitters, horizon, log)
+            want = strategies.GossipProfile(TieBreaker(mode)).trace_batch(
+                g, m, atoms, jitters, horizon, fresh_log)
+            assert got.shape == (rows, g.n, horizon)
+            assert np.array_equal(got, want)
+            assert log.count == fresh_log.count
+
+
 def test_gossip_profile_pickles_its_rings_only(monkeypatch):
     """A solved profile pickles to its one-row rings, 56 entries on
     cycle(8) at T=4, not to its 1.87 MB block of tiles and buffers; the
@@ -590,7 +643,7 @@ def test_gossip_profile_pickles_its_rings_only(monkeypatch):
     copy = pickle.loads(data)
     got = copy.trace_batch(g, m, atoms, jitters, horizon, copy_log)
     assert np.array_equal(got, want) and copy_log.count == log.count
-    assert copy._rings(g, horizon)[2] > 1
+    assert copy._block[0] > 1
 
 
 @pytest.mark.parametrize("mode", ["zero", "one", "jitter"])
@@ -607,7 +660,7 @@ def test_gossip_ensemble_matches_ring_sums_past_small_diameters(spec, mode):
     cfg = dynamics.SimConfig(horizon=30, replicates=12, tail_window=4,
                              master_seed=5)
     rep, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
-    assert prof._rings(g, cfg.horizon)[2] > 1
+    assert prof._block[0] > 1
     tally = dynamics.EnsembleTally(g.n)
     for r in range(cfg.replicates):
         tr = dynamics.run_trace(g, m, prof, cfg, r)
