@@ -22,7 +22,7 @@ from .strategies import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     EnsembleReport, SimConfig, Trace, discounted_utility,
-    locality_coupling_test, run_ensemble, run_trace, tail_action_set,
+    locality_coupling_test, run_ensemble, run_trace,
 )
 from .stats import (  # noqa: F401
     EstimatorSample, compare_learning, dep_s_estimate, good_estimator_check,

@@ -170,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, help="report JSON path")
     s.add_argument("--trace-csv", default=None,
                    help="also write per-round actions to CSV")
-    s.add_argument("--format", choices=("json", "summary"), default="json")
+    s.add_argument("--format", choices=("json", "summary"), default="json",
+                   help="stdout: the report JSON, or with summary one "
+                        "'learning_freq=... agreement_freq=... "
+                        "replicates=N' line; summary applies only when the "
+                        "report goes to a file (--out or [output] "
+                        "report_json), otherwise the JSON is printed")
     s.set_defaults(fn=cmd_simulate)
 
     v = sub.add_parser("verify-invariants",

@@ -26,7 +26,6 @@ its chunks in replicate order.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, asdict
 from typing import Optional, Tuple
@@ -43,7 +42,6 @@ __all__ = [
     "EnsembleReport",
     "run_trace",
     "run_ensemble",
-    "tail_action_set",
     "discounted_utility",
     "locality_coupling_test",
     "write_trace_csv",
@@ -121,33 +119,18 @@ def _draws(g, m, profile, config: SimConfig, indices, rows: int):
                breaker.jitters_of(u, g.n))
 
 
-def run_trace(g, m, profile, config: SimConfig, replicate_index: int,
-              inject=None) -> Trace:
+def run_trace(g, m, profile, config: SimConfig,
+              replicate_index: int) -> Trace:
     """Simulate one replicate, as the ensemble loop does: it opens the
-    replicate's stream and skips to its row, so it costs O(n) draws.
-
-    ``inject`` optionally overrides the random draw: a callable
-    (state, atoms) -> (state, atoms) applied after sampling, used to
-    condition on rare events.
-    """
+    replicate's stream and skips to its row, so it costs O(n) draws."""
     states, atoms, jitters = next(_draws(
         g, m, profile, config,
         range(replicate_index, replicate_index + 1), 1))
-    state, atoms, jitters = int(states[0]), atoms[0], jitters[0]
-    if inject is not None:
-        state, atoms = inject(state, atoms)
-        atoms = np.asarray(atoms)
     tie_log = TieLog()
-    actions = profile.trace_actions(g, m, atoms, jitters, config.horizon,
-                                    tie_log)
-    return Trace(state, atoms, jitters, actions, tie_log.count,
-                 replicate_index)
-
-
-def tail_action_set(trace: Trace, agent: int, window: int) -> frozenset:
-    """Set of actions the agent plays in the last ``window`` rounds -- the
-    finite-horizon surrogate for its limiting action set."""
-    return frozenset(int(a) for a in trace.actions[agent, -window:])
+    actions = profile.trace_actions(g, m, atoms[0], jitters[0],
+                                    config.horizon, tie_log)
+    return Trace(int(states[0]), atoms[0], jitters[0], actions,
+                 tie_log.count, replicate_index)
 
 
 def discounted_utility(trace: Trace, agent: int, discount: float):
@@ -229,9 +212,6 @@ class EnsembleReport:
         d = asdict(self)
         d["config"] = asdict(self.config)
         return d
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), indent=2, **kw)
 
 
 def report_from_tally(tally: EnsembleTally, config: SimConfig,

@@ -13,8 +13,6 @@ import numpy as np
 
 from . import beliefs, dynamics, graphs, signals, stats, strategies
 
-SCOPES = ("graph", "signal", "belief", "strategy", "dynamics", "stats")
-
 
 def _check(results, name, ok, detail=""):
     results.append((name, bool(ok), detail))
@@ -187,10 +185,10 @@ _DISPATCH = {
 def run_scope(scope: str, seed: int = 0):
     if scope == "all":
         out = []
-        for s in SCOPES:
-            out.extend(_DISPATCH[s](seed))
+        for check in _DISPATCH.values():
+            out.extend(check(seed))
         return out
     if scope not in _DISPATCH:
         raise ValueError(f"unknown scope {scope!r}; choose from "
-                         f"{SCOPES + ('all',)}")
+                         f"{tuple(_DISPATCH) + ('all',)}")
     return _DISPATCH[scope](seed)

@@ -7,7 +7,6 @@ mad-king profile takes its roles from ``graphs.role_names``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -393,10 +392,11 @@ class MadKingProfile(Profile):
     Role rules:
       * the regent plays its private sign at round 0 and from round 1 the
         sign of Z_1 = own + king's decoded + the summed bureaucracy decoded
-        log-likelihood ratios (exact counting myopic play; when
-        |Z_1| >= ln((1-eps)/eps) with eps = exp(-delta * |bureaucracy|) the
-        regent is *locked*: its belief is pinned regardless of anything it
-        sees later);
+        log-likelihood ratios (exact counting myopic play: nothing it sees
+        later moves it).  Whether |Z_1| is large enough to *lock* the
+        regent, |Z_1| >= ln((1-eps)/eps) with eps = exp(-delta *
+        |bureaucracy|), is acceptance criterion 08's analysis of
+        ``regent_z1``, not an attribute of the profile;
       * the king plays its private sign at round 0 and a counting response
         over the decoded regent and court atoms at round 1 -- unless any
         person played 1 at round 0 or 1, in which case the king plays 1
@@ -451,9 +451,6 @@ class MadKingProfile(Profile):
         # (negative, positive) ratios; raises unless m is a two-atom sign
         # model
         self._sign_z = self._z[list(m.sign_atoms())]
-        # ln((1 - eps) / eps), eps = exp(-x), without rounding eps to 0 or 1
-        x = delta * len(roles.bureaucracy)
-        self.lock_threshold = x + math.log(-math.expm1(-x))
         self._role_of = graphs.role_names(g)
         # position of each observed vertex inside the agent's sorted closed
         # neighborhood, so decoding avoids repeated tuple.index scans
@@ -509,7 +506,7 @@ class MadKingProfile(Profile):
         elif role == "regent":
             # locked or not, the continuation is sign(Z_1): nothing the
             # regent observes later is informative under this profile; the
-            # lock threshold is exposed for analysis via is_locked
+            # lock level is criterion 08's analysis of regent_z1
             val = self._counting_z(agent, atom, history,
                                    [r.king] + list(r.bureaucracy))
         else:  # the king and the bureaucracy
@@ -568,9 +565,6 @@ class MadKingProfile(Profile):
         r = self.roles
         z = self._z[np.asarray(atoms)]
         return float(z[r.regent] + z[r.king] + z[list(r.bureaucracy)].sum())
-
-    def is_locked(self, atoms) -> bool:
-        return abs(self.regent_z1(atoms)) >= self.lock_threshold
 
 
 def myopic_condition_check(y_values, lam: float):

@@ -169,19 +169,19 @@ def test_criterion_07_royal_family_non_learning():
     ok_floor = non_learn >= floor - 3 * se
 
     neg, pos = m.sign_atoms()
-
-    def inject_unanimous(state, atoms):
-        atoms = np.array(atoms)
-        atoms[:R] = pos
-        return 0, atoms
-
+    # condition on a unanimous + clique under S = 0: draw the replicates,
+    # give every royal the + atom and play the edited block
     cfg_j = SimConfig(horizon=20, replicates=100, tail_window=5,
                       master_seed=71)
-    herded = 0
-    for rix in range(100):
-        tr = dynamics.run_trace(g, m, prof, cfg_j, rix,
-                                inject=inject_unanimous)
-        herded += bool((tr.actions[:, 1:] == 1).all() and tr.state == 0)
+    traces = [dynamics.run_trace(g, m, prof, cfg_j, rix)
+              for rix in range(100)]
+    atoms = np.array([tr.atoms for tr in traces])
+    atoms[:, :R] = pos
+    actions = prof.trace_batch(g, m, atoms,
+                               np.array([tr.jitters for tr in traces]),
+                               cfg_j.horizon)
+    # every agent on 1 from round 1 is a herd on the wrong action under S = 0
+    herded = int((actions[:, :, 1:] == 1).all(axis=(1, 2)).sum())
     report(7, "royal-family non-learning", ok_floor and herded == 100,
            f"non-learn={non_learn:.4f} floor={floor:.5f}; "
            f"injected herds {herded}/100")
@@ -198,26 +198,22 @@ def test_criterion_08_mad_king_forced_dynamics():
     roles = prof.roles
     cfg = SimConfig(horizon=12, replicates=50, tail_window=4, master_seed=80)
     people = list(roles.people)
-    silent = True
-    for rix in range(cfg.replicates):
-        tr = dynamics.run_trace(g, m, prof, cfg, rix)
-        silent &= bool((tr.actions[people, :2] == 0).all())
+    traces = [dynamics.run_trace(g, m, prof, cfg, rix)
+              for rix in range(cfg.replicates)]
+    silent = all(bool((tr.actions[people, :2] == 0).all()) for tr in traces)
 
+    # condition on an all-+ bureaucracy: the first 10 replicates' draws with
+    # every bureaucrat's atom set to +, played as one block
     neg, pos = m.sign_atoms()
-
-    def inject_plus_bureaucracy(state, atoms):
-        atoms = np.array(atoms)
-        atoms[list(roles.bureaucracy)] = pos
-        return 0, atoms
-
+    atoms = np.array([tr.atoms for tr in traces[:10]])
+    atoms[:, list(roles.bureaucracy)] = pos
+    actions = prof.trace_batch(g, m, atoms, None, cfg.horizon)
+    # the regent is locked once its posterior passes 1 - eps,
+    # eps = exp(-delta * |bureaucracy|)
     lock_level = 1.0 - math.exp(-delta * R_B)
-    ok_inject = True
-    for rix in range(10):
-        tr = dynamics.run_trace(g, m, prof, cfg, rix,
-                                inject=inject_plus_bureaucracy)
-        posterior = logistic(prof.regent_z1(tr.atoms))
-        ok_inject &= posterior > lock_level
-        ok_inject &= bool((tr.actions[:, 3:] == 1).all())
+    ok_inject = all(logistic(prof.regent_z1(row)) > lock_level
+                    for row in atoms)
+    ok_inject &= bool((actions[:, :, 3:] == 1).all())
     report(8, "mad-king forced dynamics",
            ok_regime and silent and ok_inject,
            f"regime {math.exp(R_C):.2f}<{1/(1-lam):.0f}<{R_B}; "

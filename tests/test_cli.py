@@ -133,6 +133,45 @@ def test_simulate_seed_override_and_out(tmp_path):
     assert data["config"]["master_seed"] == 99
 
 
+@pytest.mark.parametrize("via", ["--out", "report_json"])
+def test_simulate_summary_line_when_the_report_goes_to_a_file(tmp_path, via):
+    """With the report in a file, from --out or [output] report_json,
+    --format summary prints exactly one line whose values are the file's
+    to 4 decimals."""
+    cfg = write_cfg(tmp_path)
+    out_path = tmp_path / "report.json"
+    args = ["simulate", "--config", str(cfg), "--format", "summary"]
+    if via == "--out":
+        args += ["--out", str(out_path)]
+    else:
+        with open(cfg, "a") as f:
+            f.write(f"\n[output]\nreport_json = {out_path}\n")
+    code, out = run_cli(args)
+    assert code == 0
+    data = json.loads(out_path.read_text())
+    assert out.count("\n") == 1 and out.endswith("\n")
+    fields = [kv.split("=") for kv in out.split()]
+    assert [k for k, _ in fields] == ["learning_freq", "agreement_freq",
+                                      "replicates"]
+    values = dict(fields)
+    for key in ("learning_freq", "agreement_freq"):
+        assert values[key] == f"{data[key]:.4f}"
+    assert int(values["replicates"]) == data["replicates"] == 20
+
+
+def test_simulate_summary_without_a_report_file_prints_the_json(tmp_path):
+    """With no report file, --format summary prints the report JSON, as
+    --format json does."""
+    cfg = write_cfg(tmp_path)
+    code, out = run_cli(["simulate", "--config", str(cfg),
+                         "--format", "summary"])
+    assert code == 0
+    code_json, out_json = run_cli(["simulate", "--config", str(cfg)])
+    assert code_json == 0 and out == out_json
+    data = json.loads(out)
+    assert data["replicates"] == 20 and data["version"] == "0.1.0"
+
+
 def test_simulate_trace_csv(tmp_path):
     cfg = write_cfg(tmp_path, replicates=3)
     csv_path = tmp_path / "trace.csv"
@@ -410,15 +449,9 @@ def test_simulate_preflight_exits_2_before_any_replicate(
 
 
 def test_simulate_mad_king_runs_at_a_large_delta(tmp_path, monkeypatch):
-    """delta = 5.0 on 200 bureaucrats puts eps = exp(-1000) below the
-    smallest double; the lock threshold is still 1000 and the run goes
-    through."""
+    """delta = 5.0 passes the range check, and the run goes through."""
     monkeypatch.setenv("NETLEARN_PROFILE_DELTA", "5.0")
     monkeypatch.setenv("NETLEARN_SIM_REPLICATES", "3")
-    rc = config.load_config(MAD_KING_CFG)
-    g = rc.build_graph()
-    assert rc.build_profile(g, rc.build_signal_model()).lock_threshold \
-        == 1000.0
     code, out = run_cli(["simulate", "--config", MAD_KING_CFG])
     assert code == 0 and json.loads(out)["replicates"] == 3
 

@@ -123,15 +123,6 @@ def test_replicate_rng_is_batch_independent():
     assert not np.array_equal(a, c)
 
 
-def test_tail_action_set():
-    g, m, prof = small_setup()
-    cfg = SimConfig(horizon=12, replicates=1, master_seed=0)
-    tr = dynamics.run_trace(g, m, prof, cfg, 0)
-    tail = dynamics.tail_action_set(tr, 0, 5)
-    assert tail <= {0, 1} and len(tail) >= 1
-    assert tail == frozenset(int(a) for a in tr.actions[0, -5:])
-
-
 def test_discounted_utility_bounds():
     g, m, prof = small_setup()
     cfg = SimConfig(horizon=20, replicates=1, master_seed=1)
@@ -152,16 +143,14 @@ def test_injection_overrides_draw():
     prof = strategies.RoyalFamilyProfile(g, m)
     cfg = SimConfig(horizon=6, replicates=1, master_seed=0)
     neg, pos = m.sign_atoms()
-
-    def all_royals_plus(state, atoms):
-        atoms = np.array(atoms)
-        atoms[:3] = pos
-        return 0, atoms
-
-    tr = dynamics.run_trace(g, m, prof, cfg, 0, inject=all_royals_plus)
-    assert tr.state == 0
-    assert (tr.atoms[:3] == pos).all()
-    assert (tr.actions[:3, 1:] == 1).all()  # royals herd on 1 despite S=0
+    tr = dynamics.run_trace(g, m, prof, cfg, 0)
+    # condition on every royal drawing +: edit the drawn atoms and play
+    # them again (play never reads the state)
+    atoms = tr.atoms.copy()
+    atoms[:3] = pos
+    actions = prof.trace_actions(g, m, atoms, tr.jitters, cfg.horizon)
+    # the royals herd on 1 from round 1, wrongly whenever S = 0
+    assert (actions[:3, 1:] == 1).all()
 
 
 def test_ensemble_report_fields_and_merge():
@@ -313,6 +302,36 @@ def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
         assert actions is None
 
 
+@pytest.mark.parametrize("name", ["gossip", "royal", "mad_king", "myopic"])
+def test_an_edited_atom_block_plays_as_its_rows(name):
+    """Conditioning on a draw as criteria 07 and 08 do: take run_trace's
+    atoms and jitters as an (R, n) block, overwrite one agent's atoms and
+    play the block with one trace_batch.  Play reads only atoms and
+    jitters, so the unedited block plays run_trace's actions and ties, and
+    the edited block plays what trace_actions plays row by row."""
+    g, m, prof = _ensemble_cases()[name]
+    cfg = SimConfig(horizon=5, replicates=12, tail_window=2, master_seed=6)
+    traces = [dynamics.run_trace(g, m, prof, cfg, r) for r in range(12)]
+    atoms = np.array([tr.atoms for tr in traces])
+    jitters = np.array([tr.jitters for tr in traces])
+    log = beliefs.TieLog()
+    played = prof.trace_batch(g, m, atoms, jitters, cfg.horizon, log)
+    assert np.array_equal(played, [tr.actions for tr in traces])
+    assert log.count == sum(tr.tie_count for tr in traces)
+
+    # flip agent 0's sign in every replicate
+    neg, pos = m.sign_atoms()
+    atoms[:, 0] = neg + pos - atoms[:, 0]
+    log = beliefs.TieLog()
+    edited = prof.trace_batch(g, m, atoms, jitters, cfg.horizon, log)
+    row_log = beliefs.TieLog()
+    rows = [prof.trace_actions(g, m, a, j, cfg.horizon, row_log)
+            for a, j in zip(atoms, jitters)]
+    assert np.array_equal(edited, rows)
+    assert log.count == row_log.count
+    assert not np.array_equal(edited, played)
+
+
 def _recorded_ensemble(g, m, prof, cfg, workers):
     """run_ensemble's kept actions, with the states it tallies and, per
     tallied block, (first replicate, end, ties)."""
@@ -436,7 +455,7 @@ def test_report_json_roundtrip():
     assert d["graph_family"] == "cycle"
     assert d["seeding"] == 2  # block streams of STREAM_ROWS replicates
     import json
-    assert json.loads(report.to_json())["replicates"] == 5
+    assert json.loads(json.dumps(report.to_dict()))["replicates"] == 5
 
 
 def test_locality_coupling_cycles():

@@ -862,25 +862,6 @@ def test_mad_king_requires_a_positive_delta(delta):
                                   signals.mad_king_asym(), delta, 0.9)
 
 
-@pytest.mark.parametrize("delta, r_b", [(1e-3, 1), (0.5, 8), (0.025, 200),
-                                        (3.0, 10), (5.0, 200), (1e-300, 1)])
-def test_mad_king_lock_threshold_is_the_log_odds_of_eps(delta, r_b):
-    """ln((1 - eps) / eps) with eps = exp(-delta * |bureaucracy|): equal to
-    the direct formula where that one is exact enough, and finite where eps
-    underflows to 0 (x = 1000) or 1 - eps rounds to 1 (x = 1e-300)."""
-    prof = strategies.MadKingProfile(graphs.mad_king(1, r_b, 1),
-                                     signals.mad_king_asym(), delta, 0.9)
-    x = delta * r_b
-    if 1e-3 <= x <= 700:
-        eps = math.exp(-x)
-        assert prof.lock_threshold == pytest.approx(
-            math.log((1 - eps) / eps), rel=1e-12, abs=1e-12)
-    else:
-        assert math.isfinite(prof.lock_threshold)
-        assert prof.lock_threshold == pytest.approx(
-            x if x > 1 else math.log(x), rel=1e-12)
-
-
 def test_mad_king_people_forced_silent_then_imitate():
     g, m, roles, prof = make_mk()
     neg, pos = m.sign_atoms()
@@ -916,16 +897,11 @@ def test_mad_king_regent_lock():
     atoms = [pos] * g.n
     assert prof.regent_z1(atoms) == pytest.approx(
         2 * 1.0 + 8 * 1.0, abs=1e-9)
-    # eps = e^{-0.5*8} = e^-4; threshold = ln((1-e^-4)/e^-4) ~ 3.98
-    assert prof.lock_threshold == pytest.approx(
-        math.log((1 - math.exp(-4)) / math.exp(-4)), abs=1e-12)
-    assert prof.is_locked(atoms)
     # a lone + king against an all-minus bureaucracy pushes Z_1 negative
     atoms2 = list(atoms)
     for b in roles.bureaucracy:
         atoms2[b] = neg
     assert prof.regent_z1(atoms2) < 0
-    assert prof.is_locked(atoms2)
 
 
 def test_mad_king_rage_rule():
@@ -1048,17 +1024,19 @@ def test_gossip_jitter_breaks_ties_below_one_half(tmp_path):
     m = rc.build_signal_model()
     prof = rc.build_profile(g, m)
     neg, pos = m.sign_atoms()
-
-    def alternate(state, atoms):
-        return state, np.array([pos, neg, pos, neg])
+    alternate = np.array([pos, neg, pos, neg])
 
     played = set()
     for r in range(12):
-        tr = dynamics.run_trace(g, m, prof, rc.sim, r, inject=alternate)
-        tied = tr.jitters < 0.5
+        # replicate r's jitters, played with the alternating atoms
+        jitters = dynamics.run_trace(g, m, prof, rc.sim, r).jitters
+        tie_log = beliefs.TieLog()
+        actions = prof.trace_actions(g, m, alternate, jitters,
+                                     rc.sim.horizon, tie_log)
+        tied = jitters < 0.5
         # rounds 1 and 3 sum an even number of alternating atoms: all tie
-        assert tr.tie_count == 2 * g.n
+        assert tie_log.count == 2 * g.n
         for t in (1, 3):
-            assert np.array_equal(tr.actions[:, t], tied.astype(np.uint8))
-        played.update(tr.actions[:, 1].tolist())
+            assert np.array_equal(actions[:, t], tied.astype(np.uint8))
+        played.update(actions[:, 1].tolist())
     assert played == {0, 1}
