@@ -3,7 +3,7 @@ strategy profile.
 
 Every exact computation runs on one enumeration of the possible worlds: all
 k^n joint atom assignments, with their masses under each state (``worlds``;
-the budget bounds the world-agent cells k^n * n, 10^7 by default, which
+``DEFAULT_BUDGET`` bounds the world-agent cells k^n * n at 10^7, which
 admits n <= 19 at k = 2).  A belief function replays the profile in every
 world where the viewing agent holds its atom, with one call of the profile's
 ``trace_batch``, keeps the worlds whose replay shows the agent its observed
@@ -237,18 +237,19 @@ def view_from_actions(g, actions, atoms, agent: int, t: int) -> HistoryView:
 # ---------------------------------------------------------------------------
 # possible worlds
 
-def worlds(m, n: int, budget: int = DEFAULT_BUDGET):
+def worlds(m, n: int):
     """Every joint atom assignment ("world") of n agents, in mixed radix:
     column w of the (n, k^n) atom array holds agent i's atom as digit i of
     w, base k.  Returns (atoms, w0, w1), w_s being each world's mass under
-    S = s.  The budget bounds the world-agent cells k^n * n and is checked
-    before anything is allocated."""
+    S = s.  ``DEFAULT_BUDGET``, read at the call, bounds the world-agent
+    cells k^n * n and is checked before anything is allocated."""
     k = m.k
     cells = k ** n * n
-    if cells > budget:
+    if cells > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
-            f"exceed the exact budget of {budget}; use mc_posterior instead")
+            f"exceed the exact budget of {DEFAULT_BUDGET}; use mc_posterior "
+            "instead")
     radix = k ** np.arange(n, dtype=np.int64)
     atoms = np.arange(k ** n)[None, :] // radix[:, None] % k
     return atoms, m.probs(0)[atoms].prod(axis=0), \
@@ -301,14 +302,13 @@ def _seen(g, m, profile, view: HistoryView, atoms, horizon: int,
     return own[ok], seen[ok]
 
 
-def exact_posterior(g, m, profile, view: HistoryView,
-                    budget: int = DEFAULT_BUDGET) -> BeliefState:
+def exact_posterior(g, m, profile, view: HistoryView) -> BeliefState:
     """P(S=1 | own signal, observed neighbor actions) over every world.
 
     Requires a pure (deterministic) profile.  The uniform prior on the state
     cancels in the ratio."""
     _check_view(g, m, view)
-    atoms, w0, w1 = worlds(m, g.n, budget)
+    atoms, w0, w1 = worlds(m, g.n)
     keep, _ = _seen(g, m, profile, view, atoms, view.t)
     s0, s1 = w0[keep].sum(), w1[keep].sum()
     if s0 + s1 <= 0.0:
@@ -357,8 +357,7 @@ def mc_posterior(g, m, profile, view: HistoryView, particles: int,
     return BeliefState(post, view.t, stderr=se)
 
 
-def y_decomposition(g, m, profile, view: HistoryView,
-                    budget: int = DEFAULT_BUDGET) -> YDecomposition:
+def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
     """Split the posterior log-odds into the history term Y and the private
     term Z_0; the identity Z = Y + Z_0 holds to 1e-9 on the exact engine.
     ``profile`` must be a ``MyopicExactProfile``.
@@ -368,11 +367,11 @@ def y_decomposition(g, m, profile, view: HistoryView,
     ratio of the two states' masses of the matching worlds, the agent's own
     atom mass divided out."""
     _require_myopic(profile, "y_decomposition")
-    z = exact_posterior(g, m, profile, view, budget).log_odds
+    z = exact_posterior(g, m, profile, view).log_odds
     z0 = m.atoms[view.atom].z
     if view.t == 0:
         return YDecomposition(0.0, z0, z)
-    atoms, w0, w1 = worlds(m, g.n, budget)
+    atoms, w0, w1 = worlds(m, g.n)
     keep, _ = _seen(g, m, profile, view, atoms, view.t, forced=True)
     s0 = w0[keep].sum() / m.atom_prob(view.atom, 0)
     s1 = w1[keep].sum() / m.atom_prob(view.atom, 1)
@@ -382,12 +381,11 @@ def y_decomposition(g, m, profile, view: HistoryView,
     return YDecomposition(math.log(s1 / s0), z0, z)
 
 
-def outcome_distribution(g, m, profile, view: HistoryView,
-                         budget: int = DEFAULT_BUDGET):
+def outcome_distribution(g, m, profile, view: HistoryView):
     """Distribution of the next observable neighbor-action row given the
     view.  Returns a list of (row, probability, extended_view)."""
     _check_view(g, m, view)
-    atoms, w0, w1 = worlds(m, g.n, budget)
+    atoms, w0, w1 = worlds(m, g.n)
     keep, seen = _seen(g, m, profile, view, atoms, view.t + 1)
     rows, which = np.unique(seen[:, :, view.t], axis=0, return_inverse=True)
     masses = np.bincount(which, weights=w0[keep] + w1[keep],
@@ -403,8 +401,7 @@ def outcome_distribution(g, m, profile, view: HistoryView,
     return out
 
 
-def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3,
-                        budget: int = DEFAULT_BUDGET):
+def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3):
     """Expected posterior certainty (|P(S=1|F) - 1/2|) ell rounds ahead,
     when the viewing agent plays myopically from the view's time onward.
     Returns a tuple of length ell_max + 1; the sequence is nondecreasing
@@ -420,7 +417,7 @@ def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3,
     if ell_max < 0:
         raise ValueError(f"ell_max must be >= 0, got {ell_max}")
     _check_view(g, m, view)
-    atoms, w0, w1 = worlds(m, g.n, budget)
+    atoms, w0, w1 = worlds(m, g.n)
     keep, seen = _seen(g, m, profile, view, atoms, view.t + ell_max)
     w0, w1 = w0[keep], w1[keep]
     norm = (w0 + w1).sum()

@@ -15,8 +15,9 @@ roles come from ``graphs.role_names``, do not depend on it.
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
 below 1, a negative seed, an output path that is a directory or lies in a
-missing directory, or a run the exact engine's budget cannot hold), found
-before any replicate runs.
+missing directory, a report and a trace CSV that are one file, or a run the
+exact engine's budget cannot hold), found before any replicate runs;
+``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations
 
@@ -86,6 +87,10 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"no directory for output file {path!r}")
             if path and os.path.isdir(path):
                 raise ValueError(f"output file {path!r} is a directory")
+        if (out_json and csv_path
+                and os.path.realpath(out_json) == os.path.realpath(csv_path)):
+            raise ValueError(f"the report and the trace CSV are one file, "
+                             f"{csv_path!r}")
         g = rc.build_graph()
         m = rc.build_signal_model()
         prof = rc.build_profile(g, m)
@@ -119,6 +124,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_invariants(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     # imported here, so that no other command loads the suites; run_scope
     # rejects an unknown scope before it runs any
     from .invariants import run_scope

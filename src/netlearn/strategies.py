@@ -43,18 +43,17 @@ class MyopicExactProfile(Profile):
     every world's actions, which ``trace_batch`` reads.  ``forced_trace``
     walks the class splits instead, for rows with one agent forced.
 
-    The budget bounds the world-agent cells k^n * n; it is checked before
-    any world array is allocated.  Only deterministic tie modes are
-    supported: one world's response cannot depend on a jitter draw.
+    ``beliefs.DEFAULT_BUDGET`` bounds the world-agent cells k^n * n; it is
+    checked before any world array is allocated.  Only deterministic tie
+    modes are supported: one world's response cannot depend on a jitter
+    draw.
     """
 
-    def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero"),
-                 budget: int = beliefs.DEFAULT_BUDGET):
+    def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
         tie_breaker.reject_jitter("exact myopic")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
-        self.budget = budget
         self._cls = None     # (n, worlds) class ids at the newest round
         self._acts = None    # the world table: (rounds, n, worlds) uint8
         self._ties = None    # (rounds, worlds) tied agents per world
@@ -69,7 +68,7 @@ class MyopicExactProfile(Profile):
     def _start(self):
         n = self.g.n
         # a world's initial class for agent i is agent i's own atom
-        self._cls, self._w0, self._w1 = beliefs.worlds(self.m, n, self.budget)
+        self._cls, self._w0, self._w1 = beliefs.worlds(self.m, n)
         self._radix = self.m.k ** np.arange(n, dtype=np.int64)
         self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
         self._acts = np.empty((0,) + self._cls.shape, dtype=np.uint8)

@@ -59,13 +59,13 @@ def test_inconsistent_history_raises():
         beliefs.exact_posterior(g, m, prof, view)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     g = graphs.dicycle(30)
     m = signals.symmetric_binary(0.7)
     prof = strategies.MyopicExactProfile(g, m)
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 10_000)
     with pytest.raises(beliefs.BudgetExceededError):
-        beliefs.exact_posterior(g, m, prof, HistoryView(0, 0, 0, ()),
-                                budget=10_000)
+        beliefs.exact_posterior(g, m, prof, HistoryView(0, 0, 0, ()))
 
 
 @settings(max_examples=15, deadline=None)

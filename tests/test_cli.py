@@ -419,13 +419,20 @@ PREFLIGHT_BASE = ("[graph]\nfamily = cycle(8)\n\n[profile]\nname = gossip\n\n"
      "{tmp}' is a directory"),
     (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {tmp}\n", [],
      "{tmp}' is a directory"),
+    (PREFLIGHT_BASE, ["--out", "{tmp}/r.json", "--trace-csv", "{tmp}/r.json"],
+     "one file, '{tmp}/r.json'"),
+    (PREFLIGHT_BASE + "\n[output]\nreport_json = {tmp}/r.json\n"
+     "trace_csv = {tmp}/r.json\n", [], "one file, '{tmp}/r.json'"),
+    (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {tmp}/./r.json\n",
+     ["--out", "{tmp}/r.json"], "one file, '{tmp}/./r.json'"),
 ])
 def test_simulate_preflight_exits_2_before_any_replicate(
         tmp_path, capsys, monkeypatch, text, args, named):
     """A negative seed, a graph given both as a family and as a file, an
-    output path in a missing directory or that is a directory, or a
-    mad-king delta <= 0 is a usage error: one line that names it, exit 2,
-    no ensemble run and no file written."""
+    output path in a missing directory or that is a directory, a report and
+    a trace CSV that are one file, or a mad-king delta <= 0 is a usage
+    error: one line that names it, exit 2, no ensemble run and no file
+    written."""
     calls = []
     monkeypatch.setattr(dynamics, "run_ensemble",
                         lambda *a, **kw: calls.append(a))
@@ -481,14 +488,21 @@ def test_simulate_does_not_import_networkx(tmp_path, name, csv):
     assert r.stdout.splitlines()[-1] == want, r.stdout + r.stderr
 
 
-def test_verify_invariants_unknown_scope_exits_2(capsys):
-    """The scope is checked by the suites' own dispatch, before any suite
-    runs: one error line that lists the scopes, exit 2."""
-    code, out = run_cli(["verify-invariants", "--scope", "nope"])
+@pytest.mark.parametrize("args, named", [
+    (["--scope", "nope"], ("'graph'", "'all'")),
+    (["--seed", "-1"], ("--seed must be >= 0, got -1",)),
+] + [(["--scope", scope, "--seed", "-1"], ("--seed must be >= 0, got -1",))
+     for scope in ("graph", "signal", "belief", "strategy", "dynamics",
+                   "stats")])
+def test_verify_invariants_unknown_scope_exits_2(capsys, args, named):
+    """An unknown scope (checked by the suites' own dispatch) or a negative
+    seed (checked before the suites load) is found before any suite runs,
+    whatever the scope: one error line that names it, exit 2."""
+    code, out = run_cli(["verify-invariants"] + args)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "'graph'" in err and "'all'" in err
+    assert all(name in err for name in named), err
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -108,14 +108,16 @@ def test_ball_vertices_match_bfs():
     graphs.grid(3, 4), graphs.dicycle(7), graphs.royal_family(2, 5),
     graphs.DirectedGraph(5, frozenset({(0, 1), (1, 2), (3, 4)}))])
 def test_ball_distances_truncate_the_full_bfs(g):
-    """The truncated BFS keeps exactly the vertices within the radius, at
-    their graph distance; unreachable vertices never enter."""
+    """The BFS stopped at a radius keeps exactly the vertices within it, at
+    their graph distance, and -1 for every other vertex; unreachable
+    vertices are -1 at every radius, and a negative radius reaches none."""
     dist = graphs.all_pairs_distances(g)
     for source in range(g.n):
-        assert graphs.ball_distances(g, source, -1) == {}
+        assert graphs.bfs_distances(g, source) == dist[source]
+        assert graphs.bfs_distances(g, source, -1) == [-1] * g.n
         for r in range(g.n + 1):
-            assert graphs.ball_distances(g, source, r) == {
-                v: d for v, d in enumerate(dist[source]) if 0 <= d <= r}
+            assert graphs.bfs_distances(g, source, r) == [
+                d if d <= r else -1 for d in dist[source]]
 
 
 @settings(max_examples=30, deadline=None)

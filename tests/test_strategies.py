@@ -300,21 +300,42 @@ def test_myopic_copy_plays_the_solved_rounds_and_re_solves_more():
     assert copy.action(2, view.atom, view.observed) == want[7, 2, 4]
 
 
-def test_exact_myopic_budget_counts_world_agent_cells():
+def test_exact_myopic_budget_counts_world_agent_cells(monkeypatch):
     g = graphs.dicycle(5)
     m = signals.symmetric_binary(0.7)
-    ok = strategies.MyopicExactProfile(g, m, budget=2 ** 5 * 5)
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 2 ** 5 * 5)
+    ok = strategies.MyopicExactProfile(g, m)
     neg, pos = m.sign_atoms()
     assert ok.action(0, pos, ()) == 1
-    tight = strategies.MyopicExactProfile(g, m, budget=2 ** 5 * 5 - 1)
-    with pytest.raises(beliefs.BudgetExceededError):
-        tight.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
     # the belief functions count the same cells
     view = beliefs.HistoryView(0, 0, pos, ())
-    assert beliefs.exact_posterior(g, m, ok, view,
-                                   budget=2 ** 5 * 5).posterior > 0.5
+    assert beliefs.exact_posterior(g, m, ok, view).posterior > 0.5
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 2 ** 5 * 5 - 1)
+    tight = strategies.MyopicExactProfile(g, m)
     with pytest.raises(beliefs.BudgetExceededError):
-        beliefs.exact_posterior(g, m, ok, view, budget=2 ** 5 * 5 - 1)
+        tight.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
+    with pytest.raises(beliefs.BudgetExceededError):
+        beliefs.exact_posterior(g, m, ok, view)
+
+
+def test_one_patched_budget_governs_both_engines(monkeypatch):
+    """``beliefs.DEFAULT_BUDGET`` is read when a world table or a ring set
+    is built: patched just below the k^n * n world-agent cells of dicycle(5),
+    a new myopic profile and an exact posterior raise BudgetExceededError,
+    and so do the gossip rings of a dense graph whose balls hold n^2 = 400
+    entries."""
+    g = graphs.dicycle(5)
+    m = signals.symmetric_binary(0.7)
+    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 2 ** g.n * g.n - 1)
+    prof = strategies.MyopicExactProfile(g, m)
+    with pytest.raises(beliefs.BudgetExceededError):
+        prof.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
+    with pytest.raises(beliefs.BudgetExceededError):
+        beliefs.exact_posterior(g, m, prof, beliefs.HistoryView(0, 0, 0, ()))
+    dense = graphs.random_regular(20, 6, seed=1)
+    with pytest.raises(beliefs.BudgetExceededError, match="gossip rings"):
+        strategies.GossipProfile().trace_batch(
+            dense, m, np.zeros((1, dense.n), int), np.zeros((1, dense.n)), 6)
 
 
 def test_gossip_action_is_trace_level_only():
@@ -389,8 +410,9 @@ def _ring_sum_gossip(g, m, atoms, jitters, horizon, mode):
     z = np.asarray(m.z_values)[np.asarray(atoms)]
     sums = np.zeros((g.n, horizon))
     for i in range(g.n):
-        for j, d in graphs.ball_distances(g, i, horizon - 1).items():
-            sums[i, d] += z[j]
+        for j, d in enumerate(graphs.bfs_distances(g, i, horizon - 1)):
+            if d >= 0:
+                sums[i, d] += z[j]
     margin = sums.cumsum(axis=1)
     tied = np.abs(margin) <= beliefs.TIE_TOL
     if mode == "jitter":
@@ -505,8 +527,8 @@ def test_all_balls_equal_per_source_ball_distances(g, data):
     cap = data.draw(st.one_of(st.none(), st.integers(0, g.n * g.n + 1)),
                     label="cap")
     want = sorted((d, source, member) for source in range(g.n)
-                  for member, d in graphs.ball_distances(
-                      g, source, radius).items())
+                  for member, d in enumerate(graphs.bfs_distances(
+                      g, source, radius)) if d >= 0)
     got = graphs.all_balls(g, radius, cap)
     if cap is not None and len(want) > cap:
         assert got is None
