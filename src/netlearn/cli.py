@@ -14,9 +14,9 @@ roles come from ``graphs.role_names``, do not depend on it.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, a negative seed, an output path that is a directory or lies in a
-missing directory, a report and a trace CSV that are one file, or a run the
-exact engine's budget cannot hold), found before any replicate runs;
+below 1, a negative seed, an output path that is a directory, an input file
+or in a missing directory, a report and a trace CSV that are one file, or a
+run the exact engine's budget cannot hold), found before any replicate runs;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations
@@ -53,9 +53,8 @@ def cmd_check_topology(args) -> int:
     sc = graphs.is_strongly_connected(g)
     out = {"n": g.n, "edges": len(g.edges), "strongly_connected": sc}
     if sc:
-        dist = graphs.all_pairs_distances(g)
-        out["l_connectivity"] = graphs.min_l_connectivity(g, dist)
-        out["diameter"] = max(max(row) for row in dist)
+        out["l_connectivity"], out["diameter"] = \
+            graphs.l_connectivity_and_diameter(g)
         out["max_out_degree"] = graphs.out_degree_bound(g)
     print(json.dumps(out, indent=2))
     return EXIT_OK if sc else EXIT_USAGE
@@ -82,11 +81,15 @@ def cmd_simulate(args) -> int:
         rc = load_config(args.config, {"sim": {"seed": args.seed}})
         out_json = args.out or rc.report_json
         csv_path = args.trace_csv or rc.trace_csv
+        inputs = {os.path.realpath(p) for p in (args.config, rc.graph_file)
+                  if p}
         for path in (out_json, csv_path):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"no directory for output file {path!r}")
             if path and os.path.isdir(path):
                 raise ValueError(f"output file {path!r} is a directory")
+            if path and os.path.realpath(path) in inputs:
+                raise ValueError(f"output file {path!r} is an input file")
         if (out_json and csv_path
                 and os.path.realpath(out_json) == os.path.realpath(csv_path)):
             raise ValueError(f"the report and the trace CSV are one file, "

@@ -22,6 +22,7 @@ __all__ = [
     "role_names",
     "is_strongly_connected",
     "min_l_connectivity",
+    "l_connectivity_and_diameter",
     "out_degree_bound",
     "bfs_distances",
     "all_balls",
@@ -223,19 +224,29 @@ def all_pairs_distances(g: DirectedGraph):
     return [bfs_distances(g, s) for s in range(g.n)]
 
 
-def min_l_connectivity(g: DirectedGraph, dist=None) -> int:
-    """Smallest L such that every edge (i,j) has a return path j->i of
-    length at most L.  L = 1 exactly when the edge set is symmetric.
+def l_connectivity_and_diameter(g: DirectedGraph):
+    """(``min_l_connectivity(g)``, the diameter) from one BFS per source,
+    holding one distance row at a time: the row of j gives j's eccentricity
+    and, at each i with an edge (i, j), that edge's return distance."""
+    into = [[] for _ in range(g.n)]
+    for (i, j) in g.edges:
+        into[j].append(i)
+    L = diameter = 0
+    for j in range(g.n):
+        row = bfs_distances(g, j)
+        if -1 in row:
+            raise ValueError(
+                "L-connectivity requires a strongly connected graph")
+        diameter = max(diameter, max(row))
+        L = max(L, max(map(row.__getitem__, into[j]), default=0))
+    return L, diameter
 
-    ``dist`` is ``all_pairs_distances(g)``, for a caller that holds it
-    already."""
-    if dist is None:
-        dist = all_pairs_distances(g)
-    if min(map(min, dist)) < 0:
-        raise ValueError("L-connectivity requires a strongly connected graph")
-    if not g.edges:
-        return 0
-    return max(dist[j][i] for (i, j) in g.edges)
+
+def min_l_connectivity(g: DirectedGraph) -> int:
+    """Smallest L such that every edge (i,j) has a return path j->i of
+    length at most L (1 exactly when the edge set is symmetric), from the
+    rows ``l_connectivity_and_diameter`` streams one at a time."""
+    return l_connectivity_and_diameter(g)[0]
 
 
 def out_degree_bound(g: DirectedGraph) -> int:

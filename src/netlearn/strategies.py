@@ -586,14 +586,10 @@ def myopic_condition_check(y_values, lam: float):
         if not (-1e-9 <= v <= 0.5 + 1e-9):
             raise ValueError("certainty values must lie in [0, 1/2]")
     lhs = 2.0 * y[0]
-    out = {}
-    for ell in (1, 2, 3):
-        out[f"B{ell}"] = lhs > lam ** 2 * (0.5 - y[ell - 1]) / (1.0 - lam)
-    out["B4"] = lhs > lam ** 2 * (0.5 - y[2]) + lam ** 3 * (0.5 - y[3]) / (1.0 - lam)
-    if all(y[i] <= y[i + 1] + 1e-12 for i in range(3)):
-        assert (not out["B1"] or out["B2"]) and (not out["B2"] or out["B3"]) \
-            and (not out["B3"] or out["B4"])
-    return out
+    bound = [lam ** 2 * (0.5 - v) / (1.0 - lam) for v in y[:3]]
+    # B_4's bound is B_3's minus lam**3 (Y_3 - Y_2) / (1 - lam): B3 => B4
+    bound.append(bound[2] - lam ** 3 * (y[3] - y[2]) / (1.0 - lam))
+    return {f"B{ell}": lhs > b for ell, b in enumerate(bound, 1)}
 
 
 def mad_king_roles_of(g) -> MadKingRoles:

@@ -425,20 +425,32 @@ PREFLIGHT_BASE = ("[graph]\nfamily = cycle(8)\n\n[profile]\nname = gossip\n\n"
      "trace_csv = {tmp}/r.json\n", [], "one file, '{tmp}/r.json'"),
     (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {tmp}/./r.json\n",
      ["--out", "{tmp}/r.json"], "one file, '{tmp}/./r.json'"),
+    (PREFLIGHT_BASE, ["--out", "{cfg}"], "'{cfg}' is an input file"),
+    (PREFLIGHT_BASE, ["--trace-csv", "{tmp}/./run.cfg"],
+     "'{tmp}/./run.cfg' is an input file"),
+    (PREFLIGHT_BASE + "\n[output]\nreport_json = {cfg}\n", [],
+     "'{cfg}' is an input file"),
+    (PREFLIGHT_BASE.replace("family = cycle(8)", "file = {edges}"),
+     ["--trace-csv", "{edges}"], "'{edges}' is an input file"),
+    (PREFLIGHT_BASE.replace("family = cycle(8)", "file = {edges}")
+     + "\n[output]\ntrace_csv = {tmp}/./g.txt\n", [],
+     "'{tmp}/./g.txt' is an input file"),
+    (PREFLIGHT_BASE.replace("family = cycle(8)", "file = {edges}"),
+     ["--out", "{edges}"], "'{edges}' is an input file"),
 ])
 def test_simulate_preflight_exits_2_before_any_replicate(
         tmp_path, capsys, monkeypatch, text, args, named):
     """A negative seed, a graph given both as a family and as a file, an
-    output path in a missing directory or that is a directory, a report and
-    a trace CSV that are one file, or a mad-king delta <= 0 is a usage
-    error: one line that names it, exit 2, no ensemble run and no file
-    written."""
+    output path in a missing directory, that is a directory or that is the
+    config or the graph file, a report and a trace CSV that are one file,
+    or a mad-king delta <= 0 is a usage error: one line that names it, exit
+    2, no ensemble run, no file written and no input file changed."""
     calls = []
     monkeypatch.setattr(dynamics, "run_ensemble",
                         lambda *a, **kw: calls.append(a))
     edges = tmp_path / "g.txt"
     edges.write_text("n=2\n0 1\n1 0\n")
-    fill = dict(tmp=tmp_path, edges=edges,
+    fill = dict(tmp=tmp_path, edges=edges, cfg=tmp_path / "run.cfg",
                 missing=tmp_path / "no_such_dir" / "out")
     if text.startswith("mad_king:"):
         monkeypatch.setenv("NETLEARN_PROFILE_DELTA", text.split(":")[1])
@@ -453,6 +465,9 @@ def test_simulate_preflight_exits_2_before_any_replicate(
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named.format(**fill) in err, err
     assert set(os.listdir(tmp_path)) <= {"g.txt", "run.cfg"}
+    assert edges.read_text() == "n=2\n0 1\n1 0\n"
+    if cfg != MAD_KING_CFG:
+        assert cfg.read_text() == text.format(**fill)
 
 
 def test_simulate_mad_king_runs_at_a_large_delta(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -38,13 +39,16 @@ def test_l_connectivity_requires_strong_connectivity():
         graphs.min_l_connectivity(g)
 
 
-def test_l_connectivity_reads_given_distances():
-    g = graphs.royal_family(2, 4)
-    dist = graphs.all_pairs_distances(g)
-    assert graphs.min_l_connectivity(g, dist) == graphs.min_l_connectivity(g)
-    sink = graphs.DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
-    with pytest.raises(ValueError):
-        graphs.min_l_connectivity(sink, graphs.all_pairs_distances(sink))
+def test_l_connectivity_holds_one_distance_row_at_a_time():
+    """The pass streams its BFS rows: no n^2 table of distances is held."""
+    g = graphs.cycle(1000)
+    tracemalloc.start()
+    try:
+        assert graphs.min_l_connectivity(g) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_out_degree_bound():
@@ -106,12 +110,23 @@ def test_ball_vertices_match_bfs():
 
 @pytest.mark.parametrize("g", [
     graphs.grid(3, 4), graphs.dicycle(7), graphs.royal_family(2, 5),
-    graphs.DirectedGraph(5, frozenset({(0, 1), (1, 2), (3, 4)}))])
+    graphs.DirectedGraph(5, frozenset({(0, 1), (1, 2), (3, 4)})),
+    graphs.dicycle(6), graphs.cycle(7), graphs.chain(5), graphs.chain(1),
+    graphs.royal_family(3, 10), graphs.mad_king(3, 5, 4),
+    graphs.random_regular(12, 3, seed=5)])
 def test_ball_distances_truncate_the_full_bfs(g):
     """The BFS stopped at a radius keeps exactly the vertices within it, at
     their graph distance, and -1 for every other vertex; unreachable
-    vertices are -1 at every radius, and a negative radius reaches none."""
+    vertices are -1 at every radius, and a negative radius reaches none.
+    The streamed pass reads L and the diameter off the same full rows."""
     dist = graphs.all_pairs_distances(g)
+    if min(map(min, dist)) < 0:
+        with pytest.raises(ValueError, match="strongly connected"):
+            graphs.l_connectivity_and_diameter(g)
+    else:
+        assert graphs.l_connectivity_and_diameter(g) == (
+            max((dist[j][i] for (i, j) in g.edges), default=0),
+            max(map(max, dist)))
     for source in range(g.n):
         assert graphs.bfs_distances(g, source) == dist[source]
         assert graphs.bfs_distances(g, source, -1) == [-1] * g.n
@@ -162,9 +177,9 @@ def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
     that are all off by one fail it."""
     assert all(ok for name, ok, _ in invariants.check_graph()
                if name.startswith("l_connectivity_bound"))
-    real = graphs.all_pairs_distances
-    monkeypatch.setattr(graphs, "all_pairs_distances",
-                        lambda g: [[d + 1 for d in row] for row in real(g)])
+    real = graphs.bfs_distances
+    monkeypatch.setattr(graphs, "bfs_distances", lambda g, source, radius=None:
+                        [d + 1 for d in real(g, source, radius)])
     bounds = [ok for name, ok, _ in invariants.check_graph()
               if name.startswith("l_connectivity_bound")]
     assert len(bounds) == 5 and not any(bounds)

@@ -1012,6 +1012,10 @@ def test_myopic_condition_formulas():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5),
        st.floats(0.0, 0.5), st.floats(0.05, 0.95))
+# Y_1 = Y_2 = Y_3, where B_4's bound in its own form rounds one ulp above
+# B_3's; d1 lies past the drawn range, but any d in [0, 1] keeps Y monotone
+@example(0.08191033247654755, 0.9770806806380895, 0.0, 0.0,
+         0.9474889422102899)
 def test_myopic_conditions_nested_for_monotone_y(y0, d1, d2, d3, lam):
     ys = [y0]
     for d in (d1, d2, d3):
