@@ -53,7 +53,7 @@ __all__ = [
 
 class BudgetExceededError(RuntimeError):
     """Over the budget: a joint atom space too large for exact enumeration
-    (use mc_posterior), or gossip rings with too many entries."""
+    (fewer agents or atoms fit), or gossip rings with too many entries."""
 
 
 class InconsistentHistoryError(ValueError):
@@ -248,8 +248,8 @@ def worlds(m, n: int):
     if cells > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
-            f"exceed the exact budget of {DEFAULT_BUDGET}; use mc_posterior "
-            "instead")
+            f"exceed the exact budget of {DEFAULT_BUDGET}; lower the number "
+            "of agents or atoms")
     radix = k ** np.arange(n, dtype=np.int64)
     atoms = np.arange(k ** n)[None, :] // radix[:, None] % k
     return atoms, m.probs(0)[atoms].prod(axis=0), \

@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
         report, actions = dynamics.run_ensemble(
             g, m, prof, rc.sim, keep_actions=bool(csv_path),
             workers=args.workers)
-    except beliefs.BudgetExceededError as e:
+    except (beliefs.BudgetExceededError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .beliefs import BLOCK_CELLS, TieLog
+from . import beliefs
+from .beliefs import TieLog
 from .stats import wilson_interval
 
 __all__ = [
@@ -233,14 +234,12 @@ def report_from_tally(tally: EnsembleTally, config: SimConfig,
     )
 
 
-def _run_chunk(g, m, profile, config: SimConfig, indices, keep_actions):
-    """Tally one chunk of replicates in this process, a block at a time.
-    Returns (tally, the chunk's (R, n, horizon) actions or None).
-    Top-level so it pickles."""
+def _run_chunk(g, m, profile, config: SimConfig, indices, kept):
+    """Tally one chunk of replicates in this process, a block at a time,
+    and write their actions into ``kept`` (len(indices), n, horizon) unless
+    it is None.  Returns (tally, kept).  Top-level so it pickles."""
     tally = EnsembleTally(g.n)
-    kept = np.empty((len(indices), g.n, config.horizon), dtype=np.uint8) \
-        if keep_actions else None
-    rows = max(1, BLOCK_CELLS // (g.n * config.horizon))
+    rows = max(1, beliefs.BLOCK_CELLS // (g.n * config.horizon))
     blocks = _draws(g, m, profile, config, indices, rows)
     for lo, (states, atoms, jitters) in zip(range(0, len(indices), rows),
                                             blocks):
@@ -248,7 +247,7 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, keep_actions):
         actions = profile.trace_batch(g, m, atoms, jitters, config.horizon,
                                       tie_log)
         tally.add_batch(states, actions, tie_log.count, config.tail_window)
-        if keep_actions:
+        if kept is not None:
             kept[lo:lo + len(actions)] = actions
     return tally, kept
 
@@ -265,7 +264,9 @@ def _init_worker(*args):
 
 def _run_worker_chunk(indices):
     g, m, profile, config, keep_actions = _worker_args
-    return _run_chunk(g, m, profile, config, indices, keep_actions)
+    kept = np.empty((len(indices), g.n, config.horizon), dtype=np.uint8) \
+        if keep_actions else None
+    return _run_chunk(g, m, profile, config, indices, kept)
 
 
 def _usable_cpus() -> int:
@@ -287,21 +288,24 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
     tallies and actions are merged in chunk order, so the result does not
     depend on ``workers``.
 
-    A zero-row ``trace_batch`` solves the profile to the horizon here first:
-    pool workers get the solved profile (the myopic world table, the gossip
-    rings) instead of each rebuilding it, and an over-budget run fails
-    before any pool starts.  The pool's initializer hands each worker the
-    profile once, so this process pickles one copy at a time and each task
-    carries only its chunk's indices."""
+    The kept actions are allocated first, then a zero-row ``trace_batch``
+    solves the profile to the horizon here, so a run too large to keep them
+    (MemoryError) or over budget fails before any replicate or pool; pool
+    workers get the solved profile (the myopic world table, the gossip
+    rings) instead of each rebuilding it.  The pool's initializer hands
+    each worker the profile once, so this process pickles one copy at a
+    time and each task carries only its chunk's indices."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    R = config.replicates
+    actions = np.empty((R, g.n, config.horizon), dtype=np.uint8) \
+        if keep_actions else None
     profile.trace_batch(g, m, np.zeros((0, g.n), dtype=np.intp),
                         np.zeros((0, g.n)), config.horizon)
-    R = config.replicates
     k = min(workers, R, _usable_cpus())
     chunks = [range(i * R // k, (i + 1) * R // k) for i in range(k)]
     if k == 1:
-        parts = [_run_chunk(g, m, profile, config, chunks[0], keep_actions)]
+        parts = [_run_chunk(g, m, profile, config, chunks[0], actions)]
     else:
         # imported here, so that a one-worker run never loads the pool
         # stack (logging, socket, subprocess and more)
@@ -315,9 +319,10 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
                 initargs=(g, m, profile, config, keep_actions)) as ex:
             parts = list(ex.map(_run_worker_chunk, chunks))
     tally = EnsembleTally(g.n)
-    for part, _ in parts:
+    for chunk, (part, kept) in zip(chunks, parts):
         tally.merge(part)
-    actions = np.concatenate([a for _, a in parts]) if keep_actions else None
+        if kept is not actions:  # a pool worker's
+            actions[chunk.start:chunk.stop] = kept
     return report_from_tally(tally, config, g.family_tag), actions
 
 

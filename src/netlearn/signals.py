@@ -9,6 +9,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .beliefs import TIE_TOL
+
 ATOL = 1e-12
 
 __all__ = [
@@ -92,13 +94,14 @@ class SignalModel:
         return a.p1 if s == 1 else a.p0
 
     def sign_atoms(self):
-        """(negative-z index, positive-z index) for two-atom sign models."""
+        """(negative-z index, positive-z index) of a two-atom sign model;
+        an atom within TIE_TOL of 0 ties, so its action reveals nothing."""
         if self.k != 2:
             raise ValueError("sign decoding needs exactly two atoms")
         zs = self._z
-        if not (min(zs) < 0 < max(zs)):
-            raise ValueError("sign decoding needs one positive and one "
-                             "negative atom")
+        if not (min(zs) < -TIE_TOL and max(zs) > TIE_TOL):
+            raise ValueError(f"sign decoding needs one atom above {TIE_TOL} "
+                             f"and one below -{TIE_TOL}, got {zs.tolist()}")
         return int(np.argmin(zs)), int(np.argmax(zs))
 
     def sample_atoms(self, rng, size: int, s: int):

@@ -319,6 +319,9 @@ class RoyalFamilyProfile(Profile):
 
     The freeze is history-measurable and captures the herding outcome: after
     round 1 the royal clique is unanimous and no later observation flips it.
+    On a two-atom sign model (``sign_atoms``) rounds 0 and 1 are the gossip
+    rule, so ``trace_batch`` plays them with a held ``GossipProfile``;
+    ``action`` decodes round-0 actions and stays as the oracle.
     """
 
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
@@ -330,11 +333,7 @@ class RoyalFamilyProfile(Profile):
         self.tie_breaker = tie_breaker
         self._z = np.asarray(m.z_values)
         self._sign_z = self._z[list(m.sign_atoms())]  # (negative, positive)
-        # the closed neighbourhoods as (owner, member) pairs: agent i
-        # observes each member paired with it
-        nbrs = [g.closed_nbrs(i) for i in range(g.n)]
-        self._owner = np.repeat(np.arange(g.n), [len(nb) for nb in nbrs])
-        self._member = np.concatenate(nbrs)
+        self._gossip = GossipProfile(tie_breaker)
 
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
@@ -351,26 +350,11 @@ class RoyalFamilyProfile(Profile):
         return int(self.tie_breaker.decide(val, tie_log)[0])
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
-        """(R, n, horizon) actions of the rows of ``atoms`` (R, n): the own
-        sign at round 0, then the sign of the decoded closed-neighbourhood
-        sum, one ``bincount`` over owner + r * n for the whole batch.  It
-        adds weights in input order, so every sum, and every tie, equals a
-        one-row trace's."""
-        atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
-        R = len(atoms)
-        out = np.empty((R, g.n, horizon), dtype=np.uint8)
-        if horizon == 0:
-            return out
-        decide = self.tie_breaker.decide
-        out[:, :, 0] = decide(self._z[atoms], tie_log)[0]
-        if horizon >= 2:
-            decoded = self._sign_z[out[:, self._member, 0]]
-            sums = np.bincount(
-                (self._owner + g.n * np.arange(R)[:, None]).ravel(),
-                weights=decoded.ravel(), minlength=R * g.n)
-            acts = decide(sums.reshape(R, g.n), tie_log)[0]
-            out[:, :, 1:] = acts[:, :, None]
-        return out
+        """(R, n, horizon) actions of the rows of ``atoms`` (R, n): rounds
+        0 and 1 of the gossip kernel, ties counted, then round 1 repeated."""
+        first = self._gossip.trace_batch(
+            g, m, atoms, np.zeros(np.shape(atoms)), min(horizon, 2), tie_log)
+        return first[:, :, np.minimum(np.arange(horizon), 1)]
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]

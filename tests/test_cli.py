@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from netlearn import beliefs, cli, config, dynamics, strategies
+from netlearn import beliefs, cli, config, dynamics, graphs, strategies
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROYAL_CFG = os.path.join(PKG_ROOT, "scripts", "royal_family.cfg")
 
 
 def run_cli(args):
@@ -93,8 +94,9 @@ def test_graph_distance_infeasible_graph_exits_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_verify_invariants_scope():
-    code, out = run_cli(["verify-invariants", "--scope", "graph"])
+@pytest.mark.parametrize("scope", ["graph", "all"])
+def test_verify_invariants_scope(scope):
+    code, out = run_cli(["verify-invariants", "--scope", scope])
     assert code == 0
     assert "invariants hold" in out
     assert "FAIL" not in out
@@ -183,6 +185,26 @@ def test_simulate_trace_csv(tmp_path):
     assert len(lines) == 1 + 3 * 8 * 12
 
 
+def test_simulate_graph_file_runs_the_family(tmp_path):
+    """A [graph] file holding cycle(8)'s edge list runs the family's
+    ensemble: the report equals the family = cycle(8) report except for
+    graph_family, which a file leaves null."""
+    cfg = write_cfg(tmp_path)
+    edges = tmp_path / "cycle8.txt"
+    edges.write_text(graphs.to_edge_list_text(graphs.cycle(8)))
+    by_file = tmp_path / "file.cfg"
+    by_file.write_text(cfg.read_text().replace("family = cycle(8)",
+                                               f"file = {edges}"))
+    reports = []
+    for path in (cfg, by_file):
+        code, out = run_cli(["simulate", "--config", str(path)])
+        assert code == 0
+        reports.append(json.loads(out))
+    family, from_file = reports
+    assert family["graph_family"] == "cycle"
+    assert from_file == dict(family, graph_family=None)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_simulate_over_budget_exits_2(tmp_path, capsys, fake_pool,
                                      workers):
@@ -198,8 +220,33 @@ def test_simulate_over_budget_exits_2(tmp_path, capsys, fake_pool,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "budget" in err
+    assert "budget" in err and "agents" in err
+    # mc_posterior replays the myopic profile, which solves the same worlds
+    assert "mc_posterior" not in err
     assert fake_pool == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_trace_csv_past_memory_exits_2(tmp_path, capsys, fake_pool,
+                                               monkeypatch, workers):
+    """A trace CSV whose kept actions no address space holds (10^13
+    replicates x 13 agents x 20 rounds) is a usage error: one line, exit 2,
+    before the profile is solved, any replicate runs or a pool starts, and
+    no file written."""
+    calls = []
+    monkeypatch.setattr(strategies.GossipProfile, "trace_batch",
+                        lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(dynamics, "_run_chunk",
+                        lambda *a, **kw: calls.append(a))
+    monkeypatch.setenv("NETLEARN_SIM_REPLICATES", str(10 ** 13))
+    csv_path = tmp_path / "trace.csv"
+    code, out = run_cli(["simulate", "--config", ROYAL_CFG, "--workers",
+                         workers, "--trace-csv", str(csv_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and calls == [] and fake_pool == []
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "(10000000000000, 13, 20)" in err, err
+    assert os.listdir(tmp_path) == []
 
 
 def test_simulate_gossip_rings_over_budget_exits_2(tmp_path, capsys,
@@ -398,6 +445,8 @@ def test_simulate_scripted_profile_with_jitter_ties_exits_2(
 MAD_KING_CFG = os.path.join(PKG_ROOT, "scripts", "mad_king.cfg")
 PREFLIGHT_BASE = ("[graph]\nfamily = cycle(8)\n\n[profile]\nname = gossip\n\n"
                   "[sim]\nhorizon = 4\nreplicates = 3\ntail_window = 2\n")
+# atoms at z = +-4e-13, within TIE_TOL of 0: round-0 actions are ties
+TIED_SIGNAL = "\n[signal]\nq = 0.5000000000001\n"
 
 
 @pytest.mark.parametrize("text, args, named", [
@@ -412,6 +461,10 @@ PREFLIGHT_BASE = ("[graph]\nfamily = cycle(8)\n\n[profile]\nname = gossip\n\n"
      "{missing}"),
     (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {missing}\n", [], "{missing}"),
     ("mad_king:0", [], "delta must be > 0, got 0.0"),
+    (PREFLIGHT_BASE.replace("cycle(8)", "royal_family(3,4)")
+     .replace("gossip", "royal_family") + TIED_SIGNAL, [], "sign decoding"),
+    (PREFLIGHT_BASE.replace("cycle(8)", "mad_king(1,2,2)")
+     .replace("gossip", "mad_king") + TIED_SIGNAL, [], "sign decoding"),
     ("mad_king:-1", [], "delta must be > 0, got -1.0"),
     (PREFLIGHT_BASE, ["--out", "{tmp}"], "{tmp}' is a directory"),
     ("mad_king:0.025", ["--trace-csv", "{tmp}"], "{tmp}' is a directory"),
@@ -443,8 +496,9 @@ def test_simulate_preflight_exits_2_before_any_replicate(
     """A negative seed, a graph given both as a family and as a file, an
     output path in a missing directory, that is a directory or that is the
     config or the graph file, a report and a trace CSV that are one file,
-    or a mad-king delta <= 0 is a usage error: one line that names it, exit
-    2, no ensemble run, no file written and no input file changed."""
+    a mad-king delta <= 0, or a scripted profile on a model whose atoms lie
+    within TIE_TOL of 0 is a usage error: one line that names it, exit 2,
+    no ensemble run, no file written and no input file changed."""
     calls = []
     monkeypatch.setattr(dynamics, "run_ensemble",
                         lambda *a, **kw: calls.append(a))

@@ -283,7 +283,7 @@ def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
     cfg = SimConfig(horizon=5, replicates=replicates, tail_window=2,
                     master_seed=6)
     if block:
-        monkeypatch.setattr(dynamics, "BLOCK_CELLS", block * g.n * 5)
+        monkeypatch.setattr(beliefs, "BLOCK_CELLS", block * g.n * 5)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
     want = [dynamics.run_trace(g, m, prof, cfg, r)
             for r in range(replicates)]
@@ -380,7 +380,7 @@ def test_block_streams_give_each_replicate_its_own_draw(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_usable_cpus", lambda: 8)
         if block:
-            mp.setattr(dynamics, "BLOCK_CELLS", block * g.n * 4)
+            mp.setattr(beliefs, "BLOCK_CELLS", block * g.n * 4)
         runs = [_recorded_ensemble(g, m, prof, SimConfig(
             horizon=4, replicates=r, tail_window=2, master_seed=seed), w)
             for r, w in ((replicates, workers), (fewer, workers2))]

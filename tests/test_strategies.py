@@ -750,9 +750,9 @@ def test_royal_family_trace_matches_action_loop():
 
 
 def test_royal_family_profile_holds_no_dense_matrix():
-    """The closed neighbourhoods are (owner, member) index pairs, about five
-    per agent on royal_family(3,3000); the dense n x n matrix they replaced
-    took 72 MB."""
+    """The profile holds its closed neighbourhoods as gossip rings, about
+    five entries per agent on royal_family(3,3000), built on the first
+    trace; the dense n x n matrix they replaced took 72 MB."""
     g = graphs.royal_family(3, 3000)
     m = signals.royal_bounded()
     tracemalloc.start()
@@ -768,7 +768,7 @@ def test_royal_family_profile_holds_no_dense_matrix():
 
 ROYAL_MODELS = st.one_of(
     st.sampled_from((0.6, 0.7, 0.9)).map(signals.symmetric_binary),
-    st.just(signals.royal_bounded()))
+    st.sampled_from((signals.royal_bounded(), signals.mad_king_asym())))
 
 
 @settings(max_examples=80, deadline=None)
@@ -810,6 +810,18 @@ def test_royal_family_trace_batch_matches_the_generic_loop(R, n, m, mode,
                                              horizon, slow_log)
         assert np.array_equal(row, slow)
     assert log.count == slow_log.count
+
+
+def test_scripted_profiles_reject_atoms_within_tie_tol():
+    """An atom within TIE_TOL of 0 ties at round 0, so its action reveals
+    nothing and the round-1 decoding is meaningless: both scripted profiles
+    refuse such a model."""
+    m = signals.symmetric_binary(0.5 + 1e-13)
+    assert 0 < m.atoms[0].z < beliefs.TIE_TOL
+    with pytest.raises(ValueError, match="sign decoding"):
+        strategies.RoyalFamilyProfile(graphs.royal_family(3, 4), m)
+    with pytest.raises(ValueError, match="sign decoding"):
+        strategies.MadKingProfile(graphs.mad_king(1, 2, 2), m, 0.5, 0.9)
 
 
 def test_scripted_profiles_reject_jitter_tiebreak():
