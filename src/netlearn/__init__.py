@@ -14,7 +14,7 @@ from .signals import (  # noqa: F401
 )
 from .beliefs import (  # noqa: F401
     BeliefState, HistoryView, TieBreaker, YDecomposition, best_response,
-    exact_posterior, lookahead_certainty, mc_posterior, y_decomposition,
+    exact_posterior, lookahead_certainty, y_decomposition,
 )
 from .strategies import (  # noqa: F401
     GossipProfile, MadKingProfile, MadKingRoles, MyopicExactProfile, Profile,

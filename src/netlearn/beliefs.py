@@ -4,15 +4,14 @@ strategy profile.
 Every exact computation runs on one enumeration of the possible worlds: all
 k^n joint atom assignments, with their masses under each state (``worlds``;
 ``DEFAULT_BUDGET`` bounds the world-agent cells k^n * n at 10^7, which
-admits n <= 19 at k = 2).  A belief function replays the profile in every
-world where the viewing agent holds its atom, with one call of the profile's
-``trace_batch``, keeps the worlds whose replay shows the agent its observed
-neighbour rows, and sums their masses; ``y_decomposition`` replays them
-through the myopic profile's ``forced_trace`` instead, with the agent's
-observed actions forced.  The Monte Carlo engine replays sampled worlds
-through the same filter.  A malformed view, or a profile other than the
-myopic one where only it will do, fails with a ValueError before any world
-is enumerated.
+admits n <= 19 at k = 2).  One function, ``_seen``, decides which worlds a
+belief sums over: it replays the profile in every world where the viewing
+agent holds its atom, with one call of the profile's ``trace_batch`` (or,
+for ``y_decomposition``, of the myopic profile's ``forced_trace``, with the
+agent's observed actions forced), and keeps the worlds whose replay shows
+the agent its observed neighbour rows.  Every belief function sums their
+masses.  A malformed view, or a profile other than the myopic one where
+only it will do, fails with a ValueError before any world is enumerated.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ BLOCK_CELLS = 2 ** 16
 __all__ = [
     "BudgetExceededError",
     "InconsistentHistoryError",
-    "DegenerateEstimateError",
     "HistoryView",
     "BeliefState",
     "Profile",
@@ -40,7 +38,6 @@ __all__ = [
     "TieLog",
     "best_response",
     "exact_posterior",
-    "mc_posterior",
     "y_decomposition",
     "lookahead_certainty",
     "outcome_distribution",
@@ -58,10 +55,6 @@ class BudgetExceededError(RuntimeError):
 
 class InconsistentHistoryError(ValueError):
     """The observed history has zero probability under the profile."""
-
-
-class DegenerateEstimateError(RuntimeError):
-    """Every Monte Carlo particle was inconsistent with the history."""
 
 
 @dataclass(frozen=True)
@@ -82,13 +75,12 @@ class HistoryView:
 
 @dataclass(frozen=True)
 class BeliefState:
+    """A posterior at time ``time`` and its log odds, the latter taken from
+    the two states' masses, not from the rounded posterior."""
+
     posterior: float
     time: int
-    stderr: Optional[float] = None
-
-    @property
-    def log_odds(self) -> float:
-        return math.log(self.posterior / (1.0 - self.posterior))
+    log_odds: float
 
 
 @dataclass(frozen=True)
@@ -256,39 +248,37 @@ def worlds(m, n: int):
         m.probs(1)[atoms].prod(axis=0)
 
 
-def _check_view(g, m, view: HistoryView):
-    """Raise ValueError, naming the fault, unless ``view`` is a view of
-    (g, m): an agent of g, an atom of m, and rows of 0/1 actions, one per
-    member of the agent's closed neighbourhood."""
-    if not 0 <= view.agent < g.n:
-        raise ValueError(f"view agent {view.agent} is not in 0..{g.n - 1}")
-    if not 0 <= view.atom < m.k:
-        raise ValueError(f"view atom {view.atom} is not in 0..{m.k - 1}")
-    width = len(g.closed_nbrs(view.agent))
-    for tau, row in enumerate(view.observed):
-        if len(row) != width or any(a not in (0, 1) for a in row):
-            raise ValueError(
-                f"observed row {tau} {row!r} is not {width} actions of "
-                f"0 or 1, one per closed neighbour of agent {view.agent}")
-
-
 def _require_myopic(profile, name: str):
     from .strategies import MyopicExactProfile
     if not isinstance(profile, MyopicExactProfile):
         raise ValueError(f"{name} needs a MyopicExactProfile")
 
 
-def _seen(g, m, profile, view: HistoryView, atoms, horizon: int,
+def _seen(g, m, profile, view: HistoryView, horizon: int,
           forced: bool = False):
-    """Replay ``profile`` for ``horizon`` >= view.t rounds, with one
-    ``trace_batch`` call, in the worlds (columns of ``atoms``) where the
-    viewing agent holds the view's atom, and keep those that show it the
-    observed closed-neighbourhood rows.  With ``forced``, the replay is the
-    myopic profile's ``forced_trace``, in which the agent plays its observed
-    actions whatever its atom.  Returns (kept columns, the (worlds,
-    neighbours, horizon) rows the agent sees in them)."""
-    own = np.flatnonzero(atoms[view.agent] == view.atom)
+    """The worlds a belief about ``view`` sums over.  First ``view`` must be
+    a view of (g, m) -- an agent of g, an atom of m, and rows of 0/1
+    actions, one per member of the agent's closed neighbourhood -- or a
+    ValueError names the fault before any world is enumerated.  Then
+    ``profile`` is replayed for ``horizon`` >= view.t rounds, with one
+    ``trace_batch`` call, in the worlds where the agent holds the view's
+    atom, and the worlds that show it the observed rows are kept.  With
+    ``forced``, the replay is the myopic profile's ``forced_trace``, in
+    which the agent plays its observed actions whatever its atom.  Returns
+    the kept worlds' masses (w0, w1) under the two states and the (worlds,
+    neighbours, horizon) rows the agent sees in them."""
+    if not 0 <= view.agent < g.n:
+        raise ValueError(f"view agent {view.agent} is not in 0..{g.n - 1}")
+    if not 0 <= view.atom < m.k:
+        raise ValueError(f"view atom {view.atom} is not in 0..{m.k - 1}")
     nbrs = list(g.closed_nbrs(view.agent))
+    for tau, row in enumerate(view.observed):
+        if len(row) != len(nbrs) or any(a not in (0, 1) for a in row):
+            raise ValueError(
+                f"observed row {tau} {row!r} is not {len(nbrs)} actions of "
+                f"0 or 1, one per closed neighbour of agent {view.agent}")
+    atoms, w0, w1 = worlds(m, g.n)
+    own = np.flatnonzero(atoms[view.agent] == view.atom)
     rows = atoms[:, own].T
     if forced:
         me = nbrs.index(view.agent)
@@ -299,7 +289,8 @@ def _seen(g, m, profile, view: HistoryView, atoms, horizon: int,
     seen = acts[:, nbrs]
     obs = np.array(view.observed, dtype=np.int64).reshape(view.t, len(nbrs))
     ok = (seen[:, :, :view.t] == obs.T).all(axis=(1, 2))
-    return own[ok], seen[ok]
+    keep = own[ok]
+    return w0[keep], w1[keep], seen[ok]
 
 
 def exact_posterior(g, m, profile, view: HistoryView) -> BeliefState:
@@ -307,60 +298,20 @@ def exact_posterior(g, m, profile, view: HistoryView) -> BeliefState:
 
     Requires a pure (deterministic) profile.  The uniform prior on the state
     cancels in the ratio."""
-    _check_view(g, m, view)
-    atoms, w0, w1 = worlds(m, g.n)
-    keep, _ = _seen(g, m, profile, view, atoms, view.t)
-    s0, s1 = w0[keep].sum(), w1[keep].sum()
-    if s0 + s1 <= 0.0:
+    w0, w1, _ = _seen(g, m, profile, view, view.t)
+    s0, s1 = w0.sum(), w1.sum()
+    if s0 <= 0.0 or s1 <= 0.0:
         raise InconsistentHistoryError(
             "observed history has zero probability under this profile")
-    return BeliefState(float(s1 / (s0 + s1)), view.t)
-
-
-def mc_posterior(g, m, profile, view: HistoryView, particles: int,
-                 rng) -> BeliefState:
-    """Likelihood-weighting estimate of the exact posterior.
-
-    For each state, ``particles`` joint assignments are drawn from the
-    conditional signal law (own atom clamped); the weight of a particle is
-    the indicator that the replayed history matches the observation.
-    """
-    if particles < 1:
-        raise ValueError("particles must be >= 1")
-    _check_view(g, m, view)
-    others = [j for j in range(g.n) if j != view.agent]
-    own = (m.atom_prob(view.atom, 0), m.atom_prob(view.atom, 1))
-    hits = []
-    for s in (0, 1):
-        atoms = np.full((g.n, particles), view.atom)
-        if others:
-            atoms[others] = m.sample_atoms(
-                rng, particles * len(others), s).reshape(particles, -1).T
-        hits.append(len(_seen(g, m, profile, view, atoms, view.t)[0]))
-    if hits[0] == 0 and hits[1] == 0:
-        raise DegenerateEstimateError(
-            "all particles inconsistent with the observed history")
-    # masses m_s = P(own atom | s) * empirical consistency rate
-    rate = [hits[s] / particles for s in (0, 1)]
-    m0 = own[0] * rate[0]
-    m1 = own[1] * rate[1]
-    post = m1 / (m0 + m1)
-    # delta-method standard error with an Agresti-style variance floor so a
-    # zero observed variance never reports false certainty
-    var = []
-    for s in (0, 1):
-        r = (hits[s] + 0.5) / (particles + 1.0)
-        var.append(r * (1.0 - r) / particles)
-    d1 = own[1] * m0 / (m0 + m1) ** 2
-    d0 = own[0] * m1 / (m0 + m1) ** 2
-    se = math.sqrt((d1 ** 2) * var[1] + (d0 ** 2) * var[0])
-    return BeliefState(post, view.t, stderr=se)
+    return BeliefState(float(s1 / (s0 + s1)), view.t,
+                       math.log(s1) - math.log(s0))
 
 
 def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
     """Split the posterior log-odds into the history term Y and the private
-    term Z_0; the identity Z = Y + Z_0 holds to 1e-9 on the exact engine.
-    ``profile`` must be a ``MyopicExactProfile``.
+    term Z_0; Z is ``exact_posterior``'s log odds, and the identity
+    Z = Y + Z_0 holds to 1e-9 on the exact engine, however close the
+    posterior lies to 0 or 1.  ``profile`` must be a ``MyopicExactProfile``.
 
     Y comes from its own replay, the profile's ``forced_trace``, in which
     the viewing agent plays its observed actions whatever its atom: the log
@@ -371,10 +322,9 @@ def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
     z0 = m.atoms[view.atom].z
     if view.t == 0:
         return YDecomposition(0.0, z0, z)
-    atoms, w0, w1 = worlds(m, g.n)
-    keep, _ = _seen(g, m, profile, view, atoms, view.t, forced=True)
-    s0 = w0[keep].sum() / m.atom_prob(view.atom, 0)
-    s1 = w1[keep].sum() / m.atom_prob(view.atom, 1)
+    w0, w1, _ = _seen(g, m, profile, view, view.t, forced=True)
+    s0 = w0.sum() / m.atom_prob(view.atom, 0)
+    s1 = w1.sum() / m.atom_prob(view.atom, 1)
     if s0 <= 0.0 or s1 <= 0.0:
         raise InconsistentHistoryError(
             "history carries zero mass under one of the states")
@@ -384,12 +334,9 @@ def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
 def outcome_distribution(g, m, profile, view: HistoryView):
     """Distribution of the next observable neighbor-action row given the
     view.  Returns a list of (row, probability, extended_view)."""
-    _check_view(g, m, view)
-    atoms, w0, w1 = worlds(m, g.n)
-    keep, seen = _seen(g, m, profile, view, atoms, view.t + 1)
+    w0, w1, seen = _seen(g, m, profile, view, view.t + 1)
     rows, which = np.unique(seen[:, :, view.t], axis=0, return_inverse=True)
-    masses = np.bincount(which, weights=w0[keep] + w1[keep],
-                         minlength=len(rows))
+    masses = np.bincount(which, weights=w0 + w1, minlength=len(rows))
     total = masses.sum()
     if total <= 0.0:
         raise InconsistentHistoryError("view has zero mass")
@@ -416,10 +363,7 @@ def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3):
     _require_myopic(profile, "lookahead_certainty")
     if ell_max < 0:
         raise ValueError(f"ell_max must be >= 0, got {ell_max}")
-    _check_view(g, m, view)
-    atoms, w0, w1 = worlds(m, g.n)
-    keep, seen = _seen(g, m, profile, view, atoms, view.t + ell_max)
-    w0, w1 = w0[keep], w1[keep]
+    w0, w1, seen = _seen(g, m, profile, view, view.t + ell_max)
     norm = (w0 + w1).sum()
     if norm <= 0.0:
         raise InconsistentHistoryError("view has zero mass")

@@ -10,9 +10,13 @@ Sections/keys:
                                   (jitter, gossip only: a tie plays 1 when
                                    the agent's U[0, 1) jitter is below 1/2)
             delta = 1.0           (mad_king; > 0)
-            lam = 0.99            (mad_king)
+            lam = 0.99            (mad_king; 0 < lam < 1)
   [sim]     horizon, replicates, discount, tail_window, seed (>= 0)
   [output]  trace_csv = path, report_json = path
+
+Three keys are dead: ``delta`` and ``lam`` are only range-checked, and
+``discount`` is only echoed in the report; no play reads any of them.  They
+go once the benchmark's workload configs, which set them, stop doing so.
 
 Environment variables NETLEARN_<SECTION>_<KEY> override file values, e.g.
 NETLEARN_SIM_SEED=7.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -100,27 +101,79 @@ def test_z_decomposition_identity_three_agents():
         assert dec.z == pytest.approx(dec.y + dec.z0, abs=1e-9)
 
 
-def test_mc_posterior_tracks_exact():
-    g = graphs.dicycle(3)
-    m = signals.symmetric_binary(0.7)
-    prof = strategies.MyopicExactProfile(g, m)
-    atoms = [0, 0, 1]
-    acts = beliefs.simulate_actions(g, prof, atoms, 2)
-    view = beliefs.view_from_actions(g, acts, atoms, 0, 2)
-    exact = beliefs.exact_posterior(g, m, prof, view)
-    mc = beliefs.mc_posterior(g, m, prof, view, 20_000,
-                              np.random.default_rng(7))
-    assert mc.stderr is not None and mc.stderr > 0
-    assert abs(mc.posterior - exact.posterior) < 4 * mc.stderr + 1e-3
+@pytest.mark.parametrize("q", [0.99, 0.999, 0.999999])
+def test_log_odds_come_from_the_masses(q):
+    """Z = Y + Z_0 to 1e-9 on all-positive views near certainty.  Log odds
+    read from the rounded posterior would miss by 2.3e-8 at q = 0.99 and
+    2.8e-3 at q = 0.999, and divide by zero at q = 0.999999, where the
+    posterior rounds to 1."""
+    m = signals.symmetric_binary(q)
+    pos = m.sign_atoms()[1]
+    for spec in ("dicycle(6)", "cycle(6)", "cycle(8)"):
+        g = graphs.generate(spec)
+        prof = strategies.MyopicExactProfile(g, m)
+        atoms = [pos] * g.n
+        acts = beliefs.simulate_actions(g, prof, atoms, 4)
+        for t in range(5):
+            view = beliefs.view_from_actions(g, acts, atoms, 0, t)
+            dec = beliefs.y_decomposition(g, m, prof, view)
+            assert dec.z > 0 and abs(dec.z - (dec.y + dec.z0)) <= 1e-9, \
+                (spec, t)
 
 
-def test_mc_posterior_degenerate_raises():
-    g, m, prof = two_agents()
-    neg, pos = m.sign_atoms()
-    view = HistoryView(0, 1, pos, ((0, 1),))  # impossible own action
-    with pytest.raises(beliefs.DegenerateEstimateError):
-        beliefs.mc_posterior(g, m, prof, view, 200,
-                             np.random.default_rng(0))
+def _per_agent_loop(g, m, prof, atoms, T):
+    return np.array(beliefs.simulate_actions(g, prof, atoms, T)).T
+
+
+GENERIC_REPLAYS = {
+    "royal family, per-agent loop": (
+        "royal_family(2,3)", signals.royal_bounded(),
+        strategies.RoyalFamilyProfile, _per_agent_loop),
+    "mad king, per-agent loop": (
+        "mad_king(1,2,2)", signals.mad_king_asym(),
+        lambda g, m: strategies.MadKingProfile(g, m, 0.5, 0.9),
+        _per_agent_loop),
+    "gossip, one-row traces": (
+        "dicycle(5)", signals.symmetric_binary(0.7),
+        lambda g, m: strategies.GossipProfile(),
+        lambda g, m, prof, atoms, T: prof.trace_actions(
+            g, m, atoms, np.zeros(g.n), T)),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERIC_REPLAYS))
+def test_generic_replay_matches_bruteforce(case):
+    """exact_posterior and outcome_distribution replay any pure profile
+    through its batched ``trace_batch``.  On every view that some world
+    gives some agent before round 4, they equal a brute force that replays
+    each world on its own (the per-agent loop, or a one-row trace) and sums
+    the masses of the worlds showing that view, and the next rows in
+    them."""
+    spec, m, make, replay = GENERIC_REPLAYS[case]
+    g = graphs.generate(spec)
+    prof, T = make(g, m), 4
+    mass, nxt = {}, {}
+    for atoms in itertools.product(range(m.k), repeat=g.n):
+        w = [math.prod(m.atom_prob(a, s) for a in atoms) for s in (0, 1)]
+        acts = replay(g, m, prof, list(atoms), T)
+        for i in range(g.n):
+            rows = tuple(map(tuple, acts[list(g.closed_nbrs(i))].T.tolist()))
+            for t in range(T):
+                view = HistoryView(i, t, atoms[i], rows[:t])
+                s = mass.setdefault(view, [0.0, 0.0])
+                s[0], s[1] = s[0] + w[0], s[1] + w[1]
+                row = nxt.setdefault(view, {})
+                row[rows[t]] = row.get(rows[t], 0.0) + w[0] + w[1]
+    assert len(mass) > 100
+    for view, (s0, s1) in mass.items():
+        post = beliefs.exact_posterior(g, m, prof, view)
+        assert post.posterior == pytest.approx(s1 / (s0 + s1), rel=1e-12)
+        assert post.log_odds == pytest.approx(math.log(s1 / s0), rel=1e-12,
+                                              abs=1e-12)
+        got = {row: p for row, p, _ in
+               beliefs.outcome_distribution(g, m, prof, view)}
+        want = {row: w / (s0 + s1) for row, w in nxt[view].items()}
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_best_response_and_ties():
@@ -281,10 +334,6 @@ MALFORMED = {
     "exact_posterior, atom 5": (
         lambda g, m, p: beliefs.exact_posterior(
             g, m, p, HistoryView(0, 0, 5, ())), "atom 5"),
-    "mc_posterior, atom 5": (
-        lambda g, m, p: beliefs.mc_posterior(
-            g, m, p, HistoryView(0, 0, 5, ()), 10,
-            np.random.default_rng(0)), "atom 5"),
     "outcome_distribution, atom -1": (
         lambda g, m, p: beliefs.outcome_distribution(
             g, m, p, HistoryView(0, 0, -1, ())), "atom -1"),

@@ -221,7 +221,8 @@ def test_simulate_over_budget_exits_2(tmp_path, capsys, fake_pool,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "budget" in err and "agents" in err
-    # mc_posterior replays the myopic profile, which solves the same worlds
+    # the advice names no Monte Carlo fallback: there is none, since every
+    # belief replays the myopic profile, which solves these same worlds
     assert "mc_posterior" not in err
     assert fake_pool == []
 
