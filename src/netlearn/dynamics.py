@@ -27,7 +27,7 @@ its chunks in replicate order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -166,9 +166,12 @@ class EnsembleTally:
     def add_batch(self, states, actions, ties: int, window: int):
         """Tally a block of replicates: their states (R,), their actions
         (R, n, T) and the block's tie events."""
+        # each agent's 1s in the window, in the narrowest type that holds it
         tail = actions[:, :, -window:]
-        has0 = ~tail.all(axis=2)
-        has1 = tail.any(axis=2)
+        ones = tail[:, :, 0].astype(np.min_scalar_type(window))
+        for t in range(1, window):
+            ones += tail[:, :, t]
+        has0, has1 = ones < window, ones > 0
         state = np.asarray(states, dtype=bool)[:, None]
         # learned <=> the tail set is exactly {state}
         learned = (has1 == state) & (has0 != state)
@@ -210,8 +213,10 @@ class EnsembleReport:
     seeding: int = SEEDING
 
     def to_dict(self):
-        d = asdict(self)
-        d["config"] = asdict(self.config)
+        """The fields, ``config`` as a dict too; nothing is copied."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["config"] = {f.name: getattr(self.config, f.name)
+                       for f in fields(self.config)}
         return d
 
 

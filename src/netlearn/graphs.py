@@ -92,67 +92,70 @@ def _csr(g: DirectedGraph):
     return indptr, indices
 
 
-def _drop_known(keys, known):
-    """The sorted ``keys`` that are not in the sorted ``known``."""
-    if not len(known):
-        return keys
-    at = np.searchsorted(known, keys)
-    np.minimum(at, len(known) - 1, out=at)
-    return keys[known[at] != keys]
-
-
-def _merge(a, b):
-    """The sorted union of two disjoint sorted key arrays (a stable sort
-    of two runs is one merge)."""
-    if not len(a):
-        return b
-    union = np.concatenate((a, b))
-    union.sort(kind="stable")
-    return union
+def _bits(keys):
+    """(byte, mask): key k is bit k & 7 of byte k >> 3 of a packed bitmap."""
+    mask = keys.astype(np.uint8)
+    mask &= 7
+    return keys >> 3, np.left_shift(1, mask, out=mask)
 
 
 def _ball_levels(g: DirectedGraph, radius: int, cap: int):
-    """The keys source * n + member of the members at distance 0, 1, ...,
-    at most ``radius``, of every source, one sorted array per distance;
-    None once there are more than ``cap``."""
+    """(distance, keys) pairs: the sorted keys source * n + member of the
+    members at each distance up to ``radius`` of a block of sources, the
+    blocks in source order; None once there are more than ``cap`` keys."""
     n = g.n
     if n > cap:
         return None
     indptr, indices = _csr(g)
-    level = np.arange(n, dtype=np.int64) * (n + 1)
-    levels, seen = [level], level
-    for _ in range(radius):
-        source, vertex = np.divmod(level, n)
-        first = indptr[vertex]
-        deg = indptr[vertex + 1] - first
-        ends = np.cumsum(deg)
-        found = level[:0]
-        lo = 0
-        while lo < len(level):
-            base = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + cap, "right")))
-            d = deg[lo:hi]
-            # expanded entry e of the slice (e counted from its start) is
-            # out-neighbour e - (ends[j] - d[j] - base) of frontier vertex j
-            pos = np.repeat(first[lo:hi] - (ends[lo:hi] - d - base), d)
-            pos += np.arange(len(pos))
-            keys = np.repeat(source[lo:hi] * n, d)
-            keys += indices[pos]
-            keys.sort()
-            distinct = np.empty(len(keys), dtype=bool)
-            distinct[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-            found = _merge(found, _drop_known(
-                _drop_known(keys[distinct], seen), found))
-            if len(seen) + len(found) > cap:
-                return None
-            lo = hi
-        if not len(found):
-            break
-        seen = _merge(seen, found)
-        levels.append(found)
-        level = found
-    return levels
+    # a block of b sources marks its keys in b * n bits, at most cap bytes
+    b = max(1, min(n, 8 * cap // n))
+    reached = np.zeros((b * n + 7) // 8, dtype=np.uint8)
+    parts, total = [], n
+    for start in range(0, n, b):
+        # the block's keys are local: (source - start) * n + member
+        level = np.arange(start, min(n, start + b)) * (n + 1) - start * n
+        np.bitwise_or.at(reached, *_bits(level))
+        block = [level]
+        while len(block) <= radius:
+            source, vertex = np.divmod(level, n)
+            first = indptr[vertex]
+            deg = indptr[vertex + 1] - first
+            ends = np.cumsum(deg)
+            found = []
+            lo = 0
+            while lo < len(level):
+                base = int(ends[lo - 1]) if lo else 0
+                hi = max(lo + 1,
+                         int(np.searchsorted(ends, base + cap, "right")))
+                d = deg[lo:hi]
+                # expanded entry e of the slice (e from its start) is
+                # out-neighbour e - (ends[j] - d[j] - base) of vertex j
+                pos = np.repeat(first[lo:hi] - (ends[lo:hi] - d - base), d)
+                pos += np.arange(len(pos))
+                keys = np.repeat(source[lo:hi] * n, d)
+                keys += indices[pos]
+                byte, mask = _bits(keys)
+                mask &= reached[byte]
+                keys = keys[mask == 0]
+                keys.sort()
+                keys = keys[np.diff(keys, prepend=-1) != 0]
+                np.bitwise_or.at(reached, *_bits(keys))
+                total += len(keys)
+                if total > cap:
+                    return None
+                found.append(keys)
+                lo = hi
+            level = found[0] if len(found) == 1 else np.sort(
+                np.concatenate(found))
+            if not len(level):
+                break
+            block.append(level)
+        # clear the block's bits for the next block; its keys go global
+        for level in block:
+            reached[level >> 3] = 0
+            level += start * n
+        parts += enumerate(block)
+    return parts
 
 
 def all_balls(g: DirectedGraph, radius: int, max_entries=None):
@@ -162,26 +165,28 @@ def all_balls(g: DirectedGraph, radius: int, max_entries=None):
     ``bfs_distances(g, source, radius)``.  Returns None once the balls
     hold more than ``max_entries`` entries (no limit when it is None).
 
-    One breadth-first search runs from all sources at once, a level at a
-    time.  A level expands its frontier through the out-neighbour arrays,
-    in slices of at most ``max_entries`` expanded entries (plus one
-    vertex's out-degree), dedupes each slice's keys source * n + member by
-    sorting them and drops the keys already reached with ``searchsorted``
-    against the sorted keys seen so far; so no temporary grows past a
-    small multiple of ``max_entries``."""
+    A breadth-first search runs from a block of b sources at once, a level
+    at a time, for b = max(1, min(n, 8 * max_entries // n)): the block
+    marks the keys source * n + member it has reached in a packed bitmap
+    of b * n bits, at most ``max_entries`` bytes, which the next block
+    clears and reuses.  A level expands its frontier through the
+    out-neighbour arrays, in slices of at most ``max_entries`` expanded
+    entries (plus one vertex's out-degree), drops the keys whose bit is
+    set, sorts and dedupes the rest and sets their bits; so no temporary
+    grows past a small multiple of ``max_entries``."""
     if radius < 0:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    levels = _ball_levels(g, radius,
-                          g.n * g.n if max_entries is None else max_entries)
-    if levels is None:
+    parts = _ball_levels(g, radius,
+                         g.n * g.n if max_entries is None else max_entries)
+    if parts is None:
         return None
-    counts = [len(x) for x in levels]
-    keys = np.concatenate(levels)
-    del levels
+    parts.sort(key=lambda part: part[0])  # stable: blocks stay in order
+    counts = [(d, len(keys)) for d, keys in parts]
+    keys = np.concatenate([keys for _, keys in parts])
+    del parts
     source, member = np.divmod(keys, g.n)
     del keys
-    return (np.repeat(np.arange(len(counts), dtype=np.int64), counts),
-            source, member)
+    return np.repeat(*np.array(counts, dtype=np.int64).T), source, member
 
 
 def bfs_distances(g: DirectedGraph, source: int,

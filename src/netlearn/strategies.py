@@ -195,29 +195,26 @@ class GossipProfile(Profile):
     d <= T-1 from i (T the horizon), one entry pairs the round-major cell
     d*n + i with the member j, the entries sorted by (d, i, j).  A batch of
     traces sums each ring's ratios, a block of rows at a time, and
-    accumulates the rings over d.  The rings come from one array BFS over
-    all sources at once, truncated at radius T-1 (``graphs.all_balls``; no
-    per-agent search).
+    accumulates the rings over d.  The rings come from one array BFS,
+    truncated at radius T-1 (``graphs.all_balls``; no per-agent search).
 
     The profile holds one slot: the rings of the newest (graph, horizon),
     found on its first batch, an empty one included, and found again only
     when a batch comes for another; and one block of them, tiled for as
-    many rows as the largest batch since then needs, with the block's work
-    buffers: 24 B per entry plus 8 B per (row, agent, round) cell.  A
-    one-row block has sum_i |ball_{T-1}(i)| entries (1.66 MB with its
-    buffers on cycle(1000) at T=30, and n^2 entries in the worst case, on
-    dense graphs; past ``beliefs.DEFAULT_BUDGET`` entries the build stops
-    with BudgetExceededError); a larger block at most
-    ``beliefs.BLOCK_CELLS`` entries and as many cells.  A pickled copy
-    carries the one-row rings only.  The search's temporaries are freed
-    before the buffers are allocated (on cycle(1000) at T=30 the build
-    peaks at the 1.66 MB it keeps).
+    many rows as the largest batch since then needs, with one work float
+    per entry: 24 B per entry.  A one-row block has sum_i |ball_{T-1}(i)|
+    entries (1.42 MB on cycle(1000) at T=30, where the build peaks at
+    what it keeps; n^2 entries in the worst case, on dense graphs; past
+    ``beliefs.DEFAULT_BUDGET`` entries the build stops with
+    BudgetExceededError); a larger block at most ``beliefs.BLOCK_CELLS``
+    entries, and a batch 8 B per (row, agent, round) cell of its block.
+    A pickled copy carries the one-row rings only.
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
         # the newest (n, edges, horizon), its one-row rings (cell, member)
-        # and its block (rows, cell, member, weights, sums)
+        # and its block (rows, cell, member, weights)
         self._key = self._entries = self._block = None
 
     def __getstate__(self):
@@ -231,17 +228,16 @@ class GossipProfile(Profile):
             "use trace_actions")
 
     def _block_for(self, g, horizon, batch):
-        """(rows, cell, member, weights, sums) for a batch of ``batch``
-        rows: the ring entries of a block of ``rows`` trace rows, row r's
-        cells offset by r * n * horizon and its members by r * n, and the
-        block's work buffers, one float per entry and one per cell.
-
-        The rings are searched again only for a new (graph, horizon); more
-        than ``beliefs.DEFAULT_BUDGET`` entries raise BudgetExceededError,
-        before the search holds more than a few times that many.  The block
-        is tiled again only when the batch needs more rows than it holds,
-        up to as many as keep its entries and its cells within
-        ``beliefs.BLOCK_CELLS``, unless one row's pass it."""
+        """(rows, cell, member, weights) for a batch of ``batch`` rows:
+        the ring entries of a block of ``rows`` trace rows, row r's cells
+        offset by r * n * horizon and its members by r * n, and a work
+        buffer of one float per entry.  The rings are searched again only
+        for a new (graph, horizon): more than ``beliefs.DEFAULT_BUDGET``
+        entries raise BudgetExceededError, before the search holds more
+        than a few times that many.  The block is tiled again only when the
+        batch needs more rows than it holds, up to as many as keep its
+        entries and its cells within ``beliefs.BLOCK_CELLS``, unless one
+        row's pass it."""
         key = (g.n, g.edges, horizon)
         if key != self._key:
             balls = graphs.all_balls(g, horizon - 1, beliefs.DEFAULT_BUDGET)
@@ -266,26 +262,22 @@ class GossipProfile(Profile):
                 r = np.arange(rows)[:, None]
                 cell = (cell + r * (g.n * horizon)).ravel()
                 member = (member + r * g.n).ravel()
-            self._block = (rows, cell, member, np.empty(len(cell)),
-                           np.empty(rows * g.n * horizon))
+            self._block = (rows, cell, member, np.empty(len(cell)))
         return self._block
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """(R, n, horizon) actions of the rows of ``atoms`` and ``jitters``
-        (R, n): per block of rows, one ``np.add.at`` of the entries'
-        ratios into the cells.  It adds them one at a time in entry order,
-        as ``bincount`` does, so every sum equals a one-row trace's.  The
-        cells are round-major, so the running sum over rounds is one
-        in-place ``np.add`` of each round's agent row into the next's.
-
-        The sums and the ratios live in the work buffers held with the
-        rings, and the rounds are accumulated in place: a freed per-row
-        temporary this large can make malloc trim the heap top, which the
-        next row then faults in again (on cycle(1000), T=30, about twice
-        the page faults of the whole run).  Not reentrant."""
+        (R, n): per block of rows, one ``bincount`` of the entries' ratios
+        into the cells.  It adds them one at a time in entry order, so every
+        sum equals a one-row trace's.  The cells are round-major, so the
+        running sum over rounds is one in-place ``np.add`` of each round's
+        agent row into the next's.  Each block's sums are a fresh array: on
+        cycle(1000), T=30, 50 rows in a fresh process fault in 284 pages
+        against 116 with a held buffer (malloc may trim a freed one), and
+        take about 45 us less per row.  Not reentrant: the ratios go to the
+        work buffer held with the rings."""
         atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
-        rows, cell, member, weights, sums = self._block_for(g, horizon,
-                                                            len(atoms))
+        rows, cell, member, weights = self._block_for(g, horizon, len(atoms))
         jitters = np.asarray(jitters, dtype=np.float64).reshape(atoms.shape)
         z = np.asarray(m.z_values)[atoms]
         out = np.empty((len(atoms), g.n, horizon), dtype=np.uint8)
@@ -296,9 +288,7 @@ class GossipProfile(Profile):
             # take would write through a temporary as large as its output
             w = np.take(z[lo:lo + k].ravel(), member[:e], out=weights[:e],
                         mode="wrap")
-            acc = sums[:k * g.n * horizon]
-            acc.fill(0.0)
-            np.add.at(acc, cell[:e], w)
+            acc = np.bincount(cell[:e], weights=w, minlength=k * g.n * horizon)
             # round t sums the ratios within distance t of each agent
             acc = acc.reshape(k, horizon, g.n)
             for t in range(1, horizon):

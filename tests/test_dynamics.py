@@ -234,6 +234,25 @@ def test_add_batch_equals_a_per_row_tally(actions, data):
     states = np.array(data.draw(st.lists(st.integers(0, 1), min_size=R,
                                          max_size=R), label="states"))
     window = data.draw(st.integers(1, T), label="window")
+    _assert_tally_of_tail_sets(states, actions, window)
+
+
+@pytest.mark.parametrize("window, T", [(1, 12), (2, 12), (11, 12), (12, 12),
+                                       (256, 300)])
+def test_add_batch_counts_tail_sets_of_wide_blocks(window, T):
+    """Random 0/1 blocks of 40 agents, with rows of constant play mixed in
+    so that some rows learn and agree: the tally equals the per-row
+    tail-set count, from a one-round window to the whole trace, and for a
+    window of 256 rounds, whose count of 1s needs more than 8 bits."""
+    rng = np.random.default_rng(window)
+    actions = rng.integers(0, 2, size=(30, 40, T), dtype=np.uint8)
+    actions[::3] = rng.integers(0, 2, size=(10, 1, 1))
+    actions[1::3, :, -window:] = rng.integers(0, 2, size=(10, 1, 1))
+    _assert_tally_of_tail_sets(rng.integers(0, 2, size=30), actions, window)
+
+
+def _assert_tally_of_tail_sets(states, actions, window):
+    R, n, T = actions.shape
     tally = dynamics.EnsembleTally(n)
     tally.add_batch(states, actions, 7, window)
     learn = agree = 0
@@ -456,6 +475,22 @@ def test_report_json_roundtrip():
     assert d["seeding"] == 2  # block streams of STREAM_ROWS replicates
     import json
     assert json.loads(json.dumps(report.to_dict()))["replicates"] == 5
+
+
+def test_report_dict_writes_the_text_of_a_deep_copy():
+    """to_dict builds the report's dict from its fields, copying nothing:
+    its JSON text equals that of a ``dataclasses.asdict`` deep copy byte for
+    byte, key order included."""
+    import dataclasses
+    import json
+    g, m, prof = graphs.cycle(60), signals.symmetric_binary(0.7), \
+        strategies.GossipProfile()
+    report, _ = dynamics.run_ensemble(g, m, prof, SimConfig(
+        horizon=8, replicates=40, tail_window=3, master_seed=5))
+    copied = dataclasses.asdict(report)
+    copied["config"] = dataclasses.asdict(report.config)
+    assert json.dumps(report.to_dict(), indent=2) \
+        == json.dumps(copied, indent=2)
 
 
 def test_locality_coupling_cycles():

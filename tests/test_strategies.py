@@ -516,16 +516,46 @@ def _digraphs(draw):
         (i, j) for i, j in edges if i != j and i not in sinks))
 
 
+@st.composite
+def _ball_cases(draw):
+    """(graph, radius, cap): a listed gossip graph or a random digraph, a
+    radius from -1 to n + 1 and no cap or one from 0 to n^2 + 1."""
+    g = draw(st.one_of(st.sampled_from(GOSSIP_GRAPHS), _digraphs()))
+    radius = draw(st.integers(-1, g.n + 1), label="radius")
+    cap = draw(st.one_of(st.none(), st.integers(0, g.n * g.n + 1)),
+               label="cap")
+    return g, radius, cap
+
+
+# 50 vertices: a directed 20-cycle, a directed path 20 -> ... -> 34 that
+# ends in a sink and 15 isolated sinks; 149 entries within distance 3
+_PARTS = graphs.DirectedGraph(50, frozenset(
+    [(i, (i + 1) % 20) for i in range(20)]
+    + [(i, i + 1) for i in range(20, 34)]))
+# every other vertex points at the sink 0: 199 entries, and the sources at
+# one place in every block reach the same local key
+_HUB = graphs.DirectedGraph(100, frozenset((i, 0) for i in range(1, 100)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.sampled_from(GOSSIP_GRAPHS), _digraphs()), st.data())
-def test_all_balls_equal_per_source_ball_distances(g, data):
-    """The one-search ring build lists exactly the per-source truncated
-    BFS entries, sorted by (distance, source, member), for every radius
-    from -1 to n + 1; under a cap it returns None exactly when there are
-    more entries than the cap."""
-    radius = data.draw(st.integers(-1, g.n + 1), label="radius")
-    cap = data.draw(st.one_of(st.none(), st.integers(0, g.n * g.n + 1)),
-                    label="cap")
+@given(_ball_cases())
+# a cap under n^2 / 8 entries searches b = 8 * cap // n sources at a time:
+# cycle(100) has 500 entries within distance 2, searched in blocks of 40,
+# 40 and 20 sources (of 39, 39 and 22 under a cap of 499); the parts above
+# in blocks of 23, 23 and 4, and at radius 60, over the cap, of 32 and 18;
+# the hub in six blocks of 15 sources and one of 10
+@example((graphs.cycle(100), 2, 500))
+@example((graphs.cycle(100), 2, 499))
+@example((_PARTS, 3, 149))
+@example((_PARTS, 3, 148))
+@example((_PARTS, 60, 200))
+@example((_HUB, 2, 199))
+def test_all_balls_equal_per_source_ball_distances(case):
+    """The ring search lists exactly the per-source truncated BFS entries,
+    sorted by (distance, source, member), for every radius from -1 to
+    n + 1; under a cap it returns None exactly when there are more
+    entries than the cap."""
+    g, radius, cap = case
     want = sorted((d, source, member) for source in range(g.n)
                   for member, d in enumerate(graphs.bfs_distances(
                       g, source, radius)) if d >= 0)
@@ -535,6 +565,22 @@ def test_all_balls_equal_per_source_ball_distances(g, data):
         return
     assert all(a.dtype == np.int64 for a in got)
     assert list(zip(*(a.tolist() for a in got))) == want
+
+
+def test_ring_search_holds_its_output_and_a_bitmap():
+    """On cycle(5000) at radius 9 under a cap of 2 * 10^5 entries, the
+    search marks what a block of 320 sources has reached in a bitmap of at
+    most cap bytes, and holds nothing else of the size of its output: its
+    peak is within the three output arrays plus that bitmap."""
+    g, cap = graphs.cycle(5000), 2 * 10 ** 5
+    tracemalloc.start()
+    try:
+        balls = graphs.all_balls(g, 9, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(balls[0]) == 19 * g.n
+    assert peak <= sum(a.nbytes for a in balls) + cap
 
 
 def test_gossip_ring_search_holds_at_most_a_few_budgets():
