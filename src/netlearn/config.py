@@ -14,9 +14,9 @@ Sections/keys:
   [sim]     horizon, replicates, discount, tail_window, seed (>= 0)
   [output]  trace_csv = path, report_json = path
 
-Three keys are dead: ``delta`` and ``lam`` are only range-checked, and
-``discount`` is only echoed in the report; no play reads any of them.  They
-go once the benchmark's workload configs, which set them, stop doing so.
+Three keys are dead: ``delta`` and ``lam`` are range-checked here and read
+by no profile, and ``discount`` is only echoed in the report.  They go once
+the benchmark's workload configs, which set them, stop doing so.
 
 Environment variables NETLEARN_<SECTION>_<KEY> override file values, e.g.
 NETLEARN_SIM_SEED=7.
@@ -92,7 +92,11 @@ class RunConfig:
         if self.profile_name == "royal_family":
             return strategies.RoyalFamilyProfile(g, m, tb)
         if self.profile_name == "mad_king":
-            return strategies.MadKingProfile(g, m, self.delta, self.lam, tb)
+            if not self.delta > 0.0:
+                raise ValueError(f"delta must be > 0, got {self.delta}")
+            if not (0.0 < self.lam < 1.0):
+                raise ValueError("lam must lie in (0, 1)")
+            return strategies.MadKingProfile(g, m, tb)
         raise ValueError(f"unknown profile {self.profile_name!r}; use "
                          "myopic, gossip, royal_family or mad_king")
 

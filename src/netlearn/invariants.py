@@ -40,14 +40,16 @@ def check_graph(seed: int = 0):
     _check(res, "rooted_distance_symmetric", d12 == d21, f"d={d12}")
     same, _ = graphs.rooted_distance(g1, 0, g1, 3, 8)
     _check(res, "rooted_distance_vertex_transitive_zero", same == 0.0)
-    # backtracking isomorphism agrees with the brute-force oracle
-    for r in (1, 2):
-        b1 = graphs.extract_ball(graphs.grid(3, 3), 4, r)
-        b2 = graphs.extract_ball(graphs.grid(3, 3), 4, r)
+    # backtracking isomorphism agrees with the brute-force oracle on distinct
+    # balls: two corners of grid(3,3) (isomorphic), and chain(5) rooted at an
+    # end and at the middle (5 vertices, 8 edges, not root-isomorphic)
+    grid, chain = graphs.grid(3, 3), graphs.chain(5)
+    for r, a, b, want in ((1, (grid, 0, 2), (grid, 8, 2), True),
+                          (2, (chain, 0, 4), (chain, 2, 2), False)):
+        b1, b2 = graphs.extract_ball(*a), graphs.extract_ball(*b)
         fast, _ = graphs.balls_isomorphic(b1, b2)
-        slow = graphs.balls_isomorphic_bruteforce(b1, b2) \
-            if b1.n <= 8 else fast
-        _check(res, f"iso_matches_bruteforce[r={r}]", fast == slow)
+        slow = graphs.balls_isomorphic_bruteforce(b1, b2)
+        _check(res, f"iso_matches_bruteforce[r={r}]", fast == slow == want)
     return res
 
 

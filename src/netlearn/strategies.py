@@ -302,28 +302,63 @@ class GossipProfile(Profile):
         return self.trace_batch(g, m, [atoms], [jitters], horizon, tie_log)[0]
 
 
-class RoyalFamilyProfile(Profile):
+class _ScriptedProfile(Profile):
+    """Scripted play on a two-atom sign model (``sign_atoms``): round 0
+    plays each agent's own sign, round 1 the sign of its own ratio plus the
+    decoded ratios of its out-neighbours in ``_decoding``, and round t >= 2
+    the round-1 action of leader^(t-1)(agent), ``_leader`` the leader map.
+    By default the decoding graph is ``g`` and every agent leads itself.
+
+    A round-0 action reveals its atom, so a decoded ratio is the atom's z
+    and rounds 0-1 are the gossip rule on the decoding graph: a held
+    ``GossipProfile`` plays them, ties counted there, its round-1 ring
+    adding the members in sorted order from 0.0 as ``action`` decodes them.
+    Subclasses set ``family``, their graph family tag, and keep ``action``
+    as the oracle.  Only deterministic tie modes are supported: ``action``
+    never sees a jitter draw.
+    """
+
+    def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
+        if g.family_tag != self.family:
+            raise ValueError(
+                f"{type(self).__name__} requires a {self.family} graph")
+        tie_breaker.reject_jitter(self.family.replace("_", "-"))
+        self.g, self.m, self.tie_breaker = g, m, tie_breaker
+        self._z = np.asarray(m.z_values)
+        # (negative, positive); raises unless m is a two-atom sign model
+        self._sign_z = self._z[list(m.sign_atoms())]
+        self._gossip = GossipProfile(tie_breaker)
+        self._decoding, self._leader = g, np.arange(g.n)
+
+    def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
+        """(R, n, horizon) actions of the rows of ``atoms`` (R, n): rounds
+        0 and 1 of the gossip kernel, then one gather along the leader
+        chains."""
+        first = self._gossip.trace_batch(
+            self._decoding, m, atoms, np.zeros(np.shape(atoms)),
+            min(horizon, 2), tie_log)
+        who = np.empty((g.n, horizon), dtype=np.intp)
+        who[:, :2] = np.arange(g.n)[:, None]
+        for t in range(2, horizon):
+            who[:, t] = self._leader[who[:, t - 1]]
+        return first[:, who, np.minimum(np.arange(horizon), 1)]
+
+    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
+        return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
+
+
+class RoyalFamilyProfile(_ScriptedProfile):
     """Equilibrium-style play on the royal-family graphs: myopic at rounds 0
     and 1 (round 1 sums the decoded neighborhood log-likelihood ratios), then
     every agent repeats its own round-1 action forever.
 
     The freeze is history-measurable and captures the herding outcome: after
     round 1 the royal clique is unanimous and no later observation flips it.
-    On a two-atom sign model (``sign_atoms``) rounds 0 and 1 are the gossip
-    rule, so ``trace_batch`` plays them with a held ``GossipProfile``;
-    ``action`` decodes round-0 actions and stays as the oracle.
+    It is the default script: each agent decodes its whole neighbourhood
+    and leads itself.
     """
 
-    def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
-        if g.family_tag != "royal_family":
-            raise ValueError("RoyalFamilyProfile requires a royal_family graph")
-        tie_breaker.reject_jitter("royal-family")
-        self.g = g
-        self.m = m
-        self.tie_breaker = tie_breaker
-        self._z = np.asarray(m.z_values)
-        self._sign_z = self._z[list(m.sign_atoms())]  # (negative, positive)
-        self._gossip = GossipProfile(tie_breaker)
+    family = "royal_family"
 
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
@@ -339,16 +374,6 @@ class RoyalFamilyProfile(Profile):
             return history[-1][self_pos]
         return int(self.tie_breaker.decide(val, tie_log)[0])
 
-    def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
-        """(R, n, horizon) actions of the rows of ``atoms`` (R, n): rounds
-        0 and 1 of the gossip kernel, ties counted, then round 1 repeated."""
-        first = self._gossip.trace_batch(
-            g, m, atoms, np.zeros(np.shape(atoms)), min(horizon, 2), tie_log)
-        return first[:, :, np.minimum(np.arange(horizon), 1)]
-
-    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
-        return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
-
 
 @dataclass(frozen=True)
 class MadKingRoles:
@@ -359,7 +384,7 @@ class MadKingRoles:
     people: Tuple[int, ...]
 
 
-class MadKingProfile(Profile):
+class MadKingProfile(_ScriptedProfile):
     """Scripted profile on the mad-king graphs.
 
     Role rules:
@@ -391,60 +416,33 @@ class MadKingProfile(Profile):
     Round-0 actions of any counting player reveal its atom exactly, which is
     what makes the decoded ratios exact posteriors rather than heuristics.
 
-    ``trace_batch`` plays the rules by role, with array operations over a
-    batch of draws, from the decoded round-0 ratios: the court's own + king
-    sum, the bureaucracy's own + regent sum, the king's own + regent + court
-    sum and the regent's Z_1.  It relies on two facts of play as this
-    profile generates it: the people play 0 in rounds 0 and 1, so the rage
-    rule never fires, and the regent repeats sign(Z_1) from round 1, so its
-    run never breaks.  From round 2 the bureaucrats and the king therefore
-    copy the regent's previous action, and the court and the people the
-    king's.  ``action`` and the generic per-agent loop stay as the oracle;
-    ``action`` also answers histories that play never produces, such as a
-    person's rebellion.  Only deterministic tie modes are supported:
-    ``action`` never sees a jitter draw.
+    ``trace_batch`` is the scripted kernel on ``g`` less every edge that
+    touches a person, with the regent leading itself, the bureaucracy and
+    the king, and the king leading the court and the people; then the
+    people are silenced at rounds 0-1 and the regent's tie counted at each
+    round from 2, where ``action`` decides sign(Z_1) again.  This relies on
+    two facts of the profile's own play: the people's silence means the
+    rage rule never fires, and the regent's repeated sign(Z_1) means its
+    run never breaks.  ``action`` stays as the oracle, and also answers
+    histories that play never produces, such as a person's rebellion.
     """
 
-    def __init__(self, g, m, delta: float, lam: float,
-                 tie_breaker: TieBreaker = TieBreaker("zero")):
-        if g.family_tag != "mad_king":
-            raise ValueError("MadKingProfile requires a mad_king graph")
-        if not delta > 0.0:
-            raise ValueError(f"delta must be > 0, got {delta}")
-        if not (0.0 < lam < 1.0):
-            raise ValueError("lam must lie in (0, 1)")
-        tie_breaker.reject_jitter("mad-king")
-        self.g = g
-        self.m = m
-        self.roles = roles = mad_king_roles_of(g)
-        self.delta = delta
-        self.lam = lam
-        self.tie_breaker = tie_breaker
-        self._z = np.asarray(m.z_values)
-        # (negative, positive) ratios; raises unless m is a two-atom sign
-        # model
-        self._sign_z = self._z[list(m.sign_atoms())]
-        self._role_of = graphs.role_names(g)
-        # position of each observed vertex inside the agent's sorted closed
-        # neighborhood, so decoding avoids repeated tuple.index scans
-        self._pos = {
-            i: {v: p for p, v in enumerate(g.closed_nbrs(i))}
-            for i in range(g.n)
-        }
-        # vertex groups of trace_batch, in the order action() reads them
-        def ix(*vs):
-            return np.array(vs, dtype=np.intp)
-        r = roles
-        self._counting = ix(r.king, r.regent, *r.court, *r.bureaucracy)
-        self._subjects = ix(*r.court, *r.bureaucracy)
-        self._lords = ix(*[r.king] * len(r.court),
-                         *[r.regent] * len(r.bureaucracy))
-        self._king_sees = ix(r.regent, *r.court)
-        self._regent_sees = ix(r.king, *r.bureaucracy)
-        self._watchers = ix(*r.bureaucracy, r.king)
-        self._followers = ix(*r.court, *r.people)
+    family = "mad_king"
 
-    # -- helpers ----------------------------------------------------------
+    def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
+        super().__init__(g, m, tie_breaker)
+        self.roles = r = mad_king_roles_of(g)
+        self._role_of = graphs.role_names(g)
+        # position of each vertex in each agent's sorted closed neighborhood
+        self._pos = {i: {v: p for p, v in enumerate(g.closed_nbrs(i))}
+                     for i in range(g.n)}
+        # round 1 decodes no person: the people are silent at round 0
+        self._decoding = graphs.DirectedGraph(g.n, frozenset(
+            (i, j) for i, j in g.edges
+            if "person" not in (self._role_of[i], self._role_of[j])))
+        self._leader = np.full(g.n, r.king)
+        self._leader[[r.regent, r.king, *r.bureaucracy]] = r.regent
+
     def _decode(self, agent, row_actions, verts):
         neg, pos = self._sign_z
         at = self._pos[agent]
@@ -458,7 +456,6 @@ class MadKingProfile(Profile):
         (read from their round-0 actions)."""
         return self._z[atom] + self._decode(agent, history[0], include)
 
-    # -- main rule --------------------------------------------------------
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
         role = self._role_of[agent]
@@ -498,46 +495,21 @@ class MadKingProfile(Profile):
         return int(self.tie_breaker.decide(val, tie_log)[0])
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
-        """Every role's rows at once for the draws ``atoms`` (R, n), with
-        ties logged where ``action`` logs them: round 0 for the counting
-        players, round 1 for the court, the bureaucracy and the king, and
-        every round from 1 for the regent."""
-        r = self.roles
-        atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
-        out = np.zeros((len(atoms), g.n, horizon), dtype=np.uint8)
-        if horizon == 0:
-            return out
-        decide = self.tie_breaker.decide
-        z = self._z[atoms]
-        # round 0: the people stay silent, everyone else plays its own sign
-        out[:, self._counting, 0] = decide(z[:, self._counting], tie_log)[0]
-        if horizon == 1:
-            return out
-        # round 1: own ratio plus the round-0 actions decoded, summed in
-        # the order _decode sums them so that ties fall as in action().  The
-        # people's zeros in rounds 0-1 mean the rage rule never fires here.
-        dec = self._sign_z[out[:, :, 0]]
-        out[:, self._subjects, 1] = decide(
-            z[:, self._subjects] + dec[:, self._lords], tie_log)[0]
-        king = z[:, r.king] + dec[:, self._king_sees].cumsum(axis=1)[:, -1]
-        out[:, r.king, 1] = decide(king, tie_log)[0]
-        # the regent decides sign(Z_1) afresh every round from 1, so its run
-        # never breaks and no regent-watcher falls back to counting play
-        z1 = z[:, r.regent] + dec[:, self._regent_sees].cumsum(axis=1)[:, -1]
-        out[:, r.regent, 1:] = decide(
-            np.repeat(z1[:, None], horizon - 1, axis=1), tie_log)[0]
-        # from round 2: copy the leader's previous action
-        out[:, self._watchers, 2:] = out[:, [r.regent], 1:-1]
-        out[:, self._followers, 2:] = out[:, [r.king], 1:-1]
+        out = super().trace_batch(g, m, atoms, jitters, horizon, tie_log)
+        out[:, list(self.roles.people), :2] = 0
+        if tie_log is not None and horizon > 2:
+            tied = self.tie_breaker.decide(self.regent_z1(atoms))[1]
+            tie_log.add((horizon - 2) * int(np.count_nonzero(tied)))
         return out
 
-    def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
-        return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
-
-    def regent_z1(self, atoms) -> float:
+    def regent_z1(self, atoms):
+        """Z_1 of each row of ``atoms`` (..., n): the regent's own ratio
+        plus the king's and then each bureaucrat's, added in the order
+        ``action`` decodes them, so a tie falls as it does there."""
         r = self.roles
         z = self._z[np.asarray(atoms)]
-        return float(z[r.regent] + z[r.king] + z[list(r.bureaucracy)].sum())
+        seen = z[..., [r.king, *r.bureaucracy]].cumsum(axis=-1)[..., -1]
+        return z[..., r.regent] + seen
 
 
 def myopic_condition_check(y_values, lam: float):

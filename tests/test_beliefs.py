@@ -131,7 +131,7 @@ GENERIC_REPLAYS = {
         strategies.RoyalFamilyProfile, _per_agent_loop),
     "mad king, per-agent loop": (
         "mad_king(1,2,2)", signals.mad_king_asym(),
-        lambda g, m: strategies.MadKingProfile(g, m, 0.5, 0.9),
+        strategies.MadKingProfile,
         _per_agent_loop),
     "gossip, one-row traces": (
         "dicycle(5)", signals.symmetric_binary(0.7),

@@ -311,8 +311,8 @@ def test_simulate_gossip_jitter_ties_need_no_width(tmp_path):
     ("royal_family(2,3)", "royal_family", "royal_bounded"),
     ("mad_king(1,2,2)", "mad_king", "mad_king_asym")])
 def test_config_builds_every_profile(tmp_path, family, profile, kind):
-    """Each profile name builds its profile, with the config's tie breaker
-    and, for the mad king, its delta and lam."""
+    """Each profile name builds its profile, with the config's tie breaker;
+    the mad king's delta and lam stay in the config."""
     p = tmp_path / "p.cfg"
     p.write_text(f"[graph]\nfamily = {family}\n\n[signal]\nkind = {kind}"
                  f"\n\n[profile]\nname = {profile}\ntie = one\n"
@@ -325,8 +325,29 @@ def test_config_builds_every_profile(tmp_path, family, profile, kind):
             "royal_family": strategies.RoyalFamilyProfile,
             "mad_king": strategies.MadKingProfile}[profile]
     assert type(prof) is want and prof.tie_breaker.mode == "one"
-    if profile == "mad_king":
-        assert (prof.delta, prof.lam) == (0.5, 0.9)
+    assert (rc.delta, rc.lam) == (0.5, 0.9)
+
+
+def _mad_king_config(**profile):
+    return config.load_config(overrides={
+        "graph": {"family": "mad_king(1,2,1)"},
+        "signal": {"kind": "mad_king_asym"},
+        "profile": {"name": "mad_king", **profile}}, environ={})
+
+
+def _build(rc):
+    return rc.build_profile(rc.build_graph(), rc.build_signal_model())
+
+
+def test_config_mad_king_requires_valid_lam():
+    with pytest.raises(ValueError):
+        _build(_mad_king_config(lam=1.0))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_config_mad_king_requires_a_positive_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        _build(_mad_king_config(delta=delta))
 
 
 def test_simulate_workers_write_identical_report_and_csv(tmp_path):

@@ -278,7 +278,7 @@ def _ensemble_cases():
                    strategies.GossipProfile(TieBreaker("jitter"))),
         "royal": (gr, signals.royal_bounded(), strategies.RoyalFamilyProfile(
             gr, signals.royal_bounded(), TieBreaker("one"))),
-        "mad_king": (gk, m, strategies.MadKingProfile(gk, m, 0.5, 0.9)),
+        "mad_king": (gk, m, strategies.MadKingProfile(gk, m)),
         "myopic": (gm, m, strategies.MyopicExactProfile(gm, m)),
     }
 
@@ -553,7 +553,7 @@ def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
     m = signals.mad_king_asym()
     if roles == "mad_king":
         roles = graphs.role_names(g)
-    prof = strategies.MadKingProfile(g, m, 1.0, 0.99)
+    prof = strategies.MadKingProfile(g, m)
     cfg = SimConfig(horizon=horizon, replicates=max(replicates, 1),
                     master_seed=2, tail_window=1)
     _, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)

@@ -185,6 +185,22 @@ def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
     assert len(bounds) == 5 and not any(bounds)
 
 
+@pytest.mark.parametrize("answer, fails", [(True, "r=2"), (False, "r=1")])
+def test_iso_invariant_catches_a_constant_answer(monkeypatch, answer, fails):
+    """The invariant compares distinct balls, one isomorphic pair and one
+    not, so an isomorphism test that always answers the same fails one of
+    its two checks, whatever the brute force says."""
+    assert all(ok for name, ok, _ in invariants.check_graph()
+               if name.startswith("iso_matches_bruteforce"))
+    monkeypatch.setattr(graphs, "balls_isomorphic",
+                        lambda a, b: (answer, None))
+    iso = {name: ok for name, ok, _ in invariants.check_graph()
+           if name.startswith("iso_matches_bruteforce")}
+    assert [name for name, ok in iso.items() if not ok] == [
+        f"iso_matches_bruteforce[{fails}]"]
+    assert len(iso) == 2
+
+
 def test_rooted_distance_identity_and_symmetry():
     g = graphs.cycle(10)
     assert graphs.rooted_distance(g, 0, g, 4, 10)[0] == 0.0

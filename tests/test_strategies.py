@@ -264,7 +264,7 @@ def test_trace_batch_empty_batch_and_zero_horizon():
     m = signals.symmetric_binary(0.7)
     myo = strategies.MyopicExactProfile(g, m, TieBreaker("one"))
     gk = graphs.mad_king(1, 1, 2)
-    king = strategies.MadKingProfile(gk, m, 0.5, 0.9, TieBreaker("one"))
+    king = strategies.MadKingProfile(gk, m, TieBreaker("one"))
     gr = graphs.royal_family(2, 2)
     royal = strategies.RoyalFamilyProfile(gr, m, TieBreaker("one"))
     gossip = strategies.GossipProfile(TieBreaker("one"))
@@ -867,7 +867,7 @@ def test_scripted_profiles_reject_atoms_within_tie_tol():
     with pytest.raises(ValueError, match="sign decoding"):
         strategies.RoyalFamilyProfile(graphs.royal_family(3, 4), m)
     with pytest.raises(ValueError, match="sign decoding"):
-        strategies.MadKingProfile(graphs.mad_king(1, 2, 2), m, 0.5, 0.9)
+        strategies.MadKingProfile(graphs.mad_king(1, 2, 2), m)
 
 
 def test_scripted_profiles_reject_jitter_tiebreak():
@@ -879,8 +879,7 @@ def test_scripted_profiles_reject_jitter_tiebreak():
                                       signals.royal_bounded(), jitter)
     g = graphs.mad_king(1, 1, 1)
     with pytest.raises(ValueError, match="jitter"):
-        strategies.MadKingProfile(g, signals.mad_king_asym(), 0.5, 0.9,
-                                  jitter)
+        strategies.MadKingProfile(g, signals.mad_king_asym(), jitter)
 
 
 def test_royal_family_unanimous_royals_herd_everyone():
@@ -903,20 +902,16 @@ def test_royal_family_unanimous_royals_herd_everyone():
 
 # --- mad king ---------------------------------------------------------------
 
-def make_mk(R_C=3, R_B=8, n=5, delta=0.5, lam=0.9):
+def make_mk(R_C=3, R_B=8, n=5):
     g = graphs.mad_king(R_C, R_B, n)
     m = signals.mad_king_asym()
-    prof = strategies.MadKingProfile(g, m, delta, lam)
+    prof = strategies.MadKingProfile(g, m)
     return g, m, prof.roles, prof
 
 
-def test_mad_king_requires_family_and_valid_lam():
-    m = signals.mad_king_asym()
-    g = graphs.mad_king(2, 3, 2)
-    with pytest.raises(ValueError):
-        strategies.MadKingProfile(graphs.dicycle(4), m, 0.5, 0.9)
-    with pytest.raises(ValueError):
-        strategies.MadKingProfile(g, m, 0.5, 1.0)
+def test_mad_king_requires_family():
+    with pytest.raises(ValueError, match="mad_king"):
+        strategies.MadKingProfile(graphs.dicycle(4), signals.mad_king_asym())
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 8, 5), (2, 200, 300)])
@@ -929,17 +924,10 @@ def test_mad_king_roles_match_the_family_ranges(sizes):
         king=0, regent=1, court=tuple(range(2, 2 + rc)),
         bureaucracy=tuple(range(2 + rc, 2 + rc + rb)),
         people=tuple(range(2 + rc + rb, 2 + rc + rb + n)))
-    prof = strategies.MadKingProfile(g, signals.mad_king_asym(), 0.5, 0.9)
+    prof = strategies.MadKingProfile(g, signals.mad_king_asym())
     assert prof.roles == strategies.mad_king_roles_of(g)
     with pytest.raises(ValueError, match="mad_king"):
         strategies.mad_king_roles_of(graphs.royal_family(2, 3))
-
-
-@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
-def test_mad_king_requires_a_positive_delta(delta):
-    with pytest.raises(ValueError, match="delta"):
-        strategies.MadKingProfile(graphs.mad_king(1, 2, 1),
-                                  signals.mad_king_asym(), delta, 0.9)
 
 
 def test_mad_king_people_forced_silent_then_imitate():
@@ -972,7 +960,7 @@ def test_mad_king_court_round_structure():
 
 
 def test_mad_king_regent_lock():
-    g, m, roles, prof = make_mk(R_B=8, delta=0.5)
+    g, m, roles, prof = make_mk(R_B=8)
     neg, pos = m.sign_atoms()
     atoms = [pos] * g.n
     assert prof.regent_z1(atoms) == pytest.approx(
@@ -1017,7 +1005,7 @@ MAD_KING_MODELS = (signals.symmetric_binary(0.6),
        seed=st.integers(0, 2 ** 32 - 1))
 def _check_mad_king_trace_batch(ties, sizes, m, mode, horizon, rows, seed):
     g = graphs.mad_king(*sizes)
-    prof = strategies.MadKingProfile(g, m, 0.5, 0.9, TieBreaker(mode))
+    prof = strategies.MadKingProfile(g, m, TieBreaker(mode))
     rng = np.random.default_rng(seed)
     atoms = np.array([m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
                       for _ in range(rows)])
@@ -1044,6 +1032,30 @@ def test_mad_king_trace_batch_matches_action_loop():
     ties = []
     _check_mad_king_trace_batch(ties)
     assert sum(ties) > 0
+
+
+@pytest.mark.parametrize("mode", ["zero", "one"])
+def test_mad_king_regent_ties_at_every_round_from_1(mode):
+    """With the regent and bureaucrat 3 on + and every other agent on -,
+    the regent's Z_1 and bureaucrat 4's round-1 sum are exactly 0.  The
+    regent decides sign(Z_1) again at every round from 1, so a horizon of 5
+    logs 5 ties: 4 of the regent's and 1 of bureaucrat 4's, in the batched
+    kernel as in the per-agent loop."""
+    g = graphs.mad_king(1, 2, 1)
+    m = signals.symmetric_binary(0.7)
+    prof = strategies.MadKingProfile(g, m, TieBreaker(mode))
+    assert prof.roles.bureaucracy == (3, 4)
+    neg, pos = m.sign_atoms()
+    atoms = np.full(g.n, neg)
+    atoms[[prof.roles.regent, 3]] = pos
+    assert prof.regent_z1(atoms) == 0.0
+    fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+    fast = prof.trace_batch(g, m, atoms[None], None, 5, fast_log)[0]
+    slow = strategies.Profile.trace_actions(prof, g, m, atoms, np.zeros(g.n),
+                                            5, slow_log)
+    assert np.array_equal(fast, slow)
+    assert fast_log.count == slow_log.count == 5
+    assert (fast[prof.roles.regent, 1:] == int(mode == "one")).all()
 
 
 def test_mad_king_regime_inequality():
