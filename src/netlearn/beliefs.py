@@ -10,8 +10,9 @@ agent holds its atom, with one call of the profile's ``trace_batch`` (or,
 for ``y_decomposition``, of the myopic profile's ``forced_trace``, with the
 agent's observed actions forced), and keeps the worlds whose replay shows
 the agent its observed neighbour rows.  Every belief function sums their
-masses.  A malformed view, or a profile other than the myopic one where
-only it will do, fails with a ValueError before any world is enumerated.
+masses.  A malformed view, a profile in tie mode ``jitter`` (the replay
+draws no jitters) or one other than the myopic one where only it will do
+fails with a ValueError before any world is enumerated.
 """
 from __future__ import annotations
 
@@ -117,13 +118,13 @@ class TieBreaker:
         if self.mode not in ("zero", "one", "jitter"):
             raise ValueError(f"unknown tie-breaker mode {self.mode!r}")
 
-    def reject_jitter(self, name: str):
-        """Refuse mode ``jitter`` for a profile whose decisions never see a
+    def reject_jitter(self, what: str):
+        """Refuse mode ``jitter`` for ``what``, whose decisions never see a
         jitter draw and so cannot honour it."""
         if self.mode == "jitter":
             raise ValueError(
-                f"jitter tie-breaking is not supported by the {name} "
-                "profile; use mode 'zero' or 'one'")
+                f"jitter tie-breaking is not supported by {what}; use mode "
+                "'zero' or 'one'")
 
     def row_width(self, n: int) -> int:
         """U[0, 1) draws per replicate row of n agents: n for the atoms,
@@ -258,15 +259,16 @@ def _seen(g, m, profile, view: HistoryView, horizon: int,
           forced: bool = False):
     """The worlds a belief about ``view`` sums over.  First ``view`` must be
     a view of (g, m) -- an agent of g, an atom of m, and rows of 0/1
-    actions, one per member of the agent's closed neighbourhood -- or a
-    ValueError names the fault before any world is enumerated.  Then
-    ``profile`` is replayed for ``horizon`` >= view.t rounds, with one
-    ``trace_batch`` call, in the worlds where the agent holds the view's
-    atom, and the worlds that show it the observed rows are kept.  With
-    ``forced``, the replay is the myopic profile's ``forced_trace``, in
-    which the agent plays its observed actions whatever its atom.  Returns
-    the kept worlds' masses (w0, w1) under the two states and the (worlds,
-    neighbours, horizon) rows the agent sees in them."""
+    actions, one per member of the agent's closed neighbourhood -- and
+    ``profile`` must not break ties by jitter, or a ValueError names the
+    fault before any world is enumerated.  Then ``profile`` is replayed for
+    ``horizon`` >= view.t rounds, with one ``trace_batch`` call, in the
+    worlds where the agent holds the view's atom, and the worlds that show
+    it the observed rows are kept.  With ``forced``, the replay is the
+    myopic profile's ``forced_trace``, in which the agent plays its
+    observed actions whatever its atom.  Returns the kept worlds' masses
+    (w0, w1) under the two states and the (worlds, neighbours, horizon)
+    rows the agent sees in them."""
     if not 0 <= view.agent < g.n:
         raise ValueError(f"view agent {view.agent} is not in 0..{g.n - 1}")
     if not 0 <= view.atom < m.k:
@@ -277,6 +279,7 @@ def _seen(g, m, profile, view: HistoryView, horizon: int,
             raise ValueError(
                 f"observed row {tau} {row!r} is not {len(nbrs)} actions of "
                 f"0 or 1, one per closed neighbour of agent {view.agent}")
+    profile.tie_breaker.reject_jitter("exact beliefs, which draw no jitters")
     atoms, w0, w1 = worlds(m, g.n)
     own = np.flatnonzero(atoms[view.agent] == view.atom)
     rows = atoms[:, own].T

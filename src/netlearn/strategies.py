@@ -3,7 +3,7 @@
 A profile maps (agent, own atom, observed neighbor history) to an action in
 {0, 1}.  Histories are round-major tuples over the agent's closed
 neighborhood in sorted vertex order (the agent itself included).  The
-mad-king profile takes its roles from ``graphs.role_names``.
+mad-king profile takes its roles from ``mad_king_roles_of``.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class MyopicExactProfile(Profile):
     """
 
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
-        tie_breaker.reject_jitter("exact myopic")
+        tie_breaker.reject_jitter("the exact myopic profile")
         self.g = g
         self.m = m
         self.tie_breaker = tie_breaker
@@ -322,8 +322,8 @@ class _ScriptedProfile(Profile):
         if g.family_tag != self.family:
             raise ValueError(
                 f"{type(self).__name__} requires a {self.family} graph")
-        tie_breaker.reject_jitter(self.family.replace("_", "-"))
-        self.g, self.m, self.tie_breaker = g, m, tie_breaker
+        tie_breaker.reject_jitter(f"the {self.family} profile")
+        self.g, self.tie_breaker = g, tie_breaker
         self._z = np.asarray(m.z_values)
         # (negative, positive); raises unless m is a two-atom sign model
         self._sign_z = self._z[list(m.sign_atoms())]
@@ -424,7 +424,8 @@ class MadKingProfile(_ScriptedProfile):
     two facts of the profile's own play: the people's silence means the
     rage rule never fires, and the regent's repeated sign(Z_1) means its
     run never breaks.  ``action`` stays as the oracle, and also answers
-    histories that play never produces, such as a person's rebellion.
+    histories that play never produces, such as a person's rebellion; it
+    reads roles from ``roles`` and positions from ``g`` at each call.
     """
 
     family = "mad_king"
@@ -432,60 +433,48 @@ class MadKingProfile(_ScriptedProfile):
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
         super().__init__(g, m, tie_breaker)
         self.roles = r = mad_king_roles_of(g)
-        self._role_of = graphs.role_names(g)
-        # position of each vertex in each agent's sorted closed neighborhood
-        self._pos = {i: {v: p for p, v in enumerate(g.closed_nbrs(i))}
-                     for i in range(g.n)}
+        self._people = people = frozenset(r.people)
         # round 1 decodes no person: the people are silent at round 0
         self._decoding = graphs.DirectedGraph(g.n, frozenset(
-            (i, j) for i, j in g.edges
-            if "person" not in (self._role_of[i], self._role_of[j])))
+            e for e in g.edges if people.isdisjoint(e)))
         self._leader = np.full(g.n, r.king)
         self._leader[[r.regent, r.king, *r.bureaucracy]] = r.regent
 
-    def _decode(self, agent, row_actions, verts):
-        neg, pos = self._sign_z
-        at = self._pos[agent]
-        tot = 0.0
-        for v in verts:
-            tot += pos if row_actions[at[v]] == 1 else neg
-        return tot
-
-    def _counting_z(self, agent, atom, history, include):
-        """Own log-likelihood ratio plus the decoded ratios of ``include``
-        (read from their round-0 actions)."""
-        return self._z[atom] + self._decode(agent, history[0], include)
-
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
-        role = self._role_of[agent]
-        at = self._pos[agent]
         r = self.roles
+        # position of each vertex in the agent's sorted closed neighborhood
+        at = {v: p for p, v in enumerate(self.g.closed_nbrs(agent))}
 
-        if role == "person":
+        def counting_z(include):
+            # own ratio + include's ratios decoded from round 0, in order
+            return self._z[atom] + sum(
+                (self._sign_z[int(history[0][at[v]] == 1)] for v in include),
+                0.0)
+
+        if agent in self._people:
             # the king's t=1 -> t=2 transition is on-path behavior, so the
             # people imitate unconditionally rather than deviation-watching
             return 0 if t <= 1 else history[-1][at[r.king]]
-        if role == "court" and t >= 2:
+        if agent in r.court and t >= 2:
             return history[-1][at[r.king]]
 
         if t == 0:
             val = self._z[atom]
-        elif role == "court":
-            val = self._counting_z(agent, atom, history, [r.king])
-        elif role == "regent":
+        elif agent in r.court:
+            val = counting_z([r.king])
+        elif agent == r.regent:
             # locked or not, the continuation is sign(Z_1): nothing the
             # regent observes later is informative under this profile; the
             # lock level is criterion 08's analysis of regent_z1
-            val = self._counting_z(agent, atom, history,
-                                   [r.king] + list(r.bureaucracy))
+            val = counting_z([r.king, *r.bureaucracy])
         else:  # the king and the bureaucracy
-            if role == "king" and any(history[tau][at[v]] == 1
-                                      for tau in range(min(t, 2))
-                                      for v in r.people):
+            if agent == r.king and any(history[tau][at[v]] == 1
+                                       for tau in range(min(t, 2))
+                                       for v in r.people):
                 return 1  # the rage rule
-            include = [r.regent] + (list(r.court) if role == "king" else [])
-            val = self._counting_z(agent, atom, history, include)
+            val = counting_z([r.regent, *r.court] if agent == r.king
+                             else [r.regent])
             # from round 2, copy the regent's previous action while its run
             # from round 1 is unbroken; after an observed deviation fall
             # back to the static counting response

@@ -330,6 +330,30 @@ def test_exact_functions_reject_other_profiles(fn):
         fn(g, m, strategies.GossipProfile(), HistoryView(0, 0, 0, ()))
 
 
+def _no_worlds(*args, **kw):
+    raise AssertionError("a world was enumerated")
+
+
+@pytest.mark.parametrize("fn", [beliefs.exact_posterior,
+                                beliefs.outcome_distribution])
+def test_exact_functions_refuse_jitter_ties(monkeypatch, fn):
+    """The replay draws no jitters, so under mode jitter every replayed tie
+    would play 1: on chain(2) the play of jitters 0.9 would be called
+    impossible, and that of jitters 0.1 get mode one's posterior.  Both
+    functions refuse the profile before any world is enumerated."""
+    g, m = graphs.chain(2), signals.symmetric_binary(0.7)
+    prof = strategies.GossipProfile(TieBreaker("jitter"))
+    acts = prof.trace_batch(g, m, np.array([[0, 1]]), np.full((1, 2), 0.9),
+                            2)[0]
+    assert acts.tolist() == [[1, 0], [0, 0]]
+    view = beliefs.view_from_actions(g, [tuple(c) for c in acts.T.tolist()],
+                                     [0, 1], 0, 2)
+    monkeypatch.setattr(beliefs, "worlds", _no_worlds)
+    with pytest.raises(ValueError, match="jitter") as err:
+        fn(g, m, prof, view)
+    assert type(err.value) is ValueError
+
+
 MALFORMED = {
     "exact_posterior, atom 5": (
         lambda g, m, p: beliefs.exact_posterior(
@@ -359,11 +383,7 @@ def test_malformed_views_fail_before_any_world(monkeypatch, case):
     g = graphs.dicycle(3)
     m = signals.symmetric_binary(0.7)
     prof = strategies.MyopicExactProfile(g, m)
-
-    def no_worlds(*args, **kw):
-        raise AssertionError("a world was enumerated")
-
-    monkeypatch.setattr(beliefs, "worlds", no_worlds)
+    monkeypatch.setattr(beliefs, "worlds", _no_worlds)
     call, named = MALFORMED[case]
     with pytest.raises(ValueError, match=named) as err:
         call(g, m, prof)

@@ -990,6 +990,28 @@ def test_mad_king_rage_rule():
             assert prof.action(roles.king, neg, history) == 1
 
 
+@pytest.mark.parametrize("sign", [0, 1])
+def test_mad_king_regent_deviation_falls_back_to_counting(sign):
+    """Once the regent's run from round 1 breaks, which play never
+    produces, the king and the bureaucrats stop imitating the regent and
+    play their static counting response again.  With every atom of one
+    sign that response is the sign, and the regent's broken run ends on
+    the other action."""
+    g = graphs.mad_king(2, 3, 2)
+    m = signals.symmetric_binary(0.7)
+    prof = strategies.MadKingProfile(g, m)
+    r = prof.roles
+    atom = m.sign_atoms()[sign]
+    acts = prof.trace_actions(g, m, [atom] * g.n, None, 5)
+    assert (acts[[r.regent, r.king, *r.bureaucracy]] == sign).all()
+    acts[r.regent, 2:] = 1 - sign
+    rounds = [tuple(col) for col in acts.T.tolist()]
+    for t in (3, 4, 5):
+        for agent in (r.king, *r.bureaucracy):
+            history = beliefs.history_of(g, rounds, agent, t)
+            assert prof.action(agent, atom, history) == sign
+
+
 MAD_KING_MODELS = (signals.symmetric_binary(0.6),
                    signals.symmetric_binary(0.7), signals.royal_bounded(),
                    signals.mad_king_asym())
@@ -1005,10 +1027,18 @@ MAD_KING_MODELS = (signals.symmetric_binary(0.6),
        seed=st.integers(0, 2 ** 32 - 1))
 def _check_mad_king_trace_batch(ties, sizes, m, mode, horizon, rows, seed):
     g = graphs.mad_king(*sizes)
-    prof = strategies.MadKingProfile(g, m, TieBreaker(mode))
     rng = np.random.default_rng(seed)
     atoms = np.array([m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
                       for _ in range(rows)])
+    ties.append(_mad_king_batch_vs_loop(g, m, mode, atoms, horizon))
+
+
+def _mad_king_batch_vs_loop(g, m, mode, atoms, horizon):
+    """Assert that ``trace_batch`` on the rows of ``atoms``, one-row
+    ``trace_actions`` calls and the generic loop over ``action`` agree;
+    return the loop's tie count."""
+    rows = len(atoms)
+    prof = strategies.MadKingProfile(g, m, TieBreaker(mode))
     batch_log, one_log, slow_log = (beliefs.TieLog() for _ in range(3))
     batch = prof.trace_batch(g, m, atoms, np.zeros(atoms.shape), horizon,
                              batch_log)
@@ -1020,7 +1050,7 @@ def _check_mad_king_trace_batch(ties, sizes, m, mode, horizon, rows, seed):
     assert batch.shape == ones.shape == slow.shape == (rows, g.n, horizon)
     assert np.array_equal(batch, slow) and np.array_equal(ones, slow)
     assert batch_log.count == one_log.count == slow_log.count
-    ties.append(slow_log.count)
+    return slow_log.count
 
 
 def test_mad_king_trace_batch_matches_action_loop():
@@ -1032,6 +1062,19 @@ def test_mad_king_trace_batch_matches_action_loop():
     ties = []
     _check_mad_king_trace_batch(ties)
     assert sum(ties) > 0
+
+
+@pytest.mark.parametrize("mode", ["zero", "one"])
+def test_mad_king_trace_batch_matches_action_loop_at_recipe_size(mode):
+    """The same agreement on mad_king(2,200,300), the size that
+    scripts/mad_king.cfg plays, for three rows at T = 12: one under S = 0,
+    two under S = 1.  Court and bureaucrats tie at round 1 whenever their
+    own atom and the one they decode differ, so the rows tie."""
+    g = graphs.mad_king(2, 200, 300)
+    m = signals.symmetric_binary(0.7)
+    rng = np.random.default_rng(1)
+    atoms = np.array([m.sample_atoms(rng, g.n, s) for s in (0, 1, 1)])
+    assert _mad_king_batch_vs_loop(g, m, mode, atoms, 12) > 0
 
 
 @pytest.mark.parametrize("mode", ["zero", "one"])
