@@ -14,9 +14,10 @@ roles come from ``graphs.role_names``, do not depend on it.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, a negative seed, an output path that is a directory, an input file
-or in a missing directory, a report and a trace CSV that are one file, or a
-run the exact engine's budget cannot hold), found before any replicate runs;
+below 1, a negative seed, an output path that is a directory, an input file,
+in a missing directory or not writable, a report and a trace CSV that are
+one file, or a run the exact engine's budget cannot hold), found before any
+replicate runs;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations
@@ -42,6 +43,22 @@ def _load_graph(arg: str):
         return graphs.generate(arg)
     with open(arg) as f:
         return graphs.from_edge_list_text(f.read())
+
+
+def _check_writable(path: str):
+    """Raise ValueError unless ``path`` opens for writing.  A file this
+    creates is removed again and an existing one is not changed, so a run
+    that fails later leaves no file behind."""
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.remove(path)
+    except OSError as e:
+        raise ValueError(f"cannot write output file {path!r}: "
+                         f"{e.strerror}") from None
 
 
 def cmd_check_topology(args) -> int:
@@ -90,6 +107,8 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"output file {path!r} is a directory")
             if path and os.path.realpath(path) in inputs:
                 raise ValueError(f"output file {path!r} is an input file")
+            if path:
+                _check_writable(path)
         if (out_json and csv_path
                 and os.path.realpath(out_json) == os.path.realpath(csv_path)):
             raise ValueError(f"the report and the trace CSV are one file, "

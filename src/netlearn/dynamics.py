@@ -331,13 +331,21 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
     return report_from_tally(tally, config, g.family_tag), actions
 
 
-def _csv_cells(n: int, horizon: int, roles):
-    """(2, n * horizon) object array: the text after ``replicate,`` of the
-    row of (agent, t), agent-major, when the agent plays 0 and when it plays
-    1.  Each agent's ``agent,role`` is rendered by ``csv.writer``, so the
-    role is quoted exactly as in a row written by it."""
+def write_trace_csv(path, actions, roles=None):
+    """Write (replicate, agent, role, t, action) rows for the (R, n, horizon)
+    ``actions``, row r as replicate r, agent-major within a replicate, as
+    ``csv.writer`` would: CRLF line ends, roles quoted where needed.
+
+    Each agent's ``agent,role`` is rendered by ``csv.writer``, so a role is
+    quoted exactly as in a row written by it.  The rows after
+    ``replicate,`` are rendered once, each with action 0.  Replicate r is
+    then one ``join`` of them, each led by ``"\\r\\n{r},"``, and one encode
+    in the file's own encoding, whose action digits are set in place
+    through a uint8 view; the line end that these leading separators take
+    from each row closes the file."""
     import csv
     import io
+    R, n, horizon = np.shape(actions)
     buf = io.StringIO()
     w = csv.writer(buf)
     heads = []
@@ -346,26 +354,28 @@ def _csv_cells(n: int, horizon: int, roles):
         buf.truncate()
         w.writerow([i, roles.get(i, "") if roles else ""])
         heads.append(buf.getvalue()[:-2])  # drop the "\r\n" terminator
-    return np.array([[f"{h},{t},{a}" for h in heads for t in range(horizon)]
-                     for a in (0, 1)], dtype=object)
-
-
-def write_trace_csv(path, actions, roles=None):
-    """Write (replicate, agent, role, t, action) rows for the (R, n, horizon)
-    ``actions``, row r as replicate r, agent-major within a replicate, as
-    ``csv.writer`` would: CRLF line ends, roles quoted where needed.  The
-    cells are built once; each replicate is one ``join`` over its flattened
-    actions."""
-    import csv
-    R, n, horizon = np.shape(actions)
-    cells = _csv_cells(n, horizon, roles)
-    cols = np.arange(n * horizon)
+    tails = [f",{t},0" for t in range(horizon)]
+    # a leading "" puts the separator before the first row as well
+    rows = [""] + [h + s for h in heads for s in tails]
     with open(path, "w", newline="") as f:
-        csv.writer(f).writerow(["replicate", "agent", "role", "t", "action"])
+        # the bytes a text write would produce; the rows are ASCII after
+        # their heads, and so is every separator
+        encoding = f.encoding, f.errors
+        out = f.buffer
+        out.write("replicate,agent,role,t,action".encode(*encoding))
+        # rows 0..k are each led by "\r\n{r},", so in replicate r the digit
+        # that ends row k is byte digit[k] + len(f"{r},") * (k + 1)
+        lengths = np.add.outer([len(h.encode(*encoding)) for h in heads],
+                               [len(s) for s in tails]).ravel()
+        digit = np.cumsum(lengths + 2) - 1
+        step = np.arange(1, n * horizon + 1)
         for r, acts in enumerate(np.reshape(actions, (R, n * horizon))):
-            head = f"{r},"
-            text = f"\r\n{head}".join(cells[acts, cols].tolist())
-            f.write(f"{head}{text}\r\n")
+            sep = f"\r\n{r},"
+            text = bytearray(sep.join(rows).encode(*encoding))
+            np.frombuffer(text, dtype=np.uint8)[
+                digit + (len(sep) - 2) * step] += acts
+            out.write(text)
+        out.write("\r\n".encode(*encoding))
 
 
 def locality_coupling_test(g1, i1, g2, i2, r: int, profile1, profile2, m,

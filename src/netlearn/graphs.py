@@ -173,11 +173,24 @@ def all_balls(g: DirectedGraph, radius: int, max_entries=None):
     out-neighbour arrays, in slices of at most ``max_entries`` expanded
     entries (plus one vertex's out-degree), drops the keys whose bit is
     set, sorts and dedupes the rest and sets their bits; so no temporary
-    grows past a small multiple of ``max_entries``."""
+    grows past a small multiple of ``max_entries``.  Within radius 1 there
+    is nothing to search: the balls are the vertices themselves, then each
+    vertex's out-neighbour list, straight from the compressed rows."""
     if radius < 0:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    parts = _ball_levels(g, radius,
-                         g.n * g.n if max_entries is None else max_entries)
+    cap = g.n * g.n if max_entries is None else max_entries
+    if radius <= 1:
+        indptr, indices = _csr(g)
+        if radius == 0:  # no vertex has a ring at distance 1
+            indptr, indices = np.zeros_like(indptr), indices[:0]
+        if g.n + len(indices) > cap:
+            return None
+        vertices = np.arange(g.n)
+        return (np.repeat(np.arange(2), [g.n, len(indices)]),
+                np.concatenate([vertices,
+                                np.repeat(vertices, np.diff(indptr))]),
+                np.concatenate([vertices, indices]))
+    parts = _ball_levels(g, radius, cap)
     if parts is None:
         return None
     parts.sort(key=lambda part: part[0])  # stable: blocks stay in order

@@ -512,12 +512,19 @@ TIED_SIGNAL = "\n[signal]\nq = 0.5000000000001\n"
      "'{tmp}/./g.txt' is an input file"),
     (PREFLIGHT_BASE.replace("family = cycle(8)", "file = {edges}"),
      ["--out", "{edges}"], "'{edges}' is an input file"),
+    # a file name over the 255-byte limit opens for no user, root included
+    (PREFLIGHT_BASE, ["--out", "{long}"], "cannot write output file '{long}'"),
+    ("mad_king:0.025", ["--trace-csv", "{long}"],
+     "cannot write output file '{long}'"),
+    (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {long}\n",
+     ["--out", "{tmp}/r.json"], "cannot write output file '{long}'"),
 ])
 def test_simulate_preflight_exits_2_before_any_replicate(
         tmp_path, capsys, monkeypatch, text, args, named):
     """A negative seed, a graph given both as a family and as a file, an
-    output path in a missing directory, that is a directory or that is the
-    config or the graph file, a report and a trace CSV that are one file,
+    output path in a missing directory, that is a directory, that cannot be
+    opened for writing or that is the config or the graph file, a report
+    and a trace CSV that are one file,
     a mad-king delta <= 0, or a scripted profile on a model whose atoms lie
     within TIE_TOL of 0 is a usage error: one line that names it, exit 2,
     no ensemble run, no file written and no input file changed."""
@@ -527,7 +534,8 @@ def test_simulate_preflight_exits_2_before_any_replicate(
     edges = tmp_path / "g.txt"
     edges.write_text("n=2\n0 1\n1 0\n")
     fill = dict(tmp=tmp_path, edges=edges, cfg=tmp_path / "run.cfg",
-                missing=tmp_path / "no_such_dir" / "out")
+                missing=tmp_path / "no_such_dir" / "out",
+                long=tmp_path / ("x" * 300))
     if text.startswith("mad_king:"):
         monkeypatch.setenv("NETLEARN_PROFILE_DELTA", text.split(":")[1])
         cfg = MAD_KING_CFG

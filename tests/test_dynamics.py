@@ -1,3 +1,4 @@
+import csv
 import functools
 import pickle
 
@@ -525,7 +526,6 @@ def test_trace_csv(tmp_path):
 
 def _reference_trace_csv(path, actions, roles=None):
     """The row-by-row writer: one csv.writer row per (replicate, agent, t)."""
-    import csv
 
     def rows(r, acts):
         n, T = acts.shape
@@ -542,13 +542,16 @@ def _reference_trace_csv(path, actions, roles=None):
 
 
 @pytest.mark.parametrize("roles", [None, {}, "mad_king", {0: 'a,"b"'},
-                                   {1: "line\nbreak", 2: "court"}])
-@pytest.mark.parametrize("horizon,replicates", [(1, 3), (5, 4), (5, 0)])
+                                   {1: "line\nbreak", 2: "court"},
+                                   {3: "\u00e9\u2211"}, {0: "a\r\nb"}])
+@pytest.mark.parametrize("horizon,replicates",
+                         [(1, 3), (5, 4), (5, 0), (2, 12)])
 def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
                                           replicates):
-    """The column-wise writer produces the row writer's bytes: CRLF line
-    ends, roles quoted as csv.writer quotes them, no rows for no
-    replicates."""
+    """The byte-patching writer produces the row writer's bytes: CRLF line
+    ends, roles quoted as csv.writer quotes them (a multi-byte role moves
+    every later digit by its encoded length), replicate fields that grow
+    from one digit to two, no rows for no replicates."""
     g = graphs.mad_king(2, 3, 2)
     m = signals.mad_king_asym()
     if roles == "mad_king":
@@ -562,4 +565,6 @@ def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
     _reference_trace_csv(want, actions, roles)
     dynamics.write_trace_csv(got, actions, roles)
     assert got.read_bytes() == want.read_bytes()
-    assert got.read_bytes().count(b"\r\n") == 1 + replicates * g.n * horizon
+    with open(got, newline="") as f:
+        assert sum(1 for _ in csv.reader(f)) \
+            == 1 + replicates * g.n * horizon

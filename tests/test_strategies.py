@@ -550,6 +550,12 @@ _HUB = graphs.DirectedGraph(100, frozenset((i, 0) for i in range(1, 100)))
 @example((_PARTS, 3, 148))
 @example((_PARTS, 60, 200))
 @example((_HUB, 2, 199))
+# radius 1 reads the compressed rows: n + edges entries, 199 on the hub and
+# 13 + 55 = 68 on royal_family(3,10)
+@example((_HUB, 1, 199))
+@example((_HUB, 1, 198))
+@example((graphs.royal_family(3, 10), 1, 68))
+@example((graphs.royal_family(3, 10), 1, 67))
 def test_all_balls_equal_per_source_ball_distances(case):
     """The ring search lists exactly the per-source truncated BFS entries,
     sorted by (distance, source, member), for every radius from -1 to
