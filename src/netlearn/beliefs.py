@@ -4,7 +4,8 @@ strategy profile.
 Every exact computation runs on one enumeration of the possible worlds: all
 k^n joint atom assignments, with their masses under each state (``worlds``;
 ``DEFAULT_BUDGET`` bounds the world-agent cells k^n * n at 10^7, which
-admits n <= 19 at k = 2).  One function, ``_seen``, decides which worlds a
+admits n <= 19 at k = 2), made once per belief call, ``y_decomposition``'s
+two replays included.  One function, ``_seen``, decides which worlds a
 belief sums over: it replays the profile in every world where the viewing
 agent holds its atom, with one call of the profile's ``trace_batch`` (or,
 for ``y_decomposition``, of the myopic profile's ``forced_trace``, with the
@@ -17,8 +18,7 @@ fails with a ValueError before any world is enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,24 +58,29 @@ class InconsistentHistoryError(ValueError):
     """The observed history has zero probability under the profile."""
 
 
-@dataclass(frozen=True)
 class HistoryView:
     """What agent ``agent`` knows at time ``t``: its own signal atom and the
     actions of its closed neighborhood in rounds [0, t), stored round-major
-    in the canonical (sorted) neighbor order."""
+    in the canonical (sorted) neighbor order.  Equal views hash equal."""
 
-    agent: int
-    t: int
-    atom: int
-    observed: Tuple[tuple, ...]
+    __slots__ = ("agent", "t", "atom", "observed")
 
-    def __post_init__(self):
-        if len(self.observed) != self.t:
+    def __init__(self, agent: int, t: int, atom: int, observed: tuple):
+        if len(observed) != t:
             raise ValueError("observed history length must equal t")
+        self.agent, self.t, self.atom, self.observed = agent, t, atom, observed
+
+    def _key(self):
+        return self.agent, self.t, self.atom, self.observed
+
+    def __eq__(self, other):
+        return type(other) is HistoryView and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     """A posterior at time ``time`` and its log odds, the latter taken from
     the two states' masses, not from the rounded posterior."""
 
@@ -84,8 +89,7 @@ class BeliefState:
     log_odds: float
 
 
-@dataclass(frozen=True)
-class YDecomposition:
+class YDecomposition(NamedTuple):
     y: float
     z0: float
     z: float
@@ -101,7 +105,6 @@ class TieLog:
         self.count += k
 
 
-@dataclass(frozen=True)
 class TieBreaker:
     """The decision rule every profile plays by.  A margin -- a
     log-likelihood ratio, or a posterior minus 1/2 -- above TIE_TOL plays 1,
@@ -110,13 +113,20 @@ class TieBreaker:
     agent's jitter, a U[0, 1) draw that carries no information, lies below
     1/2.  The breaker is the only code that knows what a jitter is, how many
     draws it takes from a replicate row (``row_width``, ``jitters_of``)
-    and how it breaks a tie."""
+    and how it breaks a tie.  Breakers of one mode are equal."""
 
-    mode: str = "zero"
+    __slots__ = ("mode",)
 
-    def __post_init__(self):
-        if self.mode not in ("zero", "one", "jitter"):
-            raise ValueError(f"unknown tie-breaker mode {self.mode!r}")
+    def __init__(self, mode: str = "zero"):
+        if mode not in ("zero", "one", "jitter"):
+            raise ValueError(f"unknown tie-breaker mode {mode!r}")
+        self.mode = mode
+
+    def __eq__(self, other):
+        return type(other) is TieBreaker and self.mode == other.mode
+
+    def __hash__(self):
+        return hash(self.mode)
 
     def reject_jitter(self, what: str):
         """Refuse mode ``jitter`` for ``what``, whose decisions never see a
@@ -255,34 +265,44 @@ def _require_myopic(profile, name: str):
         raise ValueError(f"{name} needs a MyopicExactProfile")
 
 
-def _seen(g, m, profile, view: HistoryView, horizon: int,
-          forced: bool = False):
-    """The worlds a belief about ``view`` sums over.  First ``view`` must be
-    a view of (g, m) -- an agent of g, an atom of m, and rows of 0/1
-    actions, one per member of the agent's closed neighbourhood -- and
-    ``profile`` must not break ties by jitter, or a ValueError names the
-    fault before any world is enumerated.  Then ``profile`` is replayed for
-    ``horizon`` >= view.t rounds, with one ``trace_batch`` call, in the
-    worlds where the agent holds the view's atom, and the worlds that show
-    it the observed rows are kept.  With ``forced``, the replay is the
-    myopic profile's ``forced_trace``, in which the agent plays its
-    observed actions whatever its atom.  Returns the kept worlds' masses
-    (w0, w1) under the two states and the (worlds, neighbours, horizon)
-    rows the agent sees in them."""
+def _worlds_of(g, m, profile, view: HistoryView):
+    """The worlds where the viewing agent holds its atom: their (worlds, n)
+    atoms and their masses (w0, w1) under the two states, of one
+    ``worlds(m, g.n)``.  First ``view`` must be a view of (g, m) -- an agent
+    of g, an atom of m, and rows of 0/1 actions, one per member of the
+    agent's closed neighbourhood -- and ``profile`` must not break ties by
+    jitter, or a ValueError names the fault before any world is
+    enumerated."""
     if not 0 <= view.agent < g.n:
         raise ValueError(f"view agent {view.agent} is not in 0..{g.n - 1}")
     if not 0 <= view.atom < m.k:
         raise ValueError(f"view atom {view.atom} is not in 0..{m.k - 1}")
-    nbrs = list(g.closed_nbrs(view.agent))
+    width = len(g.closed_nbrs(view.agent))
     for tau, row in enumerate(view.observed):
-        if len(row) != len(nbrs) or any(a not in (0, 1) for a in row):
+        if len(row) != width or any(a not in (0, 1) for a in row):
             raise ValueError(
-                f"observed row {tau} {row!r} is not {len(nbrs)} actions of "
+                f"observed row {tau} {row!r} is not {width} actions of "
                 f"0 or 1, one per closed neighbour of agent {view.agent}")
     profile.tie_breaker.reject_jitter("exact beliefs, which draw no jitters")
     atoms, w0, w1 = worlds(m, g.n)
     own = np.flatnonzero(atoms[view.agent] == view.atom)
-    rows = atoms[:, own].T
+    return atoms[:, own].T, w0[own], w1[own]
+
+
+def _seen(g, m, profile, view: HistoryView, horizon: int,
+          forced: bool = False, table=None):
+    """The worlds a belief about ``view`` sums over, of ``table``, the
+    view's ``_worlds_of`` (found here when None).  ``profile`` is replayed
+    in them for ``horizon`` >= view.t rounds, with one ``trace_batch``
+    call, and the worlds that show the agent the observed rows are kept.
+    With ``forced``, the replay is the myopic profile's ``forced_trace``,
+    in which the agent plays its observed actions whatever its atom.
+    Returns the kept worlds' masses (w0, w1) under the two states and the
+    (worlds, neighbours, horizon) rows the agent sees in them."""
+    if table is None:
+        table = _worlds_of(g, m, profile, view)
+    rows, w0, w1 = table
+    nbrs = list(g.closed_nbrs(view.agent))
     if forced:
         me = nbrs.index(view.agent)
         acts = profile.forced_trace(rows, horizon, view.agent,
@@ -292,8 +312,16 @@ def _seen(g, m, profile, view: HistoryView, horizon: int,
     seen = acts[:, nbrs]
     obs = np.array(view.observed, dtype=np.int64).reshape(view.t, len(nbrs))
     ok = (seen[:, :, :view.t] == obs.T).all(axis=(1, 2))
-    keep = own[ok]
-    return w0[keep], w1[keep], seen[ok]
+    return w0[ok], w1[ok], seen[ok]
+
+
+def _belief(w0, w1, t: int) -> BeliefState:
+    """The posterior at time ``t`` of the kept worlds' masses."""
+    s0, s1 = w0.sum(), w1.sum()
+    if s0 <= 0.0 or s1 <= 0.0:
+        raise InconsistentHistoryError(
+            "observed history has zero probability under this profile")
+    return BeliefState(float(s1 / (s0 + s1)), t, math.log(s1) - math.log(s0))
 
 
 def exact_posterior(g, m, profile, view: HistoryView) -> BeliefState:
@@ -302,12 +330,7 @@ def exact_posterior(g, m, profile, view: HistoryView) -> BeliefState:
     Requires a pure (deterministic) profile.  The uniform prior on the state
     cancels in the ratio."""
     w0, w1, _ = _seen(g, m, profile, view, view.t)
-    s0, s1 = w0.sum(), w1.sum()
-    if s0 <= 0.0 or s1 <= 0.0:
-        raise InconsistentHistoryError(
-            "observed history has zero probability under this profile")
-    return BeliefState(float(s1 / (s0 + s1)), view.t,
-                       math.log(s1) - math.log(s0))
+    return _belief(w0, w1, view.t)
 
 
 def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
@@ -319,13 +342,17 @@ def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
     Y comes from its own replay, the profile's ``forced_trace``, in which
     the viewing agent plays its observed actions whatever its atom: the log
     ratio of the two states' masses of the matching worlds, the agent's own
-    atom mass divided out."""
+    atom mass divided out.  Both replays read one enumeration of the
+    worlds."""
     _require_myopic(profile, "y_decomposition")
-    z = exact_posterior(g, m, profile, view).log_odds
+    table = _worlds_of(g, m, profile, view)
+    w0, w1, _ = _seen(g, m, profile, view, view.t, table=table)
+    z = _belief(w0, w1, view.t).log_odds
     z0 = m.atoms[view.atom].z
     if view.t == 0:
         return YDecomposition(0.0, z0, z)
-    w0, w1, _ = _seen(g, m, profile, view, view.t, forced=True)
+    w0, w1, _ = _seen(g, m, profile, view, view.t, forced=True,
+                      table=table)
     s0 = w0.sum() / m.atom_prob(view.atom, 0)
     s1 = w1.sum() / m.atom_prob(view.atom, 1)
     if s0 <= 0.0 or s1 <= 0.0:

@@ -26,8 +26,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import graphs, signals
 from .dynamics import SimConfig
@@ -45,8 +44,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved run description."""
 
     graph_family: str

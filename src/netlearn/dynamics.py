@@ -27,8 +27,7 @@ its chunks in replicate order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,27 +48,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    horizon: int = 30
-    replicates: int = 100
-    discount: float = 0.9
-    tail_window: int = 5
-    master_seed: int = 0
+    """The sizes and the master seed of an ensemble; ``_fields`` are in the
+    report's order.  Equal configs hash equal."""
 
-    def __post_init__(self):
-        if self.horizon < 1 or self.replicates < 1:
+    __slots__ = _fields = ("horizon", "replicates", "discount", "tail_window",
+                           "master_seed")
+
+    def __init__(self, horizon: int = 30, replicates: int = 100,
+                 discount: float = 0.9, tail_window: int = 5,
+                 master_seed: int = 0):
+        if horizon < 1 or replicates < 1:
             raise ValueError("horizon and replicates must be >= 1")
-        if not (0.0 < self.discount < 1.0):
+        if not (0.0 < discount < 1.0):
             raise ValueError("discount must lie in (0, 1)")
-        if not (1 <= self.tail_window <= self.horizon):
+        if not (1 <= tail_window <= horizon):
             raise ValueError("tail_window must lie in [1, horizon]")
-        if self.master_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
+        if master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {master_seed}")
+        self.horizon = horizon
+        self.replicates = replicates
+        self.discount = discount
+        self.tail_window = tail_window
+        self.master_seed = master_seed
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is SimConfig and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     state: int
     atoms: np.ndarray
     jitters: np.ndarray
@@ -147,21 +160,14 @@ def discounted_utility(trace: Trace, agent: int, discount: float):
     return float(weights @ correct), float(discount ** T)
 
 
-@dataclass
 class EnsembleTally:
     """Mergeable sufficient statistics for an ensemble; addition over
     disjoint replicate sets is exact."""
 
-    n_agents: int
-    replicates: int = 0
-    all_learn: int = 0
-    agree: int = 0
-    agent_learn: np.ndarray = None
-    tie_events: int = 0
-
-    def __post_init__(self):
-        if self.agent_learn is None:
-            self.agent_learn = np.zeros(self.n_agents, dtype=np.int64)
+    def __init__(self, n_agents: int):
+        self.n_agents = n_agents
+        self.replicates = self.all_learn = self.agree = self.tie_events = 0
+        self.agent_learn = np.zeros(n_agents, dtype=np.int64)
 
     def add_batch(self, states, actions, ties: int, window: int):
         """Tally a block of replicates: their states (R,), their actions
@@ -198,8 +204,7 @@ class EnsembleTally:
         return self
 
 
-@dataclass(frozen=True)
-class EnsembleReport:
+class EnsembleReport(NamedTuple):
     config: SimConfig
     n_agents: int
     replicates: int
@@ -214,9 +219,9 @@ class EnsembleReport:
 
     def to_dict(self):
         """The fields, ``config`` as a dict too; nothing is copied."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["config"] = {f.name: getattr(self.config, f.name)
-                       for f in fields(self.config)}
+        d = self._asdict()
+        d["config"] = {f: getattr(self.config, f)
+                       for f in self.config._fields}
         return d
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
     """Simple directed graph on vertices 0..n-1.
 
@@ -43,26 +41,30 @@ class DirectedGraph:
     from a built-in family; it does not participate in equality.
     """
 
-    n: int
-    edges: frozenset
-    family: Optional[tuple] = field(default=None, compare=False)
+    __slots__ = ("n", "edges", "family", "_out", "_closed")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset,
+                 family: Optional[tuple] = None):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        out = [[] for _ in range(self.n)]
-        for (i, j) in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
+        out = [[] for _ in range(n)]
+        for (i, j) in edges:
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range")
             if i == j:
                 raise ValueError(f"self-loop at {i} not allowed")
             out[i].append(j)
-        object.__setattr__(self, "_out", tuple(tuple(sorted(o)) for o in out))
-        object.__setattr__(
-            self,
-            "_closed",
-            tuple(tuple(sorted(set(o) | {i})) for i, o in enumerate(out)),
-        )
+        self.n, self.edges, self.family = n, edges, family
+        self._out = tuple(tuple(sorted(o)) for o in out)
+        self._closed = tuple(tuple(sorted(set(o) | {i}))
+                             for i, o in enumerate(out))
+
+    def __eq__(self, other):
+        return (type(other) is DirectedGraph and self.n == other.n
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     def out_neighbors(self, i):
         return self._out[i]
@@ -272,23 +274,31 @@ def out_degree_bound(g: DirectedGraph) -> int:
     return max(len(g.closed_nbrs(i)) for i in range(g.n))
 
 
-@dataclass(frozen=True)
 class RootedBall:
     """Rooted subgraph induced by the vertices at directed distance <= radius
     from the root.  Vertex labels are those of the parent graph; ``distances``
-    are those from the root found by the search that found the ball."""
+    are those from the root found by the search that found the ball, and do
+    not participate in equality."""
 
-    root: int
-    radius: int
-    vertices: frozenset
-    edges: frozenset
-    distances: dict = field(compare=False, repr=False)
+    __slots__ = ("root", "radius", "vertices", "edges", "distances")
 
-    def __post_init__(self):
-        if self.root not in self.vertices:
+    def __init__(self, root: int, radius: int, vertices: frozenset,
+                 edges: frozenset, distances: dict):
+        if root not in vertices:
             raise ValueError("root must belong to the ball")
-        if self.distances.keys() != self.vertices:
+        if distances.keys() != vertices:
             raise ValueError("a ball needs the distance of every vertex")
+        self.root, self.radius, self.vertices = root, radius, vertices
+        self.edges, self.distances = edges, distances
+
+    def _key(self):
+        return self.root, self.radius, self.vertices, self.edges
+
+    def __eq__(self, other):
+        return type(other) is RootedBall and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self):

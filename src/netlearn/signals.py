@@ -4,8 +4,7 @@ ties belongs to ``beliefs.TieBreaker``."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,34 +32,33 @@ def logistic(z: float) -> float:
     return e / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     z: float    # log-likelihood ratio ln(p1/p0)
     p0: float
     p1: float
 
 
-@dataclass(frozen=True)
 class SignalModel:
     """Pair of mutually absolutely continuous measures on a finite set of
     log-likelihood atoms.
 
     Invariants enforced at construction: both rows sum to one, every atom has
     positive mass under both states, z matches ln(p1/p0) to 1e-12, z values
-    are distinct, and the two measures differ (d_TV > 0).
+    are distinct, and the two measures differ (d_TV > 0).  Models of equal
+    atoms are equal.
     """
 
-    atoms: Tuple[Atom, ...]
+    __slots__ = ("atoms", "_p0", "_p1", "_z", "_cum")
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple):
+        if not atoms:
             raise ValueError("need at least one atom")
-        s0 = sum(a.p0 for a in self.atoms)
-        s1 = sum(a.p1 for a in self.atoms)
+        s0 = sum(a.p0 for a in atoms)
+        s1 = sum(a.p1 for a in atoms)
         if abs(s0 - 1.0) > ATOL or abs(s1 - 1.0) > ATOL:
             raise ValueError(f"atom masses must sum to 1 (got {s0}, {s1})")
         zs = set()
-        for a in self.atoms:
+        for a in atoms:
             if a.p0 <= 0 or a.p1 <= 0:
                 raise ValueError(
                     "mutual absolute continuity requires positive mass "
@@ -70,13 +68,19 @@ class SignalModel:
             if a.z in zs:
                 raise ValueError("atoms must carry distinct z values")
             zs.add(a.z)
+        self.atoms = atoms
         if total_variation(self) <= 0:
             raise ValueError("measures must differ (d_TV > 0)")
-        object.__setattr__(self, "_p0", np.array([a.p0 for a in self.atoms]))
-        object.__setattr__(self, "_p1", np.array([a.p1 for a in self.atoms]))
-        object.__setattr__(self, "_z", np.array([a.z for a in self.atoms]))
-        object.__setattr__(self, "_cum", np.cumsum([self._p0, self._p1],
-                                                   axis=1))
+        self._p0 = np.array([a.p0 for a in atoms])
+        self._p1 = np.array([a.p1 for a in atoms])
+        self._z = np.array([a.z for a in atoms])
+        self._cum = np.cumsum([self._p0, self._p1], axis=1)
+
+    def __eq__(self, other):
+        return type(other) is SignalModel and self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(self.atoms)
 
     @property
     def k(self):

@@ -7,7 +7,6 @@ and majority-style aggregation with an exponential error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,27 +41,24 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
     return lo, hi
 
 
-@dataclass(frozen=True)
 class EstimatorSample:
     """N joint observations of k binary estimators plus the true state.
 
     ``X`` has shape (N, k) with entries in {0, 1}; ``S`` has shape (N,).
     """
 
-    X: np.ndarray
-    S: np.ndarray
+    __slots__ = ("X", "S")
 
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.uint8)
-        S = np.asarray(self.S, dtype=np.uint8)
+    def __init__(self, X, S):
+        X = np.asarray(X, dtype=np.uint8)
+        S = np.asarray(S, dtype=np.uint8)
         if X.ndim != 2 or S.ndim != 1 or X.shape[0] != S.shape[0]:
             raise ValueError("X must be (N, k) and S must be (N,)")
         if X.shape[0] < 1:
             raise ValueError("need at least one observation")
         if not (np.isin(X, (0, 1)).all() and np.isin(S, (0, 1)).all()):
             raise ValueError("entries must be 0/1")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "S", S)
+        self.X, self.S = X, S
 
     @property
     def n_obs(self):

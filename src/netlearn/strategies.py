@@ -7,8 +7,7 @@ mad-king profile takes its roles from ``mad_king_roles_of``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -375,8 +374,7 @@ class RoyalFamilyProfile(_ScriptedProfile):
         return int(self.tie_breaker.decide(val, tie_log)[0])
 
 
-@dataclass(frozen=True)
-class MadKingRoles:
+class MadKingRoles(NamedTuple):
     king: int
     regent: int
     court: Tuple[int, ...]

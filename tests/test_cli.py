@@ -568,10 +568,11 @@ def test_simulate_mad_king_runs_at_a_large_delta(tmp_path, monkeypatch):
     for csv in (False, True)])
 def test_simulate_does_not_import_networkx(tmp_path, name, csv):
     """A one-worker simulate loads only what it runs: networkx (about as
-    slow to import as numpy), the pool stack and the invariant suites
-    never, the CSV writer only for a trace CSV."""
+    slow to import as numpy), the pool stack, the invariant suites and
+    dataclasses (whose classes compile their methods at import) never, the
+    CSV writer only for a trace CSV."""
     lazy = ("multiprocessing", "concurrent.futures", "netlearn.invariants",
-            "csv", "networkx")
+            "csv", "networkx", "dataclasses")
     script = ("import sys\nfrom netlearn import cli\n"
               "rc = cli.main(['simulate', '--config', sys.argv[1], '--out', "
               "sys.argv[2], '--format', 'summary'] + sys.argv[3:])\n"
