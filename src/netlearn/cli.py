@@ -14,10 +14,10 @@ roles come from ``graphs.role_names``, do not depend on it.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, a negative seed, an output path that is a directory, an input file,
-in a missing directory or not writable, a report and a trace CSV that are
-one file, or a run the exact engine's budget cannot hold), found before any
-replicate runs;
+below 1, a seed that is negative or 2**64 or more, an output path that is
+a directory, an input file, in a missing directory or not writable, a
+report and a trace CSV that are one file, or a run the exact engine's
+budget cannot hold), found before any replicate runs;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations

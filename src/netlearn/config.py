@@ -11,7 +11,7 @@ Sections/keys:
                                    the agent's U[0, 1) jitter is below 1/2)
             delta = 1.0           (mad_king; > 0)
             lam = 0.99            (mad_king; 0 < lam < 1)
-  [sim]     horizon, replicates, discount, tail_window, seed (>= 0)
+  [sim]     horizon, replicates, discount, tail_window, seed (0 <= seed < 2**64)
   [output]  trace_csv = path, report_json = path
 
 Three keys are dead: ``delta`` and ``lam`` are range-checked here and read

@@ -13,16 +13,22 @@ round), sizes a block, with at least one replicate; a run that keeps its
 actions (for the trace CSV) keeps each block's, as one (replicates, n,
 horizon) uint8 array in replicate order.
 
-Determinism (seeding contract 2, ``EnsembleReport.seeding``): replicates
-come in streams of ``STREAM_ROWS``; stream b of master seed s is
-``np.random.default_rng([s, b])`` and serves replicates b * STREAM_ROWS to
-(b + 1) * STREAM_ROWS - 1.  It draws the states of all its rows with one
-``integers(0, 2, size=STREAM_ROWS)``, then, row by row, the row's n atom
-uniforms and, under tie mode ``jitter`` only, its n jitters.  A range that
-starts mid-stream skips the rows before it with ``advance``, so replicate
-r's draw depends only on (s, r): results are independent of the replicate
-count, the worker count and the block size, and ``run_ensemble`` merges
-its chunks in replicate order.
+Determinism (seeding contract 3, ``EnsembleReport.seeding``): the draws
+are counter-based.  Replicate r of master seed s takes uniform j from
+SplitMix64's mixer (Steele, Lea & Flood, OOPSLA 2014) at the counter
+r * 2^32 + j, offset by a key of s, in wrapping uint64 arithmetic:
+
+    u(s, r, j) = (mix64(key(s) + (r * 2^32 + j) * GAMMA) >> 11) * 2^-53,
+    key(s) = mix64(s + GAMMA),
+
+so that u is a multiple of 2^-53 in [0, 1).  Slot 0 gives the state (1
+when u < 1/2), slots 1 to n the atoms and, under tie mode ``jitter`` only,
+slots n + 1 to 2n the jitters.  A draw depends only on (s, r, j), as in the
+counter-based generators of Salmon et al. (SC 2011): results are
+independent of the replicate count, the worker count and the block size,
+a replicate's atoms do not depend on the tie mode, and ``run_ensemble``
+merges its chunks in replicate order.  Seeds are uint64s; replicate indices
+below 2^32 get distinct counters.
 """
 from __future__ import annotations
 
@@ -66,6 +72,8 @@ class SimConfig:
             raise ValueError("tail_window must lie in [1, horizon]")
         if master_seed < 0:
             raise ValueError(f"seed must be >= 0, got {master_seed}")
+        if master_seed >= 2 ** 64:
+            raise ValueError(f"seed must be < 2**64, got {master_seed}")
         self.horizon = horizon
         self.replicates = replicates
         self.discount = discount
@@ -91,52 +99,56 @@ class Trace(NamedTuple):
     replicate_index: int
 
 
-# replicates per random stream; part of the seeding contract, not a setting
-STREAM_ROWS = 256
 # version of the contract by which a replicate's draw follows from its seed
-SEEDING = 2
+SEEDING = 3
+# SplitMix64's increment (the golden gamma) and its mixer's multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def replicate_rng(master_seed: int, stream: int):
-    """Stream ``stream`` of master seed s, ``default_rng([s, stream])``: it
-    serves replicates stream * STREAM_ROWS to (stream + 1) * STREAM_ROWS - 1
-    (see the module docstring)."""
-    return np.random.default_rng([master_seed, stream])
+def _mix64(z):
+    """SplitMix64's mixer, in place on the uint64 array ``z``; arrays, not
+    numpy scalars, so that wrapping raises no overflow warning."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def replicate_rng(master_seed: int, lo: int, hi: int, slots: int):
+    """The (hi - lo, slots) uniforms u(s, r, j) of replicates lo to hi - 1
+    of master seed s, slots 0 to slots - 1 (see the module docstring)."""
+    key = _mix64(np.array([master_seed], dtype=np.uint64) + _GAMMA)
+    rows = np.arange(lo, hi, dtype=np.uint64) << 32
+    rows *= _GAMMA
+    rows += key
+    z = _mix64(np.add.outer(rows, np.arange(slots, dtype=np.uint64) * _GAMMA))
+    z >>= 11
+    return z * 2.0 ** -53
 
 
 def _draws(g, m, profile, config: SimConfig, indices, rows: int):
     """Yield the states (k,), atoms (k, n) and jitters (k, n) of the
     consecutive replicates ``indices``, a range, ``rows`` replicates at a
-    time.  Each stream is opened once; the first one skips the rows before
-    ``indices`` with ``advance``.  One ``random`` call per stream and block
-    draws every row's uniforms, and one inverse-CDF call maps them to
-    atoms."""
+    time: one ``replicate_rng`` call per block, then one inverse-CDF call
+    maps its atom slots to atoms."""
     breaker = profile.tie_breaker
-    width = breaker.row_width(g.n)
-    stream = None
+    slots = 1 + breaker.row_width(g.n)
     for lo in range(indices.start, indices.stop, rows):
-        hi = min(lo + rows, indices.stop)
-        states = np.empty(hi - lo, dtype=np.int64)
-        u = np.empty((hi - lo, width))
-        r = lo
-        while r < hi:
-            b, row = divmod(r, STREAM_ROWS)
-            if b != stream:
-                stream, rng = b, replicate_rng(config.master_seed, b)
-                stream_states = rng.integers(0, 2, size=STREAM_ROWS)
-                rng.bit_generator.advance(row * width)
-            end = min(hi, (b + 1) * STREAM_ROWS)
-            states[r - lo:end - lo] = stream_states[row:row + end - r]
-            rng.random(out=u[r - lo:end - lo])
-            r = end
-        yield (states, m.atoms_of(u[:, :g.n], states),
-               breaker.jitters_of(u, g.n))
+        u = replicate_rng(config.master_seed, lo,
+                          min(lo + rows, indices.stop), slots)
+        states = (u[:, 0] < 0.5).astype(np.int64)
+        yield (states, m.atoms_of(u[:, 1:g.n + 1], states),
+               breaker.jitters_of(u[:, 1:], g.n))
 
 
 def run_trace(g, m, profile, config: SimConfig,
               replicate_index: int) -> Trace:
-    """Simulate one replicate, as the ensemble loop does: it opens the
-    replicate's stream and skips to its row, so it costs O(n) draws."""
+    """Simulate one replicate, as the ensemble loop does, from its own
+    slots alone: O(n) draws."""
     states, atoms, jitters = next(_draws(
         g, m, profile, config,
         range(replicate_index, replicate_index + 1), 1))

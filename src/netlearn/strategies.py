@@ -160,7 +160,9 @@ class MyopicExactProfile(Profile):
         whatever its atom.  Each round every agent plays its class's action,
         then moves its class by ``searchsorted`` in the split keys, as
         ``action`` walks a history; a key that no world produces is
-        off-path, and plays 0 from then on.  Ties are not counted."""
+        off-path, and plays 0 from then on.  Ties are not counted.  The
+        result is a transposed view of the (horizon, n, R) table, so that a
+        caller's gather of a few agents makes the only copy."""
         self._extend(horizon)
         cls = np.asarray(atoms, dtype=np.int64).reshape(-1, self.g.n).T.copy()
         live = np.ones(cls.shape, dtype=bool)
@@ -176,7 +178,7 @@ class MyopicExactProfile(Profile):
                 out[t, i] = act[cls[i]] & live[i]
             if t < len(forced):
                 out[t, agent] = forced[t]
-        return np.ascontiguousarray(out.transpose(2, 1, 0))
+        return out.transpose(2, 1, 0)
 
 
 class GossipProfile(Profile):

@@ -135,6 +135,14 @@ def test_simulate_seed_override_and_out(tmp_path):
     assert data["config"]["master_seed"] == 99
 
 
+def test_simulate_runs_at_the_largest_seed(tmp_path):
+    """2^64 - 1, the largest uint64, is a seed like any other."""
+    code, out = run_cli(["simulate", "--config", str(write_cfg(tmp_path)),
+                         "--seed", str(2 ** 64 - 1)])
+    assert code == 0
+    assert json.loads(out)["config"]["master_seed"] == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("via", ["--out", "report_json"])
 def test_simulate_summary_line_when_the_report_goes_to_a_file(tmp_path, via):
     """With the report in a file, from --out or [output] report_json,
@@ -474,6 +482,12 @@ TIED_SIGNAL = "\n[signal]\nq = 0.5000000000001\n"
 @pytest.mark.parametrize("text, args, named", [
     (PREFLIGHT_BASE + "seed = -5\n", [], "seed must be >= 0, got -5"),
     (PREFLIGHT_BASE, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    (PREFLIGHT_BASE + "seed = 18446744073709551616\n", [],
+     "seed must be < 2**64, got 18446744073709551616"),
+    (PREFLIGHT_BASE, ["--seed", "18446744073709551616"],
+     "seed must be < 2**64, got 18446744073709551616"),
+    (PREFLIGHT_BASE, ["--seed", str(2 ** 70)],
+     f"seed must be < 2**64, got {2 ** 70}"),
     (PREFLIGHT_BASE.replace("cycle(8)\n", "cycle(8)\nfile = {edges}\n"), [],
      "graph.file"),
     (PREFLIGHT_BASE, ["--out", "{missing}"], "{missing}"),
@@ -521,7 +535,8 @@ TIED_SIGNAL = "\n[signal]\nq = 0.5000000000001\n"
 ])
 def test_simulate_preflight_exits_2_before_any_replicate(
         tmp_path, capsys, monkeypatch, text, args, named):
-    """A negative seed, a graph given both as a family and as a file, an
+    """A negative seed or one of 2^64 or more (the draws key on a uint64),
+    a graph given both as a family and as a file, an
     output path in a missing directory, that is a directory, that cannot be
     opened for writing or that is the config or the graph file, a report
     and a trace CSV that are one file,
@@ -570,9 +585,11 @@ def test_simulate_does_not_import_networkx(tmp_path, name, csv):
     """A one-worker simulate loads only what it runs: networkx (about as
     slow to import as numpy), the pool stack, the invariant suites and
     dataclasses (whose classes compile their methods at import) never, the
-    CSV writer only for a trace CSV."""
+    CSV writer only for a trace CSV; numpy.random and OpenSSL's _hashlib
+    (which numpy.random pulls in) never, since the draws are counter-based
+    uint64 arithmetic."""
     lazy = ("multiprocessing", "concurrent.futures", "netlearn.invariants",
-            "csv", "networkx", "dataclasses")
+            "csv", "networkx", "dataclasses", "numpy.random", "_hashlib")
     script = ("import sys\nfrom netlearn import cli\n"
               "rc = cli.main(['simulate', '--config', sys.argv[1], '--out', "
               "sys.argv[2], '--format', 'summary'] + sys.argv[3:])\n"

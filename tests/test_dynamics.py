@@ -1,5 +1,7 @@
 import csv
 import functools
+import itertools
+import os
 import pickle
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netlearn import beliefs, dynamics, graphs, signals, strategies
+from netlearn import beliefs, config, dynamics, graphs, signals, strategies
 from netlearn.beliefs import TieBreaker
 from netlearn.dynamics import SimConfig
 
@@ -43,24 +45,22 @@ def test_run_trace_shapes_and_determinism():
 
 
 def test_run_trace_draws_jitters_only_for_jitter_ties():
-    """Stream b serves replicates b * STREAM_ROWS on.  It draws the states
-    of all its rows, then row by row the row's atom uniforms, followed under
-    tie mode jitter by its jitters; under the other modes the jitters are
-    zeros and take no draws, so row k's atoms follow k rows of n draws."""
+    """Replicate r's state is slot 0 of its replicate_rng row, its atoms
+    map slots 1 .. n, and under tie mode jitter its jitters are slots
+    n + 1 .. 2n; under the other modes they are zeros and take no slots, so
+    its atoms are the same under all three modes."""
     g, m, _ = small_setup()
     cfg = SimConfig(horizon=6, replicates=1, master_seed=9)
-    rows = dynamics.STREAM_ROWS
-    for b, row in ((0, 0), (0, 4), (1, 3), (2, rows - 1)):
-        for mode, width in (("zero", g.n), ("one", g.n),
-                            ("jitter", 2 * g.n)):
-            tr = dynamics.run_trace(g, m, strategies.GossipProfile(
-                TieBreaker(mode)), cfg, b * rows + row)
-            rng = dynamics.replicate_rng(9, b)
-            states = rng.integers(0, 2, size=rows)
-            u = rng.random((row + 1, width))[row]
-            assert tr.state == states[row]
-            assert np.array_equal(tr.atoms, m.atoms_of(u[:g.n], tr.state))
-            want = u[g.n:] if mode == "jitter" else np.zeros(g.n)
+    for r in (0, 4, 259, 2 ** 32 - 1):
+        u = dynamics.replicate_rng(9, r, r + 1, 2 * g.n + 1)[0]
+        traces = [dynamics.run_trace(g, m, strategies.GossipProfile(
+            TieBreaker(mode)), cfg, r) for mode in ("zero", "one", "jitter")]
+        for tr in traces:
+            assert tr.state == int(u[0] < 0.5)
+            assert np.array_equal(tr.atoms,
+                                  m.atoms_of(u[1:g.n + 1], tr.state))
+        for tr, want in zip(traces, (np.zeros(g.n), np.zeros(g.n),
+                                     u[g.n + 1:])):
             assert np.array_equal(tr.jitters, want)
 
 
@@ -114,14 +114,103 @@ def test_run_ensemble_builds_the_gossip_rings_before_the_pool(fake_pool,
 
 
 def test_replicate_rng_is_batch_independent():
-    """A stream depends only on (master seed, stream index), and a
-    replicate's row within it only on the replicate index, so any partition
-    of replicates over workers and blocks gives identical results."""
-    a = dynamics.replicate_rng(7, 5).random(4)
-    b = dynamics.replicate_rng(7, 5).random(4)
-    c = dynamics.replicate_rng(7, 6).random(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    """A draw depends only on (master seed, replicate, slot): a range of
+    replicates, or of slots, is the concatenation of its sub-ranges, so any
+    partition of replicates over workers and blocks gives identical
+    results; another seed draws other uniforms."""
+    whole = dynamics.replicate_rng(7, 250, 530, 9)
+    assert whole.shape == (280, 9) and whole.dtype == np.float64
+    parts = [dynamics.replicate_rng(7, lo, hi, 9)
+             for lo, hi in ((250, 251), (251, 256), (256, 512), (512, 530))]
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert np.array_equal(whole[:, :4], dynamics.replicate_rng(7, 250, 530, 4))
+    assert dynamics.replicate_rng(7, 3, 3, 9).shape == (0, 9)
+    other = dynamics.replicate_rng(8, 250, 530, 9)
+    assert not np.isin(other, whole).any()
+
+
+def _splitmix_uniform(seed, r, j):
+    """u(s, r, j) of the dynamics docstring in Python ints, the oracle of
+    the uint64 array code."""
+    def mix64(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        return z ^ (z >> 31)
+    gamma = 0x9E3779B97F4A7C15
+    key = mix64((seed + gamma) % 2 ** 64)
+    return (mix64((key + (r * 2 ** 32 + j) * gamma) % 2 ** 64) >> 11) \
+        * 2.0 ** -53
+
+
+def test_replicate_rng_known_answers():
+    """The first uniforms of (seed 0, replicate 0) and of (seed 2^64 - 1,
+    replicate 10^9), in units of 2^-53: the contract's output, pinned, and
+    the Python-int oracle's."""
+    cases = {
+        (0, 0): (0x9043044DFE79A, 0x14E0DBA5E9A32F, 0x16705460BE8829,
+                 0xC63522A9F757E),
+        (2 ** 64 - 1, 10 ** 9): (0x1D11F66093A8B4, 0x1D997F989944EB,
+                                 0x1D2DAB42D73A1C, 0x14FEBA98234454),
+    }
+    for (seed, r), want in cases.items():
+        u = dynamics.replicate_rng(seed, r, r + 1, 4)[0]
+        assert [int(x * 2.0 ** 53) for x in u] == list(want)
+        assert u.tolist() == [_splitmix_uniform(seed, r, j)
+                              for j in range(4)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 64 - 1])
+def test_replicate_rng_is_uniform_and_uncorrelated(seed):
+    """2^20 uniforms (4096 replicates x 256 slots) fill 256 equal bins with
+    a chi-square within 4 SD of its mean 255, and their lag-1 correlations
+    across slots, across replicates and against the next seed's lie within
+    4 SE of 0."""
+    u = dynamics.replicate_rng(seed, 0, 4096, 256)
+    counts = np.bincount((u * 256).astype(np.intp).ravel(), minlength=256)
+    chi2 = ((counts - 4096.0) ** 2).sum() / 4096.0
+    assert abs(chi2 - 255) <= 4 * np.sqrt(2 * 255), chi2
+    nxt = dynamics.replicate_rng((seed + 1) % 2 ** 64, 0, 4096, 256)
+    for a, b in ((u[:, :-1], u[:, 1:]), (u[:-1], u[1:]), (u, nxt)):
+        rho = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+        assert abs(rho) <= 4 / np.sqrt(a.size), rho
+
+
+def _exact_learning(g, m, prof, horizon, window):
+    """P(every agent's tail set is {state}) over all k^n worlds, each
+    played once by trace_batch and weighted by its mass under each state."""
+    worlds = np.array(list(itertools.product(range(m.k), repeat=g.n)))
+    tail = prof.trace_batch(g, m, worlds, np.zeros(worlds.shape),
+                            horizon)[:, :, -window:]
+    p = 0.0
+    for s in (0, 1):
+        probs = np.array([a.p1 if s else a.p0 for a in m.atoms])
+        p += 0.5 * probs[worlds].prod(axis=1)[(tail == s).all(axis=(1, 2))] \
+            .sum()
+    return p
+
+
+def test_wilson_intervals_cover_the_exact_learning_probability():
+    """The royal-family recipe's exact learning probability, summed over
+    its 2^13 worlds, is 0.802988; the Wilson 95% intervals of 400 seeds x
+    1000 replicates cover it in 367 to 393 runs, 95% within 3 binomial SE.
+    A seeding fault (overlapping or correlated replicates) or a tally fault
+    that no per-replicate test sees moves the count out of that band."""
+    rc = config.load_config(os.path.join(os.path.dirname(__file__), "..",
+                                         "scripts", "royal_family.cfg"))
+    g = rc.build_graph()
+    m = rc.build_signal_model()
+    prof = rc.build_profile(g, m)
+    sim = rc.sim
+    p = _exact_learning(g, m, prof, sim.horizon, sim.tail_window)
+    assert p == pytest.approx(0.802988, abs=5e-7)
+    covered = 0
+    for seed in range(400):
+        report, _ = dynamics.run_ensemble(g, m, prof, SimConfig(
+            sim.horizon, 1000, sim.discount, sim.tail_window, seed))
+        lo, hi = report.learning_ci
+        covered += lo <= p <= hi
+    se = np.sqrt(400 * 0.95 * 0.05)
+    assert abs(covered - 380) <= 3 * se, covered
 
 
 def test_discounted_utility_bounds():
@@ -290,14 +379,13 @@ def _ensemble_cases():
 @pytest.mark.parametrize("name, replicates", [
     pytest.param(name, 23, id=name)
     for name in ("gossip", "royal", "mad_king", "myopic")] + [
-    pytest.param("gossip", 2 * dynamics.STREAM_ROWS + 37,
-                 id="gossip_3_streams")])
+    pytest.param("gossip", 549, id="gossip_549")])
 def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
                                                      name, replicates, block,
                                                      workers, keep):
     """The block loop reports what one run_trace and one add_trace per
     replicate report, ties included, for blocks of any size and any
-    worker count, within one stream and across three; kept actions are
+    worker count, over 23 replicates and over 549; kept actions are
     run_trace's."""
     g, m, prof = _ensemble_cases()[name]
     cfg = SimConfig(horizon=5, replicates=replicates, tail_window=2,
@@ -371,18 +459,18 @@ def _recorded_ensemble(g, m, prof, cfg, workers):
 
 
 @functools.lru_cache(maxsize=None)
-def _stream_traces(mode, seed):
-    """run_trace of replicates 0 .. 3 * STREAM_ROWS + 16, four streams."""
+def _replicate_traces(mode, seed):
+    """run_trace of replicates 0 .. 784."""
     g, m = graphs.dicycle(4), signals.symmetric_binary(0.7)
     prof = strategies.GossipProfile(TieBreaker(mode))
     cfg = SimConfig(horizon=4, replicates=1, tail_window=2, master_seed=seed)
     return [dynamics.run_trace(g, m, prof, cfg, r)
-            for r in range(3 * dynamics.STREAM_ROWS + 17)]
+            for r in range(785)]
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.integers(1, 3 * dynamics.STREAM_ROWS + 17), st.integers(1, 3),
+@given(st.integers(1, 785), st.integers(1, 3),
        st.sampled_from([1, 3, None]),
        st.sampled_from(["zero", "one", "jitter"]), st.integers(0, 3),
        st.data())
@@ -390,11 +478,11 @@ def test_block_streams_give_each_replicate_its_own_draw(
         fake_pool, replicates, workers, block, mode, seed, data):
     """Every row of an ensemble -- kept actions, state, and the ties of
     each block -- is run_trace's, however chunks and blocks of 1 row, 3
-    rows or the default cut the streams, and the first R' < R replicates
+    rows or the default cut the replicates, and the first R' < R replicates
     of an R'-replicate run are the R-replicate run's."""
     g, m = graphs.dicycle(4), signals.symmetric_binary(0.7)
     prof = strategies.GossipProfile(TieBreaker(mode))
-    want = _stream_traces(mode, seed)[:replicates]
+    want = _replicate_traces(mode, seed)[:replicates]
     fewer = data.draw(st.integers(1, max(1, replicates - 1)), label="fewer")
     workers2 = data.draw(st.integers(1, 3), label="workers for fewer")
     with pytest.MonkeyPatch.context() as mp:
@@ -473,7 +561,7 @@ def test_report_json_roundtrip():
     d = report.to_dict()
     assert d["config"]["master_seed"] == 0
     assert d["graph_family"] == "cycle"
-    assert d["seeding"] == 2  # block streams of STREAM_ROWS replicates
+    assert d["seeding"] == 3  # counter-based draws
     import json
     assert json.loads(json.dumps(report.to_dict()))["replicates"] == 5
 
