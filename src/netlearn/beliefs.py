@@ -2,10 +2,9 @@
 strategy profile.
 
 Every exact computation runs on one enumeration of the possible worlds: all
-k^n joint atom assignments, with their masses under each state (``worlds``;
-``DEFAULT_BUDGET`` bounds the world-agent cells k^n * n at 10^7, which
-admits n <= 19 at k = 2), made once per belief call, ``y_decomposition``'s
-two replays included.  One function, ``_seen``, decides which worlds a
+k^n joint atom assignments, with their masses under each state
+(``strategies.worlds``, within ``strategies.DEFAULT_BUDGET``), made once
+per belief call, ``y_decomposition``'s two replays included.  One function, ``_seen``, decides which worlds a
 belief sums over: it replays the profile in every world where the viewing
 agent holds its atom, with one call of the profile's ``trace_batch`` (or,
 for ``y_decomposition``, of the myopic profile's ``forced_trace``, with the
@@ -22,21 +21,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-DEFAULT_BUDGET = 10_000_000
-TIE_TOL = 1e-12
-# cells -- (row, agent, round), or (row, ring entry) -- that the temporaries
-# of one block of replicate rows may hold; a block has at least one row
-BLOCK_CELLS = 2 ** 16
+from . import strategies
+# re-exported: the decision core's names that readers of beliefs use
+from .strategies import TIE_TOL, TieBreaker, TieLog  # noqa: F401
 
 __all__ = [
-    "BudgetExceededError",
     "InconsistentHistoryError",
     "HistoryView",
     "BeliefState",
-    "Profile",
     "YDecomposition",
-    "TieBreaker",
-    "TieLog",
     "best_response",
     "exact_posterior",
     "y_decomposition",
@@ -45,13 +38,8 @@ __all__ = [
     "simulate_actions",
     "history_of",
     "view_from_actions",
-    "worlds",
+    "myopic_condition_check",
 ]
-
-
-class BudgetExceededError(RuntimeError):
-    """Over the budget: a joint atom space too large for exact enumeration
-    (fewer agents or atoms fit), or gossip rings with too many entries."""
 
 
 class InconsistentHistoryError(ValueError):
@@ -95,79 +83,6 @@ class YDecomposition(NamedTuple):
     z: float
 
 
-class TieLog:
-    """Mutable tie-event counter threaded through trace generation."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, k=1):
-        self.count += k
-
-
-class TieBreaker:
-    """The decision rule every profile plays by.  A margin -- a
-    log-likelihood ratio, or a posterior minus 1/2 -- above TIE_TOL plays 1,
-    below -TIE_TOL plays 0, and within TIE_TOL of 0 is a tie, counted and
-    broken by the mode: 0, 1, or under ``jitter`` 1 exactly when the
-    agent's jitter, a U[0, 1) draw that carries no information, lies below
-    1/2.  The breaker is the only code that knows what a jitter is, how many
-    draws it takes from a replicate row (``row_width``, ``jitters_of``)
-    and how it breaks a tie.  Breakers of one mode are equal."""
-
-    __slots__ = ("mode",)
-
-    def __init__(self, mode: str = "zero"):
-        if mode not in ("zero", "one", "jitter"):
-            raise ValueError(f"unknown tie-breaker mode {mode!r}")
-        self.mode = mode
-
-    def __eq__(self, other):
-        return type(other) is TieBreaker and self.mode == other.mode
-
-    def __hash__(self):
-        return hash(self.mode)
-
-    def reject_jitter(self, what: str):
-        """Refuse mode ``jitter`` for ``what``, whose decisions never see a
-        jitter draw and so cannot honour it."""
-        if self.mode == "jitter":
-            raise ValueError(
-                f"jitter tie-breaking is not supported by {what}; use mode "
-                "'zero' or 'one'")
-
-    def row_width(self, n: int) -> int:
-        """U[0, 1) draws per replicate row of n agents: n for the atoms,
-        then, under mode ``jitter`` only, one jitter per agent."""
-        return 2 * n if self.mode == "jitter" else n
-
-    def jitters_of(self, draws, n: int):
-        """The (rows, n) jitters of rows of ``row_width(n)`` draws: the
-        draws after the atoms' under mode ``jitter``; otherwise zeros."""
-        if self.mode == "jitter":
-            return draws[:, n:]
-        return np.zeros((len(draws), n))
-
-    def decide(self, margin, tie_log: Optional[TieLog] = None, jitters=0.0):
-        """(uint8 actions, tie mask), both shaped like ``margin``, a float
-        or an array; ``jitters`` broadcasts against it.  Ties are counted in
-        ``tie_log``."""
-        margin = np.asarray(margin)
-        acts = np.array(margin > TIE_TOL, dtype=np.uint8)
-        # |margin| <= TIE_TOL, without a float temporary the size of margin
-        tied = (margin <= TIE_TOL) & (margin >= -TIE_TOL)
-        n_tied = int(np.count_nonzero(tied))
-        if n_tied:
-            if self.mode == "jitter":
-                acts[tied] = np.broadcast_to(np.asarray(jitters) < 0.5,
-                                             margin.shape)[tied]
-            else:
-                acts[tied] = self.mode == "one"
-            if tie_log is not None:
-                tie_log.add(n_tied)
-        return acts, tied
-
-
 def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
                   tie_log: Optional[TieLog] = None,
                   jitter: float = 0.0) -> int:
@@ -177,43 +92,6 @@ def best_response(belief, tie_breaker: TieBreaker = TieBreaker("zero"),
     1/4 it plays 0 with no tie either way."""
     p = belief.posterior if isinstance(belief, BeliefState) else float(belief)
     return int(tie_breaker.decide(p - 0.5, tie_log, jitter)[0])
-
-
-# ---------------------------------------------------------------------------
-# the generic per-agent loop
-
-class Profile:
-    """Base class of the pure strategy profiles.  Subclasses implement
-    ``action`` and ``trace_batch(g, m, atoms, jitters, horizon, tie_log)``:
-    the (R, n, horizon) uint8 actions of the rows of ``atoms`` and
-    ``jitters`` (R, n), in one batched kernel, ties counted over the whole
-    batch.  The myopic, gossip, royal-family and mad-king profiles answer
-    ``trace_actions`` with a one-row batch; the generic per-agent loop
-    below stays as the oracle they are tested against.
-    ``tie_breaker`` is the rule a profile decides by; a trace draws its
-    jitters from it."""
-
-    tie_breaker = TieBreaker("zero")
-
-    def action(self, agent: int, atom: int, history, tie_log=None) -> int:
-        raise NotImplementedError
-
-    def trace_actions(self, g, m, atoms, jitters, horizon: int,
-                      tie_log=None) -> np.ndarray:
-        """(n, horizon) uint8 action matrix for one joint atom draw.  Each
-        agent's history grows by its newest closed-neighbourhood row once
-        per round."""
-        nbrs = [g.closed_nbrs(i) for i in range(g.n)]
-        atoms = [int(a) for a in atoms]
-        hists = [()] * g.n
-        out = np.empty((g.n, horizon), dtype=np.uint8)
-        for t in range(horizon):
-            row = [self.action(i, atoms[i], hists[i], tie_log)
-                   for i in range(g.n)]
-            out[:, t] = row
-            hists = [h + (tuple([row[j] for j in nb]),)
-                     for h, nb in zip(hists, nbrs)]
-        return out
 
 
 def history_of(g, actions, i: int, t: int):
@@ -227,8 +105,8 @@ def simulate_actions(g, profile, atoms, horizon: int, tie_log=None):
     """Replay ``profile`` for ``horizon`` rounds given a full atom
     assignment, through the generic per-agent loop.  Returns the round-major
     action list."""
-    acts = Profile.trace_actions(profile, g, None, atoms, None, horizon,
-                                 tie_log)
+    acts = strategies.Profile.trace_actions(profile, g, None, atoms, None,
+                                            horizon, tie_log)
     return [tuple(row) for row in acts.T.tolist()]
 
 
@@ -237,31 +115,8 @@ def view_from_actions(g, actions, atoms, agent: int, t: int) -> HistoryView:
                        history_of(g, actions, agent, t))
 
 
-# ---------------------------------------------------------------------------
-# possible worlds
-
-def worlds(m, n: int):
-    """Every joint atom assignment ("world") of n agents, in mixed radix:
-    column w of the (n, k^n) atom array holds agent i's atom as digit i of
-    w, base k.  Returns (atoms, w0, w1), w_s being each world's mass under
-    S = s.  ``DEFAULT_BUDGET``, read at the call, bounds the world-agent
-    cells k^n * n and is checked before anything is allocated."""
-    k = m.k
-    cells = k ** n * n
-    if cells > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
-            f"exceed the exact budget of {DEFAULT_BUDGET}; lower the number "
-            "of agents or atoms")
-    radix = k ** np.arange(n, dtype=np.int64)
-    atoms = np.arange(k ** n)[None, :] // radix[:, None] % k
-    return atoms, m.probs(0)[atoms].prod(axis=0), \
-        m.probs(1)[atoms].prod(axis=0)
-
-
 def _require_myopic(profile, name: str):
-    from .strategies import MyopicExactProfile
-    if not isinstance(profile, MyopicExactProfile):
+    if not isinstance(profile, strategies.MyopicExactProfile):
         raise ValueError(f"{name} needs a MyopicExactProfile")
 
 
@@ -284,7 +139,7 @@ def _worlds_of(g, m, profile, view: HistoryView):
                 f"observed row {tau} {row!r} is not {width} actions of "
                 f"0 or 1, one per closed neighbour of agent {view.agent}")
     profile.tie_breaker.reject_jitter("exact beliefs, which draw no jitters")
-    atoms, w0, w1 = worlds(m, g.n)
+    atoms, w0, w1 = strategies.worlds(m, g.n)
     own = np.flatnonzero(atoms[view.agent] == view.atom)
     return atoms[:, own].T, w0[own], w1[own]
 
@@ -404,3 +259,29 @@ def lookahead_certainty(g, m, profile, view: HistoryView, ell_max: int = 3):
         gap = np.bincount(group, weights=w1) - np.bincount(group, weights=w0)
         out.append(float(np.abs(gap).sum() / (2.0 * norm)))
     return tuple(out)
+
+
+def myopic_condition_check(y_values, lam: float):
+    """Evaluate the four lookahead deviation conditions B_1..B_4 from a
+    nondecreasing certainty sequence (Y_0, Y_1, Y_2, Y_3).
+
+    B_ell (ell = 1, 2, 3):  2*Y_0 > lam**2 * (1/2 - Y_{ell-1}) / (1 - lam)
+    B_4:                    2*Y_0 > lam**2 * (1/2 - Y_2)
+                                     + lam**3 * (1/2 - Y_3) / (1 - lam)
+
+    Returns {"B1": bool, ..., "B4": bool}.  For nondecreasing Y the sets are
+    nested: B1 implies B2 implies B3 implies B4.
+    """
+    if not (0.0 < lam < 1.0):
+        raise ValueError("lam must lie in (0, 1)")
+    y = [float(v) for v in y_values]
+    if len(y) < 4:
+        raise ValueError("need Y_0..Y_3")
+    for v in y:
+        if not (-1e-9 <= v <= 0.5 + 1e-9):
+            raise ValueError("certainty values must lie in [0, 1/2]")
+    lhs = 2.0 * y[0]
+    bound = [lam ** 2 * (0.5 - v) / (1.0 - lam) for v in y[:3]]
+    # B_4's bound is B_3's minus lam**3 (Y_3 - Y_2) / (1 - lam): B3 => B4
+    bound.append(bound[2] - lam ** 3 * (y[3] - y[2]) / (1.0 - lam))
+    return {f"B{ell}": lhs > b for ell, b in enumerate(bound, 1)}

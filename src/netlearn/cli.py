@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from . import __version__, beliefs, dynamics, graphs
+from . import __version__, dynamics, graphs, strategies
 from .config import load_config
 
 EXIT_OK = 0
@@ -67,21 +67,23 @@ def cmd_check_topology(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    sc = graphs.is_strongly_connected(g)
+    from . import topology
+    sc = topology.is_strongly_connected(g)
     out = {"n": g.n, "edges": len(g.edges), "strongly_connected": sc}
     if sc:
         out["l_connectivity"], out["diameter"] = \
-            graphs.l_connectivity_and_diameter(g)
-        out["max_out_degree"] = graphs.out_degree_bound(g)
+            topology.l_connectivity_and_diameter(g)
+        out["max_out_degree"] = topology.out_degree_bound(g)
     print(json.dumps(out, indent=2))
     return EXIT_OK if sc else EXIT_USAGE
 
 
 def cmd_graph_distance(args) -> int:
+    from . import topology
     try:
         g1 = _load_graph(args.graph1)
         g2 = _load_graph(args.graph2)
-        value, truncated = graphs.rooted_distance(
+        value, truncated = topology.rooted_distance(
             g1, args.root1, g2, args.root2, args.r_max)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -124,7 +126,7 @@ def cmd_simulate(args) -> int:
         report, actions = dynamics.run_ensemble(
             g, m, prof, rc.sim, keep_actions=bool(csv_path),
             workers=args.workers)
-    except (beliefs.BudgetExceededError, MemoryError) as e:
+    except (strategies.BudgetExceededError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

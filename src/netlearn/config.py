@@ -28,7 +28,7 @@ import json
 import os
 from typing import NamedTuple, Optional
 
-from . import graphs, signals
+from . import graphs, signals, strategies
 from .dynamics import SimConfig
 
 ENV_PREFIX = "NETLEARN"
@@ -81,7 +81,6 @@ class RunConfig(NamedTuple):
                          "symmetric_binary, royal_bounded or mad_king_asym")
 
     def build_profile(self, g, m):
-        from . import strategies
         tb = strategies.TieBreaker(self.tie_mode)
         if self.profile_name == "myopic":
             return strategies.MyopicExactProfile(g, m, tb)

@@ -8,7 +8,7 @@ horizon.
 
 The ensemble loop works on blocks of replicates: each block draws its
 rows, plays them with one ``trace_batch`` call and tallies them at once.  A
-fixed cell budget, ``beliefs.BLOCK_CELLS`` cells of (replicate, agent,
+fixed cell budget, ``strategies.BLOCK_CELLS`` cells of (replicate, agent,
 round), sizes a block, with at least one replicate; a run that keeps its
 actions (for the trace CSV) keeps each block's, as one (replicates, n,
 horizon) uint8 array in replicate order.
@@ -32,13 +32,14 @@ below 2^32 get distinct counters.
 """
 from __future__ import annotations
 
+import functools
 import os
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import beliefs
-from .beliefs import TieLog
+from . import strategies
+from .strategies import TieLog
 from .stats import wilson_interval
 
 __all__ = [
@@ -118,14 +119,25 @@ def _mix64(z):
     return z
 
 
+@functools.lru_cache(maxsize=1)
+def _stream(master_seed: int, slots: int):
+    """key(s) and the slot offsets j * GAMMA, j < slots, read-only: the
+    terms of u(s, r, j) that no replicate changes, so that the blocks of
+    one run make them once."""
+    key = _mix64(np.array([master_seed], dtype=np.uint64) + _GAMMA)
+    offsets = np.arange(slots, dtype=np.uint64) * _GAMMA
+    key.flags.writeable = offsets.flags.writeable = False
+    return key, offsets
+
+
 def replicate_rng(master_seed: int, lo: int, hi: int, slots: int):
     """The (hi - lo, slots) uniforms u(s, r, j) of replicates lo to hi - 1
     of master seed s, slots 0 to slots - 1 (see the module docstring)."""
-    key = _mix64(np.array([master_seed], dtype=np.uint64) + _GAMMA)
+    key, offsets = _stream(master_seed, slots)
     rows = np.arange(lo, hi, dtype=np.uint64) << 32
     rows *= _GAMMA
     rows += key
-    z = _mix64(np.add.outer(rows, np.arange(slots, dtype=np.uint64) * _GAMMA))
+    z = _mix64(np.add.outer(rows, offsets))
     z >>= 11
     return z * 2.0 ** -53
 
@@ -261,7 +273,7 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, kept):
     and write their actions into ``kept`` (len(indices), n, horizon) unless
     it is None.  Returns (tally, kept).  Top-level so it pickles."""
     tally = EnsembleTally(g.n)
-    rows = max(1, beliefs.BLOCK_CELLS // (g.n * config.horizon))
+    rows = max(1, strategies.BLOCK_CELLS // (g.n * config.horizon))
     blocks = _draws(g, m, profile, config, indices, rows)
     for lo, (states, atoms, jitters) in zip(range(0, len(indices), rows),
                                             blocks):
@@ -404,7 +416,7 @@ def locality_coupling_test(g1, i1, g2, i2, r: int, profile1, profile2, m,
     Returns True when every checked round matches; raises ValueError when
     the balls are not isomorphic.
     """
-    from .graphs import extract_ball, balls_isomorphic
+    from .topology import extract_ball, balls_isomorphic
 
     ok, mapping = balls_isomorphic(extract_ball(g1, i1, r + 1),
                                    extract_ball(g2, i2, r + 1))

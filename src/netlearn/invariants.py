@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from . import beliefs, dynamics, graphs, signals, stats, strategies
+from . import (beliefs, dynamics, estimators, graphs, signals, stats,
+               strategies, topology)
 
 
 def _check(results, name, ok, detail=""):
@@ -25,20 +26,21 @@ def check_graph(seed: int = 0):
                  "mad_king(2,5,4)"):
         g = graphs.generate(spec)
         _check(res, f"strongly_connected[{spec}]",
-               graphs.is_strongly_connected(g))
-        L = graphs.min_l_connectivity(g)
+               topology.is_strongly_connected(g))
+        L = topology.min_l_connectivity(g)
         # independent oracle: the longest shortest return path over edges
         h = nx.DiGraph(list(g.edges))
         want = max(nx.shortest_path_length(h, j, i) for (i, j) in g.edges)
         _check(res, f"l_connectivity_bound[{spec}]", L == want, f"L={L}")
     g = graphs.cycle(8)
-    _check(res, "undirected_is_1_connected", graphs.min_l_connectivity(g) == 1)
+    _check(res, "undirected_is_1_connected",
+           topology.min_l_connectivity(g) == 1)
     # ball metric: symmetry, dyadic values, triangle-by-construction
     g1, g2 = graphs.dicycle(8), graphs.dicycle(12)
-    d12, _ = graphs.rooted_distance(g1, 0, g2, 0, 6)
-    d21, _ = graphs.rooted_distance(g2, 0, g1, 0, 6)
+    d12, _ = topology.rooted_distance(g1, 0, g2, 0, 6)
+    d21, _ = topology.rooted_distance(g2, 0, g1, 0, 6)
     _check(res, "rooted_distance_symmetric", d12 == d21, f"d={d12}")
-    same, _ = graphs.rooted_distance(g1, 0, g1, 3, 8)
+    same, _ = topology.rooted_distance(g1, 0, g1, 3, 8)
     _check(res, "rooted_distance_vertex_transitive_zero", same == 0.0)
     # backtracking isomorphism agrees with the brute-force oracle on distinct
     # balls: two corners of grid(3,3) (isomorphic), and chain(5) rooted at an
@@ -46,9 +48,9 @@ def check_graph(seed: int = 0):
     grid, chain = graphs.grid(3, 3), graphs.chain(5)
     for r, a, b, want in ((1, (grid, 0, 2), (grid, 8, 2), True),
                           (2, (chain, 0, 4), (chain, 2, 2), False)):
-        b1, b2 = graphs.extract_ball(*a), graphs.extract_ball(*b)
-        fast, _ = graphs.balls_isomorphic(b1, b2)
-        slow = graphs.balls_isomorphic_bruteforce(b1, b2)
+        b1, b2 = topology.extract_ball(*a), topology.extract_ball(*b)
+        fast, _ = topology.balls_isomorphic(b1, b2)
+        slow = topology.balls_isomorphic_bruteforce(b1, b2)
         _check(res, f"iso_matches_bruteforce[r={r}]", fast == slow == want)
     return res
 
@@ -120,7 +122,7 @@ def check_strategy(seed: int = 0):
         exact = np.array(acts, dtype=np.uint8).T
         ok01 &= bool(np.array_equal(tr[:, :2], exact[:, :2]))
     _check(res, "gossip_matches_myopic_rounds_0_1", ok01)
-    conds = strategies.myopic_condition_check((0.1, 0.2, 0.3, 0.4), 0.6)
+    conds = beliefs.myopic_condition_check((0.1, 0.2, 0.3, 0.4), 0.6)
     _check(res, "deviation_conditions_nested",
            (not conds["B1"] or conds["B2"])
            and (not conds["B2"] or conds["B3"])
@@ -155,13 +157,13 @@ def check_stats(seed: int = 0):
     S = rng.integers(0, 2, size=N)
     noise = rng.random((N, k)) < 0.2
     X = (S[:, None] ^ noise).astype(np.uint8)
-    sample = stats.EstimatorSample(X, S)
-    dep = stats.dep_s_estimate(sample)
+    sample = estimators.EstimatorSample(X, S)
+    dep = estimators.dep_s_estimate(sample)
     _check(res, "independent_coords_low_dep", dep < 0.08, f"dep={dep:.4f}")
-    copies = stats.EstimatorSample(np.repeat(S[:, None], k, axis=1), S)
+    copies = estimators.EstimatorSample(np.repeat(S[:, None], k, axis=1), S)
     _check(res, "perfect_copies_zero_dep",
-           stats.dep_s_estimate(copies) < 1e-9)
-    agg = stats.majority_aggregate(sample, 0.25)
+           estimators.dep_s_estimate(copies) < 1e-9)
+    agg = estimators.majority_aggregate(sample, 0.25)
     _check(res, "majority_beats_bound",
            agg["accuracy"] >= 1.0 - agg["error_bound"] - 0.03,
            f"acc={agg['accuracy']:.4f} bound={1 - agg['error_bound']:.4f}")

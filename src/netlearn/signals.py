@@ -1,6 +1,6 @@
 """Private-signal models: finite log-likelihood-ratio atoms.  A model
 carries only its atoms; the information-free jitter that may break exact
-ties belongs to ``beliefs.TieBreaker``."""
+ties belongs to ``strategies.TieBreaker``."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import TIE_TOL
+from .strategies import TIE_TOL
 
 ATOL = 1e-12
 

@@ -1,4 +1,7 @@
-"""Pure strategy profiles for the repeated-action game.
+"""Pure strategy profiles for the repeated-action game, and the core that
+``simulate`` and the posterior queries of ``beliefs`` share: the decision
+rule (``TieBreaker``), the ``Profile`` base class, the possible worlds
+(``worlds``) and the budgets.
 
 A profile maps (agent, own atom, observed neighbor history) to an action in
 {0, 1}.  Histories are round-major tuples over the agent's closed
@@ -7,23 +10,163 @@ mad-king profile takes its roles from ``mad_king_roles_of``.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import beliefs, graphs
-from .beliefs import Profile, TieBreaker  # noqa: F401  (re-exported)
+from . import graphs
+
+# world-agent cells k^n * n (n <= 19 at k = 2), and gossip ring entries
+DEFAULT_BUDGET = 10_000_000
+TIE_TOL = 1e-12
+# cells -- (row, agent, round), or (row, ring entry) -- that the temporaries
+# of one block of replicate rows may hold; a block has at least one row
+BLOCK_CELLS = 2 ** 16
 
 __all__ = [
+    "BudgetExceededError",
+    "TieLog",
+    "TieBreaker",
     "Profile",
+    "worlds",
     "MyopicExactProfile",
     "GossipProfile",
     "RoyalFamilyProfile",
     "MadKingRoles",
     "MadKingProfile",
-    "myopic_condition_check",
     "mad_king_roles_of",
 ]
+
+
+class BudgetExceededError(RuntimeError):
+    """Over the budget: a joint atom space too large for exact enumeration
+    (fewer agents or atoms fit), or gossip rings with too many entries."""
+
+
+class TieLog:
+    """Mutable tie-event counter threaded through trace generation."""
+
+    def __init__(self):
+        self.count = 0
+
+    def add(self, k=1):
+        self.count += k
+
+
+class TieBreaker:
+    """The decision rule every profile plays by.  A margin -- a
+    log-likelihood ratio, or a posterior minus 1/2 -- above TIE_TOL plays 1,
+    below -TIE_TOL plays 0, and within TIE_TOL of 0 is a tie, counted and
+    broken by the mode: 0, 1, or under ``jitter`` 1 exactly when the
+    agent's jitter, a U[0, 1) draw that carries no information, lies below
+    1/2.  The breaker is the only code that knows what a jitter is, how many
+    draws it takes from a replicate row (``row_width``, ``jitters_of``)
+    and how it breaks a tie.  Breakers of one mode are equal."""
+
+    __slots__ = ("mode",)
+
+    def __init__(self, mode: str = "zero"):
+        if mode not in ("zero", "one", "jitter"):
+            raise ValueError(f"unknown tie-breaker mode {mode!r}")
+        self.mode = mode
+
+    def __eq__(self, other):
+        return type(other) is TieBreaker and self.mode == other.mode
+
+    def __hash__(self):
+        return hash(self.mode)
+
+    def reject_jitter(self, what: str):
+        """Refuse mode ``jitter`` for ``what``, whose decisions never see a
+        jitter draw and so cannot honour it."""
+        if self.mode == "jitter":
+            raise ValueError(
+                f"jitter tie-breaking is not supported by {what}; use mode "
+                "'zero' or 'one'")
+
+    def row_width(self, n: int) -> int:
+        """U[0, 1) draws per replicate row of n agents: n for the atoms,
+        then, under mode ``jitter`` only, one jitter per agent."""
+        return 2 * n if self.mode == "jitter" else n
+
+    def jitters_of(self, draws, n: int):
+        """The (rows, n) jitters of rows of ``row_width(n)`` draws: the
+        draws after the atoms' under mode ``jitter``; otherwise zeros."""
+        if self.mode == "jitter":
+            return draws[:, n:]
+        return np.zeros((len(draws), n))
+
+    def decide(self, margin, tie_log: Optional[TieLog] = None, jitters=0.0):
+        """(uint8 actions, tie mask), both shaped like ``margin``, a float
+        or an array; ``jitters`` broadcasts against it.  Ties are counted in
+        ``tie_log``."""
+        margin = np.asarray(margin)
+        acts = np.array(margin > TIE_TOL, dtype=np.uint8)
+        # |margin| <= TIE_TOL, without a float temporary the size of margin
+        tied = (margin <= TIE_TOL) & (margin >= -TIE_TOL)
+        n_tied = int(np.count_nonzero(tied))
+        if n_tied:
+            if self.mode == "jitter":
+                acts[tied] = np.broadcast_to(np.asarray(jitters) < 0.5,
+                                             margin.shape)[tied]
+            else:
+                acts[tied] = self.mode == "one"
+            if tie_log is not None:
+                tie_log.add(n_tied)
+        return acts, tied
+
+
+class Profile:
+    """Base class of the pure strategy profiles.  Subclasses implement
+    ``action`` and ``trace_batch(g, m, atoms, jitters, horizon, tie_log)``:
+    the (R, n, horizon) uint8 actions of the rows of ``atoms`` and
+    ``jitters`` (R, n), in one batched kernel, ties counted over the whole
+    batch.  The myopic, gossip, royal-family and mad-king profiles answer
+    ``trace_actions`` with a one-row batch; the generic per-agent loop
+    below stays as the oracle they are tested against.
+    ``tie_breaker`` is the rule a profile decides by; a trace draws its
+    jitters from it."""
+
+    tie_breaker = TieBreaker("zero")
+
+    def action(self, agent: int, atom: int, history, tie_log=None) -> int:
+        raise NotImplementedError
+
+    def trace_actions(self, g, m, atoms, jitters, horizon: int,
+                      tie_log=None) -> np.ndarray:
+        """(n, horizon) uint8 action matrix for one joint atom draw.  Each
+        agent's history grows by its newest closed-neighbourhood row once
+        per round."""
+        nbrs = [g.closed_nbrs(i) for i in range(g.n)]
+        atoms = [int(a) for a in atoms]
+        hists = [()] * g.n
+        out = np.empty((g.n, horizon), dtype=np.uint8)
+        for t in range(horizon):
+            row = [self.action(i, atoms[i], hists[i], tie_log)
+                   for i in range(g.n)]
+            out[:, t] = row
+            hists = [h + (tuple([row[j] for j in nb]),)
+                     for h, nb in zip(hists, nbrs)]
+        return out
+
+
+def worlds(m, n: int):
+    """Every joint atom assignment ("world") of n agents, in mixed radix:
+    column w of the (n, k^n) atom array holds agent i's atom as digit i of
+    w, base k.  Returns (atoms, w0, w1), w_s being each world's mass under
+    S = s.  ``DEFAULT_BUDGET``, read at the call, bounds the world-agent
+    cells k^n * n and is checked before anything is allocated."""
+    k = m.k
+    cells = k ** n * n
+    if cells > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{k}^{n} worlds x {n} agents = {cells} world-agent cells "
+            f"exceed the exact budget of {DEFAULT_BUDGET}; lower the number "
+            "of agents or atoms")
+    radix = k ** np.arange(n, dtype=np.int64)
+    atoms = np.arange(k ** n)[None, :] // radix[:, None] % k
+    return atoms, m.probs(0)[atoms].prod(axis=0), \
+        m.probs(1)[atoms].prod(axis=0)
 
 
 class MyopicExactProfile(Profile):
@@ -42,7 +185,7 @@ class MyopicExactProfile(Profile):
     every world's actions, which ``trace_batch`` reads.  ``forced_trace``
     walks the class splits instead, for rows with one agent forced.
 
-    ``beliefs.DEFAULT_BUDGET`` bounds the world-agent cells k^n * n; it is
+    ``DEFAULT_BUDGET`` bounds the world-agent cells k^n * n; it is
     checked before any world array is allocated.  Only deterministic tie
     modes are supported: one world's response cannot depend on a jitter
     draw.
@@ -67,7 +210,7 @@ class MyopicExactProfile(Profile):
     def _start(self):
         n = self.g.n
         # a world's initial class for agent i is agent i's own atom
-        self._cls, self._w0, self._w1 = beliefs.worlds(self.m, n)
+        self._cls, self._w0, self._w1 = worlds(self.m, n)
         self._radix = self.m.k ** np.arange(n, dtype=np.int64)
         self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
         self._acts = np.empty((0,) + self._cls.shape, dtype=np.uint8)
@@ -144,12 +287,14 @@ class MyopicExactProfile(Profile):
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """One read of the world table: the columns of the worlds
-        w = atoms @ radix, gathered at once, ties summed over the batch."""
+        w = atoms @ radix, gathered at once, ties summed over the batch.
+        The result is a transposed view of the gathered (horizon, n, R)
+        table, as ``forced_trace``'s is."""
         self._extend(horizon)
         w = np.asarray(atoms, dtype=np.int64).reshape(-1, g.n) @ self._radix
         if tie_log is not None:
             tie_log.add(int(self._ties[:horizon, w].sum()))
-        return np.ascontiguousarray(self._acts[:horizon, :, w].T)
+        return self._acts[:horizon, :, w].transpose(2, 1, 0)
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         return self.trace_batch(g, m, [atoms], None, horizon, tie_log)[0]
@@ -206,8 +351,8 @@ class GossipProfile(Profile):
     per entry: 24 B per entry.  A one-row block has sum_i |ball_{T-1}(i)|
     entries (1.42 MB on cycle(1000) at T=30, where the build peaks at
     what it keeps; n^2 entries in the worst case, on dense graphs; past
-    ``beliefs.DEFAULT_BUDGET`` entries the build stops with
-    BudgetExceededError); a larger block at most ``beliefs.BLOCK_CELLS``
+    ``DEFAULT_BUDGET`` entries the build stops with
+    BudgetExceededError); a larger block at most ``BLOCK_CELLS``
     entries, and a batch 8 B per (row, agent, round) cell of its block.
     A pickled copy carries the one-row rings only.
     """
@@ -233,19 +378,19 @@ class GossipProfile(Profile):
         the ring entries of a block of ``rows`` trace rows, row r's cells
         offset by r * n * horizon and its members by r * n, and a work
         buffer of one float per entry.  The rings are searched again only
-        for a new (graph, horizon): more than ``beliefs.DEFAULT_BUDGET``
+        for a new (graph, horizon): more than ``DEFAULT_BUDGET``
         entries raise BudgetExceededError, before the search holds more
         than a few times that many.  The block is tiled again only when the
         batch needs more rows than it holds, up to as many as keep its
-        entries and its cells within ``beliefs.BLOCK_CELLS``, unless one
+        entries and its cells within ``BLOCK_CELLS``, unless one
         row's pass it."""
         key = (g.n, g.edges, horizon)
         if key != self._key:
-            balls = graphs.all_balls(g, horizon - 1, beliefs.DEFAULT_BUDGET)
+            balls = graphs.all_balls(g, horizon - 1, DEFAULT_BUDGET)
             if balls is None:
-                raise beliefs.BudgetExceededError(
+                raise BudgetExceededError(
                     f"gossip rings over budget: more than "
-                    f"{beliefs.DEFAULT_BUDGET} entries for {g.n} agents "
+                    f"{DEFAULT_BUDGET} entries for {g.n} agents "
                     f"at horizon {horizon}; lower the horizon or use a "
                     "sparser graph")
             # round-major cells d * n + i, in entry order
@@ -256,7 +401,7 @@ class GossipProfile(Profile):
             del source
             self._key, self._entries, self._block = key, (cell, member), None
         cell, member = self._entries
-        rows = min(max(batch, 1), max(1, beliefs.BLOCK_CELLS // max(
+        rows = min(max(batch, 1), max(1, BLOCK_CELLS // max(
             len(cell), g.n * horizon, 1)))
         if self._block is None or self._block[0] < rows:
             if rows > 1:
@@ -499,32 +644,6 @@ class MadKingProfile(_ScriptedProfile):
         z = self._z[np.asarray(atoms)]
         seen = z[..., [r.king, *r.bureaucracy]].cumsum(axis=-1)[..., -1]
         return z[..., r.regent] + seen
-
-
-def myopic_condition_check(y_values, lam: float):
-    """Evaluate the four lookahead deviation conditions B_1..B_4 from a
-    nondecreasing certainty sequence (Y_0, Y_1, Y_2, Y_3).
-
-    B_ell (ell = 1, 2, 3):  2*Y_0 > lam**2 * (1/2 - Y_{ell-1}) / (1 - lam)
-    B_4:                    2*Y_0 > lam**2 * (1/2 - Y_2)
-                                     + lam**3 * (1/2 - Y_3) / (1 - lam)
-
-    Returns {"B1": bool, ..., "B4": bool}.  For nondecreasing Y the sets are
-    nested: B1 implies B2 implies B3 implies B4.
-    """
-    if not (0.0 < lam < 1.0):
-        raise ValueError("lam must lie in (0, 1)")
-    y = [float(v) for v in y_values]
-    if len(y) < 4:
-        raise ValueError("need Y_0..Y_3")
-    for v in y:
-        if not (-1e-9 <= v <= 0.5 + 1e-9):
-            raise ValueError("certainty values must lie in [0, 1/2]")
-    lhs = 2.0 * y[0]
-    bound = [lam ** 2 * (0.5 - v) / (1.0 - lam) for v in y[:3]]
-    # B_4's bound is B_3's minus lam**3 (Y_3 - Y_2) / (1 - lam): B3 => B4
-    bound.append(bound[2] - lam ** 3 * (y[3] - y[2]) / (1.0 - lam))
-    return {f"B{ell}": lhs > b for ell, b in enumerate(bound, 1)}
 
 
 def mad_king_roles_of(g) -> MadKingRoles:

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from netlearn import (beliefs, dynamics, graphs, signals, stats, strategies)
+from netlearn import (beliefs, dynamics, estimators, graphs, signals, stats,
+                      strategies, topology)
 from netlearn.beliefs import HistoryView
 from netlearn.dynamics import SimConfig
 from netlearn.signals import logistic
@@ -149,7 +150,7 @@ def test_criterion_06_egalitarian_trend():
             z=2.326)
         ok &= b.learning_freq >= lo
     trend = " -> ".join(f"{r.learning_freq:.3f}" for r in reports)
-    summary = stats.compare_learning(reports)
+    summary = estimators.compare_learning(reports)
     report(6, "learning nondecreasing with cycle size",
            ok and summary["monotone_ok"], trend)
 
@@ -228,7 +229,7 @@ def test_criterion_09_myopic_condition_nesting():
     for _ in range(10_000):
         lam = float(rng.uniform(0.05, 0.95))
         ys = np.sort(rng.uniform(0.0, 0.5, size=4))
-        out = strategies.myopic_condition_check(tuple(ys), lam)
+        out = beliefs.myopic_condition_check(tuple(ys), lam)
         ok_nest &= (not out["B1"] or out["B2"]) \
             and (not out["B2"] or out["B3"]) \
             and (not out["B3"] or out["B4"])
@@ -253,8 +254,8 @@ def test_criterion_10_majority_aggregation():
     rng = np.random.default_rng(10)
     S = rng.integers(0, 2, size=N).astype(np.uint8)
     X = (S[:, None] ^ (rng.random((N, k)) < 1 - acc)).astype(np.uint8)
-    sample = stats.EstimatorSample(X, S)
-    out = stats.majority_aggregate(sample, epsilon=eps)
+    sample = estimators.EstimatorSample(X, S)
+    out = estimators.majority_aggregate(sample, epsilon=eps)
     bound = 1.0 - math.exp(-2 * eps ** 2 * k)
     se = math.sqrt(bound * (1 - bound) / N)
     ok = out["accuracy"] >= bound - 3 * se
@@ -284,12 +285,12 @@ def test_criterion_11_graph_metric_and_connectivity():
     ok = True
     for a, b in itertools.combinations(range(20), 2):
         (ga, ia), (gb, ib) = sample[a], sample[b]
-        dab = graphs.rooted_distance(ga, ia, gb, ib, r_max)[0]
-        dba = graphs.rooted_distance(gb, ib, ga, ia, r_max)[0]
+        dab = topology.rooted_distance(ga, ia, gb, ib, r_max)[0]
+        dba = topology.rooted_distance(gb, ib, ga, ia, r_max)[0]
         ok &= dab == dba and 0.0 <= dab <= 1.0
         dmat[(a, b)] = dmat[(b, a)] = dab
     for i, (g, root) in enumerate(sample):
-        val, truncated = graphs.rooted_distance(g, root, g, root, r_max)
+        val, truncated = topology.rooted_distance(g, root, g, root, r_max)
         # identity holds up to truncation: balls agree at every radius
         # checked, so the distance is 0 or the truncation floor 2^-r_max
         ok &= val == 0.0 or (truncated and val == 2.0 ** -r_max)
@@ -300,7 +301,7 @@ def test_criterion_11_graph_metric_and_connectivity():
         ok &= dmat[(int(a), int(c))] <= max(
             dmat[(int(a), int(b))], dmat[(int(b), int(c))]) + 1e-12
 
-    frozen = graphs.rooted_distance(graphs.dicycle(5), 0,
+    frozen = topology.rooted_distance(graphs.dicycle(5), 0,
                                     graphs.dicycle(8), 0, 8)[0]
     ok_frozen = frozen == 0.125
 
@@ -311,7 +312,7 @@ def test_criterion_11_graph_metric_and_connectivity():
         nxg.add_edges_from(g.edges)
         oracle = max(nx.shortest_path_length(nxg, j, i)
                      for (i, j) in g.edges)
-        ok_l &= graphs.min_l_connectivity(g) == oracle
+        ok_l &= topology.min_l_connectivity(g) == oracle
     report(11, "rooted-graph metric and L-connectivity oracle",
            ok and ok_frozen and ok_l,
            f"metric axioms on 20 graphs; d(C5,C8)={frozen}")

@@ -64,8 +64,8 @@ def test_budget_guard(monkeypatch):
     g = graphs.dicycle(30)
     m = signals.symmetric_binary(0.7)
     prof = strategies.MyopicExactProfile(g, m)
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 10_000)
-    with pytest.raises(beliefs.BudgetExceededError):
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 10_000)
+    with pytest.raises(strategies.BudgetExceededError):
         beliefs.exact_posterior(g, m, prof, HistoryView(0, 0, 0, ()))
 
 
@@ -179,7 +179,7 @@ def test_generic_replay_matches_bruteforce(case):
 def test_best_response_and_ties():
     assert beliefs.best_response(0.7) == 1
     assert beliefs.best_response(0.3) == 0
-    log = beliefs.TieLog()
+    log = strategies.TieLog()
     assert beliefs.best_response(0.5, TieBreaker("zero"), log) == 0
     assert beliefs.best_response(0.5, TieBreaker("one"), log) == 1
     assert log.count == 2
@@ -203,9 +203,9 @@ def _old_resolve(mode, jitter=0.0, width=0.0):
 
 
 def _old_best_response(p, mode, tie_log, jitter=0.0, width=0.0):
-    if p > 0.5 + beliefs.TIE_TOL:
+    if p > 0.5 + strategies.TIE_TOL:
         return 1
-    if p < 0.5 - beliefs.TIE_TOL:
+    if p < 0.5 - strategies.TIE_TOL:
         return 0
     tie_log.add()
     return _old_resolve(mode, jitter, width)
@@ -213,15 +213,15 @@ def _old_best_response(p, mode, tie_log, jitter=0.0, width=0.0):
 
 def _old_engine_thresholds(post, tie_acts):
     """The myopic engine's posterior thresholds -> (actions, tie mask)."""
-    act = (post > 0.5 + beliefs.TIE_TOL).astype(np.uint8)
-    tied = (act == 0) & (post >= 0.5 - beliefs.TIE_TOL)
+    act = (post > 0.5 + strategies.TIE_TOL).astype(np.uint8)
+    tied = (act == 0) & (post >= 0.5 - strategies.TIE_TOL)
     act[tied] = tie_acts[tied]
     return act, tied
 
 
 def _old_decide_signs(vals, tie_acts, tie_log=None):
-    acts = (vals > beliefs.TIE_TOL).astype(np.uint8)
-    tie = np.abs(vals) <= beliefs.TIE_TOL
+    acts = (vals > strategies.TIE_TOL).astype(np.uint8)
+    tie = np.abs(vals) <= strategies.TIE_TOL
     n_tie = int(np.count_nonzero(tie))
     if n_tie:
         acts[tie] = tie_acts[tie] if isinstance(tie_acts, np.ndarray) \
@@ -232,7 +232,7 @@ def _old_decide_signs(vals, tie_acts, tie_log=None):
 
 
 def _old_decide_sign(val, mode, tie_log=None, jitter=0.0, width=0.0):
-    if abs(val) <= beliefs.TIE_TOL:
+    if abs(val) <= strategies.TIE_TOL:
         if tie_log is not None:
             tie_log.add()
         return _old_resolve(mode, jitter, width)
@@ -258,7 +258,7 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
     lie on both sides of 1/2, and the old rules see them scaled by the
     width, as their draw made them: width * U."""
     rng = np.random.default_rng(8)
-    tol = _ulps_around(beliefs.TIE_TOL, 40_000)
+    tol = _ulps_around(strategies.TIE_TOL, 40_000)
     posts = np.concatenate([_ulps_around(0.5, 40_000), [0.0, 0.25, 1.0],
                             rng.uniform(0.0, 1.0, 50_000),
                             0.5 + rng.uniform(-3e-12, 3e-12, 50_000)])
@@ -272,7 +272,7 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
         old_jit = width * jit
         tie_acts = (width > 0) & (old_jit < width / 2.0) if mode == "jitter" \
             else np.full(grid.shape, mode == "one")
-        log, ref_log = beliefs.TieLog(), beliefs.TieLog()
+        log, ref_log = strategies.TieLog(), strategies.TieLog()
         acts, tied = tb.decide(margins, log, jit)
         assert acts.dtype == np.uint8 and acts.shape == tied.shape == \
             grid.shape
@@ -281,7 +281,7 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
             ref_log.add(int(want_tied.sum()))
         else:
             want = _old_decide_signs(ratios, tie_acts, ref_log)
-            want_tied = np.abs(ratios) <= beliefs.TIE_TOL
+            want_tied = np.abs(ratios) <= strategies.TIE_TOL
         assert np.array_equal(acts, want)
         assert np.array_equal(tied, want_tied)
         assert log.count == ref_log.count > 1000
@@ -290,7 +290,7 @@ def test_decide_matches_the_rules_it_replaced(mode, width):
 
         # the scalar rules, on every 50th value and the specials
         pick = np.concatenate([np.arange(0, len(grid), 50), [-1, -2, -3]])
-        log, ref_log = beliefs.TieLog(), beliefs.TieLog()
+        log, ref_log = strategies.TieLog(), strategies.TieLog()
         for k in pick:
             if grid is posts:
                 got = beliefs.best_response(posts[k], tb, log, jit[k])
@@ -348,7 +348,7 @@ def test_exact_functions_refuse_jitter_ties(monkeypatch, fn):
     assert acts.tolist() == [[1, 0], [0, 0]]
     view = beliefs.view_from_actions(g, [tuple(c) for c in acts.T.tolist()],
                                      [0, 1], 0, 2)
-    monkeypatch.setattr(beliefs, "worlds", _no_worlds)
+    monkeypatch.setattr(strategies, "worlds", _no_worlds)
     with pytest.raises(ValueError, match="jitter") as err:
         fn(g, m, prof, view)
     assert type(err.value) is ValueError
@@ -383,7 +383,7 @@ def test_malformed_views_fail_before_any_world(monkeypatch, case):
     g = graphs.dicycle(3)
     m = signals.symmetric_binary(0.7)
     prof = strategies.MyopicExactProfile(g, m)
-    monkeypatch.setattr(beliefs, "worlds", _no_worlds)
+    monkeypatch.setattr(strategies, "worlds", _no_worlds)
     call, named = MALFORMED[case]
     with pytest.raises(ValueError, match=named) as err:
         call(g, m, prof)

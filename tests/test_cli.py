@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from netlearn import beliefs, cli, config, dynamics, graphs, strategies
+from netlearn import cli, config, dynamics, graphs, strategies
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROYAL_CFG = os.path.join(PKG_ROOT, "scripts", "royal_family.cfg")
@@ -263,7 +263,7 @@ def test_simulate_gossip_rings_over_budget_exits_2(tmp_path, capsys,
     """Gossip rings past the budget (n^2 = 400 entries on a dense graph, a
     budget of 399) are a usage error: one line, exit 2, no report, and no
     pool asked for."""
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 399)
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 399)
     p = tmp_path / "dense.cfg"
     p.write_text("[graph]\nfamily = random_regular(20,6)\n\n[profile]\n"
                  "name = gossip\n\n[sim]\nhorizon = 6\nreplicates = 2\n"
@@ -587,13 +587,18 @@ def test_simulate_does_not_import_networkx(tmp_path, name, csv):
     dataclasses (whose classes compile their methods at import) never, the
     CSV writer only for a trace CSV; numpy.random and OpenSSL's _hashlib
     (which numpy.random pulls in) never, since the draws are counter-based
-    uint64 arithmetic."""
+    uint64 arithmetic; nor the analysis modules: the posterior queries, the
+    topology analysis and the estimator panel.  A module counts as loaded
+    once it has run: ``beliefs`` sits in sys.modules from the package's
+    import on, a lazy module (a ModuleType subclass) until its first use."""
     lazy = ("multiprocessing", "concurrent.futures", "netlearn.invariants",
-            "csv", "networkx", "dataclasses", "numpy.random", "_hashlib")
+            "csv", "networkx", "dataclasses", "numpy.random", "_hashlib",
+            "netlearn.beliefs", "netlearn.topology", "netlearn.estimators")
     script = ("import sys\nfrom netlearn import cli\n"
               "rc = cli.main(['simulate', '--config', sys.argv[1], '--out', "
               "sys.argv[2], '--format', 'summary'] + sys.argv[3:])\n"
-              f"print(rc, [m for m in {lazy!r} if m in sys.modules])\n")
+              f"print(rc, [m for m in {lazy!r}\n"
+              "           if type(sys.modules.get(m)) is type(sys)])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
     extra = ["--trace-csv", str(tmp_path / "trace.csv")] if csv else []
@@ -603,6 +608,47 @@ def test_simulate_does_not_import_networkx(tmp_path, name, csv):
                        capture_output=True, text=True, env=env)
     want = "0 ['csv']" if csv else "0 []"
     assert r.stdout.splitlines()[-1] == want, r.stdout + r.stderr
+
+
+def test_package_names_resolve_on_first_use():
+    """``import netlearn`` runs none of its modules.  Each name of
+    ``__all__`` (every name the package has exported) resolves to the
+    object its defining module holds under that name, and ``dir`` lists
+    it; any other name raises AttributeError."""
+    import importlib
+    import netlearn
+    exported = {
+        "Atom", "BeliefState", "DirectedGraph", "EnsembleReport",
+        "EstimatorSample", "GossipProfile", "HistoryView", "MadKingProfile",
+        "MadKingRoles", "MyopicExactProfile", "Profile", "RootedBall",
+        "RoyalFamilyProfile", "SignalModel", "SimConfig", "TieBreaker",
+        "Trace", "YDecomposition", "balls_isomorphic", "best_response",
+        "compare_learning", "dep_s_estimate", "discounted_utility",
+        "exact_posterior", "extract_ball", "generate",
+        "good_estimator_check", "is_strongly_connected",
+        "locality_coupling_test", "lookahead_certainty", "mad_king_asym",
+        "majority_aggregate", "min_l_connectivity", "myopic_condition_check",
+        "out_degree_bound", "p_star", "role_names", "rooted_distance",
+        "royal_bounded", "run_ensemble", "run_trace", "symmetric_binary",
+        "total_variation", "two_atom_from_logits", "wilson_interval",
+        "y_decomposition"}
+    assert set(netlearn.__all__) == exported
+    for name in netlearn.__all__:
+        obj = getattr(netlearn, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("netlearn.")
+        assert getattr(home, name) is obj, name
+    assert set(netlearn.__all__) <= set(dir(netlearn))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netlearn.no_such_name
+    script = ("import sys, netlearn\n"
+              "print(sorted(m for m in sys.modules if 'netlearn' in m\n"
+              "             and type(sys.modules[m]) is type(sys)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=env)
+    assert r.stdout.splitlines() == ["['netlearn']"], r.stdout + r.stderr
 
 
 @pytest.mark.parametrize("args, named", [

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from netlearn import beliefs, config, dynamics, graphs, signals, strategies
-from netlearn.beliefs import TieBreaker
+from netlearn.strategies import TieBreaker
 from netlearn.dynamics import SimConfig
 
 
@@ -391,7 +391,7 @@ def test_run_ensemble_equals_run_trace_and_add_trace(fake_pool, monkeypatch,
     cfg = SimConfig(horizon=5, replicates=replicates, tail_window=2,
                     master_seed=6)
     if block:
-        monkeypatch.setattr(beliefs, "BLOCK_CELLS", block * g.n * 5)
+        monkeypatch.setattr(strategies, "BLOCK_CELLS", block * g.n * 5)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
     want = [dynamics.run_trace(g, m, prof, cfg, r)
             for r in range(replicates)]
@@ -422,7 +422,7 @@ def test_an_edited_atom_block_plays_as_its_rows(name):
     traces = [dynamics.run_trace(g, m, prof, cfg, r) for r in range(12)]
     atoms = np.array([tr.atoms for tr in traces])
     jitters = np.array([tr.jitters for tr in traces])
-    log = beliefs.TieLog()
+    log = strategies.TieLog()
     played = prof.trace_batch(g, m, atoms, jitters, cfg.horizon, log)
     assert np.array_equal(played, [tr.actions for tr in traces])
     assert log.count == sum(tr.tie_count for tr in traces)
@@ -430,9 +430,9 @@ def test_an_edited_atom_block_plays_as_its_rows(name):
     # flip agent 0's sign in every replicate
     neg, pos = m.sign_atoms()
     atoms[:, 0] = neg + pos - atoms[:, 0]
-    log = beliefs.TieLog()
+    log = strategies.TieLog()
     edited = prof.trace_batch(g, m, atoms, jitters, cfg.horizon, log)
-    row_log = beliefs.TieLog()
+    row_log = strategies.TieLog()
     rows = [prof.trace_actions(g, m, a, j, cfg.horizon, row_log)
             for a, j in zip(atoms, jitters)]
     assert np.array_equal(edited, rows)
@@ -488,7 +488,7 @@ def test_block_streams_give_each_replicate_its_own_draw(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_usable_cpus", lambda: 8)
         if block:
-            mp.setattr(beliefs, "BLOCK_CELLS", block * g.n * 4)
+            mp.setattr(strategies, "BLOCK_CELLS", block * g.n * 4)
         runs = [_recorded_ensemble(g, m, prof, SimConfig(
             horizon=4, replicates=r, tail_window=2, master_seed=seed), w)
             for r, w in ((replicates, workers), (fewer, workers2))]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netlearn import graphs, invariants
+from netlearn import graphs, invariants, topology
 
 
 def test_rejects_self_loops():
@@ -22,21 +22,21 @@ def test_closed_nbrs_include_self():
 
 def test_dicycle_connectivity_and_L():
     g = graphs.dicycle(6)
-    assert graphs.is_strongly_connected(g)
-    assert graphs.min_l_connectivity(g) == 5
+    assert topology.is_strongly_connected(g)
+    assert topology.min_l_connectivity(g) == 5
 
 
 def test_undirected_families_are_1_connected():
     for g in (graphs.cycle(7), graphs.chain(5), graphs.grid(3, 4)):
-        assert graphs.is_strongly_connected(g)
-        assert graphs.min_l_connectivity(g) == 1
+        assert topology.is_strongly_connected(g)
+        assert topology.min_l_connectivity(g) == 1
 
 
 def test_l_connectivity_requires_strong_connectivity():
     g = graphs.DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
-    assert not graphs.is_strongly_connected(g)
+    assert not topology.is_strongly_connected(g)
     with pytest.raises(ValueError):
-        graphs.min_l_connectivity(g)
+        topology.min_l_connectivity(g)
 
 
 def test_l_connectivity_holds_one_distance_row_at_a_time():
@@ -44,7 +44,7 @@ def test_l_connectivity_holds_one_distance_row_at_a_time():
     g = graphs.cycle(1000)
     tracemalloc.start()
     try:
-        assert graphs.min_l_connectivity(g) == 1
+        assert topology.min_l_connectivity(g) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -52,8 +52,8 @@ def test_l_connectivity_holds_one_distance_row_at_a_time():
 
 
 def test_out_degree_bound():
-    assert graphs.out_degree_bound(graphs.dicycle(4)) == 2
-    assert graphs.out_degree_bound(graphs.cycle(5)) == 3
+    assert topology.out_degree_bound(graphs.dicycle(4)) == 2
+    assert topology.out_degree_bound(graphs.cycle(5)) == 3
 
 
 def test_royal_family_structure():
@@ -66,10 +66,10 @@ def test_royal_family_structure():
         for r in royals:
             assert g.has_edge(p, r)
     assert g.has_edge(0, 3) and not g.has_edge(1, 3)
-    assert graphs.is_strongly_connected(g)
+    assert topology.is_strongly_connected(g)
     # BFS oracle: longest return path runs royal_k -> royal_0 -> public_0
     # -> ... -> public_{n-1}, giving L = n + 1
-    assert graphs.min_l_connectivity(g) == 11
+    assert topology.min_l_connectivity(g) == 11
 
 
 def test_mad_king_structure():
@@ -83,26 +83,26 @@ def test_mad_king_structure():
         assert not g.has_edge(0, b)
     for p in range(10, 14):
         assert g.has_edge(0, p) and g.has_edge(p, 0)
-    assert graphs.min_l_connectivity(g) == 1
+    assert topology.min_l_connectivity(g) == 1
 
 
 def test_random_regular_is_connected_and_regular():
     g = graphs.random_regular(12, 3, seed=5)
-    assert graphs.is_strongly_connected(g)
+    assert topology.is_strongly_connected(g)
     assert all(len(g.out_neighbors(i)) == 3 for i in range(12))
 
 
 # --- rooted balls and the dyadic metric ------------------------------------
 
 def test_extract_ball_radius_zero():
-    b = graphs.extract_ball(graphs.dicycle(5), 2, 0)
+    b = topology.extract_ball(graphs.dicycle(5), 2, 0)
     assert b.vertices == frozenset({2}) and not b.edges
 
 
 def test_ball_vertices_match_bfs():
     g = graphs.grid(3, 3)
     for r in range(3):
-        b = graphs.extract_ball(g, 0, r)
+        b = topology.extract_ball(g, 0, r)
         dist = graphs.all_pairs_distances(g)[0]
         assert b.vertices == frozenset(
             v for v in range(g.n) if 0 <= dist[v] <= r)
@@ -122,9 +122,9 @@ def test_ball_distances_truncate_the_full_bfs(g):
     dist = graphs.all_pairs_distances(g)
     if min(map(min, dist)) < 0:
         with pytest.raises(ValueError, match="strongly connected"):
-            graphs.l_connectivity_and_diameter(g)
+            topology.l_connectivity_and_diameter(g)
     else:
-        assert graphs.l_connectivity_and_diameter(g) == (
+        assert topology.l_connectivity_and_diameter(g) == (
             max((dist[j][i] for (i, j) in g.edges), default=0),
             max(map(max, dist)))
     for source in range(g.n):
@@ -139,19 +139,19 @@ def test_ball_distances_truncate_the_full_bfs(g):
 @given(n1=st.integers(4, 7), n2=st.integers(4, 7),
        r=st.integers(0, 2))
 def test_iso_matches_bruteforce_oracle(n1, n2, r):
-    b1 = graphs.extract_ball(graphs.dicycle(n1), 0, r)
-    b2 = graphs.extract_ball(graphs.dicycle(n2), 0, r)
+    b1 = topology.extract_ball(graphs.dicycle(n1), 0, r)
+    b2 = topology.extract_ball(graphs.dicycle(n2), 0, r)
     if max(b1.n, b2.n) <= 8:
-        fast, mapping = graphs.balls_isomorphic(b1, b2)
-        assert fast == graphs.balls_isomorphic_bruteforce(b1, b2)
+        fast, mapping = topology.balls_isomorphic(b1, b2)
+        assert fast == topology.balls_isomorphic_bruteforce(b1, b2)
         if fast:
             assert mapping[b1.root] == b2.root
 
 
 def test_iso_witness_preserves_edges():
-    b1 = graphs.extract_ball(graphs.cycle(9), 0, 2)
-    b2 = graphs.extract_ball(graphs.cycle(11), 3, 2)
-    ok, h = graphs.balls_isomorphic(b1, b2)
+    b1 = topology.extract_ball(graphs.cycle(9), 0, 2)
+    b2 = topology.extract_ball(graphs.cycle(11), 3, 2)
+    ok, h = topology.balls_isomorphic(b1, b2)
     assert ok
     assert {(h[i], h[j]) for (i, j) in b1.edges} == set(b2.edges)
 
@@ -159,17 +159,17 @@ def test_iso_witness_preserves_edges():
 def test_rooted_distance_values():
     # two directed cycles look identical up to radius floor((n-1)/1) windows;
     # dicycle(8) vs dicycle(12) first differ once the smaller ball wraps
-    d, truncated = graphs.rooted_distance(graphs.dicycle(8), 0,
+    d, truncated = topology.rooted_distance(graphs.dicycle(8), 0,
                                           graphs.dicycle(12), 0, 8)
     assert d == 2.0 ** -6 and not truncated
-    d, truncated = graphs.rooted_distance(graphs.dicycle(8), 0,
+    d, truncated = topology.rooted_distance(graphs.dicycle(8), 0,
                                           graphs.dicycle(12), 0, 3)
     assert d == 2.0 ** -3 and truncated
 
 
 def test_rooted_distance_rejects_negative_radius():
     with pytest.raises(ValueError, match="r_max"):
-        graphs.rooted_distance(graphs.dicycle(5), 0, graphs.dicycle(8), 0, -2)
+        topology.rooted_distance(graphs.dicycle(5), 0, graphs.dicycle(8), 0, -2)
 
 
 def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
@@ -178,7 +178,7 @@ def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
     assert all(ok for name, ok, _ in invariants.check_graph()
                if name.startswith("l_connectivity_bound"))
     real = graphs.bfs_distances
-    monkeypatch.setattr(graphs, "bfs_distances", lambda g, source, radius=None:
+    monkeypatch.setattr(topology, "bfs_distances", lambda g, source, radius=None:
                         [d + 1 for d in real(g, source, radius)])
     bounds = [ok for name, ok, _ in invariants.check_graph()
               if name.startswith("l_connectivity_bound")]
@@ -192,7 +192,7 @@ def test_iso_invariant_catches_a_constant_answer(monkeypatch, answer, fails):
     its two checks, whatever the brute force says."""
     assert all(ok for name, ok, _ in invariants.check_graph()
                if name.startswith("iso_matches_bruteforce"))
-    monkeypatch.setattr(graphs, "balls_isomorphic",
+    monkeypatch.setattr(topology, "balls_isomorphic",
                         lambda a, b: (answer, None))
     iso = {name: ok for name, ok, _ in invariants.check_graph()
            if name.startswith("iso_matches_bruteforce")}
@@ -203,9 +203,9 @@ def test_iso_invariant_catches_a_constant_answer(monkeypatch, answer, fails):
 
 def test_rooted_distance_identity_and_symmetry():
     g = graphs.cycle(10)
-    assert graphs.rooted_distance(g, 0, g, 4, 10)[0] == 0.0
-    a = graphs.rooted_distance(graphs.dicycle(6), 0, graphs.dicycle(9), 0, 8)
-    b = graphs.rooted_distance(graphs.dicycle(9), 0, graphs.dicycle(6), 0, 8)
+    assert topology.rooted_distance(g, 0, g, 4, 10)[0] == 0.0
+    a = topology.rooted_distance(graphs.dicycle(6), 0, graphs.dicycle(9), 0, 8)
+    b = topology.rooted_distance(graphs.dicycle(9), 0, graphs.dicycle(6), 0, 8)
     assert a == b
 
 
@@ -215,9 +215,9 @@ def test_rooted_distance_ultrametric(na, nb, nc):
     """d(a, c) <= max(d(a, b), d(b, c)) on directed cycles."""
     r = 6
     ga, gb, gc = (graphs.dicycle(k) for k in (na, nb, nc))
-    dab = graphs.rooted_distance(ga, 0, gb, 0, r)[0]
-    dbc = graphs.rooted_distance(gb, 0, gc, 0, r)[0]
-    dac = graphs.rooted_distance(ga, 0, gc, 0, r)[0]
+    dab = topology.rooted_distance(ga, 0, gb, 0, r)[0]
+    dbc = topology.rooted_distance(gb, 0, gc, 0, r)[0]
+    dac = topology.rooted_distance(ga, 0, gc, 0, r)[0]
     assert dac <= max(dab, dbc) + 1e-12
 
 
@@ -329,14 +329,14 @@ def test_ball_keeps_the_distances_of_its_own_bfs(rooted, r):
     """A shortest path to a ball vertex never leaves the ball, so the
     distances the truncated search found equal a BFS over the ball."""
     g, root = rooted
-    ball = graphs.extract_ball(g, root, r)
+    ball = topology.extract_ball(g, root, r)
     assert ball.distances == _reference_root_distances(ball)
     assert max(ball.distances.values()) <= r
 
 
 def test_ball_needs_every_distance():
     with pytest.raises(ValueError, match="distance"):
-        graphs.RootedBall(0, 1, frozenset({0, 1}), frozenset({(0, 1)}),
+        topology.RootedBall(0, 1, frozenset({0, 1}), frozenset({(0, 1)}),
                           {0: 0})
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from netlearn import beliefs, config, dynamics, graphs, signals, strategies
-from netlearn.beliefs import TieBreaker
+from netlearn.strategies import TieBreaker
 
 
 def test_myopic_profile_rejects_jitter_tiebreak():
@@ -74,7 +74,7 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
     worlds = list(itertools.product(range(m.k), repeat=g.n))
     traces, ties = [], 0
     for atoms in worlds:
-        fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+        fast_log, slow_log = strategies.TieLog(), strategies.TieLog()
         fast = prof.trace_actions(g, m, np.array(atoms), np.zeros(g.n),
                                   horizon, fast_log)
         slow = strategies.Profile.trace_actions(
@@ -84,7 +84,7 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
         traces.append(fast)
         ties += fast_log.count
         rounds = [tuple(int(a) for a in fast[:, t]) for t in range(horizon)]
-        oracle_log = beliefs.TieLog()
+        oracle_log = strategies.TieLog()
         for t in range(horizon):
             for i in range(g.n):
                 view = beliefs.view_from_actions(g, rounds, atoms, i, t)
@@ -93,7 +93,7 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
                 assert fast[i, t] == beliefs.best_response(posts[view], tb,
                                                            oracle_log)
         assert fast_log.count == oracle_log.count
-    batch_log = beliefs.TieLog()
+    batch_log = strategies.TieLog()
     batch = prof.trace_batch(g, m, np.array(worlds),
                              np.zeros((len(worlds), g.n)), horizon, batch_log)
     assert batch.dtype == np.uint8
@@ -110,7 +110,7 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
     last = list(hist[-1])
     last[own] = 1 - last[own]
     off = hist[:-1] + (tuple(last),)
-    log = beliefs.TieLog()
+    log = strategies.TieLog()
     assert prof.action(agent, atoms[agent], off, log) == 0
     assert log.count == 0
     with pytest.raises(beliefs.InconsistentHistoryError):
@@ -270,7 +270,7 @@ def test_trace_batch_empty_batch_and_zero_horizon():
     gossip = strategies.GossipProfile(TieBreaker("one"))
     for g, prof in ((g, myo), (gk, king), (gr, royal), (g, gossip)):
         atoms = np.zeros((2, g.n), dtype=int)
-        log = beliefs.TieLog()
+        log = strategies.TieLog()
         empty = prof.trace_batch(g, m, np.zeros((0, g.n), dtype=int),
                                  np.zeros((0, g.n)), 3, log)
         assert empty.shape == (0, g.n, 3) and empty.dtype == np.uint8
@@ -285,7 +285,7 @@ def test_myopic_copy_plays_the_solved_rounds_and_re_solves_more():
     table up to the rounds solved, re-solving from round 0 beyond them."""
     g = graphs.dicycle(5)
     m = signals.symmetric_binary(0.6)
-    atoms, _, _ = beliefs.worlds(m, g.n)
+    atoms, _, _ = strategies.worlds(m, g.n)
     atoms, jit = atoms.T, np.zeros(atoms.T.shape)
     want = strategies.MyopicExactProfile(g, m).trace_batch(g, m, atoms, jit, 6)
     prof = strategies.MyopicExactProfile(g, m)
@@ -303,37 +303,37 @@ def test_myopic_copy_plays_the_solved_rounds_and_re_solves_more():
 def test_exact_myopic_budget_counts_world_agent_cells(monkeypatch):
     g = graphs.dicycle(5)
     m = signals.symmetric_binary(0.7)
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 2 ** 5 * 5)
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 2 ** 5 * 5)
     ok = strategies.MyopicExactProfile(g, m)
     neg, pos = m.sign_atoms()
     assert ok.action(0, pos, ()) == 1
     # the belief functions count the same cells
     view = beliefs.HistoryView(0, 0, pos, ())
     assert beliefs.exact_posterior(g, m, ok, view).posterior > 0.5
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 2 ** 5 * 5 - 1)
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 2 ** 5 * 5 - 1)
     tight = strategies.MyopicExactProfile(g, m)
-    with pytest.raises(beliefs.BudgetExceededError):
+    with pytest.raises(strategies.BudgetExceededError):
         tight.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
-    with pytest.raises(beliefs.BudgetExceededError):
+    with pytest.raises(strategies.BudgetExceededError):
         beliefs.exact_posterior(g, m, ok, view)
 
 
 def test_one_patched_budget_governs_both_engines(monkeypatch):
-    """``beliefs.DEFAULT_BUDGET`` is read when a world table or a ring set
+    """``strategies.DEFAULT_BUDGET`` is read when a world table or a ring set
     is built: patched just below the k^n * n world-agent cells of dicycle(5),
     a new myopic profile and an exact posterior raise BudgetExceededError,
     and so do the gossip rings of a dense graph whose balls hold n^2 = 400
     entries."""
     g = graphs.dicycle(5)
     m = signals.symmetric_binary(0.7)
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", 2 ** g.n * g.n - 1)
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 2 ** g.n * g.n - 1)
     prof = strategies.MyopicExactProfile(g, m)
-    with pytest.raises(beliefs.BudgetExceededError):
+    with pytest.raises(strategies.BudgetExceededError):
         prof.trace_actions(g, m, np.zeros(g.n, dtype=int), None, 1)
-    with pytest.raises(beliefs.BudgetExceededError):
+    with pytest.raises(strategies.BudgetExceededError):
         beliefs.exact_posterior(g, m, prof, beliefs.HistoryView(0, 0, 0, ()))
     dense = graphs.random_regular(20, 6, seed=1)
-    with pytest.raises(beliefs.BudgetExceededError, match="gossip rings"):
+    with pytest.raises(strategies.BudgetExceededError, match="gossip rings"):
         strategies.GossipProfile().trace_batch(
             dense, m, np.zeros((1, dense.n), int), np.zeros((1, dense.n)), 6)
 
@@ -372,8 +372,8 @@ def _dense_gossip(g, m, atoms, jitters, horizon, mode):
     ties = 0
     for t in range(horizon):
         vals = ((dist >= 0) & (dist <= t)).astype(np.float64) @ z
-        tied = np.abs(vals) <= beliefs.TIE_TOL
-        out[:, t] = np.where(tied, tie_act, vals > beliefs.TIE_TOL)
+        tied = np.abs(vals) <= strategies.TIE_TOL
+        out[:, t] = np.where(tied, tie_act, vals > strategies.TIE_TOL)
         ties += int(np.count_nonzero(tied))
     return out, ties
 
@@ -394,7 +394,7 @@ def test_gossip_rings_match_dense_reach_masks(gi, m, mode, data, seed):
     rng = np.random.default_rng(seed)
     atoms = m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
     jitters = rng.random(g.n)
-    log = beliefs.TieLog()
+    log = strategies.TieLog()
     fast = GOSSIP_PROFILES[mode].trace_actions(g, m, atoms, jitters, horizon,
                                                log)
     want, ties = _dense_gossip(g, m, atoms, jitters, horizon, mode)
@@ -414,12 +414,12 @@ def _ring_sum_gossip(g, m, atoms, jitters, horizon, mode):
             if d >= 0:
                 sums[i, d] += z[j]
     margin = sums.cumsum(axis=1)
-    tied = np.abs(margin) <= beliefs.TIE_TOL
+    tied = np.abs(margin) <= strategies.TIE_TOL
     if mode == "jitter":
         tie_act = np.broadcast_to((jitters < 0.5)[:, None], margin.shape)
     else:
         tie_act = np.full(margin.shape, mode == "one")
-    out = np.where(tied, tie_act, margin > beliefs.TIE_TOL).astype(np.uint8)
+    out = np.where(tied, tie_act, margin > strategies.TIE_TOL).astype(np.uint8)
     return out, int(np.count_nonzero(tied))
 
 
@@ -439,7 +439,7 @@ def _rows_with_cancelling_sums(data, m, n):
 @given(st.sampled_from(range(len(GOSSIP_GRAPHS))),
        st.sampled_from(GOSSIP_MODELS), st.sampled_from(("zero", "one",
                                                         "jitter")),
-       st.sampled_from((1, 7, 40, beliefs.BLOCK_CELLS)), st.data(),
+       st.sampled_from((1, 7, 40, strategies.BLOCK_CELLS)), st.data(),
        st.integers(0, 2 ** 32 - 1))
 def test_gossip_trace_batch_matches_per_row_ring_sums(gi, m, mode, cap, data,
                                                       seed):
@@ -449,9 +449,9 @@ def test_gossip_trace_batch_matches_per_row_ring_sums(gi, m, mode, cap, data,
     horizon = data.draw(st.integers(1, 6), label="horizon")
     atoms = _rows_with_cancelling_sums(data, m, g.n)
     jitters = np.random.default_rng(seed).random(atoms.shape)
-    log = beliefs.TieLog()
+    log = strategies.TieLog()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(beliefs, "BLOCK_CELLS", cap)
+        mp.setattr(strategies, "BLOCK_CELLS", cap)
         fast = strategies.GossipProfile(TieBreaker(mode)).trace_batch(
             g, m, atoms, jitters, horizon, log)
     assert fast.dtype == np.uint8 and fast.shape == atoms.shape + (horizon,)
@@ -486,11 +486,11 @@ def test_gossip_rings_stop_past_the_budget(fake_pool, monkeypatch):
     before any replicate or pool."""
     g = graphs.random_regular(20, 6, seed=1)
     m = signals.symmetric_binary(0.7)
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", g.n ** 2)
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", g.n ** 2)
     strategies.GossipProfile().trace_batch(g, m, np.zeros((1, g.n), int),
                                            np.zeros((1, g.n)), 6)
-    monkeypatch.setattr(beliefs, "DEFAULT_BUDGET", g.n ** 2 - 1)
-    with pytest.raises(beliefs.BudgetExceededError, match="gossip rings"):
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", g.n ** 2 - 1)
+    with pytest.raises(strategies.BudgetExceededError, match="gossip rings"):
         strategies.GossipProfile().trace_batch(
             g, m, np.zeros((1, g.n), int), np.zeros((1, g.n)), 6)
     chunks = []
@@ -498,7 +498,7 @@ def test_gossip_rings_stop_past_the_budget(fake_pool, monkeypatch):
                         lambda *a, **kw: chunks.append(a))
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
     cfg = dynamics.SimConfig(horizon=6, replicates=4, tail_window=2)
-    with pytest.raises(beliefs.BudgetExceededError):
+    with pytest.raises(strategies.BudgetExceededError):
         dynamics.run_ensemble(g, m, strategies.GossipProfile(), cfg,
                               workers=2)
     assert chunks == [] and fake_pool == []
@@ -600,10 +600,10 @@ def test_gossip_ring_search_holds_at_most_a_few_budgets():
         (i, j) for i in range(n) for j in range(n) if i != j))
     m = signals.symmetric_binary(0.7)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(beliefs, "DEFAULT_BUDGET", budget)
+        mp.setattr(strategies, "DEFAULT_BUDGET", budget)
         tracemalloc.start()
         try:
-            with pytest.raises(beliefs.BudgetExceededError):
+            with pytest.raises(strategies.BudgetExceededError):
                 strategies.GossipProfile().trace_batch(
                     g, m, np.zeros((1, n), int), np.zeros((1, n)), 3)
             _, peak = tracemalloc.get_traced_memory()
@@ -627,15 +627,15 @@ def test_gossip_ring_block_holds_no_unplayed_rows(n):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 32 * beliefs.BLOCK_CELLS
+    assert held < 32 * strategies.BLOCK_CELLS
     rng = np.random.default_rng(n)
     atoms = rng.integers(0, m.k, size=(
-        2 * beliefs.BLOCK_CELLS // (n * horizon) + 3, n))
+        2 * strategies.BLOCK_CELLS // (n * horizon) + 3, n))
     jitters = rng.random(atoms.shape)
-    log, one_log = beliefs.TieLog(), beliefs.TieLog()
+    log, one_log = strategies.TieLog(), strategies.TieLog()
     got = prof.trace_batch(g, m, atoms, jitters, horizon, log)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(beliefs, "BLOCK_CELLS", n * horizon)
+        mp.setattr(strategies, "BLOCK_CELLS", n * horizon)
         want = strategies.GossipProfile(TieBreaker("jitter")).trace_batch(
             g, m, atoms, jitters, horizon, one_log)
     assert np.array_equal(got, want) and log.count == one_log.count
@@ -659,7 +659,7 @@ def test_gossip_profile_holds_only_its_newest_rings():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 32 * beliefs.BLOCK_CELLS
+    assert held < 32 * strategies.BLOCK_CELLS
 
 
 @settings(max_examples=100, deadline=None)
@@ -681,12 +681,12 @@ def test_gossip_profile_serves_batches_like_fresh_profiles(
     rng = np.random.default_rng(seed)
     prof = strategies.GossipProfile(TieBreaker(mode))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(beliefs, "BLOCK_CELLS", cap)
+        mp.setattr(strategies, "BLOCK_CELLS", cap)
         for rows, (gk, hk) in zip((0, 1, R, 1, 2 * R), keys):
             g, horizon = GOSSIP_GRAPHS[gis[gk]], horizons[hk]
             atoms = rng.integers(0, m.k, size=(rows, g.n))
             jitters = rng.random(atoms.shape)
-            log, fresh_log = beliefs.TieLog(), beliefs.TieLog()
+            log, fresh_log = strategies.TieLog(), strategies.TieLog()
             got = prof.trace_batch(g, m, atoms, jitters, horizon, log)
             want = strategies.GossipProfile(TieBreaker(mode)).trace_batch(
                 g, m, atoms, jitters, horizon, fresh_log)
@@ -705,7 +705,7 @@ def test_gossip_profile_pickles_its_rings_only(monkeypatch):
     rng = np.random.default_rng(3)
     atoms = rng.integers(0, m.k, size=(3000, g.n))
     jitters = rng.random(atoms.shape)
-    log, copy_log = beliefs.TieLog(), beliefs.TieLog()
+    log, copy_log = strategies.TieLog(), strategies.TieLog()
     want = prof.trace_batch(g, m, atoms, jitters, horizon, log)
     data = pickle.dumps(prof)
     assert len(data) < 4096
@@ -835,7 +835,7 @@ def test_royal_family_trace_matches_action_loop_in_every_tie_mode(
     prof = strategies.RoyalFamilyProfile(g, m, TieBreaker(mode))
     rng = np.random.default_rng(seed)
     atoms = m.sample_atoms(rng, g.n, int(rng.integers(0, 2)))
-    fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+    fast_log, slow_log = strategies.TieLog(), strategies.TieLog()
     fast = prof.trace_actions(g, m, atoms, np.zeros(g.n), horizon, fast_log)
     slow = strategies.Profile.trace_actions(prof, g, m, atoms, np.zeros(g.n),
                                             horizon, slow_log)
@@ -854,11 +854,11 @@ def test_royal_family_trace_batch_matches_the_generic_loop(R, n, m, mode,
     g = graphs.royal_family(R, n)
     prof = strategies.RoyalFamilyProfile(g, m, TieBreaker(mode))
     atoms = _rows_with_cancelling_sums(data, m, g.n)
-    log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+    log, slow_log = strategies.TieLog(), strategies.TieLog()
     fast = prof.trace_batch(g, m, atoms, np.zeros(atoms.shape), horizon, log)
     assert fast.dtype == np.uint8 and fast.shape == atoms.shape + (horizon,)
     for row, a in zip(fast, atoms):
-        slow = beliefs.Profile.trace_actions(prof, g, m, a, np.zeros(g.n),
+        slow = strategies.Profile.trace_actions(prof, g, m, a, np.zeros(g.n),
                                              horizon, slow_log)
         assert np.array_equal(row, slow)
     assert log.count == slow_log.count
@@ -869,7 +869,7 @@ def test_scripted_profiles_reject_atoms_within_tie_tol():
     nothing and the round-1 decoding is meaningless: both scripted profiles
     refuse such a model."""
     m = signals.symmetric_binary(0.5 + 1e-13)
-    assert 0 < m.atoms[0].z < beliefs.TIE_TOL
+    assert 0 < m.atoms[0].z < strategies.TIE_TOL
     with pytest.raises(ValueError, match="sign decoding"):
         strategies.RoyalFamilyProfile(graphs.royal_family(3, 4), m)
     with pytest.raises(ValueError, match="sign decoding"):
@@ -1045,7 +1045,7 @@ def _mad_king_batch_vs_loop(g, m, mode, atoms, horizon):
     return the loop's tie count."""
     rows = len(atoms)
     prof = strategies.MadKingProfile(g, m, TieBreaker(mode))
-    batch_log, one_log, slow_log = (beliefs.TieLog() for _ in range(3))
+    batch_log, one_log, slow_log = (strategies.TieLog() for _ in range(3))
     batch = prof.trace_batch(g, m, atoms, np.zeros(atoms.shape), horizon,
                              batch_log)
     ones = np.stack([prof.trace_actions(g, m, a, np.zeros(g.n), horizon,
@@ -1098,7 +1098,7 @@ def test_mad_king_regent_ties_at_every_round_from_1(mode):
     atoms = np.full(g.n, neg)
     atoms[[prof.roles.regent, 3]] = pos
     assert prof.regent_z1(atoms) == 0.0
-    fast_log, slow_log = beliefs.TieLog(), beliefs.TieLog()
+    fast_log, slow_log = strategies.TieLog(), strategies.TieLog()
     fast = prof.trace_batch(g, m, atoms[None], None, 5, fast_log)[0]
     slow = strategies.Profile.trace_actions(prof, g, m, atoms, np.zeros(g.n),
                                             5, slow_log)
@@ -1119,7 +1119,7 @@ def test_mad_king_regime_inequality():
 def test_myopic_condition_formulas():
     y = (0.2, 0.25, 0.3, 0.35)
     lam = 0.8
-    out = strategies.myopic_condition_check(y, lam)
+    out = beliefs.myopic_condition_check(y, lam)
     lhs = 0.4
     assert out["B1"] == (lhs > lam ** 2 * (0.5 - 0.2) / 0.2)
     assert out["B2"] == (lhs > lam ** 2 * (0.5 - 0.25) / 0.2)
@@ -1139,7 +1139,7 @@ def test_myopic_conditions_nested_for_monotone_y(y0, d1, d2, d3, lam):
     ys = [y0]
     for d in (d1, d2, d3):
         ys.append(min(0.5, ys[-1] + d * (0.5 - ys[-1])))
-    out = strategies.myopic_condition_check(ys, lam)
+    out = beliefs.myopic_condition_check(ys, lam)
     assert (not out["B1"]) or out["B2"]
     assert (not out["B2"]) or out["B3"]
     assert (not out["B3"]) or out["B4"]
@@ -1147,11 +1147,11 @@ def test_myopic_conditions_nested_for_monotone_y(y0, d1, d2, d3, lam):
 
 def test_myopic_condition_validation():
     with pytest.raises(ValueError):
-        strategies.myopic_condition_check((0.1, 0.2, 0.3, 0.4), 1.0)
+        beliefs.myopic_condition_check((0.1, 0.2, 0.3, 0.4), 1.0)
     with pytest.raises(ValueError):
-        strategies.myopic_condition_check((0.1, 0.2, 0.7, 0.4), 0.5)
+        beliefs.myopic_condition_check((0.1, 0.2, 0.7, 0.4), 0.5)
     with pytest.raises(ValueError):
-        strategies.myopic_condition_check((0.1, 0.2), 0.5)
+        beliefs.myopic_condition_check((0.1, 0.2), 0.5)
 
 
 def test_gossip_jitter_breaks_ties_below_one_half(tmp_path):
@@ -1175,7 +1175,7 @@ def test_gossip_jitter_breaks_ties_below_one_half(tmp_path):
     for r in range(12):
         # replicate r's jitters, played with the alternating atoms
         jitters = dynamics.run_trace(g, m, prof, rc.sim, r).jitters
-        tie_log = beliefs.TieLog()
+        tie_log = strategies.TieLog()
         actions = prof.trace_actions(g, m, alternate, jitters,
                                      rc.sim.horizon, tie_log)
         tied = jitters < 0.5

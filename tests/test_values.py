@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from netlearn import graphs, signals, stats, strategies
+from netlearn import estimators, graphs, signals, strategies, topology
 from netlearn.beliefs import HistoryView, TieBreaker
 from netlearn.dynamics import SimConfig
 from netlearn.signals import Atom, SignalModel
@@ -43,8 +43,8 @@ CASES = {
         graphs.DirectedGraph(3, EDGES, ("a", ())),
         graphs.DirectedGraph(3, EDGES, ("b", (("n", 3),)))), None),
     "ball-ignores-distances": (lambda: (
-        graphs.RootedBall(0, 1, VERTICES, EDGES, {0: 0, 1: 1, 2: 2}),
-        graphs.RootedBall(0, 1, VERTICES, EDGES, {0: 0, 1: 5, 2: 5})), None),
+        topology.RootedBall(0, 1, VERTICES, EDGES, {0: 0, 1: 1, 2: 2}),
+        topology.RootedBall(0, 1, VERTICES, EDGES, {0: 0, 1: 5, 2: 5})), None),
     "view": (lambda: (HistoryView(1, 2, 0, ((1, 0), (0, 0))),
                       HistoryView(1, 2, 0, ((1, 0), (0, 0)))), None),
     "tie-breaker": (lambda: (TieBreaker("one"), TieBreaker("one")), None),
@@ -78,15 +78,15 @@ CASES = {
                         "self-loop"),
     "graph-range": (lambda: graphs.DirectedGraph(2, frozenset({(0, 2)})),
                     "out of range"),
-    "ball-root": (lambda: graphs.RootedBall(
+    "ball-root": (lambda: topology.RootedBall(
         3, 1, VERTICES, EDGES, {0: 1, 1: 1, 2: 1}), "root must belong"),
-    "ball-distances": (lambda: graphs.RootedBall(
+    "ball-distances": (lambda: topology.RootedBall(
         0, 1, VERTICES, EDGES, {0: 0, 1: 1}), "distance of every vertex"),
-    "sample-shapes": (lambda: stats.EstimatorSample(
+    "sample-shapes": (lambda: estimators.EstimatorSample(
         np.zeros((3, 2)), np.zeros(2)), "must be"),
-    "sample-empty": (lambda: stats.EstimatorSample(
+    "sample-empty": (lambda: estimators.EstimatorSample(
         np.zeros((0, 2)), np.zeros(0)), "at least one observation"),
-    "sample-entries": (lambda: stats.EstimatorSample(
+    "sample-entries": (lambda: estimators.EstimatorSample(
         np.full((2, 2), 2), np.zeros(2)), "0/1"),
 }
 
