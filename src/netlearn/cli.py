@@ -10,14 +10,16 @@ A graph argument is a ``graphs.generate`` spec such as ``dicycle(6)`` or an
 edge-list file.  ``simulate`` runs every ensemble through
 ``dynamics.run_ensemble`` with at most ``--workers`` processes (and no more
 than the replicates or the usable CPUs); the report and the trace CSV, whose
-roles come from ``graphs.role_names``, do not depend on it.
+roles come from ``graphs.role_names``, do not depend on it.  A setting
+ranks default < file < NETLEARN_* variable < flag (``--seed``, ``--out``,
+``--trace-csv``).  Seeds run from 0 to 2**64 - 1.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, a seed that is negative or 2**64 or more, an output path that is
-a directory, an input file, in a missing directory or not writable, a
-report and a trace CSV that are one file, or a run the exact engine's
-budget cannot hold), found before any replicate runs;
+below 1, an unknown config section or key, a seed that is negative or 2**64
+or more, an output path that is a directory, an input file, in a missing
+directory or not writable, a report and a trace CSV that are one file, or a
+run the exact engine's budget cannot hold), found before any replicate runs;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations
@@ -97,9 +99,10 @@ def cmd_simulate(args) -> int:
     try:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
-        rc = load_config(args.config, {"sim": {"seed": args.seed}})
-        out_json = args.out or rc.report_json
-        csv_path = args.trace_csv or rc.trace_csv
+        rc = load_config(args.config, {
+            "sim": {"seed": args.seed},
+            "output": {"report_json": args.out, "trace_csv": args.trace_csv}})
+        out_json, csv_path = rc.report_json, rc.trace_csv
         inputs = {os.path.realpath(p) for p in (args.config, rc.graph_file)
                   if p}
         for path in (out_json, csv_path):
@@ -148,8 +151,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_invariants(args) -> int:
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+    try:
+        dynamics.check_seed(args.seed)
+    except ValueError as e:  # "seed must be ...": name the flag
+        print(f"error: --{e}", file=sys.stderr)
         return EXIT_USAGE
     # imported here, so that no other command loads the suites; run_scope
     # rejects an unknown scope before it runs any

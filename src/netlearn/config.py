@@ -1,25 +1,12 @@
 """Run configuration loading: INI or JSON files, environment overrides.
 
-Sections/keys:
-  [graph]   family = dicycle(20)  (a ``graphs.generate`` spec)
-            file = path           (an edge list; set family or file, not both)
-  [signal]  kind = symmetric_binary | royal_bounded | mad_king_asym
-            q = 0.7               (symmetric_binary only)
-  [profile] name = myopic | gossip | royal_family | mad_king
-            tie = zero | one | jitter
-                                  (jitter, gossip only: a tie plays 1 when
-                                   the agent's U[0, 1) jitter is below 1/2)
-            delta = 1.0           (mad_king; > 0)
-            lam = 0.99            (mad_king; 0 < lam < 1)
-  [sim]     horizon, replicates, discount, tail_window, seed (0 <= seed < 2**64)
-  [output]  trace_csv = path, report_json = path
-
-Three keys are dead: ``delta`` and ``lam`` are range-checked here and read
-by no profile, and ``discount`` is only echoed in the report.  They go once
-the benchmark's workload configs, which set them, stop doing so.
-
-Environment variables NETLEARN_<SECTION>_<KEY> override file values, e.g.
-NETLEARN_SIM_SEED=7.
+``_KEYS`` lists each [section] key, its default and the field it fills.  A
+setting comes from, lowest precedence first: its default, the file, the
+variable NETLEARN_<SECTION>_<KEY> (e.g. NETLEARN_SIM_SEED=7), then
+``overrides`` (the command line's flags).  Every source is checked against
+the table, so an unknown section or key is the same ValueError whichever
+source names it.  INI values are literal, as in JSON or the environment:
+``%`` is a character like any other, and ``%%`` is two.
 """
 from __future__ import annotations
 
@@ -33,15 +20,35 @@ from .dynamics import SimConfig
 
 ENV_PREFIX = "NETLEARN"
 
-_DEFAULTS = {
-    "graph": {"family": "", "file": ""},
-    "signal": {"kind": "symmetric_binary", "q": "0.7"},
-    "profile": {"name": "myopic", "tie": "zero", "delta": "1.0",
-                "lam": "0.99"},
-    "sim": {"horizon": "30", "replicates": "100", "discount": "0.9",
-            "tail_window": "5", "seed": "0"},
-    "output": {"trace_csv": "", "report_json": ""},
+# (section, key): (default, parser, field); a [sim] key fills the field of
+# RunConfig.sim, any other key the field of RunConfig
+_KEYS = {
+    # a graphs.generate spec such as dicycle(20), or an edge-list file
+    ("graph", "family"): ("", str, "graph_family"),
+    ("graph", "file"): ("", str, "graph_file"),
+    # symmetric_binary (the only kind that reads q), royal_bounded or
+    # mad_king_asym
+    ("signal", "kind"): ("symmetric_binary", str, "signal_kind"),
+    ("signal", "q"): ("0.7", float, "signal_q"),
+    # myopic, gossip, royal_family or mad_king; tie zero, one or jitter
+    # (gossip only: a tie plays 1 when the agent's U[0, 1) jitter is below
+    # 1/2).  delta and lam are dead: range-checked for mad_king, read by no
+    # profile; they go once the benchmark's workload configs stop setting
+    # them, as does discount, which is only echoed in the report.
+    ("profile", "name"): ("myopic", str, "profile_name"),
+    ("profile", "tie"): ("zero", str, "tie_mode"),
+    ("profile", "delta"): ("1.0", float, "delta"),
+    ("profile", "lam"): ("0.99", float, "lam"),
+    # seed from 0 to 2**64 - 1
+    ("sim", "horizon"): ("30", int, "horizon"),
+    ("sim", "replicates"): ("100", int, "replicates"),
+    ("sim", "discount"): ("0.9", float, "discount"),
+    ("sim", "tail_window"): ("5", int, "tail_window"),
+    ("sim", "seed"): ("0", int, "master_seed"),
+    ("output", "trace_csv"): ("", str, "trace_csv"),
+    ("output", "report_json"): ("", str, "report_json"),
 }
+_SECTIONS = {s for s, _ in _KEYS}
 
 
 class RunConfig(NamedTuple):
@@ -98,74 +105,58 @@ class RunConfig(NamedTuple):
                          "myopic, gossip, royal_family or mad_king")
 
 
-def _merged(sections: dict) -> dict:
+def _apply(values: dict, sections) -> None:
+    """Set ``values[section, key]`` from a {section: {key: value}} source,
+    refusing any section or key that ``_KEYS`` does not list; a value of
+    None (JSON null, a flag not given) sets nothing."""
     if not (isinstance(sections, dict)
             and all(isinstance(kv, dict) for kv in sections.values())):
         raise ValueError("a config must map each section to a table of keys")
-    data = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     for s, kv in sections.items():
-        if s not in data:
+        if s not in _SECTIONS:
             raise ValueError(f"unknown config section [{s}]")
         for k, v in kv.items():
-            if k not in data[s]:
+            if (s, k) not in _KEYS:
                 raise ValueError(f"unknown key {k!r} in section [{s}]")
-            data[s][k] = str(v)
-    return data
+            if v is not None:
+                values[s, k] = str(v)
 
 
-def _apply_env(data: dict, environ=None) -> dict:
-    environ = os.environ if environ is None else environ
-    for s, kv in data.items():
-        for k in kv:
-            name = f"{ENV_PREFIX}_{s.upper()}_{k.upper()}"
-            if name in environ:
-                kv[k] = environ[name]
-    return data
+def _read_file(path: str) -> dict:
+    if path.endswith(".json"):
+        with open(path) as f:
+            return json.load(f)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(path)
+        return {s: dict(cp.items(s)) for s in cp.sections()}
+    except configparser.Error as e:  # no header, a duplicate key
+        raise ValueError(" ".join(str(e).split())) from None
+
+
+def _env_sections(environ) -> dict:
+    """The NETLEARN_<SECTION>_<KEY> variables as {section: {key: value}}."""
+    out = {}
+    for name, v in environ.items():
+        head, _, rest = name.partition("_")
+        if head == ENV_PREFIX and rest:
+            s, _, k = rest.lower().partition("_")
+            out.setdefault(s, {})[k] = v
+    return out
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
                 environ=None) -> RunConfig:
-    """Load an INI or JSON config file; missing path = all defaults.
-
-    ``overrides`` is a {section: {key: value}} mapping applied last (used by
-    CLI flags such as --seed).
-    """
-    sections = {}
-    if path:
-        if path.endswith(".json"):
-            with open(path) as f:
-                sections = json.load(f)
-        else:
-            cp = configparser.ConfigParser()
-            try:
-                if not cp.read(path):
-                    raise FileNotFoundError(path)
-                sections = {s: dict(cp.items(s)) for s in cp.sections()}
-            except configparser.Error as e:  # no header, a duplicate key
-                raise ValueError(" ".join(str(e).split())) from None
-    data = _apply_env(_merged(sections), environ)
-    if overrides:
-        for s, kv in overrides.items():
-            for k, v in kv.items():
-                if v is not None:
-                    data[s][k] = str(v)
-    sim = SimConfig(
-        horizon=int(data["sim"]["horizon"]),
-        replicates=int(data["sim"]["replicates"]),
-        discount=float(data["sim"]["discount"]),
-        tail_window=int(data["sim"]["tail_window"]),
-        master_seed=int(data["sim"]["seed"]),
-    )
-    return RunConfig(
-        graph_family=data["graph"]["family"],
-        graph_file=data["graph"]["file"],
-        signal_kind=data["signal"]["kind"],
-        signal_q=float(data["signal"]["q"]),
-        profile_name=data["profile"]["name"],
-        tie_mode=data["profile"]["tie"],
-        delta=float(data["profile"]["delta"]),
-        lam=float(data["profile"]["lam"]),
-        sim=sim,
-        trace_csv=data["output"]["trace_csv"],
-        report_json=data["output"]["report_json"],
-    )
+    """Resolve a run from the defaults, the INI or JSON file at ``path``
+    (none: defaults only), the NETLEARN_* variables of ``environ`` (default
+    ``os.environ``) and ``overrides``, a {section: {key: value}} mapping
+    such as the command line's flags, each source above the one before."""
+    values = {sk: row[0] for sk, row in _KEYS.items()}
+    _apply(values, _read_file(path) if path else {})
+    _apply(values, _env_sections(os.environ if environ is None else environ))
+    _apply(values, overrides or {})
+    run, sim = {}, {}
+    for (s, k), (_, parse, field) in _KEYS.items():
+        (sim if s == "sim" else run)[field] = parse(values[s, k])
+    return RunConfig(sim=SimConfig(**sim), **run)

@@ -43,6 +43,7 @@ from .strategies import TieLog
 from .stats import wilson_interval
 
 __all__ = [
+    "check_seed",
     "SimConfig",
     "Trace",
     "EnsembleTally",
@@ -53,6 +54,14 @@ __all__ = [
     "locality_coupling_test",
     "write_trace_csv",
 ]
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a uint64, the draws' key."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed >= 2 ** 64:
+        raise ValueError(f"seed must be < 2**64, got {seed}")
 
 
 class SimConfig:
@@ -71,10 +80,7 @@ class SimConfig:
             raise ValueError("discount must lie in (0, 1)")
         if not (1 <= tail_window <= horizon):
             raise ValueError("tail_window must lie in [1, horizon]")
-        if master_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {master_seed}")
-        if master_seed >= 2 ** 64:
-            raise ValueError(f"seed must be < 2**64, got {master_seed}")
+        check_seed(master_seed)
         self.horizon = horizon
         self.replicates = replicates
         self.discount = discount

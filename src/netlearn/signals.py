@@ -21,15 +21,7 @@ __all__ = [
     "mad_king_asym",
     "total_variation",
     "p_star",
-    "logistic",
 ]
-
-
-def logistic(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 class Atom(NamedTuple):
@@ -157,14 +149,12 @@ def two_atom_from_logits(z_plus: float, z_minus: float) -> SignalModel:
                         Atom(z_minus, p0_minus, p0_minus * em)))
 
 
-def royal_bounded(z_plus: float = 1.5, z_minus: float = -1.5) -> SignalModel:
-    return two_atom_from_logits(z_plus, z_minus)
+def royal_bounded() -> SignalModel:
+    """Atoms at z = +-1.5."""
+    return two_atom_from_logits(1.5, -1.5)
 
 
 def mad_king_asym() -> SignalModel:
     """Atoms exactly at z = 1 and z = -sqrt(7)."""
     return two_atom_from_logits(1.0, -math.sqrt(7.0))
 
-
-def model_from_triples(triples) -> SignalModel:
-    return SignalModel(tuple(Atom(z, p0, p1) for (z, p0, p1) in triples))

@@ -13,7 +13,14 @@ from netlearn import (beliefs, dynamics, estimators, graphs, signals, stats,
                       strategies, topology)
 from netlearn.beliefs import HistoryView
 from netlearn.dynamics import SimConfig
-from netlearn.signals import logistic
+
+
+def logistic(z: float) -> float:
+    """The probability e^z / (1 + e^z) of log-odds ``z``."""
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
 
 def report(num, name, ok, detail=""):

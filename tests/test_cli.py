@@ -651,16 +651,22 @@ def test_package_names_resolve_on_first_use():
     assert r.stdout.splitlines() == ["['netlearn']"], r.stdout + r.stderr
 
 
+SCOPES = ("graph", "signal", "belief", "strategy", "dynamics", "stats")
+
+
 @pytest.mark.parametrize("args, named", [
     (["--scope", "nope"], ("'graph'", "'all'")),
     (["--seed", "-1"], ("--seed must be >= 0, got -1",)),
 ] + [(["--scope", scope, "--seed", "-1"], ("--seed must be >= 0, got -1",))
-     for scope in ("graph", "signal", "belief", "strategy", "dynamics",
-                   "stats")])
+     for scope in SCOPES
+] + [(["--scope", scope, "--seed", str(2 ** 64)],
+      (f"--seed must be < 2**64, got {2 ** 64}",))
+     for scope in ("all",) + SCOPES])
 def test_verify_invariants_unknown_scope_exits_2(capsys, args, named):
-    """An unknown scope (checked by the suites' own dispatch) or a negative
-    seed (checked before the suites load) is found before any suite runs,
-    whatever the scope: one error line that names it, exit 2."""
+    """An unknown scope (checked by the suites' own dispatch) or a seed
+    outside 0 to 2^64 - 1 (checked before the suites load, by the rule
+    SimConfig keeps) is found before any suite runs, whatever the scope:
+    one error line that names it, exit 2."""
     code, out = run_cli(["verify-invariants"] + args)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
@@ -669,13 +675,75 @@ def test_verify_invariants_unknown_scope_exits_2(capsys, args, named):
 
 
 def test_env_override(tmp_path, monkeypatch):
+    """--seed, --out and --trace-csv each rank default < file <
+    NETLEARN_* variable < flag: with the sources set up to each level in
+    turn, simulate takes that level's seed and writes only its files."""
+    levels = ("default", "file", "env", "flag")
+    for top, level in enumerate(levels):
+        d = tmp_path / level
+        d.mkdir()
+        cfg = d / "run.cfg"
+        text = PREFLIGHT_BASE
+        if top >= 1:
+            text += (f"seed = 5\n\n[output]\nreport_json = {d}/file.json\n"
+                     f"trace_csv = {d}/file.csv\n")
+        cfg.write_text(text)
+        if top >= 2:
+            monkeypatch.setenv("NETLEARN_SIM_SEED", "77")
+            monkeypatch.setenv("NETLEARN_OUTPUT_REPORT_JSON", f"{d}/env.json")
+            monkeypatch.setenv("NETLEARN_OUTPUT_TRACE_CSV", f"{d}/env.csv")
+        flags = ["--seed", "99", "--out", f"{d}/flag.json", "--trace-csv",
+                 f"{d}/flag.csv"] if top == 3 else []
+        code, out = run_cli(["simulate", "--config", str(cfg)] + flags)
+        assert code == 0
+        written = {"run.cfg"} | ({f"{level}.json", f"{level}.csv"}
+                                 if top else set())
+        assert set(os.listdir(d)) == written
+        report = json.loads((d / f"{level}.json").read_text() if top
+                            else out)
+        assert report["config"]["master_seed"] == (0, 5, 77, 99)[top]
     cfg = write_cfg(tmp_path)
-    monkeypatch.setenv("NETLEARN_SIM_SEED", "77")
     rc = config.load_config(str(cfg))
     assert rc.sim.master_seed == 77
     # explicit CLI override still wins
     rc2 = config.load_config(str(cfg), {"sim": {"seed": 5}})
     assert rc2.sim.master_seed == 5
+
+
+def test_simulate_ini_values_are_literal(tmp_path):
+    """An INI value means what it says, as in JSON or the environment: a
+    ``%`` and a ``%(x)s`` in the output paths are part of the files'
+    names."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PREFLIGHT_BASE + f"\n[output]\nreport_json = "
+                   f"{tmp_path}/100%done.json\n"
+                   f"trace_csv = {tmp_path}/%(x)s.csv\n")
+    code, _ = run_cli(["simulate", "--config", str(cfg),
+                       "--format", "summary"])
+    assert code == 0
+    assert set(os.listdir(tmp_path)) == {"run.cfg", "100%done.json",
+                                         "%(x)s.csv"}
+
+
+@pytest.mark.parametrize("source", ["file", "env", "overrides"])
+@pytest.mark.parametrize("section, key, named", [
+    ("sim", "horizn", "unknown key 'horizn' in section [sim]"),
+    ("simm", "seed", "unknown config section [simm]")])
+def test_config_unknown_section_or_key_raises(tmp_path, source, section, key,
+                                              named):
+    """An unknown section or key is the same ValueError, naming it,
+    whether the file, a NETLEARN_* variable or the overrides give it."""
+    path, environ, overrides = None, {}, None
+    if source == "file":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: 5}}))
+    elif source == "env":
+        environ = {f"NETLEARN_{section.upper()}_{key.upper()}": "5"}
+    else:
+        overrides = {section: {key: 5}}
+    with pytest.raises(ValueError) as e:
+        config.load_config(path and str(path), overrides, environ)
+    assert str(e.value) == named
 
 
 def test_config_json_and_unknown_key(tmp_path):

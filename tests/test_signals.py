@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from netlearn import signals
 
 
+def model_from_triples(triples):
+    return signals.SignalModel(tuple(signals.Atom(*t) for t in triples))
+
+
 def test_symmetric_binary_values():
     m = signals.symmetric_binary(0.7)
     # oracle: z = ln(0.7/0.3) = 0.8472978603872036
@@ -24,17 +28,17 @@ def test_symmetric_binary_rejects_bad_q():
 
 def test_model_validation():
     with pytest.raises(ValueError):  # masses do not sum to one
-        signals.model_from_triples([(0.5, 0.4, 0.6), (-0.5, 0.5, 0.4)])
+        model_from_triples([(0.5, 0.4, 0.6), (-0.5, 0.5, 0.4)])
     with pytest.raises(ValueError):  # z inconsistent with masses
-        signals.model_from_triples([(0.3, 0.4, 0.6), (-0.9, 0.6, 0.4)])
+        model_from_triples([(0.3, 0.4, 0.6), (-0.9, 0.6, 0.4)])
     with pytest.raises(ValueError):  # zero mass breaks mutual continuity
-        signals.model_from_triples([(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
+        model_from_triples([(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)])
 
 
 def test_degenerate_model_rejected():
     # equal masses under both states carry no information (d_TV = 0)
     with pytest.raises(ValueError):
-        signals.model_from_triples([(0.0, 1.0, 1.0)])
+        model_from_triples([(0.0, 1.0, 1.0)])
 
 
 @settings(max_examples=50, deadline=None)
@@ -88,7 +92,7 @@ def test_sign_atoms():
     m = signals.symmetric_binary(0.6)
     neg, pos = m.sign_atoms()
     assert m.atoms[neg].z < 0 < m.atoms[pos].z
-    three = signals.model_from_triples([
+    three = model_from_triples([
         (math.log(3), 0.2, 0.6), (0.0, 0.3, 0.3),
         (math.log(0.5 / 0.1) * -1, 0.5, 0.1)])
     with pytest.raises(ValueError):
@@ -105,7 +109,7 @@ def test_sampler_distribution():
 
 
 def _model(p0, p1):
-    return signals.model_from_triples(
+    return model_from_triples(
         [(math.log(b / a), a, b) for a, b in zip(p0, p1)])
 
 

@@ -46,9 +46,9 @@ def test_gossip_equals_myopic_through_round_one(seed):
 ENGINE_GRAPHS = ("dicycle(3)", "dicycle(4)", "dicycle(5)", "dicycle(6)",
                  "dicycle(7)", "cycle(4)", "cycle(5)", "cycle(6)", "chain(4)",
                  "grid(2,3)")
-THREE_ATOMS = signals.model_from_triples(
-    [(math.log(0.5 / 0.2), 0.2, 0.5), (0.0, 0.3, 0.3),
-     (math.log(0.2 / 0.5), 0.5, 0.2)])
+THREE_ATOMS = signals.SignalModel(tuple(signals.Atom(*t) for t in (
+    (math.log(0.5 / 0.2), 0.2, 0.5), (0.0, 0.3, 0.3),
+    (math.log(0.2 / 0.5), 0.5, 0.2))))
 ENGINE_MODELS = st.one_of(
     st.sampled_from((0.6, 0.7, 0.75, 0.9)).map(signals.symmetric_binary),
     st.just(signals.royal_bounded()),
