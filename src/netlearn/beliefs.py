@@ -46,26 +46,19 @@ class InconsistentHistoryError(ValueError):
     """The observed history has zero probability under the profile."""
 
 
-class HistoryView:
+class HistoryView(NamedTuple("HistoryView", [
+        ("agent", int), ("t", int), ("atom", int), ("observed", tuple)])):
     """What agent ``agent`` knows at time ``t``: its own signal atom and the
     actions of its closed neighborhood in rounds [0, t), stored round-major
-    in the canonical (sorted) neighbor order.  Equal views hash equal."""
+    in the canonical (sorted) neighbor order.  ``__new__`` checks the
+    history's length; a view equals the plain tuple of its fields."""
 
-    __slots__ = ("agent", "t", "atom", "observed")
+    __slots__ = ()
 
-    def __init__(self, agent: int, t: int, atom: int, observed: tuple):
+    def __new__(cls, agent: int, t: int, atom: int, observed: tuple):
         if len(observed) != t:
             raise ValueError("observed history length must equal t")
-        self.agent, self.t, self.atom, self.observed = agent, t, atom, observed
-
-    def _key(self):
-        return self.agent, self.t, self.atom, self.observed
-
-    def __eq__(self, other):
-        return type(other) is HistoryView and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return super().__new__(cls, agent, t, atom, observed)
 
 
 class BeliefState(NamedTuple):

@@ -16,10 +16,11 @@ ranks default < file < NETLEARN_* variable < flag (``--seed``, ``--out``,
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
 input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, an unknown config section or key, a seed that is negative or 2**64
-or more, an output path that is a directory, an input file, in a missing
-directory or not writable, a report and a trace CSV that are one file, or a
-run the exact engine's budget cannot hold), found before any replicate runs;
+below 1, an unknown config section or key, a config value that does not
+parse, a seed that is negative or 2**64 or more, an output path that is a
+directory, an input file, in a missing directory or not writable, a report
+and a trace CSV that are one file, or a run the exact engine's budget
+cannot hold), found before any replicate runs;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations

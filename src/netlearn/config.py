@@ -5,8 +5,11 @@ setting comes from, lowest precedence first: its default, the file, the
 variable NETLEARN_<SECTION>_<KEY> (e.g. NETLEARN_SIM_SEED=7), then
 ``overrides`` (the command line's flags).  Every source is checked against
 the table, so an unknown section or key is the same ValueError whichever
-source names it.  INI values are literal, as in JSON or the environment:
-``%`` is a character like any other, and ``%%`` is two.
+source names it.  Keys fold case in every source, as configparser folds
+INI keys, and a section that names one key twice is refused; section names
+do not fold.  A value that does not parse is a ValueError naming its key.
+INI values are literal, as in JSON or the environment: ``%`` is a
+character like any other, and ``%%`` is two.
 """
 from __future__ import annotations
 
@@ -106,20 +109,27 @@ class RunConfig(NamedTuple):
 
 
 def _apply(values: dict, sections) -> None:
-    """Set ``values[section, key]`` from a {section: {key: value}} source,
-    refusing any section or key that ``_KEYS`` does not list; a value of
-    None (JSON null, a flag not given) sets nothing."""
+    """Set ``values[section, key.lower()]`` from a {section: {key: value}}
+    source, refusing a section or key that ``_KEYS`` does not list, or a key
+    named twice, by its name as written; a value of None (JSON null, a flag
+    not given) sets nothing."""
     if not (isinstance(sections, dict)
             and all(isinstance(kv, dict) for kv in sections.values())):
         raise ValueError("a config must map each section to a table of keys")
     for s, kv in sections.items():
         if s not in _SECTIONS:
             raise ValueError(f"unknown config section [{s}]")
+        written = {}
         for k, v in kv.items():
-            if (s, k) not in _KEYS:
+            key = str(k).lower()
+            if (s, key) not in _KEYS:
                 raise ValueError(f"unknown key {k!r} in section [{s}]")
+            if key in written:
+                raise ValueError(f"keys {written[key]!r} and {k!r} in "
+                                 f"section [{s}] name one key")
+            written[key] = k
             if v is not None:
-                values[s, k] = str(v)
+                values[s, key] = str(v)
 
 
 def _read_file(path: str) -> dict:
@@ -142,7 +152,9 @@ def _env_sections(environ) -> dict:
         head, _, rest = name.partition("_")
         if head == ENV_PREFIX and rest:
             s, _, k = rest.lower().partition("_")
-            out.setdefault(s, {})[k] = v
+            if k in out.setdefault(s, {}):
+                raise ValueError(f"two variables name [{s}] {k}")
+            out[s][k] = v
     return out
 
 
@@ -158,5 +170,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
     _apply(values, overrides or {})
     run, sim = {}, {}
     for (s, k), (_, parse, field) in _KEYS.items():
-        (sim if s == "sim" else run)[field] = parse(values[s, k])
+        try:
+            value = parse(values[s, k])
+        except ValueError as e:
+            raise ValueError(f"[{s}] {k} = {values[s, k]!r}: {e}") from None
+        (sim if s == "sim" else run)[field] = value
     return RunConfig(sim=SimConfig(**sim), **run)

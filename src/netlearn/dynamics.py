@@ -64,16 +64,18 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be < 2**64, got {seed}")
 
 
-class SimConfig:
+class SimConfig(NamedTuple("SimConfig", [
+        ("horizon", int), ("replicates", int), ("discount", float),
+        ("tail_window", int), ("master_seed", int)])):
     """The sizes and the master seed of an ensemble; ``_fields`` are in the
-    report's order.  Equal configs hash equal."""
+    report's order.  ``__new__`` checks them; equality is the tuple's, so a
+    config equals the plain tuple of its fields."""
 
-    __slots__ = _fields = ("horizon", "replicates", "discount", "tail_window",
-                           "master_seed")
+    __slots__ = ()
 
-    def __init__(self, horizon: int = 30, replicates: int = 100,
-                 discount: float = 0.9, tail_window: int = 5,
-                 master_seed: int = 0):
+    def __new__(cls, horizon: int = 30, replicates: int = 100,
+                discount: float = 0.9, tail_window: int = 5,
+                master_seed: int = 0):
         if horizon < 1 or replicates < 1:
             raise ValueError("horizon and replicates must be >= 1")
         if not (0.0 < discount < 1.0):
@@ -81,20 +83,8 @@ class SimConfig:
         if not (1 <= tail_window <= horizon):
             raise ValueError("tail_window must lie in [1, horizon]")
         check_seed(master_seed)
-        self.horizon = horizon
-        self.replicates = replicates
-        self.discount = discount
-        self.tail_window = tail_window
-        self.master_seed = master_seed
-
-    def _key(self):
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        return type(other) is SimConfig and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return super().__new__(cls, horizon, replicates, discount,
+                               tail_window, master_seed)
 
 
 class Trace(NamedTuple):
@@ -250,8 +240,7 @@ class EnsembleReport(NamedTuple):
     def to_dict(self):
         """The fields, ``config`` as a dict too; nothing is copied."""
         d = self._asdict()
-        d["config"] = {f: getattr(self.config, f)
-                       for f in self.config._fields}
+        d["config"] = self.config._asdict()
         return d
 
 

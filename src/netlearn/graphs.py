@@ -32,7 +32,8 @@ class DirectedGraph:
     """Simple directed graph on vertices 0..n-1.
 
     ``family`` carries the generator tag and parameters when the graph came
-    from a built-in family; it does not participate in equality.
+    from a built-in family; it does not participate in equality.  A class:
+    a NamedTuple would compare it, and cannot hold the derived rows.
     """
 
     __slots__ = ("n", "edges", "family", "_out", "_closed")

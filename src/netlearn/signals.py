@@ -37,7 +37,7 @@ class SignalModel:
     Invariants enforced at construction: both rows sum to one, every atom has
     positive mass under both states, z matches ln(p1/p0) to 1e-12, z values
     are distinct, and the two measures differ (d_TV > 0).  Models of equal
-    atoms are equal.
+    atoms are equal; a class, as a tuple cannot hold its derived arrays.
     """
 
     __slots__ = ("atoms", "_p0", "_p1", "_z", "_cum")

@@ -53,7 +53,7 @@ class TieLog:
         self.count += k
 
 
-class TieBreaker:
+class TieBreaker(NamedTuple("TieBreaker", [("mode", str)])):
     """The decision rule every profile plays by.  A margin -- a
     log-likelihood ratio, or a posterior minus 1/2 -- above TIE_TOL plays 1,
     below -TIE_TOL plays 0, and within TIE_TOL of 0 is a tie, counted and
@@ -61,20 +61,15 @@ class TieBreaker:
     agent's jitter, a U[0, 1) draw that carries no information, lies below
     1/2.  The breaker is the only code that knows what a jitter is, how many
     draws it takes from a replicate row (``row_width``, ``jitters_of``)
-    and how it breaks a tie.  Breakers of one mode are equal."""
+    and how it breaks a tie.  ``__new__`` checks the mode; a breaker equals
+    the plain tuple ``(mode,)``, so breakers of one mode are equal."""
 
-    __slots__ = ("mode",)
+    __slots__ = ()
 
-    def __init__(self, mode: str = "zero"):
+    def __new__(cls, mode: str = "zero"):
         if mode not in ("zero", "one", "jitter"):
             raise ValueError(f"unknown tie-breaker mode {mode!r}")
-        self.mode = mode
-
-    def __eq__(self, other):
-        return type(other) is TieBreaker and self.mode == other.mode
-
-    def __hash__(self):
-        return hash(self.mode)
+        return super().__new__(cls, mode)
 
     def reject_jitter(self, what: str):
         """Refuse mode ``jitter`` for ``what``, whose decisions never see a

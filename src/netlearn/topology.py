@@ -64,7 +64,8 @@ class RootedBall:
     """Rooted subgraph induced by the vertices at directed distance <= radius
     from the root.  Vertex labels are those of the parent graph; ``distances``
     are those from the root found by the search that found the ball, and do
-    not participate in equality."""
+    not participate in equality; so a class, not a NamedTuple, whose
+    equality would be the tuple's, ``distances`` included."""
 
     __slots__ = ("root", "radius", "vertices", "edges", "distances")
 

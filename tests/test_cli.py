@@ -758,6 +758,71 @@ def test_config_json_and_unknown_key(tmp_path):
         config.load_config(str(bad))
 
 
+def _sources(tmp_path, source, sections):
+    """(path, overrides, environ) that give ``sections`` by ``source``: an
+    INI or JSON file, NETLEARN_* variables, or the overrides."""
+    path, overrides, environ = None, None, {}
+    if source == "ini":
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+            for s, kv in sections.items()))
+    elif source == "json":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(sections))
+    elif source == "env":
+        environ = {f"NETLEARN_{s.upper()}_{k.upper()}": str(v)
+                   for s, kv in sections.items() for k, v in kv.items()}
+    else:
+        overrides = sections
+    return path and str(path), overrides, environ
+
+
+@pytest.mark.parametrize("source", ["ini", "json", "env", "overrides"])
+@pytest.mark.parametrize("key, value", [
+    ("horizon", "3.5"), ("replicates", True), ("discount", "high")])
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, source,
+                                                        key, value):
+    """A value its key's parser refuses is a ValueError that names the
+    section, the key and the value, whichever source gives it."""
+    args = _sources(tmp_path, source, {"sim": {key: value}})
+    with pytest.raises(ValueError) as e:
+        config.load_config(*args)
+    assert str(e.value).startswith(f"[sim] {key} = {str(value)!r}: ")
+
+
+@pytest.mark.parametrize("source", ["ini", "json", "env", "overrides"])
+def test_config_keys_fold_case_in_every_source(tmp_path, source):
+    """``Family`` is ``family`` in every source, as configparser has it."""
+    args = _sources(tmp_path, source, {"graph": {"Family": "cycle(8)"},
+                                       "sim": {"REPLICATES": 3}})
+    rc = config.load_config(*args)
+    assert rc.graph_family == "cycle(8)" and rc.sim.replicates == 3
+
+
+@pytest.mark.parametrize("source", ["json", "overrides"])
+def test_config_key_named_twice_raises(tmp_path, source):
+    """Two keys of one section that fold to one key are refused, as
+    configparser refuses a duplicate INI key; the message shows both as
+    written.  A section name does not fold."""
+    args = _sources(tmp_path, source,
+                    {"graph": {"family": "cycle(8)", "Family": "cycle(9)"}})
+    with pytest.raises(ValueError) as e:
+        config.load_config(*args)
+    assert str(e.value) == ("keys 'family' and 'Family' in section [graph] "
+                            "name one key")
+    args = _sources(tmp_path, source, {"Graph": {"family": "cycle(8)"}})
+    with pytest.raises(ValueError, match=r"unknown config section \[Graph\]"):
+        config.load_config(*args)
+
+
+def test_config_env_variables_naming_one_key_raise():
+    """NETLEARN_* names fold case; two that name one key are refused."""
+    environ = {"NETLEARN_SIM_SEED": "1", "NETLEARN_Sim_Seed": "2"}
+    with pytest.raises(ValueError, match=r"name \[sim\] seed"):
+        config.load_config(None, None, environ)
+
+
 def test_console_entry_point():
     r = subprocess.run([sys.executable, "-m", "netlearn.cli", "--version"],
                        capture_output=True, text=True)

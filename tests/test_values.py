@@ -54,6 +54,9 @@ CASES = {
     "pickled-signal-model": (lambda: _round_trip(signals.mad_king_asym()),
                              None),
     "pickled-sim-config": (lambda: _round_trip(SimConfig(horizon=7)), None),
+    "pickled-tie-breaker": (lambda: _round_trip(TieBreaker("jitter")), None),
+    "pickled-view": (lambda: _round_trip(HistoryView(0, 1, 1, ((1, 0),))),
+                     None),
     "pickled-gossip-play": (_gossip_play, None),
     "sim-horizon": (lambda: SimConfig(horizon=0), "horizon and replicates"),
     "sim-replicates": (lambda: SimConfig(replicates=0),
@@ -94,12 +97,22 @@ CASES = {
 @pytest.mark.parametrize("make, fault", list(CASES.values()), ids=list(CASES))
 def test_records_keep_their_value_semantics(make, fault):
     """Equal values hash equal, a graph's family and a ball's distances
-    aside; a pickled graph, signal model or config is equal to its
-    original, and a pickled solved gossip profile plays as it does; each
-    record refuses what it refused as a dataclass."""
+    aside; a pickled graph, signal model, config, breaker or view is equal
+    to its original, and a pickled solved gossip profile plays as it does;
+    each record refuses what it refused as a dataclass."""
     if fault is not None:
         with pytest.raises(ValueError, match=fault):
             make()
         return
     a, b = make()
     assert a is not b and a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("record, field", [
+    (SimConfig(), "horizon"), (HistoryView(0, 0, 1, ()), "atom"),
+    (TieBreaker("one"), "mode")], ids=["sim-config", "view", "tie-breaker"])
+def test_records_are_immutable(record, field):
+    """A config, a view or a breaker is a value: its fields cannot be
+    assigned."""
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
