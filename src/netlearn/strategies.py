@@ -164,6 +164,35 @@ def worlds(m, n: int):
         m.probs(1)[atoms].prod(axis=0)
 
 
+def _starts(sizes):
+    """The (len(sizes) + 1,) starts of consecutive blocks of ``sizes``: 0,
+    then the running sum."""
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _relabel(ids, entries: int):
+    """Replace the int64 ``ids``, each in [0, entries), by their ranks among
+    the distinct ids, in place and with no sort: mark them in a bool table,
+    then scatter each marked entry's rank, in the narrowest type that holds
+    it, into a table that a gather reads.  Returns the marked entries,
+    sorted.  The tables take at most 9 B an entry, counted against
+    ``DEFAULT_BUDGET`` before either is allocated."""
+    if 9 * entries > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"a class relabel table of {entries} entries ({9 * entries} "
+            f"bytes) exceeds the exact budget of {DEFAULT_BUDGET}; lower the "
+            "horizon or the number of agents")
+    seen = np.zeros(entries, dtype=bool)
+    seen[ids] = True
+    marked = seen.nonzero()[0]
+    del seen
+    rank = np.empty(entries, dtype=np.min_scalar_type(len(marked)))
+    rank[marked] = np.arange(len(marked))
+    # in range: under mode "raise" take would copy ids
+    ids[...] = np.take(rank, ids, mode="wrap")
+    return marked
+
+
 class MyopicExactProfile(Profile):
     """Every agent best-responds to its exact posterior each round, assuming
     all agents do the same.
@@ -180,6 +209,23 @@ class MyopicExactProfile(Profile):
     every world's actions, which ``trace_batch`` reads.  ``forced_trace``
     walks the class splits instead, for rows with one agent forced.
 
+    Each round is a few numpy calls per chunk of agents, never per agent.
+    A chunk holds max(1, ``BLOCK_CELLS`` // k^n) agents, each agent's class
+    ids offset by the class counts of the agents before it in the chunk, so
+    one ``bincount`` pair sums every class's masses, one ``decide`` plays
+    every class and one gather writes the chunk's actions.  Classes only
+    split, so the split needs no sort: each agent's rows are ranked
+    through a table over its 2^width rows, then each (class, row rank) pair
+    through a table over the chunk's pairs (``_relabel``); the new classes
+    come out in the order of their split keys.  A table past
+    ``DEFAULT_BUDGET`` bytes raises BudgetExceededError before it is
+    allocated.
+
+    Per round, the profile keeps every class's action and tie in flat
+    arrays (``_play``), each agent's classes from its offset in ``_offs``,
+    and the sorted split keys class << width | row, each agent's raised
+    past the key spans of the agents before it (``_split``).
+
     ``DEFAULT_BUDGET`` bounds the world-agent cells k^n * n; it is
     checked before any world array is allocated.  Only deterministic tie
     modes are supported: one world's response cannot depend on a jitter
@@ -194,40 +240,89 @@ class MyopicExactProfile(Profile):
         self._cls = None     # (n, worlds) class ids at the newest round
         self._acts = None    # the world table: (rounds, n, worlds) uint8
         self._ties = None    # (rounds, worlds) tied agents per world
-        self._play = []      # per round, per agent: (action, tied) by class
-        self._split = []     # per round, per agent: sorted (class, row) keys
+        self._play = []      # per round: (action, tied) of every class
+        self._offs = []      # per round: (n + 1,) class offsets by agent
+        self._split = []     # per round: (sorted offset keys, key offsets)
 
     def __getstate__(self):
         """A copy (a pool worker's) keeps the solved rounds, not the class
-        ids and world masses: asked for more rounds, it re-solves."""
-        return {**self.__dict__, "_cls": None, "_w0": None, "_w1": None}
+        ids, world masses and chunks: asked for more rounds, it re-solves."""
+        return {**self.__dict__, "_cls": None, "_w0": None, "_w1": None,
+                "_chunks": None}
 
     def _start(self):
-        n = self.g.n
-        # a world's initial class for agent i is agent i's own atom
-        self._cls, self._w0, self._w1 = worlds(self.m, n)
-        self._radix = self.m.k ** np.arange(n, dtype=np.int64)
-        self._nbrs = [self.g.closed_nbrs(i) for i in range(n)]
-        self._acts = np.empty((0,) + self._cls.shape, dtype=np.uint8)
-        self._ties = np.empty((0, self._cls.shape[1]), dtype=np.int32)
+        n, k = self.g.n, self.m.k
+        atoms, w0, w1 = worlds(self.m, n)
+        size = max(1, BLOCK_CELLS // atoms.shape[1])
+        self._chunks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+        # a world's round-0 class for agent i is agent i's own atom, offset
+        # by k for each agent before i in its chunk
+        atoms += k * (np.arange(n) % size)[:, None]
+        self._cls, self._w0, self._w1 = atoms, w0, w1
+        self._radix = k ** np.arange(n, dtype=np.int64)
+        nbrs = list(map(self.g.closed_nbrs, range(n)))
+        self._width = np.array(list(map(len, nbrs)))
+        # key bits from the highest: step s shifts by 1 and sets bit 0 from
+        # closed neighbour width - 1 - s; past the width, a step shifts by 0
+        # and sets bit 0 from neighbour 0 again
+        pad = int(self._width.max())
+        self._nbr = np.array([v[::-1] + v[:1] * (pad - len(v)) for v in nbrs])
+        self._step = (np.arange(pad) < self._width[:, None]).astype(np.int64)
+        self._acts = np.empty((0,) + atoms.shape, dtype=np.uint8)
+        self._ties = np.empty((0, atoms.shape[1]),
+                              dtype=np.min_scalar_type(n))
         self._play, self._split = [], []
+        self._offs = [k * np.arange(n + 1)]
 
-    def _keys(self, cls, acts):
-        """Per agent, the split key of each column: its class in the (n,
-        columns) ids ``cls``, then bit j set where closed neighbour j plays
-        1 in the (n, columns) actions ``acts``."""
-        return [(cls[i] << len(nbrs)) | sum(acts[v].astype(np.int64) << j
-                                            for j, v in enumerate(nbrs))
-                for i, nbrs in enumerate(self._nbrs)]
+    def _keys(self, cls, acts, lo, hi):
+        """The split keys of agents lo..hi-1, (hi - lo, columns): the class
+        in the (n, columns) ids ``cls``, shifted past the agent's width,
+        then bit j set where closed neighbour j plays 1 in the (n, columns)
+        actions ``acts``."""
+        key = cls[lo:hi].copy()
+        for s in range(self._nbr.shape[1]):
+            key <<= self._step[lo:hi, s, None]
+            key |= acts[self._nbr[lo:hi, s]]
+        return key
 
     def _refine(self, acts):
         """Split every class by the closed-neighbourhood row of the newest
-        round, whose (n, worlds) actions are ``acts``."""
+        round, whose (n, worlds) actions are ``acts``, a chunk at a time:
+        rank each agent's rows through a table over its 2^width rows, then
+        each (class, row rank) pair through a table over the chunk's
+        pairs, agent i's count_i x d_i of them from koff_i."""
+        width, offs = self._width, self._offs[-1]
+        # agent i's split keys lie in [base_i, base_i + count_i << width_i)
+        base = _starts((offs[1:] - offs[:-1]) << width)[:-1]
+        new = np.empty_like(base)
         split = []
-        for i, key in enumerate(self._keys(self._cls, acts)):
-            uniq, self._cls[i] = np.unique(key, return_inverse=True)
-            split.append(uniq)
-        self._split.append(split)
+        for lo, hi in self._chunks:
+            w = width[lo:hi]
+            row = self._keys(self._cls, acts, lo, hi)
+            row &= ((1 << w) - 1)[:, None]
+            roff = _starts(1 << w)
+            row += roff[:-1, None]
+            rows = _relabel(row, roff[-1])
+            rbase = rows.searchsorted(roff)
+            d = rbase[1:] - rbase[:-1]
+            coff = offs[lo:hi + 1] - offs[lo]
+            koff = _starts((coff[1:] - coff[:-1]) * d)
+            cls = self._cls[lo:hi]
+            cls *= d[:, None]
+            cls += row
+            del row
+            cls += (koff[:-1] - coff[:-1] * d - rbase[:-1])[:, None]
+            pairs = _relabel(cls, koff[-1])
+            # the split keys, decoded from the pairs in class order
+            ag = koff.searchsorted(pairs, "right") - 1
+            new[lo:hi] = np.bincount(ag, minlength=hi - lo)
+            key, r = np.divmod(pairs - koff[ag], d[ag])
+            key <<= w[ag]
+            key |= rows[r + rbase[ag]] - roff[ag]
+            key += base[lo:hi][ag]
+            split.append(key)
+        self._split.append((np.concatenate(split), base))
+        self._offs.append(_starts(new))
 
     def _extend(self, rounds: int):
         """Solve rounds up to ``rounds``, growing the world table once; a
@@ -239,26 +334,37 @@ class MyopicExactProfile(Profile):
         if rounds <= done:
             return
         acts = np.empty((rounds,) + self._cls.shape, dtype=np.uint8)
-        ties = np.zeros((rounds, self._cls.shape[1]), dtype=np.int32)
+        ties = np.zeros((rounds, self._cls.shape[1]), dtype=self._ties.dtype)
         acts[:done], ties[:done] = self._acts[:done], self._ties[:done]
         self._acts, self._ties = acts, ties
         for t in range(done, rounds):
             if t:
-                self._refine(acts[t - 1])
+                try:
+                    self._refine(acts[t - 1])
+                except BudgetExceededError:
+                    # some chunks are split: a later call starts again
+                    self._cls = None
+                    raise
+            offs = self._offs[t]
             play = []
-            for i, cls in enumerate(self._cls):
-                s0 = np.bincount(cls, weights=self._w0)
-                s1 = np.bincount(cls, weights=self._w1)
+            for lo, hi in self._chunks:
+                cls = self._cls[lo:hi]
+                x, size = cls.ravel(), offs[hi] - offs[lo]
+                s0 = np.bincount(x, self._w0[None].repeat(hi - lo, 0).ravel(),
+                                 size)
+                s1 = np.bincount(x, self._w1[None].repeat(hi - lo, 0).ravel(),
+                                 size)
                 act, tied = self.tie_breaker.decide(s1 / (s0 + s1) - 0.5)
-                acts[t, i] = act[cls]
-                ties[t] += tied[cls]
+                np.take(act, cls, out=acts[t, lo:hi], mode="wrap")
+                if tied.any():
+                    ties[t] += tied[cls].sum(axis=0, dtype=ties.dtype)
                 play.append((act, tied))
-            self._play.append(play)
+            self._play.append(tuple(map(np.concatenate, zip(*play))))
 
     def action(self, agent, atom, history, tie_log=None):
         t = len(history)
         self._extend(t + 1)
-        width = len(self._nbrs[agent])
+        width = int(self._width[agent])
         cls = int(atom)
         for tau, row in enumerate(history):
             key = cls << width
@@ -267,7 +373,10 @@ class MyopicExactProfile(Profile):
                     key |= 1 << j
                 elif a != 0:
                     return 0  # not an action: off-path, as below
-            keys = self._split[tau][agent]
+            keys, base = self._split[tau]
+            keys = keys[self._offs[tau + 1][agent]:
+                        self._offs[tau + 1][agent + 1]]
+            key += int(base[agent])
             cls = int(keys.searchsorted(key))
             if len(row) != width or cls == len(keys) or keys[cls] != key:
                 # zero-probability (off-path) history: the posterior is
@@ -275,7 +384,8 @@ class MyopicExactProfile(Profile):
                 # such branches are filtered out by any outer consistency
                 # check against realizable observations
                 return 0
-        act, tied = self._play[t][agent]
+        lo, hi = self._offs[t][agent], self._offs[t][agent + 1]
+        act, tied = self._play[t][0][lo:hi], self._play[t][1][lo:hi]
         if tied[cls] and tie_log is not None:
             tie_log.add()
         return int(act[cls])
@@ -300,22 +410,33 @@ class MyopicExactProfile(Profile):
         whatever its atom.  Each round every agent plays its class's action,
         then moves its class by ``searchsorted`` in the split keys, as
         ``action`` walks a history; a key that no world produces is
-        off-path, and plays 0 from then on.  Ties are not counted.  The
-        result is a transposed view of the (horizon, n, R) table, so that a
-        caller's gather of a few agents makes the only copy."""
+        off-path, and plays 0 from then on.  Agents go a chunk of at most
+        ``BLOCK_CELLS`` (agent, row) cells at a time, one ``searchsorted``
+        of their offset keys each.  Ties are not counted.  The result is a
+        transposed view of the (horizon, n, R) table, so that a caller's
+        gather of a few agents makes the only copy."""
         self._extend(horizon)
-        cls = np.asarray(atoms, dtype=np.int64).reshape(-1, self.g.n).T.copy()
+        n = self.g.n
+        cls = np.asarray(atoms, dtype=np.int64).reshape(-1, n).T.copy()
         live = np.ones(cls.shape, dtype=bool)
         out = np.empty((horizon,) + cls.shape, dtype=np.uint8)
+        size = max(1, BLOCK_CELLS // max(cls.shape[1], 1))
         for t in range(horizon):
-            if t:
-                for i, key in enumerate(self._keys(cls, out[t - 1])):
-                    split = self._split[t - 1][i]
-                    cls[i] = np.minimum(split.searchsorted(key),
-                                        len(split) - 1)
-                    live[i] &= split[cls[i]] == key
-            for i, (act, _) in enumerate(self._play[t]):
-                out[t, i] = act[cls[i]] & live[i]
+            offs = self._offs[t]
+            for lo in range(0, n, size):
+                hi = min(lo + size, n)
+                if t:
+                    keys, base = self._split[t - 1]
+                    key = self._keys(cls, out[t - 1], lo, hi)
+                    key += base[lo:hi, None]
+                    # past its agent's last key, a key clips to that key
+                    at = np.minimum(keys.searchsorted(key),
+                                    offs[lo + 1:hi + 1, None] - 1)
+                    live[lo:hi] &= keys[at] == key
+                    np.subtract(at, offs[lo:hi, None], out=cls[lo:hi])
+                np.take(self._play[t][0], cls[lo:hi] + offs[lo:hi, None],
+                        out=out[t, lo:hi])
+            out[t] &= live
             if t < len(forced):
                 out[t, agent] = forced[t]
         return out.transpose(2, 1, 0)

@@ -276,6 +276,26 @@ def test_simulate_gossip_rings_over_budget_exits_2(tmp_path, capsys,
     assert fake_pool == []
 
 
+def test_simulate_myopic_relabel_over_budget_exits_2(tmp_path, capsys,
+                                                    fake_pool, monkeypatch):
+    """A budget that holds the 2^5 * 5 world-agent cells of dicycle(5) but
+    not a class relabel table of its first split (5 agents x 4 rows, 9 B an
+    entry) is a usage error, found in the zero-row solve: one line, exit 2,
+    no report, and no pool asked for."""
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 2 ** 5 * 5)
+    p = tmp_path / "myopic.cfg"
+    out_json = tmp_path / "report.json"
+    p.write_text("[graph]\nfamily = dicycle(5)\n\n[profile]\nname = myopic\n"
+                 "\n[sim]\nhorizon = 3\nreplicates = 4\ntail_window = 2\n\n"
+                 f"[output]\nreport_json = {out_json}\n")
+    code, out = run_cli(["simulate", "--config", str(p), "--workers", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: a class relabel table of 20 entries")
+    assert err.count("\n") == 1
+    assert fake_pool == [] and not out_json.exists()
+
+
 def test_simulate_rejects_engine_key(tmp_path, capsys):
     """The [sim] engine key is gone: the loader rejects it as unknown."""
     cfg = write_cfg(tmp_path, engine="exact")

@@ -118,6 +118,111 @@ def test_exact_myopic_engine_matches_oracles(spec, m, mode, horizon, pick):
             g, m, prof, beliefs.HistoryView(agent, horizon, atoms[agent], off))
 
 
+# a hub that sees six leaves, each of which sees the hub
+STAR = graphs.DirectedGraph(7, frozenset(
+    e for j in range(1, 7) for e in ((0, j), (j, 0))))
+
+
+class _PerAgentEngine:
+    """The exact engine's per-agent loop, the oracle of the batched one:
+    per round and per agent, two ``bincount``s of the agent's classes, one
+    ``decide``, one gather, and a class split by ``np.unique`` on the split
+    keys class << width | row.  ``play[t][i]`` is agent i's (action, tied)
+    by class at round t, ``split[t][i]`` its sorted keys after round t."""
+
+    def __init__(self, g, m, tie_breaker, rounds):
+        cls, w0, w1 = strategies.worlds(m, g.n)
+        self.nbrs = [g.closed_nbrs(i) for i in range(g.n)]
+        self.acts = np.empty((rounds,) + cls.shape, dtype=np.uint8)
+        self.ties = np.zeros((rounds, cls.shape[1]), dtype=np.int64)
+        self.play, self.split = [], []
+        for t in range(rounds):
+            if t:
+                split = []
+                for i, key in enumerate(self.keys(cls, self.acts[t - 1])):
+                    uniq, cls[i] = np.unique(key, return_inverse=True)
+                    split.append(uniq)
+                self.split.append(split)
+            play = []
+            for i, c in enumerate(cls):
+                s0 = np.bincount(c, weights=w0)
+                s1 = np.bincount(c, weights=w1)
+                act, tied = tie_breaker.decide(s1 / (s0 + s1) - 0.5)
+                self.acts[t, i] = act[c]
+                self.ties[t] += tied[c]
+                play.append((act, tied))
+            self.play.append(play)
+
+    def keys(self, cls, acts):
+        return [(cls[i] << len(nbrs)) | sum(acts[v].astype(np.int64) << j
+                                            for j, v in enumerate(nbrs))
+                for i, nbrs in enumerate(self.nbrs)]
+
+    def forced_trace(self, atoms, horizon, agent, forced):
+        cls = np.asarray(atoms, dtype=np.int64).reshape(
+            -1, len(self.nbrs)).T.copy()
+        live = np.ones(cls.shape, dtype=bool)
+        out = np.empty((horizon,) + cls.shape, dtype=np.uint8)
+        for t in range(horizon):
+            if t:
+                for i, key in enumerate(self.keys(cls, out[t - 1])):
+                    split = self.split[t - 1][i]
+                    cls[i] = np.minimum(split.searchsorted(key),
+                                        len(split) - 1)
+                    live[i] &= split[cls[i]] == key
+            for i, (act, _) in enumerate(self.play[t]):
+                out[t, i] = act[cls[i]] & live[i]
+            if t < len(forced):
+                out[t, agent] = forced[t]
+        return out.transpose(2, 1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(ENGINE_GRAPHS + (
+           "royal_family(2,3)", "mad_king(1,1,2)", "grid(3,3)", "chain(7)",
+           "star(7)")),
+       m=ENGINE_MODELS, mode=st.sampled_from(("zero", "one")),
+       horizon=st.integers(1, 5), block=st.sampled_from((1, 2, None)),
+       data=st.data())
+def test_batched_engine_equals_the_per_agent_loop(spec, m, mode, horizon,
+                                                  block, data):
+    """The engine solved a chunk of agents at a time -- one agent
+    (BLOCK_CELLS 1), two (2 k^n) or as many as the default holds -- equals
+    the per-agent loop: the world table, the tie table, every class's
+    action and tie, every split key, and forced_trace's rows."""
+    g = graphs.generate(spec) if spec != "star(7)" else STAR
+    tb = TieBreaker(mode)
+    cap = strategies.BLOCK_CELLS if block is None else block * m.k ** g.n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "BLOCK_CELLS", cap)
+        prof = strategies.MyopicExactProfile(g, m, tb)
+        prof.trace_batch(g, m, np.zeros((0, g.n), dtype=int), None, horizon)
+        old = _PerAgentEngine(g, m, tb, horizon)
+        assert np.array_equal(prof._acts, old.acts)
+        assert prof._ties.dtype == np.uint8
+        assert np.array_equal(prof._ties, old.ties)
+        for t in range(horizon):
+            offs = prof._offs[t]
+            for i, (act, tied) in enumerate(old.play[t]):
+                lo, hi = offs[i], offs[i + 1]
+                assert np.array_equal(prof._play[t][0][lo:hi], act)
+                assert np.array_equal(prof._play[t][1][lo:hi], tied)
+            if t:
+                keys, base = prof._split[t - 1]
+                assert np.all(keys[1:] > keys[:-1])
+                for i, want in enumerate(old.split[t - 1]):
+                    lo, hi = offs[i], offs[i + 1]
+                    assert np.array_equal(keys[lo:hi] - base[i], want)
+        atoms = strategies.worlds(m, g.n)[0].T
+        rows = atoms[data.draw(st.lists(st.integers(0, len(atoms) - 1),
+                                        max_size=40), label="rows")]
+        agent = data.draw(st.integers(0, g.n - 1), label="agent")
+        forced = data.draw(st.lists(st.integers(0, 1), max_size=horizon),
+                           label="forced")
+        assert np.array_equal(prof.forced_trace(rows, horizon, agent, forced),
+                              old.forced_trace(rows, horizon, agent, forced))
+
+
 LOOKAHEAD_GRAPHS = ("dicycle(3)", "dicycle(4)", "cycle(4)", "cycle(5)",
                     "chain(3)", "chain(4)", "grid(2,2)", "grid(2,3)")
 
@@ -282,22 +387,79 @@ def test_trace_batch_empty_batch_and_zero_horizon():
 def test_myopic_copy_plays_the_solved_rounds_and_re_solves_more():
     """A pickled engine (what a pool worker receives) carries the world
     table but not the class state, and plays as the original: from the
-    table up to the rounds solved, re-solving from round 0 beyond them."""
+    table up to the rounds solved, re-solving from round 0 beyond them.
+    So it does with every agent in one chunk, and with two agents a chunk
+    (three chunks)."""
     g = graphs.dicycle(5)
     m = signals.symmetric_binary(0.6)
     atoms, _, _ = strategies.worlds(m, g.n)
     atoms, jit = atoms.T, np.zeros(atoms.T.shape)
-    want = strategies.MyopicExactProfile(g, m).trace_batch(g, m, atoms, jit, 6)
+    for cap, chunks in ((strategies.BLOCK_CELLS, 1), (2 * 2 ** g.n, 3)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategies, "BLOCK_CELLS", cap)
+            want = strategies.MyopicExactProfile(g, m).trace_batch(
+                g, m, atoms, jit, 6)
+            prof = strategies.MyopicExactProfile(g, m)
+            prof.trace_batch(g, m, atoms[:0], jit[:0], 3)
+            assert len(prof._chunks) == chunks
+            copy = pickle.loads(pickle.dumps(prof))
+            assert copy._cls is None and copy._chunks is None
+            assert len(copy._play) == 3
+            assert np.array_equal(copy.trace_batch(g, m, atoms, jit, 2),
+                                  want[:, :, :2])
+            assert np.array_equal(copy.trace_batch(g, m, atoms, jit, 6),
+                                  want)
+            view = beliefs.view_from_actions(
+                g, [tuple(r) for r in want[7].T.tolist()], atoms[7], 2, 4)
+            assert copy.action(2, view.atom, view.observed) == want[7, 2, 4]
+
+
+def test_myopic_tie_table_is_uint8_and_a_batch_sum_does_not_wrap():
+    """The tie table counts tied agents per world in uint8, and a batch's
+    tie count sums past 255: 300 rows of a world whose agents all hold the
+    zero-ratio atom count 300 times one row's ties."""
+    g = graphs.dicycle(4)
+    prof = strategies.MyopicExactProfile(g, THREE_ATOMS, TieBreaker("one"))
+    row = np.ones((1, g.n), dtype=int)
+    one, many = strategies.TieLog(), strategies.TieLog()
+    prof.trace_batch(g, THREE_ATOMS, row, None, 3, one)
+    prof.trace_batch(g, THREE_ATOMS, row.repeat(300, 0), None, 3, many)
+    assert prof._ties.dtype == np.uint8
+    assert one.count >= g.n and many.count == 300 * one.count
+
+
+def test_exact_myopic_relabel_tables_count_against_the_budget(monkeypatch):
+    """Each class relabel table is counted, 9 B an entry, against
+    DEFAULT_BUDGET before it is allocated.  Nine times the largest table's
+    entries solve cycle(5) to T=6, a budget above its 2^5 * 5 world-agent
+    cells; one byte fewer raises BudgetExceededError.  The profile that
+    raised plays the rounds it solved, and re-solves from round 0 when asked
+    for more under a budget that fits."""
+    g = graphs.cycle(5)
+    m = signals.symmetric_binary(0.7)
+    atoms = strategies.worlds(m, g.n)[0].T
+    entries = []
+    relabel = strategies._relabel
+    monkeypatch.setattr(strategies, "_relabel",
+                        lambda ids, n: entries.append(n) or relabel(ids, n))
+    want = strategies.MyopicExactProfile(g, m).trace_batch(g, m, atoms,
+                                                           None, 6)
+    top = 9 * max(entries)
+    assert top > 2 ** g.n * g.n
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", top)
+    assert np.array_equal(strategies.MyopicExactProfile(g, m).trace_batch(
+        g, m, atoms, None, 6), want)
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", top - 1)
     prof = strategies.MyopicExactProfile(g, m)
-    prof.trace_batch(g, m, atoms[:0], jit[:0], 3)
-    copy = pickle.loads(pickle.dumps(prof))
-    assert copy._cls is None and len(copy._play) == 3
-    assert np.array_equal(copy.trace_batch(g, m, atoms, jit, 2),
-                          want[:, :, :2])
-    assert np.array_equal(copy.trace_batch(g, m, atoms, jit, 6), want)
-    view = beliefs.view_from_actions(
-        g, [tuple(r) for r in want[7].T.tolist()], atoms[7], 2, 4)
-    assert copy.action(2, view.atom, view.observed) == want[7, 2, 4]
+    with pytest.raises(strategies.BudgetExceededError,
+                       match=f"relabel table of {max(entries)} entries"):
+        prof.trace_batch(g, m, atoms, None, 6)
+    solved = len(prof._play)
+    assert 1 <= solved < 6
+    assert np.array_equal(prof.trace_batch(g, m, atoms, None, solved),
+                          want[:, :, :solved])
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", top)
+    assert np.array_equal(prof.trace_batch(g, m, atoms, None, 6), want)
 
 
 def test_exact_myopic_budget_counts_world_agent_cells(monkeypatch):
