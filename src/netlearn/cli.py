@@ -72,7 +72,7 @@ def cmd_check_topology(args) -> int:
         return EXIT_USAGE
     from . import topology
     sc = topology.is_strongly_connected(g)
-    out = {"n": g.n, "edges": len(g.edges), "strongly_connected": sc}
+    out = {"n": g.n, "edges": len(g.indices), "strongly_connected": sc}
     if sc:
         out["l_connectivity"], out["diameter"] = \
             topology.l_connectivity_and_diameter(g)

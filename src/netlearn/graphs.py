@@ -1,6 +1,6 @@
-"""Directed social-network graphs: the graph value, family generators,
-breadth-first distances, the balls around every vertex and the edge-list
-text form.
+"""Directed social-network graphs: the graph value, stored once as its
+sorted compressed out-rows; family generators, breadth-first distances,
+the balls around every vertex and the edge-list text form.
 
 All operations are pure functions over immutable graph values.  Neighborhoods
 are self-inclusive throughout: ``closed_nbrs(i)`` always contains ``i``.
@@ -21,6 +21,7 @@ __all__ = [
     "generate",
     "role_names",
     "bfs_distances",
+    "bfs_rows",
     "all_pairs_distances",
     "all_balls",
     "to_edge_list_text",
@@ -29,47 +30,63 @@ __all__ = [
 
 
 class DirectedGraph:
-    """Simple directed graph on vertices 0..n-1.
+    """Simple directed graph on vertices 0..n-1, held only as read-only
+    int64 compressed rows: vertex v's out-neighbours are
+    ``indices[indptr[v]:indptr[v + 1]]``, sorted and distinct.
 
-    ``family`` carries the generator tag and parameters when the graph came
-    from a built-in family; it does not participate in equality.  A class:
-    a NamedTuple would compare it, and cannot hold the derived rows.
+    ``edges`` is any iterable of (i, j) pairs or an (m, 2) array; repeats
+    collapse.  ``family`` carries the generator tag and parameters when the
+    graph came from a built-in family; it does not participate in equality.
+    A class: a NamedTuple would compare it, and cannot hold the arrays.
     """
 
-    __slots__ = ("n", "edges", "family", "_out", "_closed")
+    __slots__ = ("n", "family", "indptr", "indices")
 
-    def __init__(self, n: int, edges: frozenset,
-                 family: Optional[tuple] = None):
+    def __init__(self, n: int, edges, family: Optional[tuple] = None):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        out = [[] for _ in range(n)]
-        for (i, j) in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if i == j:
-                raise ValueError(f"self-loop at {i} not allowed")
-            out[i].append(j)
-        self.n, self.edges, self.family = n, edges, family
-        self._out = tuple(tuple(sorted(o)) for o in out)
-        self._closed = tuple(tuple(sorted(set(o) | {i}))
-                             for i, o in enumerate(out))
+        pairs = (edges if isinstance(edges, np.ndarray)
+                 else np.array(list(edges), dtype=object)).reshape(-1, 2)
+        bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)]
+        if len(bad):
+            raise ValueError(f"edge ({bad[0, 0]},{bad[0, 1]}) out of range")
+        loops = pairs[pairs[:, 0] == pairs[:, 1], 0]
+        if len(loops):
+            raise ValueError(f"self-loop at {loops[0]} not allowed")
+        keys = np.sort(np.asarray(pairs[:, 0] * n + pairs[:, 1], np.int64))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = keys % n
+        self.n, self.family = n, family
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     def __eq__(self, other):
         return (type(other) is DirectedGraph and self.n == other.n
-                and self.edges == other.edges)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    def pairs(self):
+        """The edges as an (m, 2) int64 array of (i, j) rows, sorted."""
+        return np.column_stack([np.repeat(np.arange(self.n),
+                                          np.diff(self.indptr)), self.indices])
+
+    @property
+    def edges(self):
+        """The frozenset of (i, j) edge tuples, built at each access."""
+        return frozenset(map(tuple, self.pairs().tolist()))
 
     def out_neighbors(self, i):
-        return self._out[i]
+        return tuple(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def closed_nbrs(self, i):
         """Out-neighbors of i together with i itself, sorted."""
-        return self._closed[i]
+        return tuple(sorted(self.out_neighbors(i) + (i,)))
 
     def has_edge(self, i, j):
-        return (i, j) in self.edges
+        return j in self.out_neighbors(i)
 
     @property
     def family_tag(self):
@@ -77,16 +94,6 @@ class DirectedGraph:
 
     def family_params(self):
         return {} if self.family is None else dict(self.family[1])
-
-
-def _csr(g: DirectedGraph):
-    """(indptr, indices): the sorted out-neighbour lists as compressed
-    rows, vertex v's being indices[indptr[v]:indptr[v + 1]]."""
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum([len(o) for o in g._out], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(g._out),
-                          dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
 
 
 def _bits(keys):
@@ -103,7 +110,6 @@ def _ball_levels(g: DirectedGraph, radius: int, cap: int):
     n = g.n
     if n > cap:
         return None
-    indptr, indices = _csr(g)
     # a block of b sources marks its keys in b * n bits, at most cap bytes
     b = max(1, min(n, 8 * cap // n))
     reached = np.zeros((b * n + 7) // 8, dtype=np.uint8)
@@ -115,8 +121,8 @@ def _ball_levels(g: DirectedGraph, radius: int, cap: int):
         block = [level]
         while len(block) <= radius:
             source, vertex = np.divmod(level, n)
-            first = indptr[vertex]
-            deg = indptr[vertex + 1] - first
+            first = g.indptr[vertex]
+            deg = g.indptr[vertex + 1] - first
             ends = np.cumsum(deg)
             found = []
             lo = 0
@@ -130,7 +136,7 @@ def _ball_levels(g: DirectedGraph, radius: int, cap: int):
                 pos = np.repeat(first[lo:hi] - (ends[lo:hi] - d - base), d)
                 pos += np.arange(len(pos))
                 keys = np.repeat(source[lo:hi] * n, d)
-                keys += indices[pos]
+                keys += g.indices[pos]
                 byte, mask = _bits(keys)
                 mask &= reached[byte]
                 keys = keys[mask == 0]
@@ -170,23 +176,10 @@ def all_balls(g: DirectedGraph, radius: int, max_entries=None):
     out-neighbour arrays, in slices of at most ``max_entries`` expanded
     entries (plus one vertex's out-degree), drops the keys whose bit is
     set, sorts and dedupes the rest and sets their bits; so no temporary
-    grows past a small multiple of ``max_entries``.  Within radius 1 there
-    is nothing to search: the balls are the vertices themselves, then each
-    vertex's out-neighbour list, straight from the compressed rows."""
+    grows past a small multiple of ``max_entries``."""
     if radius < 0:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     cap = g.n * g.n if max_entries is None else max_entries
-    if radius <= 1:
-        indptr, indices = _csr(g)
-        if radius == 0:  # no vertex has a ring at distance 1
-            indptr, indices = np.zeros_like(indptr), indices[:0]
-        if g.n + len(indices) > cap:
-            return None
-        vertices = np.arange(g.n)
-        return (np.repeat(np.arange(2), [g.n, len(indices)]),
-                np.concatenate([vertices,
-                                np.repeat(vertices, np.diff(indptr))]),
-                np.concatenate([vertices, indices]))
     parts = _ball_levels(g, radius, cap)
     if parts is None:
         return None
@@ -199,18 +192,23 @@ def all_balls(g: DirectedGraph, radius: int, max_entries=None):
     return np.repeat(*np.array(counts, dtype=np.int64).T), source, member
 
 
-def bfs_distances(g: DirectedGraph, source: int,
-                  radius: Optional[int] = None):
-    """Distance from ``source`` to every vertex, -1 for every vertex the
-    breadth-first search did not reach; the search stops expanding at
-    ``radius`` (no limit when it is None, all -1 when it is negative)."""
-    dist = [-1] * g.n
+class _Rows:
+    """The out-neighbour rows of ``g``, each read when it is indexed."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def __getitem__(self, v):
+        return self.g.out_neighbors(v)
+
+
+def _bfs(out, n: int, source: int, radius: Optional[int]):
+    dist = [-1] * n
     if radius is None:
-        radius = g.n  # above every distance
+        radius = n  # above every distance
     elif radius < 0:
         return dist
     dist[source] = 0
-    out = g._out
     q = deque([source])
     while q:
         v = q.popleft()
@@ -224,60 +222,73 @@ def bfs_distances(g: DirectedGraph, source: int,
     return dist
 
 
+def bfs_distances(g: DirectedGraph, source: int,
+                  radius: Optional[int] = None):
+    """Distance from ``source`` to every vertex, -1 for every vertex the
+    breadth-first search did not reach; the search stops expanding at
+    ``radius`` (no limit when it is None, all -1 when it is negative).  It
+    reads the rows of the vertices it expands only."""
+    return _bfs(_Rows(g), g.n, source, radius)
+
+
+def bfs_rows(g: DirectedGraph, sources, radius: Optional[int] = None):
+    """``bfs_distances(g, s, radius)`` for each s of ``sources``, one at a
+    time, from the rows read into Python tuples once for all of them."""
+    idx = g.indices.tolist()
+    out = [tuple(idx[a:b])
+           for a, b in itertools.pairwise(g.indptr.tolist())]
+    return (_bfs(out, g.n, s, radius) for s in sources)
+
+
 def all_pairs_distances(g: DirectedGraph):
     """List of BFS distance lists, one per source; -1 marks unreachable."""
-    return [bfs_distances(g, s) for s in range(g.n)]
-
+    return list(bfs_rows(g, range(g.n)))
 
 
 # ---------------------------------------------------------------------------
 # family generators
 
 def _undirected(pairs):
-    out = set()
-    for (i, j) in pairs:
-        out.add((i, j))
-        out.add((j, i))
-    return out
+    """Both directions of each pair of a list or an (m, 2) array."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.concatenate([pairs, pairs[:, ::-1]])
 
 
 def chain(n: int) -> DirectedGraph:
     """Undirected path on n vertices (both edge directions)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    e = _undirected((i, i + 1) for i in range(n - 1))
-    return DirectedGraph(n, frozenset(e), ("chain", (("n", n),)))
+    i = np.arange(n - 1)
+    return DirectedGraph(n, _undirected(np.column_stack([i, i + 1])),
+                         ("chain", (("n", n),)))
 
 
 def dicycle(n: int) -> DirectedGraph:
     """Directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    e = frozenset((i, (i + 1) % n) for i in range(n))
-    return DirectedGraph(n, e, ("dicycle", (("n", n),)))
+    i = np.arange(n)
+    return DirectedGraph(n, np.column_stack([i, (i + 1) % n]),
+                         ("dicycle", (("n", n),)))
 
 
 def cycle(n: int) -> DirectedGraph:
     """Undirected cycle on n vertices."""
     if n < 3:
         raise ValueError("n >= 3 required")
-    e = _undirected((i, (i + 1) % n) for i in range(n))
-    return DirectedGraph(n, frozenset(e), ("cycle", (("n", n),)))
+    i = np.arange(n)
+    return DirectedGraph(n, _undirected(np.column_stack([i, (i + 1) % n])),
+                         ("cycle", (("n", n),)))
 
 
 def grid(a: int, b: int) -> DirectedGraph:
     """Undirected a x b grid with 4-neighbor adjacency."""
     if a < 1 or b < 1:
         raise ValueError("grid dimensions must be positive")
-    idx = lambda r, c: r * b + c
-    pairs = []
-    for r in range(a):
-        for c in range(b):
-            if c + 1 < b:
-                pairs.append((idx(r, c), idx(r, c + 1)))
-            if r + 1 < a:
-                pairs.append((idx(r, c), idx(r + 1, c)))
-    return DirectedGraph(a * b, frozenset(_undirected(pairs)),
+    v = np.arange(a * b).reshape(a, b)
+    pairs = [np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel()]),
+             np.column_stack([v[:-1].ravel(), v[1:].ravel()])]
+    return DirectedGraph(a * b, _undirected(np.concatenate(pairs)),
                          ("grid", (("a", a), ("b", b))))
 
 
@@ -292,9 +303,8 @@ def random_regular(n: int, d: int, seed: int) -> DirectedGraph:
     for attempt in range(100):
         h = nx.random_regular_graph(d, n, seed=seed + attempt)
         if nx.is_connected(h):
-            e = frozenset(_undirected(h.edges()))
-            return DirectedGraph(
-                n, e, ("random_regular", (("n", n), ("d", d), ("seed", seed))))
+            return DirectedGraph(n, _undirected(list(h.edges())), (
+                "random_regular", (("n", n), ("d", d), ("seed", seed))))
     raise ValueError(f"no connected {d}-regular graph on {n} vertices "
                      "in 100 draws")
 
@@ -304,20 +314,12 @@ def royal_family(R: int, n: int) -> DirectedGraph:
     agents who all observe every royal; royal 0 observes public agent 0."""
     if R < 1 or n < 1:
         raise ValueError("R >= 1 and n >= 1 required")
-    royals = list(range(R))
-    public = list(range(R, R + n))
-    e = set()
-    for i in royals:
-        for j in royals:
-            if i != j:
-                e.add((i, j))
-    e |= _undirected((public[k], public[k + 1]) for k in range(n - 1))
-    for p in public:
-        for r in royals:
-            e.add((p, r))
-    e.add((royals[0], public[0]))
-    return DirectedGraph(R + n, frozenset(e),
-                         ("royal_family", (("R", R), ("n", n))))
+    e = [(i, j) for i in range(R) for j in range(R) if i != j]
+    e += [(p, r) for p in range(R, R + n) for r in range(R)]
+    e += [(p, q) for p in range(R, R + n) for q in (p - 1, p + 1)
+          if R <= q < R + n]
+    e.append((0, R))
+    return DirectedGraph(R + n, e, ("royal_family", (("R", R), ("n", n))))
 
 
 def mad_king(R_C: int, R_B: int, n: int) -> DirectedGraph:
@@ -326,17 +328,11 @@ def mad_king(R_C: int, R_B: int, n: int) -> DirectedGraph:
     people."""
     if R_C < 1 or R_B < 1 or n < 1:
         raise ValueError("all class sizes must be >= 1")
-    king = 0
-    regent = 1
-    court = list(range(2, 2 + R_C))
-    bureau = list(range(2 + R_C, 2 + R_C + R_B))
-    people = list(range(2 + R_C + R_B, 2 + R_C + R_B + n))
-    pairs = [(king, regent)]
-    pairs += [(king, c) for c in court]
-    pairs += [(king, p) for p in people]
-    pairs += [(regent, b) for b in bureau]
+    people = range(2 + R_C + R_B, 2 + R_C + R_B + n)
+    pairs = [(0, v) for v in (1, *range(2, 2 + R_C), *people)]
+    pairs += [(1, b) for b in range(2 + R_C, 2 + R_C + R_B)]
     return DirectedGraph(
-        2 + R_C + R_B + n, frozenset(_undirected(pairs)),
+        2 + R_C + R_B + n, _undirected(pairs),
         ("mad_king", (("R_C", R_C), ("R_B", R_B), ("n", n))))
 
 
@@ -402,7 +398,7 @@ def generate(spec: str, seed: int = 0) -> DirectedGraph:
 
 def to_edge_list_text(g: DirectedGraph) -> str:
     lines = [f"n={g.n}"]
-    lines += [f"{i} {j}" for (i, j) in sorted(g.edges)]
+    lines += [f"{i} {j}" for i, j in g.pairs().tolist()]
     return "\n".join(lines) + "\n"
 
 

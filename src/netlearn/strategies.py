@@ -159,9 +159,14 @@ def worlds(m, n: int):
             f"exceed the exact budget of {DEFAULT_BUDGET}; lower the number "
             "of agents or atoms")
     radix = k ** np.arange(n, dtype=np.int64)
-    atoms = np.arange(k ** n)[None, :] // radix[:, None] % k
-    return atoms, m.probs(0)[atoms].prod(axis=0), \
-        m.probs(1)[atoms].prod(axis=0)
+    atoms = np.arange(k ** n)[None, :] // radix[:, None]
+    atoms %= k
+    # each mass a running product over agents, as prod(axis=0) forms it
+    w0, w1 = m.probs(0)[atoms[0]], m.probs(1)[atoms[0]]
+    for row in atoms[1:]:
+        w0 *= m.probs(0)[row]
+        w1 *= m.probs(1)[row]
+    return atoms, w0, w1
 
 
 def _starts(sizes):
@@ -475,7 +480,7 @@ class GossipProfile(Profile):
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
-        # the newest (n, edges, horizon), its one-row rings (cell, member)
+        # the newest (graph, horizon), its one-row rings (cell, member)
         # and its block (rows, cell, member, weights)
         self._key = self._entries = self._block = None
 
@@ -500,7 +505,7 @@ class GossipProfile(Profile):
         batch needs more rows than it holds, up to as many as keep its
         entries and its cells within ``BLOCK_CELLS``, unless one
         row's pass it."""
-        key = (g.n, g.edges, horizon)
+        key = (g, horizon)
         if key != self._key:
             balls = graphs.all_balls(g, horizon - 1, DEFAULT_BUDGET)
             if balls is None:
@@ -694,10 +699,10 @@ class MadKingProfile(_ScriptedProfile):
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
         super().__init__(g, m, tie_breaker)
         self.roles = r = mad_king_roles_of(g)
-        self._people = people = frozenset(r.people)
+        self._people = frozenset(r.people)
         # round 1 decodes no person: the people are silent at round 0
-        self._decoding = graphs.DirectedGraph(g.n, frozenset(
-            e for e in g.edges if people.isdisjoint(e)))
+        self._decoding = graphs.DirectedGraph(g.n, g.pairs()[
+            ~np.isin(g.pairs(), r.people).any(axis=1)])
         self._leader = np.full(g.n, r.king)
         self._leader[[r.regent, r.king, *r.bureaucracy]] = r.regent
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import DirectedGraph, bfs_distances
+from .graphs import DirectedGraph, bfs_distances, bfs_rows
 
 __all__ = [
     "RootedBall",
@@ -26,7 +26,7 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
         return True
     if any(d < 0 for d in bfs_distances(g, 0)):
         return False
-    rev = DirectedGraph(g.n, frozenset((j, i) for (i, j) in g.edges))
+    rev = DirectedGraph(g.n, g.pairs()[:, ::-1])
     return all(d >= 0 for d in bfs_distances(rev, 0))
 
 
@@ -34,17 +34,14 @@ def l_connectivity_and_diameter(g: DirectedGraph):
     """(``min_l_connectivity(g)``, the diameter) from one BFS per source,
     holding one distance row at a time: the row of j gives j's eccentricity
     and, at each i with an edge (i, j), that edge's return distance."""
-    into = [[] for _ in range(g.n)]
-    for (i, j) in g.edges:
-        into[j].append(i)
+    rev = DirectedGraph(g.n, g.pairs()[:, ::-1])
     L = diameter = 0
-    for j in range(g.n):
-        row = bfs_distances(g, j)
+    for j, row in enumerate(bfs_rows(g, range(g.n))):
         if -1 in row:
             raise ValueError(
                 "L-connectivity requires a strongly connected graph")
         diameter = max(diameter, max(row))
-        L = max(L, max(map(row.__getitem__, into[j]), default=0))
+        L = max(L, max(map(row.__getitem__, rev.out_neighbors(j)), default=0))
     return L, diameter
 
 
@@ -57,7 +54,7 @@ def min_l_connectivity(g: DirectedGraph) -> int:
 
 def out_degree_bound(g: DirectedGraph) -> int:
     """Max over vertices of |closed neighborhood| (self-inclusive)."""
-    return max(len(g.closed_nbrs(i)) for i in range(g.n))
+    return int((g.indptr[1:] - g.indptr[:-1]).max()) + 1
 
 
 class RootedBall:
@@ -98,7 +95,8 @@ def extract_ball(g: DirectedGraph, root: int, r: int) -> RootedBall:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     dist = {v: d for v, d in enumerate(bfs_distances(g, root, r)) if d >= 0}
-    edges = frozenset((i, j) for (i, j) in g.edges if i in dist and j in dist)
+    edges = frozenset((i, j) for i in dist for j in g.out_neighbors(i)
+                      if j in dist)
     return RootedBall(root, r, frozenset(dist), edges, dist)
 
 

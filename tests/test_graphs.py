@@ -13,6 +13,108 @@ def test_rejects_self_loops():
         graphs.DirectedGraph(2, frozenset({(0, 0)}))
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (2, {(0, 2)}, "edge (0,2) out of range"),
+    (3, [(0, 1), (-1, 2)], "edge (-1,2) out of range"),
+    (4, {(3, 3)}, "self-loop at 3 not allowed"),
+    (3, [(0, 1), (2, 2), (1, 0)], "self-loop at 2 not allowed")])
+def test_constructor_messages(n, edges, message):
+    with pytest.raises(ValueError) as e:
+        graphs.DirectedGraph(n, edges)
+    assert str(e.value) == message
+
+
+def _undirected_pairs(pairs):
+    out = set()
+    for (i, j) in pairs:
+        out |= {(i, j), (j, i)}
+    return out
+
+
+def _grid_pairs(a, b):
+    pairs = [(r * b + c, r * b + c + 1)
+             for r in range(a) for c in range(b - 1)]
+    pairs += [(r * b + c, (r + 1) * b + c)
+              for r in range(a - 1) for c in range(b)]
+    return _undirected_pairs(pairs)
+
+
+def _royal_pairs(R, n):
+    e = {(i, j) for i in range(R) for j in range(R) if i != j}
+    e |= _undirected_pairs((k, k + 1) for k in range(R, R + n - 1))
+    e |= {(p, r) for p in range(R, R + n) for r in range(R)}
+    return e | {(0, R)}
+
+
+def _mad_king_pairs(R_C, R_B, n):
+    court = range(2, 2 + R_C)
+    bureau = range(2 + R_C, 2 + R_C + R_B)
+    people = range(2 + R_C + R_B, 2 + R_C + R_B + n)
+    pairs = [(0, 1)] + [(0, c) for c in court] + [(0, p) for p in people]
+    return _undirected_pairs(pairs + [(1, b) for b in bureau])
+
+
+# each family's reference: its edge set as the tuple-set generators built it
+FAMILY_PAIRS = [
+    (graphs.chain, lambda n: _undirected_pairs(
+        (i, i + 1) for i in range(n - 1)), [(1,), (2,), (7,)]),
+    (graphs.dicycle, lambda n: {(i, (i + 1) % n) for i in range(n)},
+     [(2,), (3,), (9,)]),
+    (graphs.cycle, lambda n: _undirected_pairs(
+        (i, (i + 1) % n) for i in range(n)), [(3,), (4,), (10,)]),
+    (graphs.grid, _grid_pairs, [(1, 1), (1, 4), (3, 1), (3, 4), (5, 5)]),
+    (graphs.royal_family, _royal_pairs, [(1, 1), (1, 3), (3, 1), (3, 10)]),
+    (graphs.mad_king, _mad_king_pairs, [(1, 1, 1), (2, 3, 4), (4, 1, 6)])]
+
+
+@pytest.mark.parametrize("make, reference, sizes", FAMILY_PAIRS,
+                         ids=[f.__name__ for f, _, _ in FAMILY_PAIRS])
+def test_families_build_the_reference_edges(make, reference, sizes):
+    """Each generator's rows hold the edge set of the tuple construction,
+    sorted and distinct, as int64 arrays that cannot be written."""
+    for args in sizes:
+        g, want = make(*args), reference(*args)
+        assert g.edges == want
+        assert g.indices.dtype == g.indptr.dtype == np.int64
+        assert len(g.indices) == len(want) == g.indptr[-1]
+        assert g.pairs().tolist() == sorted(map(list, want))
+        assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+        for i in range(g.n):
+            row = sorted(j for (v, j) in want if v == i)
+            assert g.out_neighbors(i) == tuple(row)
+            assert g.closed_nbrs(i) == tuple(sorted(row + [i]))
+
+
+def test_graph_value_ignores_edge_order_repeats_and_family():
+    g = graphs.royal_family(2, 4)
+    pairs = sorted(g.edges)
+    same = [graphs.DirectedGraph(g.n, pairs[::-1]),
+            graphs.DirectedGraph(g.n, pairs + pairs[:3], ("other", ())),
+            graphs.DirectedGraph(g.n, np.array(pairs)[::-1]),
+            graphs.DirectedGraph(g.n, frozenset(pairs))]
+    for h in same:
+        assert h == g and hash(h) == hash(g)
+    assert graphs.DirectedGraph(g.n, pairs[1:]) != g
+    assert graphs.DirectedGraph(g.n + 1, pairs) != g
+    assert graphs.DirectedGraph.__slots__ == (
+        "n", "family", "indptr", "indices")
+    assert not hasattr(graphs, "_csr")
+
+
+def test_cycle_100000_holds_its_rows_only():
+    """Building cycle(100000) holds its two int64 arrays, 2.4 MB, and
+    peaks well under the 60 MB the tuple form took."""
+    tracemalloc.start()
+    try:
+        g = graphs.cycle(100000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.indptr.nbytes + g.indices.nbytes == 8 * 300001
+    assert held < 4 << 20, held
+    assert peak < 16 << 20, peak
+
+
 def test_closed_nbrs_include_self():
     g = graphs.dicycle(5)
     for i in range(5):
@@ -177,9 +279,10 @@ def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
     that are all off by one fail it."""
     assert all(ok for name, ok, _ in invariants.check_graph()
                if name.startswith("l_connectivity_bound"))
-    real = graphs.bfs_distances
-    monkeypatch.setattr(topology, "bfs_distances", lambda g, source, radius=None:
-                        [d + 1 for d in real(g, source, radius)])
+    real = graphs.bfs_rows
+    monkeypatch.setattr(topology, "bfs_rows", lambda g, sources, radius=None:
+                        ([d + 1 for d in row]
+                         for row in real(g, sources, radius)))
     bounds = [ok for name, ok, _ in invariants.check_graph()
               if name.startswith("l_connectivity_bound")]
     assert len(bounds) == 5 and not any(bounds)

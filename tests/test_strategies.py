@@ -480,6 +480,40 @@ def test_exact_myopic_budget_counts_world_agent_cells(monkeypatch):
         beliefs.exact_posterior(g, m, ok, view)
 
 
+def _worlds_by_gather(m, n):
+    """``worlds`` as one (n, k^n) gather per state and a product over
+    agents: twice the memory of what it returns."""
+    radix = m.k ** np.arange(n, dtype=np.int64)
+    atoms = np.arange(m.k ** n)[None, :] // radix[:, None] % m.k
+    return atoms, m.probs(0)[atoms].prod(axis=0), \
+        m.probs(1)[atoms].prod(axis=0)
+
+
+@pytest.mark.parametrize("m", [signals.symmetric_binary(0.7),
+                               signals.royal_bounded(),
+                               signals.mad_king_asym()])
+def test_worlds_in_place_equal_the_gathered_product(m):
+    for n in range(1, 15):
+        if m.k ** n * n > strategies.DEFAULT_BUDGET:
+            break
+        got, want = strategies.worlds(m, n), _worlds_by_gather(m, n)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_worlds_peak_near_what_they_return():
+    """worlds(m, 16) returns 9.4 MB; the in-place build peaks near 10 MB,
+    where the gathered product peaked at 17.8 MB."""
+    tracemalloc.start()
+    try:
+        out = strategies.worlds(signals.symmetric_binary(0.7), 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(a.nbytes for a in out) + (1 << 20), peak
+
+
 def test_one_patched_budget_governs_both_engines(monkeypatch):
     """``strategies.DEFAULT_BUDGET`` is read when a world table or a ring set
     is built: patched just below the k^n * n world-agent cells of dicycle(5),
@@ -712,12 +746,17 @@ _HUB = graphs.DirectedGraph(100, frozenset((i, 0) for i in range(1, 100)))
 @example((_PARTS, 3, 148))
 @example((_PARTS, 60, 200))
 @example((_HUB, 2, 199))
-# radius 1 reads the compressed rows: n + edges entries, 199 on the hub and
-# 13 + 55 = 68 on royal_family(3,10)
+# radius 0 holds the n sources, radius 1 also each out-neighbour list: 100
+# and 199 entries on the hub, 13 and 13 + 55 = 68 on royal_family(3,10)
+@example((_HUB, 0, 100))
+@example((_HUB, 0, 99))
 @example((_HUB, 1, 199))
 @example((_HUB, 1, 198))
+@example((graphs.royal_family(3, 10), 0, None))
 @example((graphs.royal_family(3, 10), 1, 68))
 @example((graphs.royal_family(3, 10), 1, 67))
+@example((graphs.mad_king(2, 200, 300), 0, None))
+@example((graphs.mad_king(2, 200, 300), 1, None))
 def test_all_balls_equal_per_source_ball_distances(case):
     """The ring search lists exactly the per-source truncated BFS entries,
     sorted by (distance, source, member), for every radius from -1 to
