@@ -355,50 +355,62 @@ def run_ensemble(g, m, profile, config: SimConfig, keep_actions: bool = False,
     return report_from_tally(tally, config, g.family_tag), actions
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the excel dialect's minimal quoting writes one field of
+    a longer row: in double quotes, each ``"`` doubled, when it holds
+    ``,``, ``"``, ``\\r`` or ``\\n``; as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_trace_csv(path, actions, roles=None):
     """Write (replicate, agent, role, t, action) rows for the (R, n, horizon)
     ``actions``, row r as replicate r, agent-major within a replicate, as
     ``csv.writer`` would: CRLF line ends, roles quoted where needed.
 
-    Each agent's ``agent,role`` is rendered by ``csv.writer``, so a role is
-    quoted exactly as in a row written by it.  The rows after
-    ``replicate,`` are rendered once, each with action 0.  Replicate r is
-    then one ``join`` of them, each led by ``"\\r\\n{r},"``, and one encode
-    in the file's own encoding, whose action digits are set in place
-    through a uint8 view; the line end that these leading separators take
-    from each row closes the file."""
-    import csv
-    import io
+    For each width of the replicate number (0-9, 10-99, ...) one
+    replicate's rows, each led by ``"\\r\\n" + "0" * width + ","`` and
+    ending in action 0, are encoded once in the file's own encoding into a
+    uint8 buffer.  Replicate r then sets its number's digits and its
+    action digits in place, at offsets taken from the heads' encoded
+    lengths, and is one write of that buffer; the line end that these
+    leading separators take from each row closes the file."""
     R, n, horizon = np.shape(actions)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    heads = []
-    for i in range(n):
-        buf.seek(0)
-        buf.truncate()
-        w.writerow([i, roles.get(i, "") if roles else ""])
-        heads.append(buf.getvalue()[:-2])  # drop the "\r\n" terminator
-    tails = [f",{t},0" for t in range(horizon)]
-    # a leading "" puts the separator before the first row as well
-    rows = [""] + [h + s for h in heads for s in tails]
+    roles = roles or {}
+    fields = {role: _csv_field(role) for role in {"", *roles.values()}}
+    heads = [f"{i},{fields[roles.get(i, '')]}" for i in range(n)]
+    # a leading "" puts the separator before an agent's first row as well
+    tails = [""] + [f",{t},0" for t in range(horizon)]
+    acts = np.reshape(actions, (R, n * horizon))
     with open(path, "w", newline="") as f:
         # the bytes a text write would produce; the rows are ASCII after
         # their heads, and so is every separator
         encoding = f.encoding, f.errors
         out = f.buffer
         out.write("replicate,agent,role,t,action".encode(*encoding))
-        # rows 0..k are each led by "\r\n{r},", so in replicate r the digit
-        # that ends row k is byte digit[k] + len(f"{r},") * (k + 1)
-        lengths = np.add.outer([len(h.encode(*encoding)) for h in heads],
-                               [len(s) for s in tails]).ravel()
-        digit = np.cumsum(lengths + 2) - 1
-        step = np.arange(1, n * horizon + 1)
-        for r, acts in enumerate(np.reshape(actions, (R, n * horizon))):
-            sep = f"\r\n{r},"
-            text = bytearray(sep.join(rows).encode(*encoding))
-            np.frombuffer(text, dtype=np.uint8)[
-                digit + (len(sep) - 2) * step] += acts
-            out.write(text)
+        # each row's bytes but its number: "\r\n", ",", head and tail
+        lengths = 3 + np.add.outer(
+            np.array([len(h.encode(*encoding)) for h in heads], np.intp),
+            np.array([len(s) for s in tails[1:]], np.intp)).ravel()
+        first = 0
+        while first < R:
+            width = len(str(first))
+            sep = "\r\n" + "0" * width + ","
+            buf = np.frombuffer("".join((sep + h).join(tails) for h in heads)
+                                .encode(*encoding), np.uint8).copy()
+            # a row ends in its action digit and starts with "\r\n"
+            action = np.cumsum(lengths + width) - 1
+            number = action + 3 - lengths - width  # the first digit's
+            stop = min(10 ** width, R)
+            for r in range(first, stop):
+                for k, digit in enumerate(str(r).encode()):
+                    buf[number + k] = digit
+                buf[action] = acts[r] + 48  # ord("0")
+                out.write(buf)
+            # free this width's arrays before the next width's are built
+            del buf, action, number
+            first = stop
         out.write("\r\n".encode(*encoding))
 
 

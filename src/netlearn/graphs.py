@@ -60,6 +60,12 @@ class DirectedGraph:
         self.n, self.family = n, family
         self.indptr.flags.writeable = self.indices.flags.writeable = False
 
+    def __setstate__(self, state):
+        # a pickled array comes back writeable; a copy stays read-only
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+
     def __eq__(self, other):
         return (type(other) is DirectedGraph and self.n == other.n
                 and np.array_equal(self.indptr, other.indptr)

@@ -3,6 +3,7 @@ import functools
 import itertools
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -636,13 +637,13 @@ def _reference_trace_csv(path, actions, roles=None):
                                    {1: "line\nbreak", 2: "court"},
                                    {3: "\u00e9\u2211"}, {0: "a\r\nb"}])
 @pytest.mark.parametrize("horizon,replicates",
-                         [(1, 3), (5, 4), (5, 0), (2, 12)])
+                         [(1, 3), (5, 4), (5, 0), (2, 12), (1, 101)])
 def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
                                           replicates):
-    """The byte-patching writer produces the row writer's bytes: CRLF line
+    """The byte-template writer produces the row writer's bytes: CRLF line
     ends, roles quoted as csv.writer quotes them (a multi-byte role moves
     every later digit by its encoded length), replicate fields that grow
-    from one digit to two, no rows for no replicates."""
+    from one digit to two and to three, no rows for no replicates."""
     g = graphs.mad_king(2, 3, 2)
     m = signals.mad_king_asym()
     if roles == "mad_king":
@@ -659,3 +660,47 @@ def test_trace_csv_bytes_match_row_writer(tmp_path, roles, horizon,
     with open(got, newline="") as f:
         assert sum(1 for _ in csv.reader(f)) \
             == 1 + replicates * g.n * horizon
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text(st.sampled_from(',"\r\n \ta\u00e9\u2211'),
+                        max_size=4), min_size=1, max_size=5),
+       st.integers(0, 4), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_trace_csv_quotes_any_role_as_the_row_writer(tmp_path, names,
+                                                     horizon, replicates,
+                                                     seed):
+    """Roles of commas, quotes, CR, LF, spaces, tabs, non-ASCII letters or
+    nothing at all (and agents with no role) come out as csv.writer
+    writes them."""
+    roles = {i: name for i, name in enumerate(names) if i % 3 != 2}
+    actions = np.random.default_rng(seed).integers(
+        0, 2, (replicates, len(names), horizon), dtype=np.uint8)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _reference_trace_csv(want, actions, roles)
+    dynamics.write_trace_csv(got, actions, roles)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_trace_csv_holds_one_replicate(tmp_path):
+    """The writer reuses one replicate's buffer: writing 100 replicates
+    peaks within a small multiple of one replicate's bytes and within one
+    replicate's bytes of writing 10 (the second width's rows are one digit
+    longer each)."""
+    actions = np.random.default_rng(5).integers(0, 2, (100, 200, 20),
+                                                dtype=np.uint8)
+    roles = {i: "royal" for i in range(0, 200, 7)}
+    _reference_trace_csv(tmp_path / "one.csv", actions[:1], roles)
+    # less the header and the closing line end
+    one = (tmp_path / "one.csv").stat().st_size - 31
+    peaks = []
+    for replicates in (10, 100):
+        tracemalloc.start()
+        try:
+            dynamics.write_trace_csv(tmp_path / "got.csv",
+                                     actions[:replicates], roles)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 6 * one, (peaks, one)
+    assert peaks[1] < peaks[0] + one, (peaks, one)

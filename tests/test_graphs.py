@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from collections import deque
 
@@ -99,6 +101,31 @@ def test_graph_value_ignores_edge_order_repeats_and_family():
     assert graphs.DirectedGraph.__slots__ == (
         "n", "family", "indptr", "indices")
     assert not hasattr(graphs, "_csr")
+
+
+def _as_received(g):
+    """A pool worker's view of the graph it was sent: its rows' writeable
+    flags, and the graph itself, to be sent back."""
+    return g.indptr.flags.writeable, g.indices.flags.writeable, g
+
+
+def test_pickled_graph_stays_read_only():
+    """A graph that went through pickle, a deep copy or a spawned pool
+    (there and back) has read-only rows and equals and hashes as the
+    original does."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    g = graphs.royal_family(2, 3)
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn")) as ex:
+        *in_worker, back = ex.submit(_as_received, g).result(timeout=120)
+    assert in_worker == [False, False]
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), back):
+        assert not h.indptr.flags.writeable
+        assert not h.indices.flags.writeable
+        assert h == g and hash(h) == hash(g) and h.family == g.family
+        with pytest.raises(ValueError):
+            h.indices[0] = 0
 
 
 def test_cycle_100000_holds_its_rows_only():
