@@ -201,8 +201,8 @@ def y_decomposition(g, m, profile, view: HistoryView) -> YDecomposition:
         return YDecomposition(0.0, z0, z)
     w0, w1, _ = _seen(g, m, profile, view, view.t, forced=True,
                       table=table)
-    s0 = w0.sum() / m.atom_prob(view.atom, 0)
-    s1 = w1.sum() / m.atom_prob(view.atom, 1)
+    s0 = w0.sum() / m.probs(0)[view.atom]
+    s1 = w1.sum() / m.probs(1)[view.atom]
     if s0 <= 0.0 or s1 <= 0.0:
         raise InconsistentHistoryError(
             "history carries zero mass under one of the states")

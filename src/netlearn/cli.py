@@ -15,12 +15,13 @@ ranks default < file < NETLEARN_* variable < flag (``--seed``, ``--out``,
 ``--trace-csv``).  Seeds run from 0 to 2**64 - 1.
 
 Exit codes: 0 success, 1 check failed (e.g. invariant violation), 2 usage or
-input error (e.g. graph not strongly connected where required, ``--workers``
-below 1, an unknown config section or key, a config value that does not
-parse, a seed that is negative or 2**64 or more, an output path that is a
-directory, an input file, in a missing directory or not writable, a report
-and a trace CSV that are one file, or a run the exact engine's budget
-cannot hold), found before any replicate runs;
+input error (e.g. graph not strongly connected where required, an edge
+list whose header or a line does not parse, ``--workers`` below 1, an
+unknown config section or key, a config value that does not parse, a seed
+that is negative or 2**64 or more, an output path that is a directory, an
+input file, in a missing directory or not writable, a report and a trace
+CSV that are one file, or a run the exact engine's budget cannot hold),
+found before any replicate runs;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations
@@ -107,10 +108,6 @@ def cmd_simulate(args) -> int:
         inputs = {os.path.realpath(p) for p in (args.config, rc.graph_file)
                   if p}
         for path in (out_json, csv_path):
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
-                raise ValueError(f"no directory for output file {path!r}")
-            if path and os.path.isdir(path):
-                raise ValueError(f"output file {path!r} is a directory")
             if path and os.path.realpath(path) in inputs:
                 raise ValueError(f"output file {path!r} is an input file")
             if path:

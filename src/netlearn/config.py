@@ -138,8 +138,8 @@ def _read_file(path: str) -> dict:
             return json.load(f)
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        if not cp.read(path):
-            raise FileNotFoundError(path)
+        with open(path) as f:
+            cp.read_file(f)
         return {s: dict(cp.items(s)) for s in cp.sections()}
     except configparser.Error as e:  # no header, a duplicate key
         raise ValueError(" ".join(str(e).split())) from None

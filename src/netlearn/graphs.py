@@ -91,9 +91,6 @@ class DirectedGraph:
         """Out-neighbors of i together with i itself, sorted."""
         return tuple(sorted(self.out_neighbors(i) + (i,)))
 
-    def has_edge(self, i, j):
-        return j in self.out_neighbors(i)
-
     @property
     def family_tag(self):
         return None if self.family is None else self.family[0]
@@ -237,13 +234,13 @@ def bfs_distances(g: DirectedGraph, source: int,
     return _bfs(_Rows(g), g.n, source, radius)
 
 
-def bfs_rows(g: DirectedGraph, sources, radius: Optional[int] = None):
-    """``bfs_distances(g, s, radius)`` for each s of ``sources``, one at a
-    time, from the rows read into Python tuples once for all of them."""
+def bfs_rows(g: DirectedGraph, sources):
+    """``bfs_distances(g, s)`` for each s of ``sources``, one at a time, from
+    the rows read into Python tuples once for all of them."""
     idx = g.indices.tolist()
     out = [tuple(idx[a:b])
            for a, b in itertools.pairwise(g.indptr.tolist())]
-    return (_bfs(out, g.n, s, radius) for s in sources)
+    return (_bfs(out, g.n, s, None) for s in sources)
 
 
 def all_pairs_distances(g: DirectedGraph):
@@ -409,14 +406,21 @@ def to_edge_list_text(g: DirectedGraph) -> str:
 
 
 def from_edge_list_text(text: str) -> DirectedGraph:
+    """The graph of ``to_edge_list_text``'s format: an ``n=<count>`` header,
+    then one ``i j`` line per edge.  A header or a line that does not parse
+    is a ValueError that quotes it."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("edge list must start with an 'n=<count>' header")
-    n = int(lines[0][2:])
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"bad edge list header {lines[0]!r}") from None
     edges = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.add((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line {ln!r}") from None
+        edges.add((i, j))
     return DirectedGraph(n, frozenset(edges))

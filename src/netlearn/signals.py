@@ -85,10 +85,6 @@ class SignalModel:
     def probs(self, s: int):
         return self._p1 if s == 1 else self._p0
 
-    def atom_prob(self, idx: int, s: int) -> float:
-        a = self.atoms[idx]
-        return a.p1 if s == 1 else a.p0
-
     def sign_atoms(self):
         """(negative-z index, positive-z index) of a two-atom sign model;
         an atom within TIE_TOL of 0 ties, so its action reveals nothing."""

@@ -113,19 +113,22 @@ class TieBreaker(NamedTuple("TieBreaker", [("mode", str)])):
 
 class Profile:
     """Base class of the pure strategy profiles.  Subclasses implement
-    ``action`` and ``trace_batch(g, m, atoms, jitters, horizon, tie_log)``:
-    the (R, n, horizon) uint8 actions of the rows of ``atoms`` and
-    ``jitters`` (R, n), in one batched kernel, ties counted over the whole
-    batch.  The myopic, gossip, royal-family and mad-king profiles answer
-    ``trace_actions`` with a one-row batch; the generic per-agent loop
-    below stays as the oracle they are tested against.
+    ``trace_batch(g, m, atoms, jitters, horizon, tie_log)``: the (R, n,
+    horizon) uint8 actions of the rows of ``atoms`` and ``jitters`` (R, n),
+    in one batched kernel, ties counted over the whole batch; a profile
+    defined per agent also implements ``action``.  The myopic, gossip,
+    royal-family and mad-king profiles answer ``trace_actions`` with a
+    one-row batch; the generic per-agent loop below stays as the oracle
+    they are tested against.
     ``tie_breaker`` is the rule a profile decides by; a trace draws its
     jitters from it."""
 
     tie_breaker = TieBreaker("zero")
 
     def action(self, agent: int, atom: int, history, tie_log=None) -> int:
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} is defined at the trace level only; "
+            "use trace_actions")
 
     def trace_actions(self, g, m, atoms, jitters, horizon: int,
                       tie_log=None) -> np.ndarray:
@@ -488,11 +491,6 @@ class GossipProfile(Profile):
         """A copy (a pool worker's) keeps the one-row rings, not the block:
         it tiles them and allocates its buffers on its first batch."""
         return {**self.__dict__, "_block": None}
-
-    def action(self, agent, atom, history, tie_log=None):
-        raise NotImplementedError(
-            "the gossip profile is defined at the trace level only; "
-            "use trace_actions")
 
     def _block_for(self, g, horizon, batch):
         """(rows, cell, member, weights) for a batch of ``batch`` rows:

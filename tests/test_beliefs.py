@@ -52,12 +52,16 @@ def test_y_decomposition_identity_and_values():
 
 
 def test_inconsistent_history_raises():
+    """A view that no world produces has no posterior, no next-row
+    distribution and no certainty ahead."""
     g, m, prof = two_agents()
     neg, pos = m.sign_atoms()
     # agent 0 holding the + atom cannot have played 0 at round 0
     view = HistoryView(0, 1, pos, ((0, 1),))
-    with pytest.raises(beliefs.InconsistentHistoryError):
-        beliefs.exact_posterior(g, m, prof, view)
+    for fn in (beliefs.exact_posterior, beliefs.y_decomposition,
+               beliefs.outcome_distribution, beliefs.lookahead_certainty):
+        with pytest.raises(beliefs.InconsistentHistoryError):
+            fn(g, m, prof, view)
 
 
 def test_budget_guard(monkeypatch):
@@ -154,7 +158,7 @@ def test_generic_replay_matches_bruteforce(case):
     prof, T = make(g, m), 4
     mass, nxt = {}, {}
     for atoms in itertools.product(range(m.k), repeat=g.n):
-        w = [math.prod(m.atom_prob(a, s) for a in atoms) for s in (0, 1)]
+        w = [math.prod(m.probs(s)[a] for a in atoms) for s in (0, 1)]
         acts = replay(g, m, prof, list(atoms), T)
         for i in range(g.n):
             rows = tuple(map(tuple, acts[list(g.closed_nbrs(i))].T.tolist()))

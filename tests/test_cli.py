@@ -53,13 +53,20 @@ INFEASIBLE_GRAPHS = ("random_regular(5,3)", "random_regular(3,5)",
 
 
 def test_check_topology_bad_input_exits_2(tmp_path, capsys):
-    """A missing file, an unknown family, a bad family parameter, or a
-    family with no (connected) graph is a usage error: one error line that
-    names what is wrong, exit 2, no traceback."""
+    """A missing file, an unknown family, a bad family parameter, a family
+    with no (connected) graph, or an edge list whose header or a line does
+    not parse is a usage error: one error line that names what is wrong,
+    exit 2, no traceback."""
     missing = str(tmp_path / "missing.txt")
     cases = [(missing, missing), ("nonsense(3)", "nonsense"),
              ("dicycle(x)", "parameter n"), ("dicycle(3,4)", "dicycle(n)")]
     cases += [(arg, "") for arg in INFEASIBLE_GRAPHS]
+    for name, text, named in [
+            ("header.txt", "n=abc\n0 1\n", "header 'n=abc'"),
+            ("vertex.txt", "n=2\n0 x\n1 0\n", "line '0 x'"),
+            ("fields.txt", "n=3\n0 1\n1 2 0\n", "line '1 2 0'")]:
+        (tmp_path / name).write_text(text)
+        cases.append((str(tmp_path / name), named))
     for arg, named in cases:
         code, out = run_cli(["check-topology", arg])
         err = capsys.readouterr().err
@@ -84,6 +91,25 @@ def test_graph_distance_negative_radius_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, named", [
+    (["dicycle(5)", "5", "dicycle(8)", "0"], "invalid root 5"),
+    (["dicycle(5)", "0", "dicycle(8)", "-1"], "invalid root -1"),
+    (["{path}", "0", "dicycle(8)", "0"], "strongly connected"),
+    (["dicycle(8)", "0", "{path}", "2"], "strongly connected")])
+def test_graph_distance_bad_root_or_graph_exits_2(tmp_path, capsys, args,
+                                                  named):
+    """A root outside its graph, or a graph that is not strongly connected,
+    is a usage error: one error line that names it, exit 2."""
+    path = tmp_path / "path.txt"
+    path.write_text("n=3\n0 1\n1 2\n")
+    code, out = run_cli(["graph-distance"]
+                        + [a.format(path=path) for a in args])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
 
 
 def test_graph_distance_infeasible_graph_exits_2(capsys):
@@ -463,17 +489,24 @@ def test_simulate_bad_config_exits_2(tmp_path):
                      "kind = two_atom\n"),
     ("unknown_profile.cfg", "[graph]\nfamily = dicycle(4)\n\n[profile]\n"
                             "name = bayes\n"),
+    ("no_graph.cfg", "[signal]\nq = 0.7\n"),
+    ("missing.cfg", None),
+    ("missing.json", None),
 ])
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, name, text):
-    """A config that does not parse to sections of keys, or names a signal
-    kind or a profile the config cannot build, is a usage error: one error
-    line and exit 2, no traceback."""
+    """A config file that is missing, does not parse to sections of keys,
+    names no graph, or names a signal kind or a profile the config cannot
+    build, is a usage error: one error line and exit 2, no traceback.  A
+    missing file is named, as the system names it, in either format."""
     p = tmp_path / name
-    p.write_text(text)
+    if text is not None:
+        p.write_text(text)
     code, out = run_cli(["simulate", "--config", str(p)])
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if text is None:
+        assert f"No such file or directory: '{p}'" in err, err
 
 
 @pytest.mark.parametrize("family, profile", [
@@ -522,12 +555,12 @@ TIED_SIGNAL = "\n[signal]\nq = 0.5000000000001\n"
     (PREFLIGHT_BASE.replace("cycle(8)", "mad_king(1,2,2)")
      .replace("gossip", "mad_king") + TIED_SIGNAL, [], "sign decoding"),
     ("mad_king:-1", [], "delta must be > 0, got -1.0"),
-    (PREFLIGHT_BASE, ["--out", "{tmp}"], "{tmp}' is a directory"),
-    ("mad_king:0.025", ["--trace-csv", "{tmp}"], "{tmp}' is a directory"),
+    (PREFLIGHT_BASE, ["--out", "{tmp}"], "{tmp}': Is a directory"),
+    ("mad_king:0.025", ["--trace-csv", "{tmp}"], "{tmp}': Is a directory"),
     (PREFLIGHT_BASE + "\n[output]\nreport_json = {tmp}\n", [],
-     "{tmp}' is a directory"),
+     "{tmp}': Is a directory"),
     (PREFLIGHT_BASE + "\n[output]\ntrace_csv = {tmp}\n", [],
-     "{tmp}' is a directory"),
+     "{tmp}': Is a directory"),
     (PREFLIGHT_BASE, ["--out", "{tmp}/r.json", "--trace-csv", "{tmp}/r.json"],
      "one file, '{tmp}/r.json'"),
     (PREFLIGHT_BASE + "\n[output]\nreport_json = {tmp}/r.json\n"

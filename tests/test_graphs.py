@@ -168,6 +168,14 @@ def test_l_connectivity_requires_strong_connectivity():
         topology.min_l_connectivity(g)
 
 
+@pytest.mark.parametrize("n, edges, strong", [
+    (1, [], True),
+    (3, [(1, 0), (2, 1)], False)])  # 0 reaches no other vertex
+def test_is_strongly_connected(n, edges, strong):
+    assert topology.is_strongly_connected(
+        graphs.DirectedGraph(n, edges)) == strong
+
+
 def test_l_connectivity_holds_one_distance_row_at_a_time():
     """The pass streams its BFS rows: no n^2 table of distances is held."""
     g = graphs.cycle(1000)
@@ -187,14 +195,15 @@ def test_out_degree_bound():
 
 def test_royal_family_structure():
     g = graphs.royal_family(3, 10)
+    e = g.edges
     royals, public = range(3), range(3, 13)
     for i in royals:
         for j in royals:
-            assert (i != j) == g.has_edge(i, j) or i == j
+            assert (i != j) == ((i, j) in e) or i == j
     for p in public:
         for r in royals:
-            assert g.has_edge(p, r)
-    assert g.has_edge(0, 3) and not g.has_edge(1, 3)
+            assert (p, r) in e
+    assert (0, 3) in e and (1, 3) not in e
     assert topology.is_strongly_connected(g)
     # BFS oracle: longest return path runs royal_k -> royal_0 -> public_0
     # -> ... -> public_{n-1}, giving L = n + 1
@@ -204,14 +213,15 @@ def test_royal_family_structure():
 def test_mad_king_structure():
     g = graphs.mad_king(3, 5, 4)
     assert g.n == 2 + 3 + 5 + 4
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    e = g.edges
+    assert (0, 1) in e and (1, 0) in e
     for c in range(2, 5):
-        assert g.has_edge(0, c) and g.has_edge(c, 0)
+        assert (0, c) in e and (c, 0) in e
     for b in range(5, 10):
-        assert g.has_edge(1, b) and g.has_edge(b, 1)
-        assert not g.has_edge(0, b)
+        assert (1, b) in e and (b, 1) in e
+        assert (0, b) not in e
     for p in range(10, 14):
-        assert g.has_edge(0, p) and g.has_edge(p, 0)
+        assert (0, p) in e and (p, 0) in e
     assert topology.min_l_connectivity(g) == 1
 
 
@@ -277,6 +287,57 @@ def test_iso_matches_bruteforce_oracle(n1, n2, r):
             assert mapping[b1.root] == b2.root
 
 
+def _random_ball(rng):
+    """The ball of a random radius 0-3 about a random root of a random
+    digraph on 2-8 vertices."""
+    n = int(rng.integers(2, 9))
+    g = graphs.DirectedGraph(n, [(i, j) for i in range(n) for j in range(n)
+                                 if i != j and rng.random() < 0.35])
+    return topology.extract_ball(g, int(rng.integers(n)),
+                                 int(rng.integers(0, 4)))
+
+
+def _relabelled_ball(ball, rng, swap):
+    """``ball`` under a random relabelling, as the ball of the same radius
+    of the graph it spans; with ``swap``, one double edge swap (a, b), (c, d)
+    -> (a, d), (c, b), which keeps every in- and out-degree."""
+    perm = dict(zip(sorted(ball.vertices),
+                    rng.permutation(ball.n).tolist()))
+    edges = [(perm[i], perm[j]) for i, j in sorted(ball.edges)]
+    if swap and len(edges) >= 2:
+        k, l = rng.choice(len(edges), 2, replace=False)
+        (a, b), (c, d) = edges[k], edges[l]
+        if a != d and c != b and (a, d) not in edges and (c, b) not in edges:
+            edges[k], edges[l] = (a, d), (c, b)
+    return topology.extract_ball(graphs.DirectedGraph(ball.n, edges),
+                                 perm[ball.root], ball.radius)
+
+
+def test_iso_backtracking_matches_bruteforce_oracle():
+    """Random rooted balls of at most 8 vertices, each against a
+    relabelling of itself, a degree-preserving edge swap of that, or an
+    unrelated ball: the backtracking search answers as the all-permutations
+    oracle, its witness maps root to root and edges onto edges, and some
+    pairs with equal (distance, out-degree, in-degree) profiles get past
+    the profile filter and are refused by the search itself."""
+    rng = np.random.default_rng(0)
+    searched_and_refused = 0
+    for _ in range(1000):
+        a = _random_ball(rng)
+        b = (_relabelled_ball(a, rng, rng.random() < 0.5)
+             if rng.random() < 0.7 else _random_ball(rng))
+        ok, h = topology.balls_isomorphic(a, b)
+        assert ok == topology.balls_isomorphic_bruteforce(a, b)
+        if ok:
+            assert h[a.root] == b.root and set(h.values()) == b.vertices
+            assert {(h[i], h[j]) for i, j in a.edges} == b.edges
+        elif (a.n == b.n and len(a.edges) == len(b.edges)
+              and sorted(topology._iso_signature(a).values())
+              == sorted(topology._iso_signature(b).values())):
+            searched_and_refused += 1
+    assert searched_and_refused > 0
+
+
 def test_iso_witness_preserves_edges():
     b1 = topology.extract_ball(graphs.cycle(9), 0, 2)
     b2 = topology.extract_ball(graphs.cycle(11), 3, 2)
@@ -301,15 +362,36 @@ def test_rooted_distance_rejects_negative_radius():
         topology.rooted_distance(graphs.dicycle(5), 0, graphs.dicycle(8), 0, -2)
 
 
+PATH3 = graphs.DirectedGraph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (topology.extract_ball, (graphs.dicycle(5), 5, 1), "invalid root 5"),
+    (topology.extract_ball, (graphs.dicycle(5), -1, 1), "invalid root -1"),
+    (topology.extract_ball, (graphs.dicycle(5), 0, -1),
+     "radius must be nonnegative"),
+    (topology.rooted_distance, (graphs.dicycle(5), 5, graphs.dicycle(8), 0, 3),
+     "invalid root 5"),
+    (topology.rooted_distance, (graphs.dicycle(5), 0, graphs.dicycle(8), -1, 3),
+     "invalid root -1"),
+    (topology.rooted_distance, (graphs.dicycle(5), 0, PATH3, 0, 3),
+     "rooted_distance requires strongly connected graphs"),
+    (topology.rooted_distance, (PATH3, 2, graphs.dicycle(5), 0, 3),
+     "rooted_distance requires strongly connected graphs")])
+def test_balls_and_distances_refuse_bad_input(fn, args, message):
+    with pytest.raises(ValueError) as e:
+        fn(*args)
+    assert str(e.value) == message
+
+
 def test_l_connectivity_invariant_catches_wrong_distances(monkeypatch):
     """The invariant compares L with networkx shortest paths, so distances
     that are all off by one fail it."""
     assert all(ok for name, ok, _ in invariants.check_graph()
                if name.startswith("l_connectivity_bound"))
     real = graphs.bfs_rows
-    monkeypatch.setattr(topology, "bfs_rows", lambda g, sources, radius=None:
-                        ([d + 1 for d in row]
-                         for row in real(g, sources, radius)))
+    monkeypatch.setattr(topology, "bfs_rows", lambda g, sources:
+                        ([d + 1 for d in row] for row in real(g, sources)))
     bounds = [ok for name, ok, _ in invariants.check_graph()
               if name.startswith("l_connectivity_bound")]
     assert len(bounds) == 5 and not any(bounds)
@@ -475,3 +557,17 @@ def test_edge_list_roundtrip():
     text = graphs.to_edge_list_text(g)
     g2 = graphs.from_edge_list_text(text)
     assert g2.n == g.n and g2.edges == g.edges
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 0\n", "edge list must start with an 'n=<count>' header"),
+    ("", "edge list must start with an 'n=<count>' header"),
+    ("n=abc\n0 1\n", "bad edge list header 'n=abc'"),
+    ("n=2\n0 x\n", "bad edge line '0 x'"),
+    ("n=3\n0 1\n0 1 2\n", "bad edge line '0 1 2'"),
+    ("n=2\n  0  \n", "bad edge line '0'"),
+])
+def test_edge_list_errors_quote_what_does_not_parse(text, message):
+    with pytest.raises(ValueError) as e:
+        graphs.from_edge_list_text(text)
+    assert str(e.value) == message

@@ -317,8 +317,8 @@ def y_oracle(g, m, prof, view):
         if beliefs.history_of(g, acts, view.agent, view.t) == view.observed:
             for s in (0, 1):
                 mass[s] += float(m.probs(s)[list(atoms)].prod())
-    y = math.log(mass[1] / m.atom_prob(view.atom, 1)) \
-        - math.log(mass[0] / m.atom_prob(view.atom, 0))
+    y = math.log(mass[1] / m.probs(1)[view.atom]) \
+        - math.log(mass[0] / m.probs(0)[view.atom])
     return y, np.array(replays), off
 
 
@@ -535,7 +535,8 @@ def test_one_patched_budget_governs_both_engines(monkeypatch):
 
 
 def test_gossip_action_is_trace_level_only():
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError,
+                       match="^GossipProfile is defined at the trace level"):
         strategies.GossipProfile().action(0, 0, ())
 
 
