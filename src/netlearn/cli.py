@@ -20,8 +20,9 @@ list whose header or a line does not parse, ``--workers`` below 1, an
 unknown config section or key, a config value that does not parse, a seed
 that is negative or 2**64 or more, an output path that is a directory, an
 input file, in a missing directory or not writable, a report and a trace
-CSV that are one file, or a run the exact engine's budget cannot hold),
-found before any replicate runs;
+CSV that are one file, a graph over the graph budget, or a run the exact
+engine's budget cannot hold), found before any replicate runs, and for a
+graph before it is built;
 ``verify-invariants`` checks its scope and its seed before any suite runs.
 """
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _check_writable(path: str):
 def cmd_check_topology(args) -> int:
     try:
         g = _load_graph(args.graph)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, strategies.BudgetExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     from . import topology
@@ -89,7 +90,7 @@ def cmd_graph_distance(args) -> int:
         g2 = _load_graph(args.graph2)
         value, truncated = topology.rooted_distance(
             g1, args.root1, g2, args.root2, args.r_max)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, strategies.BudgetExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps({"distance": value, "truncated": truncated,
@@ -119,7 +120,8 @@ def cmd_simulate(args) -> int:
         g = rc.build_graph()
         m = rc.build_signal_model()
         prof = rc.build_profile(g, m)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError,
+            strategies.BudgetExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,9 +9,11 @@ horizon.
 The ensemble loop works on blocks of replicates: each block draws its
 rows, plays them with one ``trace_batch`` call and tallies them at once.  A
 fixed cell budget, ``strategies.BLOCK_CELLS`` cells of (replicate, agent,
-round), sizes a block, with at least one replicate; a run that keeps its
-actions (for the trace CSV) keeps each block's, as one (replicates, n,
-horizon) uint8 array in replicate order.
+round), sizes a block, with at least one replicate, rounded up to whole
+words of the rows that the profile's kernel plays together
+(``Profile.block_rows``: a gossip word holds 6, 3 or 1 rows); a run that
+keeps its actions (for the trace CSV) keeps each block's, as one
+(replicates, n, horizon) uint8 array in replicate order.
 
 Determinism (seeding contract 3, ``EnsembleReport.seeding``): the draws
 are counter-based.  Replicate r of master seed s takes uniform j from
@@ -38,7 +40,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import strategies
 from .strategies import TieLog
 from .stats import wilson_interval
 
@@ -268,7 +269,7 @@ def _run_chunk(g, m, profile, config: SimConfig, indices, kept):
     and write their actions into ``kept`` (len(indices), n, horizon) unless
     it is None.  Returns (tally, kept).  Top-level so it pickles."""
     tally = EnsembleTally(g.n)
-    rows = max(1, strategies.BLOCK_CELLS // (g.n * config.horizon))
+    rows = profile.block_rows(g, config.horizon)
     blocks = _draws(g, m, profile, config, indices, rows)
     for lo, (states, atoms, jitters) in zip(range(0, len(indices), rows),
                                             blocks):

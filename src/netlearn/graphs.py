@@ -353,22 +353,43 @@ def role_names(g: DirectedGraph):
     return dict(enumerate(role for role, k in sizes for _ in range(k)))
 
 
+# each family's generator, parameters, and (vertices, directed edges) as
+# closed formulas of its parameters
 _FAMILIES = {
-    "chain": (chain, ("n",)),
-    "dicycle": (dicycle, ("n",)),
-    "cycle": (cycle, ("n",)),
-    "grid": (grid, ("a", "b")),
-    "random_regular": (random_regular, ("n", "d", "seed")),
-    "royal_family": (royal_family, ("R", "n")),
-    "mad_king": (mad_king, ("R_C", "R_B", "n")),
+    "chain": (chain, ("n",), lambda n: (n, 2 * (n - 1))),
+    "dicycle": (dicycle, ("n",), lambda n: (n, n)),
+    "cycle": (cycle, ("n",), lambda n: (n, 2 * n)),
+    "grid": (grid, ("a", "b"),
+             lambda a, b: (a * b, 2 * (a * (b - 1) + (a - 1) * b))),
+    "random_regular": (random_regular, ("n", "d", "seed"),
+                       lambda n, d, seed: (n, n * d)),
+    "royal_family": (royal_family, ("R", "n"),
+                     lambda R, n: (R + n, R * (R - 1) + n * R + 2 * n - 1)),
+    "mad_king": (mad_king, ("R_C", "R_B", "n"),
+                 lambda R_C, R_B, n: (2 + R_C + R_B + n,
+                                      2 * (1 + R_C + R_B + n))),
 }
+
+
+def _check_size(what: str, vertices: int, edges: int) -> int:
+    """Raise BudgetExceededError when a graph of ``vertices`` and ``edges``
+    would exceed ``strategies.DEFAULT_BUDGET``, read at the call, in
+    vertices plus edges: a graph holds 8 B of each in its rows, and its
+    build peaks at a few times that.  Returns the budget."""
+    from .strategies import DEFAULT_BUDGET, BudgetExceededError
+    if vertices + edges > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{what}: {vertices} vertices and {edges} edges exceed the "
+            f"graph budget of {DEFAULT_BUDGET} vertices plus edges")
+    return DEFAULT_BUDGET
 
 
 def generate(spec: str, seed: int = 0) -> DirectedGraph:
     """Build the graph of a compact spec like ``dicycle(6)`` or
     ``royal_family(3,10)``.  Positional arguments follow the family's
     parameter order; a family that takes a seed and is given none gets
-    ``seed``."""
+    ``seed``.  A graph over the budget (``_check_size``) is refused before
+    it is built."""
     text = spec.strip()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"bad family spec {text!r}")
@@ -376,7 +397,7 @@ def generate(spec: str, seed: int = 0) -> DirectedGraph:
     tag = tag.strip()
     if tag not in _FAMILIES:
         raise ValueError(f"unknown family {tag!r}")
-    fn, names = _FAMILIES[tag]
+    fn, names, size = _FAMILIES[tag]
     args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
     if len(args) > len(names):
         raise ValueError(f"too many parameters for {tag}"
@@ -393,6 +414,7 @@ def generate(spec: str, seed: int = 0) -> DirectedGraph:
     missing = [a for a in names if a not in params]
     if missing:
         raise ValueError(f"family {tag} missing parameters {missing}")
+    _check_size(text, *size(**params))
     return fn(**params)
 
 
@@ -408,7 +430,9 @@ def to_edge_list_text(g: DirectedGraph) -> str:
 def from_edge_list_text(text: str) -> DirectedGraph:
     """The graph of ``to_edge_list_text``'s format: an ``n=<count>`` header,
     then one ``i j`` line per edge.  A header or a line that does not parse
-    is a ValueError that quotes it."""
+    is a ValueError that quotes it; the header's vertices, and then the
+    distinct edges read so far, are checked against the budget
+    (``_check_size``) as the lines are read."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("edge list must start with an 'n=<count>' header")
@@ -416,6 +440,7 @@ def from_edge_list_text(text: str) -> DirectedGraph:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad edge list header {lines[0]!r}") from None
+    room = _check_size("edge list", n, 0) - n
     edges = set()
     for ln in lines[1:]:
         try:
@@ -423,4 +448,6 @@ def from_edge_list_text(text: str) -> DirectedGraph:
         except ValueError:
             raise ValueError(f"bad edge line {ln!r}") from None
         edges.add((i, j))
+        if len(edges) > room:
+            _check_size("edge list", n, len(edges))
     return DirectedGraph(n, frozenset(edges))

@@ -19,9 +19,14 @@ from . import graphs
 # world-agent cells k^n * n (n <= 19 at k = 2), and gossip ring entries
 DEFAULT_BUDGET = 10_000_000
 TIE_TOL = 1e-12
-# cells -- (row, agent, round), or (row, ring entry) -- that the temporaries
-# of one block of replicate rows may hold; a block has at least one row
+# cells -- (row, agent, round), or (row or word of rows, ring entry) -- that
+# the temporaries of one block of replicate rows may hold; a block has at
+# least one row
 BLOCK_CELLS = 2 ** 16
+# gossip counts: the bits of a float64 word that hold lanes, and the widths
+# a lane may take
+_WORD_BITS = 48
+_LANE_WIDTHS = (8, 16, 32)
 
 __all__ = [
     "BudgetExceededError",
@@ -129,6 +134,18 @@ class Profile:
         raise NotImplementedError(
             f"{type(self).__name__} is defined at the trace level only; "
             "use trace_actions")
+
+    def lanes(self, g, horizon: int) -> int:
+        """Replicate rows that ``trace_batch`` plays together on (g,
+        horizon), a word of them: one unless the kernel packs rows."""
+        return 1
+
+    def block_rows(self, g, horizon: int) -> int:
+        """Replicate rows per ``trace_batch`` call of the ensemble loop: as
+        many as ``BLOCK_CELLS`` cells of (row, agent, round) hold, at least
+        one, rounded up to whole words of ``lanes`` rows."""
+        lanes = self.lanes(g, horizon)
+        return -(-max(1, BLOCK_CELLS // (g.n * horizon)) // lanes) * lanes
 
     def trace_actions(self, g, m, atoms, jitters, horizon: int,
                       tie_log=None) -> np.ndarray:
@@ -451,7 +468,7 @@ class MyopicExactProfile(Profile):
 
 
 class GossipProfile(Profile):
-    """Information-pooling dynamic for two-atom sign models: agent i's action
+    """Information-pooling dynamic for two-atom models: agent i's action
     at round t is the sign of the summed log-likelihood ratios of every agent
     within graph distance t of i.
 
@@ -461,48 +478,58 @@ class GossipProfile(Profile):
     per round.  It is *not* measurable with respect to the observed action
     history in general, so only traces (``trace_batch``) are provided.
 
-    The balls are held as rings: for every agent i and every j at distance
+    With two atoms z+ > z- the pooled ratio of a ball of N agents, C of them
+    on the positive atom z+, is C z+ + (N - C) z-, so play only counts.  The
+    balls are held as rings: for every agent i and every j at distance
     d <= T-1 from i (T the horizon), one entry pairs the round-major cell
-    d*n + i with the member j, the entries sorted by (d, i, j).  A batch of
-    traces sums each ring's ratios, a block of rows at a time, and
-    accumulates the rings over d.  The rings come from one array BFS,
-    truncated at radius T-1 (``graphs.all_balls``; no per-agent search).
+    d*n + i with the member j, the entries sorted by (d, i, j).  The rings
+    come from one array BFS, truncated at radius T-1 (``graphs.all_balls``;
+    no per-agent search).  A float64 word per agent packs L replicate rows,
+    row l's 0/1 positive-atom indicator at bit w*l, the lane width w the
+    smallest of 8, 16 and 32 for which the largest ball plus one is at most
+    2^(w-1): L = 6, 3 or 1 lanes in 48 bits.  Every count is an integer
+    below 2^48, exact in any order, so one pass over the rings counts L
+    rows (``trace_batch``).
 
     The profile holds one slot: the rings of the newest (graph, horizon),
     found on its first batch, an empty one included, and found again only
-    when a batch comes for another; and one block of them, tiled for as
-    many rows as the largest batch since then needs, with one work float
-    per entry: 24 B per entry.  A one-row block has sum_i |ball_{T-1}(i)|
-    entries (1.42 MB on cycle(1000) at T=30, where the build peaks at
-    what it keeps; n^2 entries in the worst case, on dense graphs; past
-    ``DEFAULT_BUDGET`` entries the build stops with
-    BudgetExceededError); a larger block at most ``BLOCK_CELLS``
-    entries, and a batch 8 B per (row, agent, round) cell of its block.
-    A pickled copy carries the one-row rings only.
+    when a batch comes for another, at 16 B an entry (8 B past
+    ``BLOCK_CELLS`` entries, int32 while n * T < 2^31), and each (round,
+    agent) cell's ball size in w bits; the newest model's thresholds, two
+    floats per ball size (``_constants``), and their values for a slab of
+    rounds, at most ``BLOCK_CELLS`` cells unless one round passes it, read
+    off once when the slab is every round; and one block of the rings,
+    tiled for as many words as the largest batch since then needs, up to
+    ``BLOCK_CELLS`` entries and cells unless one word passes them, with a
+    work buffer of at most ``BLOCK_CELLS`` floats and, where some ball
+    size admits a tie, 8 B per cell of each word.  The one-row rings have
+    sum_i |ball_{T-1}(i)| entries (0.94 MB on cycle(1000) at T=30, where
+    the build peaks at what it keeps; n^2 entries in the worst case, on
+    dense graphs; past ``DEFAULT_BUDGET`` entries the build stops with
+    BudgetExceededError).  A batch takes 8 B per cell of each word of its
+    block.  A pickled copy carries the one-row rings only.
     """
 
     def __init__(self, tie_breaker: TieBreaker = TieBreaker("zero")):
         self.tie_breaker = tie_breaker
-        # the newest (graph, horizon), its one-row rings (cell, member)
-        # and its block (rows, cell, member, weights)
-        self._key = self._entries = self._block = None
+        # the newest (graph, horizon) and its one-row rings (cell, member,
+        # lane width, ball sizes); the newest model's thresholds (model,
+        # tables, kbuf); the block (words, cell, member, weights, chunk,
+        # spare)
+        self._key = self._entries = self._counts = self._block = None
 
     def __getstate__(self):
-        """A copy (a pool worker's) keeps the one-row rings, not the block:
-        it tiles them and allocates its buffers on its first batch."""
-        return {**self.__dict__, "_block": None}
+        """A copy (a pool worker's) keeps the one-row rings only: it derives
+        its thresholds and tiles its block on its first batch."""
+        return {**self.__dict__, "_counts": None, "_block": None}
 
-    def _block_for(self, g, horizon, batch):
-        """(rows, cell, member, weights) for a batch of ``batch`` rows:
-        the ring entries of a block of ``rows`` trace rows, row r's cells
-        offset by r * n * horizon and its members by r * n, and a work
-        buffer of one float per entry.  The rings are searched again only
-        for a new (graph, horizon): more than ``DEFAULT_BUDGET``
-        entries raise BudgetExceededError, before the search holds more
-        than a few times that many.  The block is tiled again only when the
-        batch needs more rows than it holds, up to as many as keep its
-        entries and its cells within ``BLOCK_CELLS``, unless one
-        row's pass it."""
+    def _rings(self, g, horizon):
+        """(cell, member, width, sizes): the one-row rings of (g, horizon),
+        their lane width and each (round, agent) cell's ball size, in an
+        unsigned int of that width.  They are searched again only for a new
+        (graph, horizon): more than ``DEFAULT_BUDGET`` entries raise
+        BudgetExceededError, before the search holds more than a few times
+        that many."""
         key = (g, horizon)
         if key != self._key:
             balls = graphs.all_balls(g, horizon - 1, DEFAULT_BUDGET)
@@ -518,53 +545,244 @@ class GossipProfile(Profile):
             cell *= g.n
             cell += source
             del source
-            self._key, self._entries, self._block = key, (cell, member), None
-        cell, member = self._entries
-        rows = min(max(batch, 1), max(1, BLOCK_CELLS // max(
-            len(cell), g.n * horizon, 1)))
-        if self._block is None or self._block[0] < rows:
-            if rows > 1:
-                r = np.arange(rows)[:, None]
-                cell = (cell + r * (g.n * horizon)).ravel()
-                member = (member + r * g.n).ravel()
-            self._block = (rows, cell, member, np.empty(len(cell)))
+            # each cell's ball size: its ring's entries, summed over rounds
+            sizes = np.bincount(cell, minlength=g.n * horizon).reshape(
+                horizon, g.n)
+            np.cumsum(sizes, axis=0, out=sizes)
+            largest = int(sizes.max(initial=0))
+            width = next(w for w in _LANE_WIDTHS if largest < 2 ** (w - 1))
+            # rings that pass a block are held narrow, a chunk at a time
+            # widened into the block's buffer as it is played
+            narrow = np.int32 if (len(cell) > BLOCK_CELLS
+                                  and g.n * horizon < 2 ** 31) else np.intp
+            self._key, self._entries = key, (
+                cell.astype(narrow, copy=False),
+                member.astype(narrow, copy=False), width,
+                sizes.astype(f"uint{width}"))
+            self._counts = self._block = None
+        return self._entries
+
+    def lanes(self, g, horizon) -> int:
+        return _WORD_BITS // self._rings(g, horizon)[2]
+
+    def _block_for(self, g, m, horizon, batch):
+        """(words, cell, member, weights, chunk, spare) for a batch of
+        ``batch`` rows, once the model's thresholds are held (``_counts``):
+        the ring entries of a block of ``words`` words, word b's cells
+        offset by b * n * horizon and its members by b * n; a work buffer
+        of one float per entry, at most ``BLOCK_CELLS``; when one word's
+        entries pass that, ``chunk``, as many ints, which widens a chunk of
+        them at a time (else None); and when some ball size admits a tie, a
+        spare (words, horizon, n) float buffer (else None).  The thresholds
+        are derived again only for a new model; the block is tiled again
+        only for them, or when the batch needs more words than it holds, up
+        to as many as keep its entries and its cells within
+        ``BLOCK_CELLS``, unless one word's pass it."""
+        cell, member, width, sizes = self._rings(g, horizon)
+        if self._counts is None or self._counts[0] != m:
+            tables = self._constants(sizes, width, m)
+            # K of a slab of rounds, at most BLOCK_CELLS cells unless one
+            # round passes it; read off once when the slab is every round
+            kbuf = np.empty((len(tables),
+                             max(1, min(horizon, BLOCK_CELLS // g.n)), g.n))
+            if kbuf.shape[1] == horizon:
+                _fill(kbuf, tables, sizes)
+            self._counts, self._block = (m, tables, kbuf), None
+        words = min(max(-(-batch // (_WORD_BITS // width)), 1),
+                    max(1, BLOCK_CELLS // max(len(cell), g.n * horizon, 1)))
+        if self._block is None or self._block[0] < words:
+            if words > 1:
+                b = np.arange(words)[:, None]
+                cell = (cell + b * (g.n * horizon)).ravel()
+                member = (member + b * g.n).ravel()
+            step = max(1, min(len(cell), BLOCK_CELLS))
+            chunk = np.empty(step, np.intp) if len(cell) > step else None
+            spare = np.empty((words, horizon, g.n)) \
+                if len(self._counts[1]) > 1 else None
+            self._block = (words, cell, member, np.empty(step), chunk,
+                           spare)
         return self._block
+
+    def _constants(self, sizes, width, m):
+        """(k1,) or (k1, k0): per ball size N, the float64 2^52 + K, K
+        packing 2^(w-1) - c1(N) (k1) or 2^(w-1) - c0(N) (k0) in every lane,
+        so that a lane of v + K sets its guard bit, its top one, exactly
+        when its count C reaches c1(N) or c0(N).  c1(N) is the first C whose
+        margin C z+ + (N - C) z- the breaker decides 1 without a tie, c0(N)
+        the first it does not decide 0 (N + 1 if none).  The margin grows
+        with C, so each starts at the root of margin = +-TIE_TOL and steps
+        until ``decide`` holds at its boundary: O(largest ball).  k0 is
+        left out when no ball size of ``sizes`` admits a tie."""
+        up, down = max(m.z_values), min(m.z_values)
+        N = np.arange(sizes.max(initial=0) + 1)
+        # rows c1 and c0, each from its root, checked at C - 1 and C by one
+        # call of ``decide`` a step
+        c = np.ceil((np.array([[TIE_TOL], [-TIE_TOL]]) - N * down)
+                    / (up - down))
+        c = np.clip(c, 0, N + 1).astype(np.int64)
+        while True:
+            C = c[:, None] - np.array([[1], [0]])
+            acts, tied = self.tie_breaker.decide(C * up + (N - C) * down)
+            # c1 counts a 1 without a tie, c0 anything but a 0
+            reached = (acts == 1) & ~tied
+            reached[1] |= tied[1]
+            lower = (c > 0) & reached[:, 0]
+            higher = (c <= N) & ~reached[:, 1]
+            if not (lower.any() or higher.any()):
+                break
+            c += higher.astype(np.int64) - lower
+        c1, c0 = c
+        every = float(sum(1 << width * l for l in range(_WORD_BITS // width)))
+        k1, k0 = ((2 ** (width - 1) - c) * every + 2.0 ** 52
+                  for c in (c1, c0))
+        return (k1, k0) if np.take(c1 > c0, sizes).any() else (k1,)
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """(R, n, horizon) actions of the rows of ``atoms`` and ``jitters``
-        (R, n): per block of rows, one ``bincount`` of the entries' ratios
-        into the cells.  It adds them one at a time in entry order, so every
-        sum equals a one-row trace's.  The cells are round-major, so the
-        running sum over rounds is one in-place ``np.add`` of each round's
-        agent row into the next's.  Each block's sums are a fresh array: on
-        cycle(1000), T=30, 50 rows in a fresh process fault in 284 pages
-        against 116 with a held buffer (malloc may trim a freed one), and
-        take about 45 us less per row.  Not reentrant: the ratios go to the
-        work buffer held with the rings."""
-        atoms = np.asarray(atoms, dtype=np.intp).reshape(-1, g.n)
-        rows, cell, member, weights = self._block_for(g, horizon, len(atoms))
-        jitters = np.asarray(jitters, dtype=np.float64).reshape(atoms.shape)
-        z = np.asarray(m.z_values)[atoms]
-        out = np.empty((len(atoms), g.n, horizon), dtype=np.uint8)
-        for lo in range(0, len(atoms), rows):
-            k = min(rows, len(atoms) - lo)
-            e = k * (len(cell) // rows)
-            # members are in range by construction; under mode "raise"
-            # take would write through a temporary as large as its output
-            w = np.take(z[lo:lo + k].ravel(), member[:e], out=weights[:e],
-                        mode="wrap")
-            acc = np.bincount(cell[:e], weights=w, minlength=k * g.n * horizon)
-            # round t sums the ratios within distance t of each agent
-            acc = acc.reshape(k, horizon, g.n)
+        (R, n), a block of words at a time.  Each word's agents carry their
+        rows' positive-atom indicators, one per lane's low byte; one
+        ``take`` and one ``bincount`` sum them over the rings (unless one
+        word's entries pass ``BLOCK_CELLS``: then a chunk at a time, each
+        counted into its own run of cells), and the cells are round-major,
+        so the running sum over rounds is one in-place ``np.add`` of each
+        round's agent row into the next's.  Then v + k1[N] (``_constants``,
+        N the cell's ball size), formed in float64 from 2^52, has v + K as
+        its low 52 bits: an int64 view reads each lane's decision off its
+        guard bit, the top bit of one byte, and a right shift of that byte
+        writes it straight into the output.  Where ties are possible, the
+        guard bits of v + k0[N] that v + k1[N] lacks are the ties: counted
+        on the real lanes, each takes its row's play on a tie (``decide``
+        on a zero margin) in the word before the bytes are read.  The
+        result is a view of the first R rows of whole words.  Not
+        reentrant: the block's buffers are held with the rings."""
+        if m.k != 2:
+            raise ValueError(
+                f"gossip play needs a model of exactly two atoms, got {m.k}")
+        atoms = np.asarray(atoms).reshape(-1, g.n)
+        words, cell, member, weights, chunk, spare = self._block_for(
+            g, m, horizon, len(atoms))
+        width, sizes = self._entries[2:]
+        tables, kbuf = self._counts[1:]
+        lanes = _WORD_BITS // width
+        low, high = _lanes(0, width), _lanes(width - 1, width)
+        R, n = atoms.shape
+        total = -(-R // lanes)
+        # the rows' indicators, padded with zero rows to whole words
+        ones = np.zeros((total * lanes, n), dtype=np.uint8)
+        np.equal(atoms, m.z_values.argmax(), out=ones[:R])
+        out = np.empty((total * lanes, n, horizon), dtype=np.uint8)
+        if spare is not None:
+            # each row's play on a tie, as ``decide`` plays a zero margin,
+            # at its lane's guard bit, packed once (None when no row plays
+            # 1 on a tie)
+            play = np.zeros_like(ones)
+            play[:R] = self.tie_breaker.decide(
+                np.zeros((R, n)), None, np.reshape(jitters, (R, n)))[0] << 7
+            play = _pack(play, total, high)[:, None] if play.any() else None
+            # each word's guard bits of real rows: the last word's lanes
+            # past row R hold none
+            real = np.full(total, _guard_bits(width, lanes))
+            real[-1:] = _guard_bits(width, R - (total - 1) * lanes)
+            ties = 0
+        # no cells at horizon 0, where bincount would count in int64
+        for lo in range(0, total if horizon else 0, words):
+            b = min(words, total - lo)
+            rows = slice(lo * lanes, (lo + b) * lanes)
+            packed = _pack(ones[rows], b, low).astype(np.float64).ravel()
+            e = b * (len(cell) // words)
+            if chunk is None:
+                # members are in range by construction; under mode "raise"
+                # take would write through a temporary as large as its
+                # output
+                w = np.take(packed, member[:e], out=weights[:e], mode="wrap")
+                acc = np.bincount(cell[:e], weights=w,
+                                  minlength=b * horizon * n)
+            else:
+                # one word's entries, a chunk at a time, each counted into
+                # its own run of cells, from c[0]
+                acc = np.zeros(horizon * n)
+                for s in range(0, e, len(chunk)):
+                    c = cell[s:s + len(chunk)]
+                    idx = chunk[:len(c)]
+                    np.copyto(idx, member[s:s + len(c)])
+                    w = np.take(packed, idx, out=weights[:len(c)],
+                                mode="wrap")
+                    part = np.bincount(np.subtract(c, c[0], out=idx),
+                                       weights=w)
+                    acc[c[0]:c[0] + len(part)] += part
+            # round t counts the agents within distance t of each agent
+            acc = acc.reshape(b, horizon, n)
             for t in range(1, horizon):
                 np.add(acc[:, t], acc[:, t - 1], out=acc[:, t])
-            acts = self.tie_breaker.decide(acc, tie_log,
-                                           jitters[lo:lo + k, None])[0]
-            out[lo:lo + k] = acts.transpose(0, 2, 1)
-        return out
+            # v + K, K read off each cell's ball size a slab of rounds at a
+            # time (held when the slab is every round)
+            for t in range(0, horizon, kbuf.shape[1]):
+                now = slice(t, t + kbuf.shape[1])
+                k = kbuf if kbuf.shape[1] == horizon else _fill(
+                    kbuf, tables, sizes[now])
+                if spare is not None:
+                    np.add(acc[:, now], k[1], out=spare[:b, now])
+                np.add(acc[:, now], k[0], out=acc[:, now])
+            act = acc.view(np.int64)
+            if spare is not None:
+                # the guard bits of v + k0 that v + k1 lacks, on real rows,
+                # are the ties; each plays as its row's tie play
+                tied = spare[:b].view(np.int64)
+                tied ^= act
+                tied &= real[lo:lo + b, None, None]
+                ties += int(np.count_nonzero(tied.view(np.uint8)))
+                if play is not None:
+                    tied &= play[lo:lo + b]
+                    act |= tied
+            np.right_shift(_guards(act, high), 7,
+                           out=out[rows].reshape(b, lanes, n, horizon))
+        if spare is not None and tie_log is not None:
+            tie_log.add(ties)
+        return out[:R]
 
     def trace_actions(self, g, m, atoms, jitters, horizon, tie_log=None):
         return self.trace_batch(g, m, [atoms], [jitters], horizon, tie_log)[0]
+
+
+def _fill(kbuf, tables, sizes):
+    """The first len(sizes) rounds of ``kbuf``, each of its planes read off
+    the (rounds, n) ball sizes ``sizes`` through one of ``tables``."""
+    k = kbuf[:, :len(sizes)]
+    for plane, table in zip(k, tables):
+        np.take(table, sizes, out=plane, mode="wrap")
+    return k
+
+
+def _guard_bits(width, k):
+    """The guard bits, the top bit of each lane, of a word's first ``k``
+    lanes of ``width`` bits."""
+    return sum(1 << width * l + width - 1 for l in range(k))
+
+
+def _lanes(bit, width):
+    """The slice of a word's 8 bytes that holds bit ``bit`` of each of its
+    lanes of ``width`` bits."""
+    first, step = bit // 8, width // 8
+    if not np.little_endian:
+        first, step = 7 - first, -step
+    stop = first + _WORD_BITS // width * step
+    return slice(first, stop if stop >= 0 else None, step)
+
+
+def _guards(words, byte):
+    """The (b, L, n, T) view of the bytes of the (b, T, n) int64 ``words``
+    that hold their lanes' guard bits, ``byte`` their slice (``_lanes``)."""
+    return words.view(np.uint8).reshape(words.shape + (8,))[..., byte] \
+        .transpose(0, 3, 2, 1)
+
+
+def _pack(rows, words, byte):
+    """The (words, n) int64 words of the (words * L, n) uint8 ``rows``: row
+    w * L + l fills lane l's byte of word w, ``byte`` the lanes' slice of a
+    word's 8 bytes (``_lanes``)."""
+    out = np.zeros((words, rows.shape[1], 8), dtype=np.uint8)
+    out[..., byte] = rows.reshape(words, -1, rows.shape[1]).transpose(0, 2, 1)
+    return out.view(np.int64)[..., 0]
 
 
 class _ScriptedProfile(Profile):
@@ -576,11 +794,19 @@ class _ScriptedProfile(Profile):
 
     A round-0 action reveals its atom, so a decoded ratio is the atom's z
     and rounds 0-1 are the gossip rule on the decoding graph: a held
-    ``GossipProfile`` plays them, ties counted there, its round-1 ring
-    adding the members in sorted order from 0.0 as ``action`` decodes them.
-    Subclasses set ``family``, their graph family tag, and keep ``action``
-    as the oracle.  Only deterministic tie modes are supported: ``action``
-    never sees a jitter draw.
+    ``GossipProfile`` plays them from its lane-packed counts, ties counted
+    there, a round-1 margin being C z+ + (N - C) z- for the C of the N
+    decoded agents on the positive atom.  Its decisions equal ``action``'s
+    float sums' wherever no margin lies within rounding of +-TIE_TOL, as
+    on every model ``config`` builds.  It holds one slot, for (decoding
+    graph, min(T, 2)): a ring entry per agent and per decoding edge at 16
+    B, each agent's two ball sizes, and a block of whole words, six rows a
+    word while every decoded ball holds under 128 agents (three on
+    ``mad_king(2,200,300)``, whose regent decodes 202; ``block_rows``
+    plays 12 rows a call there).  Subclasses set ``family``, their
+    graph family tag, and keep ``action`` as the oracle.  Only
+    deterministic tie modes are supported: ``action`` never sees a jitter
+    draw.
     """
 
     def __init__(self, g, m, tie_breaker: TieBreaker = TieBreaker("zero")):
@@ -594,6 +820,9 @@ class _ScriptedProfile(Profile):
         self._sign_z = self._z[list(m.sign_atoms())]
         self._gossip = GossipProfile(tie_breaker)
         self._decoding, self._leader = g, np.arange(g.n)
+
+    def lanes(self, g, horizon):
+        return self._gossip.lanes(self._decoding, min(horizon, 2))
 
     def trace_batch(self, g, m, atoms, jitters, horizon, tie_log=None):
         """(R, n, horizon) actions of the rows of ``atoms`` (R, n): rounds

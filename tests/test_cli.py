@@ -908,3 +908,31 @@ def test_bundled_recipes_run(tmp_path, name):
         * report["config"]["horizon"]
     if name == "mad_king.cfg":
         assert rows == 100 * 504 * 12
+
+
+@pytest.mark.parametrize("args", [
+    ["check-topology", "cycle(1000000000)"],
+    ["graph-distance", "cycle(5)", "0", "cycle(1000000000)", "0"],
+    ["simulate", "--config", "{cfg}"],
+])
+def test_a_graph_over_the_budget_exits_2_before_it_is_built(
+        args, tmp_path, capsys):
+    """cycle(10^9) would hold 24 GB of rows: each command that builds a
+    graph refuses it with one error line and exit 2, prints nothing, and
+    peaks under 1 MB of traced memory."""
+    import tracemalloc
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[graph]\nfamily = cycle(1000000000)\n\n"
+                   "[profile]\nname = gossip\n\n[sim]\nreplicates = 3\n")
+    tracemalloc.start()
+    try:
+        code, out = run_cli([a.format(cfg=cfg) for a in args])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: cycle(1000000000): ") \
+        and err.count("\n") == 1, err
+    assert "graph budget" in err
+    assert peak < 2 ** 20

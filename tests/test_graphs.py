@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netlearn import graphs, invariants, topology
+from netlearn import graphs, invariants, strategies, topology
 
 
 def test_rejects_self_loops():
@@ -571,3 +571,62 @@ def test_edge_list_errors_quote_what_does_not_parse(text, message):
     with pytest.raises(ValueError) as e:
         graphs.from_edge_list_text(text)
     assert str(e.value) == message
+
+
+SIZED_SPECS = (
+    "chain(1)", "chain(2)", "chain(9)", "dicycle(2)", "dicycle(11)",
+    "cycle(3)", "cycle(12)", "grid(1,1)", "grid(1,6)", "grid(4,3)",
+    "grid(7,7)", "random_regular(2,1)", "random_regular(10,3)",
+    "random_regular(12,4,5)", "royal_family(1,1)", "royal_family(2,3)",
+    "royal_family(3,10)", "mad_king(1,1,1)", "mad_king(2,3,4)",
+    "mad_king(2,200,300)")
+
+
+def test_size_formulas_cover_every_family():
+    assert {s.split("(")[0] for s in SIZED_SPECS} == set(graphs._FAMILIES)
+
+
+@pytest.mark.parametrize("spec", SIZED_SPECS)
+def test_family_size_formulas_equal_the_built_graph(spec):
+    """Each family's closed formulas give the vertices and directed edges of
+    the graph it builds."""
+    g = graphs.generate(spec)
+    size = graphs._FAMILIES[g.family_tag][2]
+    assert size(**g.family_params()) == (g.n, len(g.indices))
+
+
+def test_generate_refuses_a_graph_over_the_budget_before_building_it(
+        monkeypatch):
+    """cycle(10) has 10 vertices and 20 edges: a budget of 30 builds it, 29
+    refuses it; cycle(10^9) is refused without the 24 GB of its rows."""
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 30)
+    assert graphs.generate("cycle(10)").n == 10
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 29)
+    with pytest.raises(strategies.BudgetExceededError,
+                       match="10 vertices and 20 edges exceed the graph "
+                             "budget of 29"):
+        graphs.generate("cycle(10)")
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        with pytest.raises(strategies.BudgetExceededError,
+                           match="cycle\\(1000000000\\)"):
+            graphs.generate("cycle(1000000000)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_edge_list_refuses_a_graph_over_the_budget_as_it_reads(monkeypatch):
+    """The header's vertex count is checked first, then the distinct edges
+    read so far: under a budget of 5, three vertices hold two edges, a
+    repeat adds none, and a third edge is refused at its line."""
+    monkeypatch.setattr(strategies, "DEFAULT_BUDGET", 5)
+    with pytest.raises(strategies.BudgetExceededError, match="6 vertices"):
+        graphs.from_edge_list_text("n=6\n")
+    g = graphs.from_edge_list_text("n=3\n0 1\n1 2\n0 1\n")
+    assert len(g.indices) == 2
+    with pytest.raises(strategies.BudgetExceededError,
+                       match="3 vertices and 3 edges"):
+        graphs.from_edge_list_text("n=3\n0 1\n1 2\n2 0\nnot parsed\n")

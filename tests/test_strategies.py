@@ -660,6 +660,222 @@ def test_gossip_trace_batch_matches_per_row_ring_sums(gi, m, mode, cap, data,
     assert log.count == ties
 
 
+# atoms at z = +-4e-13, within TIE_TOL of 0: every ball of up to two agents,
+# and every ball whose counts differ by at most two, ties
+TIED = signals.symmetric_binary(0.5000000000001)
+
+
+def _reference_rows(g, m, atoms, jitters, horizon, mode):
+    """Each row's (actions, ties) by both references, which must agree."""
+    out = []
+    for a, j in zip(atoms, jitters):
+        want = _ring_sum_gossip(g, m, a, j, horizon, mode)
+        dense = _dense_gossip(g, m, a, j, horizon, mode)
+        assert np.array_equal(want[0], dense[0]) and want[1] == dense[1]
+        out.append(want)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(GOSSIP_GRAPHS))),
+       st.sampled_from(GOSSIP_MODELS + (TIED,)),
+       st.sampled_from(("zero", "one", "jitter")),
+       st.sampled_from(strategies._LANE_WIDTHS),
+       st.sampled_from((1, 7, 40, strategies.BLOCK_CELLS)), st.data(),
+       st.integers(0, 2 ** 32 - 1))
+def test_gossip_counts_match_both_references_in_every_lane_width(
+        gi, m, mode, width, cap, data, seed):
+    """With its lanes held to one width (8, 16 or 32 bits: 6, 3 or 1 rows
+    a word), the count kernel equals the ring-sum and the dense references
+    in actions and in the batch's tie count, every tie mode, for 1 to
+    2L + 1 rows, so that the last word is often partly filled, in blocks
+    of any size.  Under the tied model an empty lane of a ball of one or two
+    agents would tie: ties are counted on real lanes only."""
+    g = GOSSIP_GRAPHS[gi]
+    diameter = max(map(max, graphs.all_pairs_distances(g)))
+    horizon = data.draw(st.integers(1, diameter + 2), label="horizon")
+    lanes = 48 // width
+    R = data.draw(st.integers(1, 2 * lanes + 1), label="rows")
+    rng = np.random.default_rng(seed)
+    atoms = rng.integers(0, m.k, size=(R, g.n))
+    jitters = rng.random(atoms.shape)
+    log = strategies.TieLog()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "_LANE_WIDTHS", (width,))
+        mp.setattr(strategies, "BLOCK_CELLS", cap)
+        prof = strategies.GossipProfile(TieBreaker(mode))
+        fast = prof.trace_batch(g, m, atoms, jitters, horizon, log)
+        assert prof.lanes(g, horizon) == lanes
+    want = _reference_rows(g, m, atoms, jitters, horizon, mode)
+    assert fast.dtype == np.uint8 and fast.shape == (R, g.n, horizon)
+    assert np.array_equal(fast, np.array([a for a, _ in want]))
+    # a Python int, as the report's JSON needs
+    assert type(log.count) is int
+    assert log.count == sum(k for _, k in want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(("zero", "one", "jitter")), st.integers(1, 7),
+       st.integers(0, 2 ** 32 - 1))
+def test_gossip_counts_on_grid_take_16_bit_lanes(mode, R, seed):
+    """grid(12,12) at T=30 has a largest ball of 144 agents, over 127, so
+    its lanes are 16 bits wide, three rows a word; 1 to 7 rows equal both
+    references, ties included (even balls of a symmetric model cancel)."""
+    g, m, horizon = graphs.grid(12, 12), signals.symmetric_binary(0.6), 30
+    rng = np.random.default_rng(seed)
+    atoms = rng.integers(0, m.k, size=(R, g.n))
+    jitters = rng.random(atoms.shape)
+    log = strategies.TieLog()
+    prof = strategies.GossipProfile(TieBreaker(mode))
+    fast = prof.trace_batch(g, m, atoms, jitters, horizon, log)
+    assert prof.lanes(g, horizon) == 3
+    want = _reference_rows(g, m, atoms, jitters, horizon, mode)
+    assert np.array_equal(fast, np.array([a for a, _ in want]))
+    assert log.count == sum(k for _, k in want)
+
+
+@pytest.mark.parametrize("m", [signals.symmetric_binary(0.6), TIED])
+def test_gossip_counts_on_a_wide_star_take_32_bit_lanes(m):
+    """A hub with 40,000 leaves, edges both ways, at T=2: the hub's ball
+    holds 40,001 agents, over 2^15 - 1, so a lane is 32 bits and a word
+    holds one row.  Every tie mode and 1 to 3 rows equal the star's ring
+    sums written out (a leaf adds the hub at round 1; the hub adds every
+    leaf, in vertex order), as both references would give them; no
+    reference builds n BFS rows here."""
+    leaves = 40_000
+    g = graphs.DirectedGraph(leaves + 1, np.concatenate([
+        np.stack([np.zeros(leaves, int), np.arange(1, leaves + 1)], 1),
+        np.stack([np.arange(1, leaves + 1), np.zeros(leaves, int)], 1)]))
+    rng = np.random.default_rng(7)
+    ties = 0
+    for mode in ("zero", "one", "jitter"):
+        prof = strategies.GossipProfile(TieBreaker(mode))
+        assert prof.lanes(g, 2) == 1
+        for R in (1, 2, 3):
+            atoms = rng.integers(0, m.k, size=(R, g.n))
+            # alternating first row: half the leaves cancel the hub's
+            # ratio at round 1
+            atoms[0] = np.arange(g.n) % 2
+            jitters = rng.random(atoms.shape)
+            log = strategies.TieLog()
+            got = prof.trace_batch(g, m, atoms, jitters, 2, log)
+            z = np.asarray(m.z_values)[atoms]
+            sums = np.stack([z, z + z[:, :1]], axis=2)
+            sums[:, 0, 1] = z[:, 0] + np.cumsum(z[:, 1:], axis=1)[:, -1]
+            tied = np.abs(sums) <= strategies.TIE_TOL
+            tie_act = (jitters < 0.5)[:, :, None] if mode == "jitter" \
+                else np.full(tied.shape, mode == "one")
+            want = np.where(tied, tie_act, sums > strategies.TIE_TOL)
+            assert np.array_equal(got, want)
+            assert log.count == np.count_nonzero(tied)
+            ties += log.count
+    assert ties > 0
+
+
+def test_gossip_counts_through_a_spawn_pool(monkeypatch):
+    """A solved profile pickled into two spawned workers derives its
+    constants and tiles its words there, and plays as here: reports and
+    kept actions equal, on 16-bit lanes with ties, every replicate count
+    from 1 to 7 leaving a different last word."""
+    g, m = graphs.grid(12, 12), signals.symmetric_binary(0.6)
+    prof = strategies.GossipProfile(TieBreaker("jitter"))
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    cfg = dynamics.SimConfig(horizon=30, replicates=7, tail_window=4,
+                             master_seed=9)
+    rep2, acts2 = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True,
+                                        workers=2)
+    assert rep2.tie_rate > 0
+    for R in range(1, 8):
+        rep1, acts1 = dynamics.run_ensemble(
+            g, m, prof, cfg._replace(replicates=R), keep_actions=True)
+        assert np.array_equal(acts1, acts2[:R])
+    assert rep1 == rep2
+
+
+def test_gossip_refuses_a_model_without_two_atoms(fake_pool, monkeypatch):
+    """Gossip play counts the agents on the positive atom, which needs
+    exactly two atoms: a three-atom model raises ValueError naming the
+    count before the rings are searched or any row is played, in a
+    zero-row solve and in run_ensemble, whose pool never starts."""
+    g = graphs.cycle(6)
+
+    def no_search(*args, **kw):
+        raise AssertionError("the rings were searched")
+
+    monkeypatch.setattr(graphs, "all_balls", no_search)
+    with pytest.raises(ValueError, match="exactly two atoms, got 3"):
+        strategies.GossipProfile().trace_batch(
+            g, THREE_ATOMS, np.zeros((0, g.n), int), np.zeros((0, g.n)), 4)
+    chunks = []
+    monkeypatch.setattr(dynamics, "_run_chunk",
+                        lambda *a, **kw: chunks.append(a))
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    cfg = dynamics.SimConfig(horizon=4, replicates=4, tail_window=2)
+    with pytest.raises(ValueError, match="exactly two atoms, got 3"):
+        dynamics.run_ensemble(g, THREE_ATOMS, strategies.GossipProfile(),
+                              cfg, workers=2)
+    assert chunks == [] and fake_pool == []
+
+
+@pytest.mark.parametrize("mode", ["zero", "one", "jitter"])
+def test_gossip_plays_the_tied_model_as_the_ring_sums(mode):
+    """Atoms at z = +-4e-13 tie at round 0, so the scripted profiles refuse
+    them; gossip plays them, and an ensemble's kept actions and tie count
+    equal the per-row ring sums."""
+    g, m = graphs.grid(3, 3), TIED
+    prof = strategies.GossipProfile(TieBreaker(mode))
+    cfg = dynamics.SimConfig(horizon=6, replicates=13, tail_window=2,
+                             master_seed=2)
+    rep, actions = dynamics.run_ensemble(g, m, prof, cfg, keep_actions=True)
+    ties = 0
+    for r in range(cfg.replicates):
+        tr = dynamics.run_trace(g, m, prof, cfg, r)
+        want, k = _ring_sum_gossip(g, m, tr.atoms, tr.jitters, cfg.horizon,
+                                   mode)
+        assert np.array_equal(actions[r], want)
+        ties += k
+    assert ties > 0
+    assert rep.tie_rate == ties / (cfg.replicates * g.n * cfg.horizon)
+
+
+@pytest.mark.parametrize("m", [signals.symmetric_binary(0.6), TIED])
+def test_gossip_rings_past_a_block_play_a_chunk_at_a_time(m):
+    """cycle(2400) at T=30 has 141,600 ring entries and 72,000 (agent,
+    round) cells, both past BLOCK_CELLS: the rings are held as int32, one
+    word's pass counts them BLOCK_CELLS at a time, and the thresholds are
+    read off a slab of 27 rounds at a time.  Seven rows, the second word
+    partly filled, equal the cycle's window sums (the ball of radius t
+    around i is i - t .. i + t) as the ring-sum reference would give them,
+    ties included: every ball is odd, and under the tied model a count one
+    off half ties."""
+    g, horizon = graphs.cycle(2400), 30
+    prof = strategies.GossipProfile(TieBreaker("jitter"))
+    rng = np.random.default_rng(11)
+    atoms = rng.integers(0, 2, size=(7, g.n))
+    jitters = rng.random(atoms.shape)
+    log = strategies.TieLog()
+    got = prof.trace_batch(g, m, atoms, jitters, horizon, log)
+    cell, member = prof._entries[:2]
+    assert cell.dtype == member.dtype == np.int32
+    assert len(cell) == 2400 * 59
+    words, _, _, weights, chunk, _ = prof._block
+    assert words == 1
+    assert len(weights) == len(chunk) == strategies.BLOCK_CELLS
+    assert prof._counts[2].shape[1:] == (27, g.n)
+    z = np.asarray(m.z_values)[atoms]
+    ring = np.zeros((7, g.n, horizon))
+    ring[:, :, 0] = z
+    for t in range(1, horizon):
+        ring[:, :, t] = np.roll(z, t, axis=1) + np.roll(z, -t, axis=1)
+    margin = ring.cumsum(axis=2)
+    tied = np.abs(margin) <= strategies.TIE_TOL
+    want = np.where(tied, (jitters < 0.5)[:, :, None],
+                    margin > strategies.TIE_TOL)
+    assert np.array_equal(got, want)
+    assert log.count == np.count_nonzero(tied)
+    assert (log.count > 0) == (m is TIED)
+
+
 def test_gossip_trace_holds_no_dense_structure():
     """One trace on cycle(1000) at T=30 touches 59,000 (agent, member)
     pairs; the dense masks it replaced took 240 MB."""
@@ -819,7 +1035,7 @@ def test_gossip_ring_block_holds_no_unplayed_rows(n):
     """chain(n) at T=30 has fewer ring entries than (agent, round) cells,
     so the cells size the block: the profile holds at most BLOCK_CELLS
     entries at 24 B and as many cells at 8 B (chain(1) held 17.3 MB when
-    the entries alone sized it), and plays as one row per block does."""
+    the entries alone sized it), and plays as one word per block does."""
     g, m, horizon = graphs.chain(n), signals.symmetric_binary(0.6), 30
     prof = strategies.GossipProfile(TieBreaker("jitter"))
     tracemalloc.start()
@@ -899,9 +1115,10 @@ def test_gossip_profile_serves_batches_like_fresh_profiles(
 
 def test_gossip_profile_pickles_its_rings_only(monkeypatch):
     """A solved profile pickles to its one-row rings, 56 entries on
-    cycle(8) at T=4, not to its 1.87 MB block of tiles and buffers; the
-    copy tiles them on its first batch without searching the balls again,
-    and plays bit-identically."""
+    cycle(8) at T=4, not to its constants or to its 0.67 MB block of 500
+    tiled words and their buffer; the copy derives the constants and tiles
+    the rings on its first batch without searching the balls again, and
+    plays bit-identically."""
     g, m, horizon = graphs.cycle(8), signals.symmetric_binary(0.7), 4
     prof = strategies.GossipProfile(TieBreaker("jitter"))
     rng = np.random.default_rng(3)
@@ -917,8 +1134,10 @@ def test_gossip_profile_pickles_its_rings_only(monkeypatch):
 
     monkeypatch.setattr(graphs, "all_balls", no_search)
     copy = pickle.loads(data)
+    assert copy._counts is None and copy._block is None
     got = copy.trace_batch(g, m, atoms, jitters, horizon, copy_log)
     assert np.array_equal(got, want) and copy_log.count == log.count
+    # the block's word count
     assert copy._block[0] > 1
 
 
@@ -926,7 +1145,7 @@ def test_gossip_profile_pickles_its_rings_only(monkeypatch):
 @pytest.mark.parametrize("spec", ["cycle(200)", "grid(12,12)"])
 def test_gossip_ensemble_matches_ring_sums_past_small_diameters(spec, mode):
     """At T=30 the balls grow for 29 levels, past the diameters of
-    GOSSIP_GRAPHS, and a ring block holds several rows: run_ensemble's
+    GOSSIP_GRAPHS, and a ring block holds several words: run_ensemble's
     report and kept actions equal a tally of the per-row ring-sum
     reference.  (On cycle(200) every ball holds an odd number of agents,
     so no sum of a symmetric model cancels; grid(12,12) has ties.)"""
